@@ -23,6 +23,15 @@ streams, see rng module).  A generation's minimum is exact whenever the
 generation is nonempty; an empty generation means "minimum above the
 cap" and is reported as censored.
 
+The minima path prunes further, per replicate.  A cheap beam pass (the
+few smallest points of each generation) reaches a real generation-n node,
+whose position U_r bounds that replicate's B_n from above.  Every ancestor
+of the minimising node lies at or below B_n <= U_r, so the exact pass may
+drop any point above U_r, and does, with bound min(cap, U_r).  A node's
+position and key come only from its parent's and its own stream, so the
+dropped rows change no bit of the minimum.  Z_n(t), T(eps) and single
+runs need every point below the cap and keep the cap alone.
+
 Replicates are independent and parallelize freely: replicate i draws its
 randomness from the substream keyed by (seed, i), so results do not
 depend on batch or thread layout.
@@ -61,8 +70,8 @@ class RunConfig:
     batch_rows: int = 4_000_000
 
     def __post_init__(self):
-        if self.cap <= 0:
-            raise DomainError("cap must be positive")
+        if not 0 < self.cap < math.inf:
+            raise DomainError("cap must be positive and finite")
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
         if self.max_generation < 0:
@@ -114,9 +123,11 @@ def sample_lpd_offsets(key: int, cap: float) -> np.ndarray:
 def _next_generation(pos, key, rep, cap, strict, row_guard):
     """Children of all points in (pos, key, rep), truncated at cap.
 
-    Round t draws stick t for every still-active parent; parents retire
-    once their remaining mass cannot produce another child below the cap.
+    ``cap`` is a scalar or an array holding each row's own bound.  Round t
+    draws stick t for every still-active parent; parents retire once their
+    remaining mass cannot produce another child below their bound.
     """
+    per_row = np.ndim(cap) > 0
     out_pos, out_key, out_rep = [], [], []
     cum = np.zeros_like(pos)
     total = 0
@@ -139,6 +150,8 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
         alive = pos + cum < cap
         if not alive.all():
             pos, key, rep, cum = pos[alive], key[alive], rep[alive], cum[alive]
+            if per_row:
+                cap = cap[alive]
         t += 1
         if t > 100_000:
             raise NumericalError("stick loop failed to terminate")
@@ -165,6 +178,41 @@ def _segment_min(rep, values, size):
     return out
 
 
+_BEAM_WIDTH = 16
+
+
+def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
+    """Per-replicate bounds U_r >= B_n from a beam pass, capped at cap.
+
+    Each generation keeps the _BEAM_WIDTH smallest children of each
+    replicate, so the best survivor at generation n is a real node and its
+    position bounds that replicate's minimum.  The bound returned is the
+    next float above it: a parent retires only once pos + cum reaches the
+    bound, and a child's position never falls below its parent's pos + cum.
+    Where the beam dies the bound is the cap itself.
+
+    The width trades beam rows against the pruned pass's rows; measured on
+    one core at seed 1 (2000 replicates, n=16, cap 10.42, unpruned 64.3M
+    rows in 11.5 s), widths 4/8/16/32 drew 4.1M/4.1M/4.9M/6.7M rows in
+    0.96/0.98/1.27/1.91 s.  On the A08 generation-40 run (seed 803, 61
+    replicates, cap 17.52), where the pass below the bound dominates, the
+    mean of e^(U_r - cap), which tracks its cost, is 0.75/0.59/0.47/0.43,
+    with 27/16/4/3 beams ending at the cap.  Width 16 keeps nearly all of
+    the small-n saving and most of the large-n one.
+    """
+    b = key.size
+    pos = np.zeros(b)
+    rep = np.arange(b, dtype=np.int64)
+    for _ in range(n):
+        pos, key, rep = _next_generation(pos, key, rep, cap, False, row_guard)
+        order = np.lexsort((pos, rep))
+        pos, key, rep = pos[order], key[order], rep[order]
+        rank = np.arange(rep.size) - np.searchsorted(rep, rep)
+        beam = rank < _BEAM_WIDTH
+        pos, key, rep = pos[beam], key[beam], rep[beam]
+    return np.minimum(cap, np.nextafter(_segment_min(rep, pos, b), np.inf))
+
+
 def _expected_peak_rows(cap: float, n: int) -> float:
     best = 1.0
     for m in range(1, n + 1):
@@ -184,10 +232,16 @@ def _batch_size(cfg: RunConfig, cap: float, n: int) -> int:
 
 
 def _drive(cfg: RunConfig, n: int, cap: float, *, strict=False, want_min=False, z_t=None, want_death=False, death_limit=None):
-    """Run all replicates; returns (minima, z_counts, death_gens) arrays."""
+    """Run all replicates; returns (minima, z_counts, death_gens) arrays.
+
+    With ``want_min`` each replicate is pruned to its own bound (see
+    _minimum_bounds), so only the minima are exact and it must not be
+    combined with ``z_t`` or ``want_death``, which need every point.
+    """
     reps = cfg.replicates
     limit = death_limit if want_death else n
     batch = _batch_size(cfg, cap, limit)
+    guard = 4 * cfg.batch_rows
     minima = np.full(reps, np.inf) if want_min else None
     z_counts = np.zeros(reps, dtype=np.int64) if z_t is not None else None
     deaths = np.full(reps, -1, dtype=np.int64) if want_death else None
@@ -204,10 +258,12 @@ def _drive(cfg: RunConfig, n: int, cap: float, *, strict=False, want_min=False, 
             key = key[:0]
             rep = rep[:0]
         alive = np.ones(b, dtype=bool) if pos.size else np.zeros(b, dtype=bool)
+        bounds = _minimum_bounds(key, n, cap, guard) if want_min else None
         for gen in range(1, limit + 1):
             if not pos.size:
                 break
-            pos, key, rep = _next_generation(pos, key, rep, cap, strict, 4 * cfg.batch_rows)
+            row_cap = bounds[rep] if want_min else cap
+            pos, key, rep = _next_generation(pos, key, rep, row_cap, strict, guard)
             if want_death:
                 present = np.zeros(b, dtype=bool)
                 present[rep] = True
@@ -287,8 +343,8 @@ def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
     """B_n per replicate; +inf where the whole generation exceeded cap."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if cap <= 0:
-        raise DomainError("cap must be positive")
+    if not 0 < cap < math.inf:
+        raise DomainError("cap must be positive and finite")
     minima, _, _ = _drive(cfg, n, float(cap), want_min=True)
     return minima
 
@@ -311,6 +367,8 @@ def median_bn_detail(n: int, cfg: RunConfig, margin: float = 4.0, cap: float | N
     replicates are censored; on >= 50% censoring the run is retried once
     with cap + 2 before giving up.
     """
+    if not math.isfinite(margin):
+        raise DomainError("margin must be finite")
     chosen = float(cap) if cap is not None else predicted_median_bn(n) + margin
     retried = False
     for attempt in range(2):
@@ -372,6 +430,10 @@ def estimate_tails(
     grid_step: float = 0.5,
     grid_max: float = 4.0,
 ) -> TailEstimate:
+    if not math.isfinite(margin):
+        raise DomainError("margin must be finite")
+    if not (0 < grid_step < math.inf and 0 <= grid_max < math.inf):
+        raise DomainError("grid step must be positive and grid max non-negative, both finite")
     cap = predicted_median_bn(n) + margin
     minima = replicate_minima(n, cfg, cap)
     censor = float(np.mean(np.isinf(minima)))

@@ -360,9 +360,16 @@ def _cmd_brw_rde(args) -> int:
     return 0
 
 
+def _result_line(r: verify.CheckResult) -> str:
+    return f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.seconds:.2f}s) {r.detail}"
+
+
 def _cmd_verify(args) -> int:
     ctx = verify.VerifyContext(threads=args.threads)
-    results = verify.run_suite(args.suite, ctx)
+    # progress goes to stderr; stdout and --out carry only the artifact
+    results = verify.run_suite(
+        args.suite, ctx, on_result=lambda r: print(_result_line(r), file=sys.stderr, flush=True)
+    )
     passed = sum(1 for r in results if r.ok)
     if args.format == "json":
         payload = {
@@ -378,10 +385,7 @@ def _cmd_verify(args) -> int:
         body["config"] = _config_dict(args, "verify")
         _write_text(args.out, json.dumps(_pyify(body), sort_keys=True) + "\n")
     else:
-        lines = [
-            f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.seconds:.2f}s) {r.detail}"
-            for r in results
-        ]
+        lines = [_result_line(r) for r in results]
         lines.append(f"{passed}/{len(results)} checks passed")
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if passed == len(results) else 1

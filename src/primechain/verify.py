@@ -830,14 +830,23 @@ def acceptance_names() -> list[str]:
     return [name for name, _ in ACCEPTANCE]
 
 
-def run_acceptance(ctx: VerifyContext | None = None, names: list[str] | None = None) -> list[CheckResult]:
+def _run_checks(checks, ctx: VerifyContext, on_result=None) -> list[CheckResult]:
+    """Run checks in order, handing each result to ``on_result`` as it lands."""
+    results = []
+    for name, fn in checks:
+        results.append(_run_check(name, fn, ctx))
+        if on_result is not None:
+            on_result(results[-1])
+    return results
+
+
+def run_acceptance(
+    ctx: VerifyContext | None = None, names: list[str] | None = None, on_result=None
+) -> list[CheckResult]:
     ctx = ctx or VerifyContext()
     wanted = set(names) if names is not None else None
-    return [
-        _run_check(name, fn, ctx)
-        for name, fn in ACCEPTANCE
-        if wanted is None or name in wanted
-    ]
+    checks = [(name, fn) for name, fn in ACCEPTANCE if wanted is None or name in wanted]
+    return _run_checks(checks, ctx, on_result)
 
 
 def run_one(name: str, ctx: VerifyContext | None = None) -> CheckResult:
@@ -852,26 +861,26 @@ def run_one(name: str, ctx: VerifyContext | None = None) -> CheckResult:
     raise KeyError(f"unknown check {name!r}")
 
 
-def run_properties(ctx: VerifyContext | None = None, modules: list[str] | None = None) -> list[CheckResult]:
+def run_properties(
+    ctx: VerifyContext | None = None, modules: list[str] | None = None, on_result=None
+) -> list[CheckResult]:
     ctx = ctx or VerifyContext()
     chosen = modules if modules is not None else list(PROPERTY_SUITES)
-    results = []
     for module in chosen:
         if module not in PROPERTY_SUITES:
             raise KeyError(f"unknown property suite {module!r}")
-        for name, fn in PROPERTY_SUITES[module]:
-            results.append(_run_check(name, fn, ctx))
-    return results
+    return _run_checks([check for module in chosen for check in PROPERTY_SUITES[module]], ctx, on_result)
 
 
-def run_suite(suite: str = "all", ctx: VerifyContext | None = None) -> list[CheckResult]:
+def run_suite(suite: str = "all", ctx: VerifyContext | None = None, on_result=None) -> list[CheckResult]:
+    """Run a suite; ``on_result`` (if given) sees each result as it finishes."""
     ctx = ctx or VerifyContext()
     if suite == "acceptance":
-        return run_acceptance(ctx)
+        return run_acceptance(ctx, on_result=on_result)
     if suite == "properties":
-        return run_properties(ctx)
+        return run_properties(ctx, on_result=on_result)
     if suite == "all":
-        return run_acceptance(ctx) + run_properties(ctx)
+        return run_acceptance(ctx, on_result=on_result) + run_properties(ctx, on_result=on_result)
     if suite in PROPERTY_SUITES:
-        return run_properties(ctx, [suite])
+        return run_properties(ctx, [suite], on_result)
     raise KeyError(f"unknown suite {suite!r}")

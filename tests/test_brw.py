@@ -5,6 +5,7 @@ import pytest
 
 from primechain import brw
 from primechain.errors import CapacityError, CensoringError, DomainError
+from primechain.rng import replicate_keys
 
 
 def cfg(**kw):
@@ -53,6 +54,21 @@ class TestRunConfig:
             brw.RunConfig(seed=1, threads=0)
         with pytest.raises(DomainError):
             brw.RunConfig(seed=1, max_generation=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            brw.RunConfig(seed=1, cap=bad)
+        with pytest.raises(DomainError):
+            brw.replicate_minima(4, cfg(), cap=bad)
+        with pytest.raises(DomainError):
+            brw.median_bn_detail(4, cfg(), margin=bad)
+        with pytest.raises(DomainError):
+            brw.median_bn_detail(4, cfg(), cap=bad)
+        with pytest.raises(DomainError):
+            brw.estimate_tails(4, cfg(), margin=bad)
+        with pytest.raises(DomainError):
+            brw.estimate_tails(4, cfg(), grid_step=bad)
 
     def test_defaults(self):
         c = brw.RunConfig(seed=7)
@@ -173,6 +189,54 @@ class TestMinima:
         assert 0.4 < lo < 0.5 < hi < 0.6
         lo0, hi0 = brw.wilson_interval(0, 100)
         assert lo0 == 0.0 and hi0 < 0.05
+
+
+class TestPrunedMinima:
+    """The minima path prunes each replicate to a beam bound on its own B_n;
+    these pin that the pruning is exact and that it actually prunes."""
+
+    def test_matches_simulation_with_censored_and_dead_beams(self):
+        c = cfg(seed=1, replicates=320, cap=5.0, max_generation=10)
+        mins = brw.replicate_minima(10, c, cap=5.0)
+        bounds = brw._minimum_bounds(replicate_keys(1, 0, 320), 10, 5.0, c.batch_rows)
+        assert np.isinf(mins).any(), "grid should include censored replicates"
+        assert np.any((bounds == 5.0) & np.isfinite(mins)), "grid should include replicates whose beam dies"
+        for r in range(c.replicates):
+            last = brw.simulate_run(c, replicate=r)[10].positions
+            want = last.min() if last.size else np.inf
+            assert mins[r] == want, r
+
+    def test_lower_cap_agrees_with_higher_cap(self):
+        lo = brw.replicate_minima(8, cfg(seed=3, replicates=500), cap=4.0)
+        hi = brw.replicate_minima(8, cfg(seed=3, replicates=500), cap=6.0)
+        finite = np.isfinite(lo)
+        assert 0 < finite.sum() < finite.size
+        assert lo[finite].tobytes() == hi[finite].tobytes()
+
+    def test_many_batches_independent_of_threads(self):
+        # batch_rows 2000 splits 600 replicates into 40 batches
+        one = brw.replicate_minima(6, cfg(seed=29, replicates=600, batch_rows=2000), cap=6.0)
+        four = brw.replicate_minima(6, cfg(seed=29, replicates=600, batch_rows=2000, threads=4), cap=6.0)
+        whole = brw.replicate_minima(6, cfg(seed=29, replicates=600), cap=6.0)
+        assert one.tobytes() == four.tobytes() == whole.tobytes()
+
+    def test_draws_fewer_rows_than_full_cap(self, monkeypatch):
+        rows = []
+        draw = brw.stream_draw
+
+        def counting(keys, index):
+            if index % 2 == 0:  # even draws derive child keys: one per row
+                rows[-1] += keys.size
+            return draw(keys, index)
+
+        monkeypatch.setattr(brw, "stream_draw", counting)
+        c = cfg(seed=30, replicates=100)
+        rows.append(0)
+        brw.replicate_minima(10, c, cap=8.0)
+        rows.append(0)
+        brw.replicate_z_counts(10, 8.0, c)
+        pruned, full = rows
+        assert 0 < pruned < full / 3, (pruned, full)
 
 
 class TestTails:

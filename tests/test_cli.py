@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -208,6 +209,45 @@ class TestBrwCommands:
         assert len(doc["ks_trace"]) == 2
         assert len(doc["deciles"]) == 11
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("brw", "median-bn", "--n", "8", "--reps", "100", "--cap", "nan"),
+            ("brw", "tails", "--n", "6", "--reps", "100", "--margin", "nan"),
+            ("brw", "run", "--n", "4", "--cap", "inf"),
+        ],
+    )
+    def test_non_finite_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+# SHA-256 of each command's stdout as the unpruned minima path wrote it;
+# pruning each replicate to its own bound must not move a byte.
+_GOLDEN_MINIMA = [
+    (
+        ("brw", "median-bn", "--n", "8", "--reps", "300", "--seed", "42"),
+        "244c26043d84da789f7d6cadd7aa3a40bcfb19b2991319167ab2c56115c0bde5",
+    ),
+    (
+        ("brw", "tails", "--n", "6", "--reps", "400", "--seed", "9", "--format", "csv"),
+        "e15e44981e2786830f1f0badd3b37c3563e3eb1a588e5c3980f0f44e80621504",
+    ),
+    (
+        ("brw", "tails", "--n", "12", "--reps", "20000"),
+        "99a0814cd3b7025c0f9bf1fd2787ecac04e6fcf77a73dce0dee2eccc2c5feb64",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_MINIMA, ids=["a11-median-bn", "a11-tails", "readme-tails"])
+def test_minima_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSeedAndThreadsPlumbing:
     def test_env_threads(self, capsys, monkeypatch):
@@ -250,6 +290,11 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert any(line.startswith("PASS") for line in lines)
         assert "checks passed" in lines[-1]
+
+    def test_progress_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "rng")
+        assert code == 0
+        assert err.splitlines() == out.splitlines()[:-1]
 
     def test_property_suite_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "rng", "--format", "json")
