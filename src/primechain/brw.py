@@ -423,6 +423,10 @@ class TailEstimate:
     field_note: str = field(default="left tail fitted on log P vs x where counts >= 25")
 
 
+# Each tail offset costs two passes over the minima and one row of output.
+_MAX_TAIL_OFFSETS = 100_000
+
+
 def estimate_tails(
     n: int,
     cfg: RunConfig,
@@ -434,6 +438,8 @@ def estimate_tails(
         raise DomainError("margin must be finite")
     if not (0 < grid_step < math.inf and 0 <= grid_max < math.inf):
         raise DomainError("grid step must be positive and grid max non-negative, both finite")
+    if grid_max / grid_step >= _MAX_TAIL_OFFSETS:
+        raise CapacityError(f"tail grid of more than {_MAX_TAIL_OFFSETS} offsets; raise grid_step or lower grid_max")
     cap = predicted_median_bn(n) + margin
     minima = replicate_minima(n, cfg, cap)
     censor = float(np.mean(np.isinf(minima)))

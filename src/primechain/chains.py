@@ -87,8 +87,8 @@ def enumerate_from(
     """
     if not _is_prime(p, table):
         raise DomainError(f"{p} is not prime")
-    if x < 1:
-        raise DomainError("growth ratio x must be >= 1")
+    if not 1 <= x < math.inf:  # also rejects nan
+        raise DomainError(f"growth ratio x must be finite and >= 1, got {x}")
     ceiling = math.floor(p * x)
     result = ChainEnumeration(start=p, ratio=float(x))
     if include_trivial:

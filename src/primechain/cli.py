@@ -20,7 +20,7 @@ import numpy as np
 
 from . import brw, chains, dickman, pratt, sieve, sifted, singular, verify
 from .brw import RunConfig
-from .errors import DomainError, PrimechainError
+from .errors import CapacityError, DomainError, PrimechainError
 
 _STDOUT = "-"
 
@@ -136,10 +136,20 @@ plot '{data}' skip 2 using 2:3 with boxes
 """
 
 
+# Memory ceiling for hist's factor table plus tree arrays; 1e8 needs ~580 MiB.
+_HIST_MAX_BYTES = 1 << 30
+
+
 def _cmd_hist(args) -> int:
     if args.limit < 2:
         raise DomainError("--limit must be at least 2")
-    table = _table(max(args.limit, 10**6))
+    limit = max(args.limit, 10**6)
+    need = pratt.footprint_bytes(limit)
+    if need > _HIST_MAX_BYTES:
+        raise CapacityError(
+            f"--limit {args.limit} needs about {need >> 20} MiB of tables, above the {_HIST_MAX_BYTES >> 20} MiB ceiling"
+        )
+    table = _table(limit)
     stats = pratt.range_stats(args.limit, table)
     rows = [list(r) for r in stats.rows(args.stat)]
     payload = {

@@ -62,8 +62,8 @@ class RhoTable:
 
     def rho(self, u: float) -> float:
         """rho(u) by closed form below 2 and cubic interpolation above."""
-        if u < 0:
-            raise DomainError("rho defined for u >= 0")
+        if not u >= 0:  # also rejects nan
+            raise DomainError(f"rho defined for u >= 0, got {u}")
         if u <= 1.0:
             return 1.0
         if u <= 2.0:
@@ -129,8 +129,8 @@ def rho_independent(u: float, tol: float = 1e-10) -> float:
     unit layer at a time; each layer's integrand calls the previous layer
     recursively, so nothing here touches the grid table.
     """
-    if u < 0:
-        raise DomainError("rho defined for u >= 0")
+    if not u >= 0:  # also rejects nan
+        raise DomainError(f"rho defined for u >= 0, got {u}")
     if u > 5:
         raise DomainError("independent evaluator restricted to u <= 5")
 

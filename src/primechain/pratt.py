@@ -1,22 +1,26 @@
 """Pratt trees: recursive certificate trees of primes.
 
 The tree of a prime p has root p and one child subtree for each distinct
-prime q dividing p - 1; the tree of 2 is a single node.  Because children
-of p are primes smaller than p, the trees of all primes up to a bound form
-a DAG that we memoize per prime:
+prime q dividing p - 1; the tree of 2 is a single node.  Per prime p:
 
-* ``f_of(p)``  - number of nodes (counted with multiplicity),
-* ``h_of(p)``  - height, with the single node 2 having height 1,
-* ``g_of(p)``  - number of root-to-2 descending label chains, which for
+* ``f(p)`` - number of nodes (counted with multiplicity),
+* ``H(p)`` - height, with the single node 2 having height 1,
+* ``g(p)`` - number of root-to-2 descending label chains, which for
   odd p is exactly f(p) / 2,
-* ``level_counts(p)`` - nodes per depth level, built by convolving the
-  children's (memoized) level profiles shifted one level down.
 
-The module also carries the exact product identities on the label multiset
-Q(p) of the tree (every label q contributes q/(q-1) * l(q-1), and the full
-product telescopes to p), iterated-totient statistics, and the greedy
-chain 2, 3, 7, 29, ... in which each prime is the least prime = 1 modulo
-its predecessor.
+with f(p) = 1 + sum f(q), H(p) = 1 + max H(q) and g(p) = sum g(q) over the
+children q.  Every child of p is at most (p - 1) / 2, so the primes of a
+block [L, 2L) depend only on primes below L.  :class:`PrattDag` therefore
+holds f, H and g in dense per-prime arrays and fills them one block at a
+time: it factors the block's p - 1 with the table's vectorised spf
+division, gathers the children's values and reduces per parent.  Range
+histograms and N(x) = sum f(p) are reductions over those arrays.
+
+The module also carries level profiles, the exact product identities on
+the label multiset Q(p) of the tree (every label q contributes
+q/(q-1) * l(q-1), and the full product telescopes to p), iterated-totient
+statistics, and the greedy chain 2, 3, 7, 29, ... in which each prime is
+the least prime = 1 modulo its predecessor.
 """
 
 from __future__ import annotations
@@ -27,20 +31,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import SpfTable, is_prime_u64
+from .sieve import SpfTable, is_prime_u64, table_bytes
 
 _LINNIK_VALUE_CAP = 1 << 63
 
+# Widest block of integers factored in one pass; bounds the temporaries.
+_BLOCK_WIDTH = 1 << 20
+
+# Peak PrattDag bytes per prime: the prime (8), f/H/g (3), the children
+# offset (8) and the children's indices (4 each, fewer than 4 on average);
+# offsets and indices are held twice while a growth step joins them.
+_BYTES_PER_PRIME = 60
+
+
+def footprint_bytes(limit: int) -> int:
+    """Bytes of a factor table to ``limit`` plus the PrattDag arrays for
+    every prime up to it, with pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld)."""
+    primes = 1.25506 * limit / math.log(limit) if limit > 1 else 0
+    return table_bytes(limit) + int(primes * _BYTES_PER_PRIME)
+
 
 class PrattDag:
-    """Memoized per-prime tree attributes, built bottom-up on demand."""
+    """f, H, g and the children of every prime up to a lazily grown bound.
+
+    Values live in arrays indexed by a prime's position in ``_primes`` and
+    cover every prime below ``_end``.  Asking for a larger prime fills the
+    dyadic blocks [2^k, 2^(k+1)) up to it, cut into pieces of at most
+    ``_BLOCK_WIDTH`` integers; no piece holds a child of its own primes.
+    f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds f, H and g.
+    """
 
     def __init__(self, table: SpfTable):
         self.table = table
-        self._children: dict[int, tuple[int, ...]] = {2: ()}
-        self._f: dict[int, int] = {2: 1}
-        self._h: dict[int, int] = {2: 1}
-        self._g: dict[int, int] = {2: 1}
+        self._end = 3
+        self._primes = np.array([2], dtype=np.int64)
+        self._f = np.ones(1, dtype=np.uint8)
+        self._h = np.ones(1, dtype=np.uint8)
+        self._g = np.ones(1, dtype=np.uint8)
+        self._kid_start = np.zeros(2, dtype=np.int64)  # children of prime i: _kids[start[i]:start[i+1]]
+        self._kids = np.zeros(0, dtype=np.int32)
         self._profiles: dict[int, tuple[int, ...]] = {2: (1,)}
 
     def _require_prime(self, p: int) -> None:
@@ -49,111 +78,107 @@ class PrattDag:
         if p > self.table.limit:
             raise DomainError(f"{p} beyond factorization limit {self.table.limit}")
 
+    def _index(self, p: int) -> int:
+        if p >= self._end:
+            self._require_prime(p)
+            self._extend(p)
+        i = int(self._primes.searchsorted(p))
+        if i == self._primes.size or self._primes[i] != p:
+            raise DomainError(f"{p} is not prime")
+        return i
+
+    def _extend(self, p: int) -> None:
+        """Fill the arrays through the end of the block that holds p."""
+        table = self.table
+        bounds = [self._end]
+        while bounds[-1] <= p:
+            lo = bounds[-1]
+            bounds.append(min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, table.limit + 1))
+        primes = np.concatenate([self._primes, table.primes(bounds[0], bounds[-1] - 1)])
+        n0 = self._primes.size
+        f, h, g = (np.zeros(primes.size, dtype=np.uint8) for _ in range(3))
+        f[:n0], h[:n0], g[:n0] = self._f, self._h, self._g
+        kid_start, kids = [self._kid_start], [self._kids]
+        for lo, hi in zip(bounds, bounds[1:]):
+            a, b = np.searchsorted(primes, [lo, hi]).tolist()
+            if a == b:
+                continue
+            rows, divisors = table.prime_divisors(primes[a:b] - 1)
+            kid = np.searchsorted(primes[:a], divisors)  # every child is below lo
+            counts = np.bincount(rows, minlength=b - a)
+            first = np.cumsum(counts) - counts  # p >= 3, so every parent has a child
+            f[a:b] = 1 + np.add.reduceat(f[kid], first, dtype=np.int64)
+            h[a:b] = 1 + np.maximum.reduceat(h[kid], first)
+            g[a:b] = np.add.reduceat(g[kid], first, dtype=np.int64)
+            kid_start.append(kid_start[-1][-1] + np.cumsum(counts))
+            kids.append(kid.astype(np.int32))
+        self._primes, self._f, self._h, self._g = primes, f, h, g
+        self._kid_start = np.concatenate(kid_start)
+        self._kids = np.concatenate(kids)
+        self._end = bounds[-1]
+
+    def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(primes, f, H, g) for every prime p <= x, as read-only views."""
+        if x > self.table.limit:
+            raise DomainError(f"x={x} beyond table limit {self.table.limit}")
+        if x >= self._end:
+            self._extend(x)
+        k = int(np.searchsorted(self._primes, x, side="right"))
+        views = tuple(a[:k] for a in (self._primes, self._f, self._h, self._g))
+        for v in views:
+            v.flags.writeable = False
+        return views
+
     def children(self, p: int) -> tuple[int, ...]:
         """Distinct primes dividing p - 1 (deduplicated, increasing)."""
-        got = self._children.get(p)
-        if got is not None:
-            return got
-        self._require_prime(p)
-        self._build(p)
-        return self._children[p]
-
-    def _build(self, p: int) -> None:
-        # Iterative post-order so deep chains never hit the recursion limit.
-        stack = [p]
-        while stack:
-            q = stack[-1]
-            ch = self._children.get(q)
-            if ch is None:
-                ch = self.table.factorize(q - 1).distinct_primes()
-                self._children[q] = ch
-            pending = [c for c in ch if c not in self._f]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if q in self._f:
-                continue
-            self._f[q] = 1 + sum(self._f[c] for c in ch)
-            self._h[q] = 1 + max(self._h[c] for c in ch)
-            self._g[q] = sum(self._g[c] for c in ch)
+        i = self._index(p)
+        kids = self._kids[self._kid_start[i] : self._kid_start[i + 1]]
+        return tuple(self._primes[kids].tolist())
 
     def f_of(self, p: int) -> int:
-        if p not in self._f:
-            self._require_prime(p)
-            self._build(p)
-        return self._f[p]
+        """Node count: f(2) = 1, f(p) = 1 + sum of f over the children."""
+        i = self._index(p)  # may grow the arrays, so index after it
+        return int(self._f[i])
 
     def h_of(self, p: int) -> int:
-        if p not in self._h:
-            self._require_prime(p)
-            self._build(p)
-        return self._h[p]
+        """Height: H(2) = 1, H(p) = 1 + max of H over the children."""
+        i = self._index(p)
+        return int(self._h[i])
 
     def g_of(self, p: int) -> int:
-        if p not in self._g:
-            self._require_prime(p)
-            self._build(p)
-        return self._g[p]
+        """Descending label chains from p to a leaf 2; f(p) / 2 for odd p."""
+        i = self._index(p)
+        return int(self._g[i])
 
     def level_counts(self, p: int) -> list[int]:
         """Number of tree nodes at each depth; length h(p), entries sum to f(p)."""
-        prof = self._profiles.get(p)
-        if prof is None:
-            self.f_of(p)  # ensures children memoized for the whole subtree
-            order = self._topo_order(p)
-            for q in order:
-                if q in self._profiles:
-                    continue
-                parts = [self._profiles[c] for c in self._children[q]]
-                depth = 1 + max(len(t) for t in parts)
-                counts = [0] * depth
-                counts[0] = 1
-                for t in parts:
-                    for i, c in enumerate(t):
-                        counts[i + 1] += c
-                self._profiles[q] = tuple(counts)
-            prof = self._profiles[p]
-        return list(prof)
-
-    def _topo_order(self, p: int) -> list[int]:
-        order: list[int] = []
-        seen: set[int] = set()
-        stack = [(p, False)]
-        while stack:
-            q, done = stack.pop()
-            if done:
-                order.append(q)
-                continue
-            if q in seen:
-                continue
-            seen.add(q)
-            stack.append((q, True))
-            for c in self._children[q]:
-                if c not in seen:
-                    stack.append((c, False))
-        return order
+        for q, kids in _bottom_up(self, p, self._profiles):
+            parts = [self._profiles[c] for c in kids]
+            counts = [0] * (1 + max(len(t) for t in parts))
+            counts[0] = 1
+            for t in parts:
+                for i, c in enumerate(t):
+                    counts[i + 1] += c
+            self._profiles[q] = tuple(counts)
+        return list(self._profiles[p])
 
 
-def f_of(p: int, dag: PrattDag) -> int:
-    """Node count of the tree of p: f(2) = 1, f(p) = 1 + sum over distinct
-    primes q | p-1 of f(q)."""
-    return dag.f_of(p)
+def _bottom_up(dag: PrattDag, p: int, done) -> list[tuple[int, tuple[int, ...]]]:
+    """(label, children) for the distinct labels of the tree of p that are
+    not in ``done``, by increasing label.
 
-
-def h_of(p: int, dag: PrattDag) -> int:
-    """Tree height: h(2) = 1, h(p) = 1 + max over children."""
-    return dag.h_of(p)
-
-
-def g_of(p: int, dag: PrattDag) -> int:
-    """Number of descending label chains from the root to a leaf labelled 2;
-    equals f(p) / 2 for every odd prime p."""
-    return dag.g_of(p)
-
-
-def level_counts(p: int, dag: PrattDag) -> list[int]:
-    return dag.level_counts(p)
+    A child is smaller than its parent, so increasing order visits every
+    child first.  ``done`` must be closed under children: the walk does not
+    descend below its members.
+    """
+    todo: dict[int, tuple[int, ...]] = {}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if q not in done and q not in todo:
+            todo[q] = dag.children(q)
+            stack.extend(todo[q])
+    return sorted(todo.items())
 
 
 def is_fermat_prime(p: int) -> bool:
@@ -188,65 +213,32 @@ class RangeStats:
         return [(stat, value, hist[value]) for value in sorted(hist)]
 
 
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    counts = np.bincount(values)
+    return {v: int(counts[v]) for v in np.flatnonzero(counts).tolist()}
+
+
 def range_stats(x: int, table: SpfTable, dag: PrattDag | None = None) -> RangeStats:
     """Histograms of f and h over primes <= x, plus N(x) = sum of f(p).
 
-    Primes are visited in increasing order, so every child value is already
-    memoized when its parent is reached.
+    The extreme primes are the first (least) primes attaining the maxima.
     """
     if x < 2:
         raise DomainError("x must be >= 2")
     if x > table.limit:
         raise DomainError(f"x={x} beyond table limit {table.limit}")
-    dag = dag or PrattDag(table)
-    f_map, h_map, g_map, ch_map = dag._f, dag._h, dag._g, dag._children
-    h_hist: dict[int, int] = {}
-    f_hist: dict[int, int] = {}
-    n_total = 0
-    count = 0
-    max_h = max_f = 0
-    max_h_prime = max_f_prime = 2
-    factorize = table.factorize
-    for arr in table.prime_arrays(2, x):
-        for p in arr.tolist():
-            if p == 2:
-                ch: tuple[int, ...] = ()
-                f = h = 1
-                g = 1
-            else:
-                ch = factorize(p - 1).distinct_primes()
-                f = 1
-                h = 0
-                g = 0
-                for c in ch:
-                    f += f_map[c]
-                    hc = h_map[c]
-                    if hc > h:
-                        h = hc
-                    g += g_map[c]
-                h += 1
-            ch_map[p] = ch
-            f_map[p] = f
-            h_map[p] = h
-            g_map[p] = g
-            h_hist[h] = h_hist.get(h, 0) + 1
-            f_hist[f] = f_hist.get(f, 0) + 1
-            n_total += f
-            count += 1
-            if h > max_h:
-                max_h, max_h_prime = h, p
-            if f > max_f:
-                max_f, max_f_prime = f, p
+    primes, f, h, _ = (dag or PrattDag(table)).values(x)
+    i_h, i_f = int(np.argmax(h)), int(np.argmax(f))
     return RangeStats(
         limit=x,
-        prime_count=count,
-        h_hist=h_hist,
-        f_hist=f_hist,
-        n_total=n_total,
-        max_h=max_h,
-        max_h_prime=max_h_prime,
-        max_f=max_f,
-        max_f_prime=max_f_prime,
+        prime_count=int(primes.size),
+        h_hist=_histogram(h),
+        f_hist=_histogram(f),
+        n_total=int(f.sum(dtype=np.int64)),
+        max_h=int(h[i_h]),
+        max_h_prime=int(primes[i_h]),
+        max_f=int(f[i_f]),
+        max_f_prime=int(primes[i_f]),
     )
 
 
@@ -262,28 +254,27 @@ class MassProducts:
 
     The identity num(p) == p * den(p) is the exact-arithmetic form of
     "the tree mass product telescopes to p", and lprod(p)^2 * 2^f(p) <= p^2
-    is the exact form of the 2^(-f/2) mass decay bound.
+    is the exact form of the 2^(-f/2) mass decay bound.  l(q - 1) comes from
+    the factorization of q - 1, not from the children of q, so the identity
+    also checks every node's children against that factorization.
     """
 
     def __init__(self, table: SpfTable, dag: PrattDag):
         self.table = table
         self.dag = dag
-        self._den: dict[int, int] = {2: 1}
-        self._num: dict[int, int] = {2: 2}
-        self._lprod: dict[int, int] = {2: 1}
+        self._den: dict[int, int] = {}
+        self._num: dict[int, int] = {}
+        self._lprod: dict[int, int] = {}
 
     def _ensure(self, p: int) -> None:
         if p in self._den:
             return
-        self.dag.f_of(p)
-        for q in self.dag._topo_order(p):
-            if q in self._den:
-                continue
+        for q, kids in _bottom_up(self.dag, p, self._den):
             lq = self.table.factorize(q - 1).unitary_cofactor()
             den = q - 1
             num = q * lq
             lp = lq
-            for c in self.dag._children[q]:
+            for c in kids:
                 den *= self._den[c]
                 num *= self._num[c]
                 lp *= self._lprod[c]

@@ -23,6 +23,9 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_SEGMENT_WIDTH = 1 << 20
 MAX_LIMIT = (1 << 32) - 1
+# Ceiling on the bytes of one table; SpfTable refuses larger limits before
+# allocating anything.
+MAX_TABLE_BYTES = 1 << 30
 
 # Deterministic Miller-Rabin witness set, exact for n < 3.3*10^24 and in
 # particular for every 64-bit integer.
@@ -56,6 +59,11 @@ def is_prime_u64(n: int) -> bool:
         else:
             return False
     return True
+
+
+def table_bytes(limit: int) -> int:
+    """Bytes of the cells of a table for 2..limit (one uint16 per integer)."""
+    return 2 * (limit + 1)
 
 
 def _simple_prime_array(n: int) -> np.ndarray:
@@ -106,11 +114,13 @@ class Factorization:
 
 
 class SpfTable:
-    """Smallest-prime-factor values for 2..limit, stored per segment.
+    """Smallest-prime-factor values for 2..limit in one array, sieved per
+    segment.
 
     Cells holding 0 denote primes (their smallest prime factor is the
-    number itself).  ``segment_width`` must be a power of two so indexing
-    is a shift and a mask.
+    number itself).  A composite below 2**32 has its smallest prime factor
+    below 2**16, so each cell is a uint16.  ``segments`` are views of
+    ``segment_width`` cells each; the width must be a power of two.
     """
 
     def __init__(self, limit: int, segment_width: int = DEFAULT_SEGMENT_WIDTH):
@@ -118,20 +128,25 @@ class SpfTable:
             raise DomainError("table limit must be at least 2")
         if limit > MAX_LIMIT:
             raise CapacityError(f"table limit {limit} exceeds 32-bit ceiling {MAX_LIMIT}")
+        if table_bytes(limit) > MAX_TABLE_BYTES:
+            raise CapacityError(
+                f"table limit {limit} needs {table_bytes(limit) >> 20} MiB, above the {MAX_TABLE_BYTES >> 20} MiB ceiling"
+            )
         if segment_width < 1 << 10 or segment_width & (segment_width - 1):
             raise DomainError("segment width must be a power of two >= 1024")
         self.limit = int(limit)
         self.segment_width = int(segment_width)
-        self._shift = segment_width.bit_length() - 1
-        self._mask = segment_width - 1
         self._base = _simple_prime_array(math.isqrt(limit))
+        self._cells = np.zeros(limit + 1, dtype=np.uint16)
+        self._cells[:2] = 1  # 0 and 1 are out of domain; poison the cells
         self.segments: list[np.ndarray] = []
         for lo in range(0, limit + 1, segment_width):
-            hi = min(lo + segment_width, limit + 1)
-            self.segments.append(self._build_segment(lo, hi))
+            seg = self._cells[lo : lo + segment_width]
+            self._sieve_segment(seg, lo)
+            self.segments.append(seg)
 
-    def _build_segment(self, lo: int, hi: int) -> np.ndarray:
-        seg = np.zeros(hi - lo, dtype=np.uint32)
+    def _sieve_segment(self, seg: np.ndarray, lo: int) -> None:
+        hi = lo + seg.size
         for p in self._base:
             p = int(p)
             start = max(2 * p, ((lo + p - 1) // p) * p)
@@ -139,9 +154,6 @@ class SpfTable:
                 continue
             sl = seg[start - lo :: p]
             sl[sl == 0] = p
-        if lo == 0:
-            seg[:2] = 1  # 0 and 1 are out of domain; poison the cells
-        return seg
 
     # -- scalar queries -------------------------------------------------
 
@@ -149,7 +161,7 @@ class SpfTable:
         """Smallest prime factor of n (2 <= n <= limit)."""
         if not 2 <= n <= self.limit:
             raise DomainError(f"n={n} outside table range 2..{self.limit}")
-        v = int(self.segments[n >> self._shift][n & self._mask])
+        v = int(self._cells[n])
         return n if v == 0 else v
 
     def is_prime(self, n: int) -> bool:
@@ -158,7 +170,7 @@ class SpfTable:
         if n < 2:
             return False
         if n <= self.limit:
-            return self.segments[n >> self._shift][n & self._mask] == 0
+            return self._cells[n] == 0
         if n >= 1 << 64:
             raise CapacityError("primality queries limited to 64-bit integers")
         return is_prime_u64(n)
@@ -180,19 +192,47 @@ class SpfTable:
 
     # -- vectorized queries ---------------------------------------------
 
+    def _check_range(self, ns: np.ndarray, lo: int) -> None:
+        if ns.size and (ns.min() < lo or ns.max() > self.limit):
+            raise DomainError(f"array entries outside table range {lo}..{self.limit}")
+
     def is_prime_array(self, ns: np.ndarray) -> np.ndarray:
-        """Boolean primality mask for an int array with entries <= limit."""
+        """Boolean primality mask for an int array with entries in 0..limit."""
         ns = np.asarray(ns, dtype=np.int64)
-        if ns.size and (ns.min() < 0 or ns.max() > self.limit):
-            raise DomainError("array entries outside table range")
-        out = np.zeros(ns.shape, dtype=bool)
-        seg_ids = ns >> self._shift
-        for s in np.unique(seg_ids):
-            mask = seg_ids == s
-            vals = self.segments[s][ns[mask] & self._mask]
-            out[mask] = vals == 0
-        out[ns < 2] = False
-        return out
+        self._check_range(ns, 0)
+        return self._cells[ns] == 0  # the poisoned cells 0 and 1 are nonzero
+
+    def prime_divisors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct prime divisors of every entry of ``ns`` (1 <= n <= limit).
+
+        Returns parallel int64 arrays (rows, primes): the primes dividing
+        ``ns[row]``, grouped by increasing row and increasing within a row.
+        Each round divides every unfinished entry by its smallest prime
+        factor; the factors come out non-decreasing, so a prime is new
+        exactly when it differs from the one before.
+        """
+        m = np.asarray(ns, dtype=np.int64)
+        self._check_range(m, 1)
+        # the factor 2 in one step: strip the lowest set bit's power
+        rows = np.flatnonzero(m % 2 == 0)
+        got_rows, got_primes = [rows], [np.full(rows.size, 2, dtype=np.int64)]
+        m = m // (m & -m)
+        rows = np.flatnonzero(m > 1)
+        m = m[rows]
+        last = np.zeros_like(m)
+        while m.size:
+            s = self._cells[m].astype(np.int64)
+            s = np.where(s == 0, m, s)
+            new = s != last
+            got_rows.append(rows[new])
+            got_primes.append(s[new])
+            m //= s
+            more = m > 1
+            rows, m, last = rows[more], m[more], s[more]
+        rows = np.concatenate(got_rows)
+        # each round's rows are increasing, so the stable sort merges runs
+        order = np.argsort(rows, kind="stable")
+        return rows[order], np.concatenate(got_primes)[order]
 
     def prime_arrays(self, lo: int = 2, hi: int | None = None):
         """Yield primes in [lo, hi] as one int64 array per segment."""

@@ -70,6 +70,11 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             brw.estimate_tails(4, cfg(), grid_step=bad)
 
+    @pytest.mark.parametrize("grid_max, grid_step", [(1e18, 0.5), (4.0, 1e-300)])
+    def test_tail_grid_size_guard(self, grid_max, grid_step):
+        with pytest.raises(CapacityError):
+            brw.estimate_tails(4, cfg(), grid_step=grid_step, grid_max=grid_max)
+
     def test_defaults(self):
         c = brw.RunConfig(seed=7)
         assert c.cap == 8.0 and c.replicates == 10_000 and c.threads == 1

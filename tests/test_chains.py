@@ -62,6 +62,11 @@ class TestEnumerateFrom:
         with pytest.raises(CapacityError):
             chains.enumerate_from(2, 1000, table, bound=10)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_ratio(self, table, ratio):
+        with pytest.raises(DomainError):
+            chains.enumerate_from(2, ratio, table)
+
 
 class TestChainsEndingAt:
     def test_terminal_seven(self, table):

@@ -91,6 +91,16 @@ class TestHist:
         assert "skip 2" in text and csv_path.name in text
 
 
+    def test_limit_over_memory_ceiling_allocates_nothing(self, capsys, monkeypatch):
+        def no_table(limit):
+            raise AssertionError("hist built a table")
+
+        monkeypatch.setattr(cli, "_table", no_table)
+        code, out, err = run_cli(capsys, "hist", "--limit", "1000000000")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "CapacityError"
+
+
 class TestChains:
     def test_total_and_listing(self, capsys):
         doc = run_json(capsys, "chains", "--start", "2", "--ratio", "5")
@@ -221,6 +231,50 @@ class TestBrwCommands:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chains", "--start", "2", "--ratio", "nan"),
+        ("chains", "--start", "2", "--ratio", "inf"),
+        ("dickman", "--u", "nan"),
+    ],
+)
+def test_non_finite_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+def test_tail_grid_too_large_is_capacity_error(capsys):
+    code, out, err = run_cli(capsys, "brw", "tails", "--n", "6", "--reps", "100", "--grid-max", "1e18")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "CapacityError"
+
+
+# SHA-256 of each command's stdout as the per-prime dictionary recursion
+# wrote it; the dense block arrays must not move a byte.
+_GOLDEN_TREES = [
+    (
+        ("hist", "--limit", "1000000", "--stat", "f", "--format", "csv"),
+        "2426d8e61da95b3c7cbad3e63743c281f3cbdb3ec937b4332316389105de6905",
+    ),
+    (
+        ("hist", "--limit", "1000000", "--stat", "H"),
+        "294388761bcd7c709f3d3124e5a8a221c9db401865370243b7289738f5f12b3f",
+    ),
+    (("pratt", "--prime", "9999991"), "26819957efdee106d4fb8b61839b7f0f105f38f76813ab0ebc9303ed98209f75"),
+    (("pratt", "--prime", "65537"), "1a45dfd9e1c41d1e070f38925d19abb36897fd3b1b67ea3e7532a8bde0558835"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_TREES, ids=["hist-f-csv", "hist-h-json", "pratt-9999991", "pratt-65537"])
+def test_tree_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of each command's stdout as the unpruned minima path wrote it;

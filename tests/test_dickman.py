@@ -99,6 +99,12 @@ class TestIndependentIntegrator:
         with pytest.raises(DomainError):
             dickman.rho_independent(5.5)
 
+    def test_nan_rejected(self, tab):
+        with pytest.raises(DomainError):
+            dickman.rho_independent(math.nan)
+        with pytest.raises(DomainError):
+            tab.rho(math.nan)
+
 
 class TestAsymptoticScale:
     def test_positive_and_decreasing_in_u(self):

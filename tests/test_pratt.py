@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -123,6 +124,42 @@ class TestRangeStats:
         assert sum(r[2] for r in rows) == st.prime_count
 
 
+class TestBlockArrays:
+    def test_both_sides_of_every_power_of_two(self, table):
+        dag = pratt.PrattDag(table)
+        cases = {65521, 65537, 131071}
+        for k in range(2, 18):
+            cases.add(int(table.primes(2, (1 << k) - 1)[-1]))
+            cases.add(int(table.primes((1 << k) + 1, 1 << (k + 1))[0]))
+        for p in sorted(cases):
+            assert dag.f_of(p) == naive_f(p, table), p
+            assert dag.h_of(p) == naive_h(p, table), p
+            assert dag.g_of(p) == naive_g(p, table), p
+            assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+
+    def test_lazy_growth_keeps_values(self, table):
+        dag = pratt.PrattDag(table)
+        small, large = 23, 999_983
+        first = (dag.f_of(small), dag.h_of(small), dag.g_of(small), dag.children(small))
+        dag.f_of(large)
+        again = (dag.f_of(small), dag.h_of(small), dag.g_of(small), dag.children(small))
+        assert first == again == (6, 4, 3, (2, 11))
+        assert dag.f_of(large) == naive_f(large, table)
+
+    def test_extremes_are_first_primes_attaining_them(self, table):
+        x = 100_000
+        dag = pratt.PrattDag(table)
+        st = pratt.range_stats(x, table, dag)
+        primes = table.primes(2, x).tolist()
+        assert st.max_h_prime == next(p for p in primes if dag.h_of(p) == st.max_h)
+        assert st.max_f_prime == next(p for p in primes if dag.f_of(p) == st.max_f)
+        assert st.n_total == sum(dag.f_of(p) for p in primes)
+
+    def test_values_guard(self, table):
+        with pytest.raises(DomainError):
+            pratt.PrattDag(table).values(table.limit + 1)
+
+
 class TestMassProducts:
     def test_identity_holds_everywhere(self, vctx, table):
         mass = vctx.mass
@@ -137,6 +174,18 @@ class TestMassProducts:
         assert mass.lprod(7) == 1
         # p = 17: 16 = 2^4 so l(16) = 8.
         assert mass.lprod(17) == 8
+
+    def test_order_of_queries_does_not_matter(self, table):
+        primes = table.primes(2, 5000).tolist()
+        shuffled = primes[:]
+        random.Random(5).shuffle(shuffled)
+        up = pratt.MassProducts(table, pratt.PrattDag(table))
+        mixed = pratt.MassProducts(table, pratt.PrattDag(table))
+        for p in shuffled:
+            mixed.den(p)
+        for p in primes:
+            want = (up.den(p), up.num(p), up.lprod(p))
+            assert (mixed.den(p), mixed.num(p), mixed.lprod(p)) == want, p
 
     def test_lprod_bound(self, vctx, table, dag):
         for p in table.primes(2, 20_000).tolist():

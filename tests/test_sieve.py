@@ -87,6 +87,36 @@ class TestSpfTable:
         with pytest.raises(DomainError):
             sieve.SpfTable(100, segment_width=1000)
 
+    def test_memory_ceiling_before_allocation(self, monkeypatch):
+        def no_sieving(n):
+            raise AssertionError("the table started sieving")
+
+        monkeypatch.setattr(sieve, "_simple_prime_array", no_sieving)
+        limit = 10**9
+        assert sieve.table_bytes(limit) > sieve.MAX_TABLE_BYTES
+        with pytest.raises(CapacityError):
+            sieve.SpfTable(limit)
+
+
+class TestPrimeDivisors:
+    def test_matches_factorize(self, table):
+        ns = np.array(list(range(1, 3000)) + [2**19, 3**12, 720_720, 999_983, 1_000_000], dtype=np.int64)
+        rows, primes = table.prime_divisors(ns)
+        got = [[] for _ in ns]
+        for r, p in zip(rows.tolist(), primes.tolist()):
+            got[r].append(p)
+        assert rows.tolist() == sorted(rows.tolist())
+        for n, ps in zip(ns.tolist(), got):
+            assert tuple(ps) == table.factorize(n).distinct_primes(), n
+
+    def test_empty_and_guard(self, table):
+        rows, primes = table.prime_divisors(np.ones(3, dtype=np.int64))
+        assert rows.size == 0 and primes.size == 0
+        with pytest.raises(DomainError):
+            table.prime_divisors(np.array([0]))
+        with pytest.raises(DomainError):
+            table.prime_divisors(np.array([table.limit + 1]))
+
 
 class TestFactorization:
     def test_roundtrip_product(self, table):
