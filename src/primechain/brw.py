@@ -34,11 +34,19 @@ runs need every point below the cap and keep the cap alone.
 
 Replicates are independent and parallelize freely: replicate i draws its
 randomness from the substream keyed by (seed, i), so results do not
-depend on batch or thread layout.
+depend on batch or thread layout.  One driver, ``_drive``, runs every
+operation on a replicate range [lo, hi): it sizes the batches and refuses
+a replicate expected to exceed the row budget before drawing anything,
+sets the row guard, derives the replicate keys and maps the batches over
+the threads.  Each operation passes its own reduction of a batch's
+generations: the minimum below the beam bounds (B_n), a bincount of the
+last generation (Z_n(t)), the first empty generation (T(eps)), or the
+sorted positions of every generation (a single run, the range [r, r+1)).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -220,7 +228,7 @@ def _expected_peak_rows(cap: float, n: int) -> float:
     return best
 
 
-def _batch_size(cfg: RunConfig, cap: float, n: int) -> int:
+def _batch_size(cfg: RunConfig, count: int, cap: float, n: int) -> int:
     per_rep = _expected_peak_rows(cap, n) + 1.0
     if per_rep > cfg.batch_rows:
         raise CapacityError(
@@ -228,64 +236,43 @@ def _batch_size(cfg: RunConfig, cap: float, n: int) -> int:
             f"above the row budget {cfg.batch_rows}"
         )
     # halve the nominal fit so sampling fluctuations stay inside the guard
-    return max(1, min(cfg.replicates, int(cfg.batch_rows / (2.0 * per_rep))))
+    return max(1, min(count, int(cfg.batch_rows / (2.0 * per_rep))))
 
 
-def _drive(cfg: RunConfig, n: int, cap: float, *, strict=False, want_min=False, z_t=None, want_death=False, death_limit=None):
-    """Run all replicates; returns (minima, z_counts, death_gens) arrays.
+def _nth(generations, n: int):
+    """Generation n >= 1 of a walk."""
+    return next(itertools.islice(generations, n - 1, None))
 
-    With ``want_min`` each replicate is pruned to its own bound (see
-    _minimum_bounds), so only the minima are exact and it must not be
-    combined with ``z_t`` or ``want_death``, which need every point.
+
+def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce) -> list:
+    """Reduce the replicates [lo, hi) batch by batch; returns the batch results in order.
+
+    Batches are sized for ``depth`` generations below ``cap``.
+    ``reduce(key, walk, guard)`` gets the batch's replicate keys, the row
+    guard and ``walk(bound=cap, strict=False)``: an endless iterator over
+    generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
+    at or (if strict) below ``bound``, a scalar or one bound per replicate.
     """
-    reps = cfg.replicates
-    limit = death_limit if want_death else n
-    batch = _batch_size(cfg, cap, limit)
+    batch = _batch_size(cfg, hi - lo, cap, depth)
     guard = 4 * cfg.batch_rows
-    minima = np.full(reps, np.inf) if want_min else None
-    z_counts = np.zeros(reps, dtype=np.int64) if z_t is not None else None
-    deaths = np.full(reps, -1, dtype=np.int64) if want_death else None
 
-    def work(lo: int, hi: int):
-        b = hi - lo
-        key = replicate_keys(cfg.seed, lo, hi)
-        pos = np.zeros(b)
-        rep = np.arange(b, dtype=np.int64)
-        local_death = np.full(b, -1, dtype=np.int64)
-        if strict and cap <= 0:
-            local_death[:] = 0
-            pos = pos[:0]
-            key = key[:0]
-            rep = rep[:0]
-        alive = np.ones(b, dtype=bool) if pos.size else np.zeros(b, dtype=bool)
-        bounds = _minimum_bounds(key, n, cap, guard) if want_min else None
-        for gen in range(1, limit + 1):
-            if not pos.size:
-                break
-            row_cap = bounds[rep] if want_min else cap
-            pos, key, rep = _next_generation(pos, key, rep, row_cap, strict, guard)
-            if want_death:
-                present = np.zeros(b, dtype=bool)
-                present[rep] = True
-                newly = alive & ~present
-                local_death[newly] = gen
-                alive &= present
-        if want_min:
-            minima[lo:hi] = _segment_min(rep, pos, b)
-        if z_t is not None:
-            sel = rep[pos <= z_t]
-            z_counts[lo:hi] = np.bincount(sel, minlength=b)
-        if want_death:
-            deaths[lo:hi] = local_death
+    def work(start: int):
+        key = replicate_keys(cfg.seed, start, min(start + batch, hi))
 
-    ranges = [(lo, min(lo + batch, reps)) for lo in range(0, reps, batch)]
-    if cfg.threads == 1 or len(ranges) == 1:
-        for lo, hi in ranges:
-            work(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(lambda rg: work(*rg), ranges))
-    return minima, z_counts, deaths
+        def walk(bound=cap, strict=False):
+            pos, k, rep = np.zeros(key.size), key, np.arange(key.size, dtype=np.int64)
+            while True:
+                row_cap = bound[rep] if np.ndim(bound) else bound
+                pos, k, rep = _next_generation(pos, k, rep, row_cap, strict, guard)
+                yield pos, rep
+
+        return reduce(key, walk, guard)
+
+    starts = range(lo, hi, batch)
+    if cfg.threads == 1 or len(starts) == 1:
+        return [work(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(work, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +281,14 @@ def _drive(cfg: RunConfig, n: int, cap: float, *, strict=False, want_min=False, 
 
 def simulate_run(cfg: RunConfig, replicate: int = 0) -> list[FragmentGeneration]:
     """Generations 0..max_generation of one replicate, truncated at cfg.cap."""
-    key = replicate_keys(cfg.seed, replicate, replicate + 1)
-    pos = np.zeros(1)
-    rep = np.zeros(1, dtype=np.int64)
+
+    def record(key, walk, guard):
+        return [np.sort(pos) for pos, _ in itertools.islice(walk(), cfg.max_generation)]
+
+    (positions,) = _drive(cfg, replicate, replicate + 1, cfg.cap, cfg.max_generation, record)
     gens = [FragmentGeneration(0, np.zeros(1), cfg.cap, censored=False)]
-    censored = False
-    for gen in range(1, cfg.max_generation + 1):
-        if pos.size:
-            pos, key, rep = _next_generation(pos, key, rep, cfg.cap, False, cfg.batch_rows)
-        if not pos.size:
-            censored = True
-        gens.append(FragmentGeneration(gen, np.sort(pos.copy()), cfg.cap, censored))
+    for gen, pos in enumerate(positions, 1):
+        gens.append(FragmentGeneration(gen, pos, cfg.cap, censored=not pos.size))
     return gens
 
 
@@ -319,8 +303,12 @@ def replicate_z_counts(n: int, t: float, cfg: RunConfig) -> np.ndarray:
     """Z_n(t) for every replicate, simulated exactly with cap = t."""
     if t <= 0 or n < 1:
         raise DomainError("need t > 0 and n >= 1")
-    _, z, _ = _drive(cfg, n, float(t), z_t=float(t))
-    return z
+
+    def count(key, walk, guard):
+        _, rep = _nth(walk(), n)
+        return np.bincount(rep, minlength=key.size)
+
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, float(t), n, count))
 
 
 def estimate_mean_z(n: int, t: float, cfg: RunConfig) -> tuple[float, float]:
@@ -345,8 +333,13 @@ def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
         raise DomainError("n must be >= 1")
     if not 0 < cap < math.inf:
         raise DomainError("cap must be positive and finite")
-    minima, _, _ = _drive(cfg, n, float(cap), want_min=True)
-    return minima
+
+    def lowest(key, walk, guard):
+        bounds = _minimum_bounds(key, n, float(cap), guard)
+        pos, rep = _nth(walk(bounds), n)
+        return _segment_min(rep, pos, key.size)
+
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, float(cap), n, lowest))
 
 
 @dataclass
@@ -480,6 +473,33 @@ def estimate_tails(
     )
 
 
+def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int) -> np.ndarray:
+    """T(eps) of the replicates [lo, hi)."""
+    if not 0 < eps <= 1:
+        raise DomainError("eps must be in (0, 1]")
+    if eps == 1.0:
+        return np.zeros(hi - lo, dtype=np.int64)
+    cap = -math.log(eps)
+    limit = max(cfg.max_generation, int(6 * cap) + 60)
+
+    def first_empty(key, walk, guard):
+        deaths = np.full(key.size, -1, dtype=np.int64)
+        alive = np.ones(key.size, dtype=bool)
+        for gen, (pos, rep) in enumerate(itertools.islice(walk(strict=True), limit), 1):
+            present = np.zeros(key.size, dtype=bool)
+            present[rep] = True
+            deaths[alive & ~present] = gen
+            alive = present
+            if not pos.size:
+                break
+        return deaths
+
+    deaths = np.concatenate(_drive(cfg, lo, hi, cap, limit, first_empty))
+    if np.any(deaths < 0):
+        raise CapacityError("generation budget hit before the population died")
+    return deaths
+
+
 def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0) -> int:
     """First generation whose largest fragment is <= eps, exactly.
 
@@ -488,34 +508,12 @@ def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0) -> int:
     is cfg.max_generation, floored at a level the process essentially
     never survives; hitting it raises a capacity error.
     """
-    if not 0 < eps <= 1:
-        raise DomainError("eps must be in (0, 1]")
-    if eps == 1.0:
-        return 0
-    cap = -math.log(eps)
-    limit = max(cfg.max_generation, int(6 * cap) + 60)
-    key = replicate_keys(cfg.seed, replicate, replicate + 1)
-    pos = np.zeros(1)
-    rep = np.zeros(1, dtype=np.int64)
-    for gen in range(1, limit + 1):
-        pos, key, rep = _next_generation(pos, key, rep, cap, True, cfg.batch_rows)
-        if not pos.size:
-            return gen
-    raise CapacityError("generation budget hit before the population died")
+    return int(_extinction(eps, cfg, replicate, replicate + 1)[0])
 
 
 def replicate_t_epsilon(eps: float, cfg: RunConfig) -> np.ndarray:
     """T(eps) for every replicate (vectorized across replicates)."""
-    if not 0 < eps <= 1:
-        raise DomainError("eps must be in (0, 1]")
-    if eps == 1.0:
-        return np.zeros(cfg.replicates, dtype=np.int64)
-    cap = -math.log(eps)
-    limit = max(cfg.max_generation, int(6 * cap) + 60)
-    _, _, deaths = _drive(cfg, 0, cap, strict=True, want_death=True, death_limit=limit)
-    if np.any(deaths < 0):
-        raise CapacityError("some replicates outlived the generation budget")
-    return deaths
+    return _extinction(eps, cfg, 0, cfg.replicates)
 
 
 def estimate_mean_t_epsilon(eps: float, cfg: RunConfig) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, IntegrityError
 from .pratt import PrattDag
-from .sieve import SpfTable, count_primes_in_ap, is_prime_u64
+from .sieve import SpfTable, count_primes_in_ap
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class ChainEnumeration:
         return out
 
 
-def _is_prime(n: int, table: SpfTable) -> bool:
-    return table.is_prime(n) if n <= table.limit else is_prime_u64(n)
-
-
 def enumerate_from(
     p: int,
     x: float,
@@ -85,7 +81,7 @@ def enumerate_from(
     Raises a capacity error when more than ``bound`` chains would be
     produced.
     """
-    if not _is_prime(p, table):
+    if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if not 1 <= x < math.inf:  # also rejects nan
         raise DomainError(f"growth ratio x must be finite and >= 1, got {x}")
@@ -99,7 +95,7 @@ def enumerate_from(
         step = tip if tip == 2 else 2 * tip
         cand = tip + 1 if tip == 2 else 2 * tip + 1
         while cand <= ceiling:
-            if _is_prime(cand, table):
+            if table.is_prime(cand):
                 chain = prefix + (cand,)
                 result.chains.append(ChainRecord(chain))
                 if len(result.chains) > bound:
@@ -162,14 +158,14 @@ def link_vector(chain: ChainRecord | tuple[int, ...]) -> LinkVector:
 def rebuild(vector: LinkVector, table: SpfTable) -> ChainRecord:
     """Inverse of :func:`link_vector`; every reconstructed element must be
     prime or an integrity error is raised."""
-    if not _is_prime(vector.base, table):
+    if not table.is_prime(vector.base):
         raise IntegrityError(f"base {vector.base} is not prime")
     primes = [vector.base]
     for m in vector.multipliers:
         if m < 1:
             raise IntegrityError("multipliers must be positive")
         nxt = m * primes[-1] + 1
-        if not _is_prime(nxt, table):
+        if not table.is_prime(nxt):
             raise IntegrityError(f"rebuilt element {nxt} is composite")
         primes.append(nxt)
     return ChainRecord(tuple(primes))

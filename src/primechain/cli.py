@@ -34,7 +34,8 @@ def _fmt_cell(value) -> str:
 
 
 def _pyify(obj):
-    """Recursively convert numpy containers/scalars for json emission."""
+    """Recursively convert numpy containers/scalars for json emission;
+    non-finite floats become null, since JSON has no token for them."""
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -43,8 +44,9 @@ def _pyify(obj):
         return [_pyify(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else None
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
@@ -65,13 +67,17 @@ def _config_dict(args, command: str) -> dict:
     return cfg
 
 
+def _emit_json(args, command: str, payload: dict) -> None:
+    body = dict(payload)
+    body["config"] = _config_dict(args, command)
+    _write_text(args.out, json.dumps(_pyify(body), sort_keys=True, allow_nan=False) + "\n")
+
+
 def _emit(args, command: str, payload: dict, header: list[str], rows: list[list]) -> None:
-    config = _config_dict(args, command)
     if args.format == "json":
-        body = dict(payload)
-        body["config"] = config
-        _write_text(args.out, json.dumps(_pyify(body), sort_keys=True) + "\n")
+        _emit_json(args, command, payload)
         return
+    config = _config_dict(args, command)
     cfg_line = "# config: " + " ".join(f"{k}={_fmt_cell(v)}" for k, v in sorted(config.items()))
     lines = [cfg_line, ",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
@@ -391,9 +397,7 @@ def _cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        body = dict(payload)
-        body["config"] = _config_dict(args, "verify")
-        _write_text(args.out, json.dumps(_pyify(body), sort_keys=True) + "\n")
+        _emit_json(args, "verify", payload)
     else:
         lines = [_result_line(r) for r in results]
         lines.append(f"{passed}/{len(results)} checks passed")

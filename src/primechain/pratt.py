@@ -347,10 +347,7 @@ def linnik_chain(length: int, table: SpfTable) -> list[int]:
         while True:
             if cand >= _LINNIK_VALUE_CAP:
                 raise CapacityError("chain value exceeds 63-bit guard")
-            if cand <= table.limit:
-                if table.is_prime(cand):
-                    break
-            elif is_prime_u64(cand):
+            if table.is_prime(cand):
                 break
             cand += step
         chain.append(cand)

@@ -40,7 +40,7 @@ def is_prime_u64(n: int) -> bool:
         raise CapacityError("witness set only proves primality below 2**64")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -292,7 +292,7 @@ def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
     below = ns[ns <= table.limit]
     above = ns[ns > table.limit]
     total = int(table.is_prime_array(below).sum()) if below.size else 0
-    total += sum(1 for n in above.tolist() if is_prime_u64(n))
+    total += sum(1 for n in above.tolist() if table.is_prime(n))
     return total
 
 

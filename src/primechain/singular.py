@@ -212,16 +212,13 @@ def singular_series(
     )
 
 
-def rhopm_check(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | None = None) -> bool:
-    """Exhaustive residue-count inequality over a multiplier box.
+def rhopm_total(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | None = None) -> tuple[int, int]:
+    """(sum of xi over a multiplier box, its lower bound), in exact integers.
 
     Multiplier indices in ``free`` (1-based, in 1..k-1) range over all of
-    [0, p); the rest are pinned by ``fixed`` (defaulting to 1).  The check
-    asserts
-
-        sum over the box of xi(p, m)  >=  p^(F+1) - (p-1)^(F+1)
-
-    with F = len(free), by direct enumeration in exact integers.
+    [0, p); the rest are pinned by ``fixed`` (defaulting to 1).  The sum is
+    taken by direct enumeration and the bound is p^(F+1) - (p-1)^(F+1)
+    with F = len(free).
     """
     if p < 2 or k < 1:
         raise DomainError("need p >= 2 and k >= 1")
@@ -255,27 +252,12 @@ def rhopm_check(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | N
 
     total = int(_xi_batch(p, a_rows, b_rows).sum())
     target = p ** (f_count + 1) - (p - 1) ** (f_count + 1)
-    return total >= target
-
-
-def rhopm_total(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | None = None) -> tuple[int, int]:
-    """(sum of xi over the box, lower bound) for inspection and tests."""
-    fixed = dict(fixed or {})
-    free = tuple(sorted(set(free)))
-    f_count = len(free)
-    base = [fixed.get(i, 1) for i in range(1, k)]
-    combos = p ** f_count
-    rows = np.tile(np.array(base, dtype=np.int64), (combos, 1)) if k > 1 else np.zeros((1, 0), dtype=np.int64)
-    for pos, idx in enumerate(free):
-        period = p ** (f_count - pos - 1)
-        col = (np.arange(combos) // period) % p
-        rows[:, idx - 1] = col
-    a_rows = np.ones((max(combos, 1), k), dtype=np.int64)
-    b_rows = np.zeros((max(combos, 1), k), dtype=np.int64)
-    for j in range(1, k):
-        m = rows[:, j - 1]
-        a_rows[:, j] = a_rows[:, j - 1] * m
-        b_rows[:, j] = b_rows[:, j - 1] * m + 1
-    total = int(_xi_batch(p, a_rows, b_rows).sum())
-    target = p ** (f_count + 1) - (p - 1) ** (f_count + 1)
     return total, target
+
+
+def rhopm_check(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | None = None) -> bool:
+    """Exhaustive residue-count inequality over a multiplier box: the sum
+    of xi(p, m) over the box is at least p^(F+1) - (p-1)^(F+1) (see
+    :func:`rhopm_total`)."""
+    total, target = rhopm_total(p, k, free, fixed)
+    return total >= target

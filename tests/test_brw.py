@@ -150,6 +150,27 @@ class TestCounting:
         with pytest.raises(CapacityError):
             brw.replicate_z_counts(20, 25.0, big)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: brw.simulate_run(brw.RunConfig(cap=20, replicates=1, max_generation=40)),
+            lambda: brw.t_epsilon(1e-9, brw.RunConfig()),
+        ],
+        ids=["simulate_run", "t_epsilon"],
+    )
+    def test_single_replicate_refused_before_drawing(self, monkeypatch, call):
+        drawn = []
+        draw = brw.stream_draw
+
+        def counting(keys, index):
+            drawn.append(keys.size)
+            return draw(keys, index)
+
+        monkeypatch.setattr(brw, "stream_draw", counting)
+        with pytest.raises(CapacityError):
+            call()
+        assert drawn == []
+
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             brw.replicate_z_counts(0, 1.0, cfg())

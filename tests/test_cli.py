@@ -303,6 +303,53 @@ def test_minima_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of each command's stdout as the hand-written single-replicate
+# loops wrote it; running them through the batched driver must not move a byte.
+_GOLDEN_WALK = [
+    (
+        ("brw", "run", "--n", "8", "--cap", "6.0", "--seed", "3", "--format", "csv"),
+        "ef982b5dfd715deb00350db751aa52e07242d41c98f2fd51c072cc21b4c4c2de",
+    ),
+    (("brw", "run", "--n", "12", "--cap", "17"), "e3ccd99b7b746163ce376e6854fbc8f52c435d3f3ddfd8c20c2f8ff4e666cc2c"),
+    (
+        ("brw", "teps", "--eps", "0.01", "--reps", "5000"),
+        "6fa5de3d361d117696543db7bdc4128380e74432547d1868764b01ca06d4cfc8",
+    ),
+    (
+        ("brw", "teps", "--eps", "1e-4", "--reps", "200", "--seed", "5"),
+        "3a8346e8ce82ae8af768333a6ccfcfbff5b0a2ed2737165eafec9bbb0e17a530",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN_WALK, ids=["run-csv", "run-cap-17", "teps-0.01", "teps-1e-4"])
+def test_walk_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv, null_keys",
+    [
+        (("sift-bound", "--x", "inf", "--y", "3"), ("x", "bound", "suggested_y")),
+        (("sift-bound", "--x", "2", "--y", "3"), ("suggested_y",)),
+        (("brw", "tails", "--n", "2", "--reps", "30"), ("left_slope",)),
+    ],
+    ids=["sift-bound-x-inf", "sift-bound-x-2", "tails-n2"],
+)
+def test_non_finite_values_are_json_null(capsys, argv, null_keys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert all(doc[k] is None for k in null_keys), {k: doc[k] for k in null_keys}
+
+
 class TestSeedAndThreadsPlumbing:
     def test_env_threads(self, capsys, monkeypatch):
         monkeypatch.setenv("PRIMECHAIN_THREADS", "3")

@@ -195,3 +195,8 @@ class TestResidueBox:
             singular.rhopm_check(3, 2, (2,))
         with pytest.raises(DomainError):
             singular.rhopm_check(5, 3, (1,), {1: 0})
+        # rhopm_total shares the validation: no raw IndexError, no result for p < 2
+        with pytest.raises(DomainError):
+            singular.rhopm_total(3, 2, (2,))
+        with pytest.raises(DomainError):
+            singular.rhopm_total(1, 2, ())
