@@ -311,12 +311,17 @@ def replicate_z_counts(n: int, t: float, cfg: RunConfig) -> np.ndarray:
     return np.concatenate(_drive(cfg, 0, cfg.replicates, float(t), n, count))
 
 
+def mean_and_se(sample: np.ndarray) -> tuple[float, float]:
+    """(sample mean, standard error); the error is inf for one sample,
+    which shows no spread."""
+    mean = float(sample.mean())
+    se = float(sample.std(ddof=1) / math.sqrt(len(sample))) if len(sample) > 1 else math.inf
+    return mean, se
+
+
 def estimate_mean_z(n: int, t: float, cfg: RunConfig) -> tuple[float, float]:
     """(sample mean of Z_n(t), standard error)."""
-    z = replicate_z_counts(n, t, cfg)
-    mean = float(z.mean())
-    se = float(z.std(ddof=1) / math.sqrt(len(z))) if len(z) > 1 else float("inf")
-    return mean, se
+    return mean_and_se(replicate_z_counts(n, t, cfg))
 
 
 def predicted_median_bn(n: int) -> float:
@@ -518,10 +523,7 @@ def replicate_t_epsilon(eps: float, cfg: RunConfig) -> np.ndarray:
 
 def estimate_mean_t_epsilon(eps: float, cfg: RunConfig) -> tuple[float, float]:
     """(mean of T(eps), standard error)."""
-    deaths = replicate_t_epsilon(eps, cfg)
-    mean = float(deaths.mean())
-    se = float(deaths.std(ddof=1) / math.sqrt(len(deaths))) if len(deaths) > 1 else float("inf")
-    return mean, se
+    return mean_and_se(replicate_t_epsilon(eps, cfg))
 
 
 # ---------------------------------------------------------------------------

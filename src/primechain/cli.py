@@ -341,8 +341,7 @@ def _cmd_brw_teps(args) -> int:
         threads=args.threads,
     )
     deaths = brw.replicate_t_epsilon(args.eps, cfg)
-    mean = float(deaths.mean())
-    se = float(deaths.std(ddof=1) / math.sqrt(len(deaths))) if len(deaths) > 1 else 0.0
+    mean, se = brw.mean_and_se(deaths)
     hist = np.bincount(deaths)
     rows = [[g, int(c)] for g, c in enumerate(hist.tolist()) if c]
     payload = {
@@ -504,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run acceptance criteria and property suites")
     sp.add_argument(
         "--suite",
+        choices=verify.SUITE_CHOICES,
         default="all",
         help="all, acceptance, properties, or a module name (e.g. pratt)",
     )

@@ -196,9 +196,7 @@ def max_row_sum(matrix: ResidueMatrix) -> tuple[float, float]:
     The closed-form maximum is (2^s - 1)^(-1) * prod_{p>y} (1-p^(-s))^(-1);
     gcd(b - 1, r) is even for every unit b, so no row exceeds it.
     """
-    direct = float(matrix.row_sums().max())
-    closed = euler_factor_tail(matrix.s, matrix.y) / (2.0 ** matrix.s - 1.0)
-    return direct, closed
+    return float(matrix.row_sums().max()), max_row_sum_value(matrix.y, matrix.s)
 
 
 def max_row_sum_value(y: int, s: float) -> float:

@@ -204,6 +204,11 @@ class TestBrwCommands:
         total = sum(count for _, count in doc["histogram"])
         assert total == 2000
 
+    def test_teps_single_replicate_has_no_standard_error(self, capsys):
+        doc = run_json(capsys, "brw", "teps", "--eps", "0.1", "--reps", "1")
+        assert doc["se"] is None
+        assert sum(count for _, count in doc["histogram"]) == 1
+
     def test_tails_csv(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -402,3 +407,10 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert all(item["ok"] for item in doc["results"])
+
+    def test_unknown_suite_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "nonsense"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "nonsense" in err

@@ -27,8 +27,18 @@ class TestRunners:
         assert "exploded" in res.detail
         assert res.seconds >= 0
 
+    def test_check_names_unique_across_suites(self):
+        names = [name for checks in verify.SUITES.values() for name, _ in checks]
+        assert len(names) == len(set(names))
+        assert all(verify.SUITES.values())
+
+    def test_run_one_resolves_property_check(self, vctx):
+        res = verify.run_one("rng/distinct-keys", vctx)
+        assert res.name == "rng/distinct-keys"
+        assert res.ok, res.detail
+
     def test_property_runner_subset(self, vctx):
-        results = verify.run_properties(vctx, modules=["rng"])
+        results = verify.run_suite("rng", vctx)
         assert results
         for r in results:
             assert r.name.startswith("rng/")
