@@ -253,6 +253,8 @@ def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce) -> 
     generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
     at or (if strict) below ``bound``, a scalar or one bound per replicate.
     """
+    if lo < 0:
+        raise DomainError("replicate index must be >= 0")
     batch = _batch_size(cfg, hi - lo, cap, depth)
     guard = 4 * cfg.batch_rows
 
@@ -556,12 +558,15 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
     population.  Each sample stops peeling sticks once the remaining mass
     cannot beat its current best (cum + min X >= best), which is exact.
     Starting population is identically 0, so one step reproduces
-    -1/e + B_1.
+    -1/e + B_1.  The population is held whole, so it must fit the row
+    budget cfg.batch_rows.
     """
     if pop_size < 1000:
         raise DomainError("population must be >= 1000 for a stable iteration")
     if iters < 1:
         raise DomainError("iters must be >= 1")
+    if pop_size > cfg.batch_rows:
+        raise CapacityError(f"population {pop_size} exceeds the row budget {cfg.batch_rows}")
     x = np.zeros(pop_size)
     base = mix64_int((cfg.seed & _MASK) ^ int(RDE_SALT))
     ks_trace: list[float] = []

@@ -257,8 +257,10 @@ def chain_count_bound(x: float, y: int, grid_size: int = 64) -> ChainCountBound:
     asymptotically motivated parameter suggestions are reported alongside
     but never enforced.
     """
-    if x < 1:
+    if not x >= 1:
         raise DomainError("x must be >= 1")
+    if grid_size < 1:
+        raise DomainError("grid size must be >= 1")
     _check_y(y)
     r = _primorial(y)
     phi_r = _totient_of_primorial(y)

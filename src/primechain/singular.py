@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import SpfTable, _simple_prime_array
+from .sieve import MAX_TABLE_BYTES, SpfTable, _simple_prime_array
 
 _COEFF_CAP = 1 << 63
 
@@ -83,11 +83,8 @@ def xi(p: int, system: FormSystem) -> int:
     """
     if p < 2:
         raise DomainError("p must be a prime >= 2")
-    n = np.arange(p, dtype=np.int64)
-    prod = np.ones(p, dtype=np.int64)
-    for aj, bj in zip(system.a, system.b):
-        prod = prod * ((aj % p) * n + bj % p) % p
-    return int(np.count_nonzero(prod == 0))
+    # _COEFF_CAP keeps every coefficient below 2^63, so int64 rows are exact
+    return int(_xi_batch(p, np.array([system.a]), np.array([system.b]))[0])
 
 
 def _xi_batch(p: int, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
@@ -156,6 +153,8 @@ def singular_series(
         raise DomainError("singular series needs multipliers >= 1")
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be >= 100")
+    if prime_cutoff + 1 > MAX_TABLE_BYTES:
+        raise CapacityError(f"prime cutoff {prime_cutoff} needs a sieve above the {MAX_TABLE_BYTES >> 20} MiB ceiling")
     system = forms_from_links(ms)
     k = system.k
     bigN = discriminant_product(system)

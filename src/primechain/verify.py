@@ -7,7 +7,7 @@ its --suite choices, keeping the command-line gate and pytest in lockstep.
 
 Naming: A01..A11 are the release acceptance checks; "module/..." names
 are the per-module invariant suites, each asserting a claim that no
-acceptance criterion already covers.
+acceptance criterion and no unit test already covers.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ def _a11_determinism(ctx: VerifyContext):
 
 
 # ---------------------------------------------------------------------------
-# per-module property suites (claims no acceptance criterion covers)
+# per-module property suites (claims no acceptance criterion or unit test covers)
 
 
 def _p_sieve_l_value(ctx):
@@ -368,17 +368,6 @@ def _p_sieve_pi(ctx):
     return True, f"pi(1e5) = {direct} by two independent methods"
 
 
-def _p_pratt_levels(ctx):
-    table, dag = ctx.table, ctx.dag
-    for p in table.primes(2, 2000).tolist():
-        counts = dag.level_counts(p)
-        if sum(counts) != dag.f_of(p) or len(counts) != dag.h_of(p):
-            return False, f"level profile inconsistent at p={p}"
-        if counts[0] != 1:
-            return False, f"root level count is {counts[0]} at p={p}"
-    return True, "level profiles sum to f and span H for p <= 2000"
-
-
 def _p_pratt_phi_iter(ctx):
     table = ctx.table
     if pratt.phi_iterate(1, 5, table) != 1:
@@ -405,18 +394,6 @@ def _p_chains_monotone(ctx):
     return True, f"counts from 7 nondecreasing in x: {counts}"
 
 
-def _p_chains_length2(ctx):
-    table = ctx.table
-    for p in (3, 7, 11):
-        for x in (50, 100):
-            enum = chains.enumerate_from(p, x, table)
-            two = enum.counts_by_length().get(2, 0)
-            ap = sieve.count_primes_in_ap(p * x, p, table)
-            if two != ap:
-                return False, f"length-2 count {two} vs progression count {ap} at p={p}, x={x}"
-    return True, "length-2 chain counts equal progression prime counts"
-
-
 def _p_chains_partition(ctx):
     enum = chains.enumerate_from(5, 100, ctx.table)
     if sum(enum.counts_by_length().values()) != enum.total:
@@ -440,25 +417,6 @@ def _p_chains_ratio(ctx):
     return True, "log-ratio telescoping and lower bound hold for all chains from 3"
 
 
-def _p_chains_g(ctx):
-    table, dag = ctx.table, ctx.dag
-    for p in table.primes(3, 300).tolist():
-        if chains.g_oracle(p, table) != dag.g_of(p):
-            return False, f"2-rooted chain count mismatch at p={p}"
-    return True, "enumerated 2-rooted chains match the tree statistic to 300"
-
-
-def _p_chains_roundtrip(ctx):
-    table = ctx.table
-    enum = chains.enumerate_from(2, 60, table)
-    for record in enum.chains:
-        vec = chains.link_vector(record)
-        back = chains.rebuild(vec, table)
-        if back.primes != record.primes:
-            return False, f"link-vector round trip broke {record.primes}"
-    return True, f"{enum.total} chains survive the link-vector round trip"
-
-
 def _p_sifted_gcd(ctx):
     for y in (3, 5):
         m = sifted.build_matrix(y, 2.0)
@@ -470,50 +428,6 @@ def _p_sifted_gcd(ctx):
         if ds[argmax] != 2:
             return False, f"max row sum not attained at gcd 2 for y={y}"
     return True, "gcd(b-1, r) always even and max row sits at gcd 2"
-
-
-def _p_sifted_dominates(ctx):
-    table = ctx.table
-    for x in (100, 1000):
-        bound = sifted.chain_count_bound(x, 5).bound
-        for p in table.primes(7, 50).tolist():
-            brute = chains.enumerate_from(p, x, table).total
-            if brute > bound:
-                return False, f"bound {bound:.1f} below brute count {brute} at p={p}, x={x}"
-    return True, "matrix bound dominates brute chain counts for 5 < p <= 50"
-
-
-def _p_singular_xi(ctx):
-    draws = np.random.default_rng(7)
-    for _ in range(200):
-        k = int(draws.integers(1, 6))
-        ms = tuple(int(draws.integers(1, 9)) for _ in range(k - 1))
-        system = singular.forms_from_links(ms)
-        for p in (2, 3, 5, 7, 11, 13, 17, 37):
-            degenerate = any(
-                aj % p == 0 and bj % p == 0 for aj, bj in zip(system.a, system.b)
-            )
-            val = singular.xi(p, system)
-            if degenerate:
-                if val != p:
-                    return False, f"degenerate form mod {p} but xi = {val} for links {ms}"
-            elif not 1 <= val <= min(system.k, p):
-                return False, f"xi({p}) = {val} outside [1, min(k, p)] for links {ms}"
-    return True, "xi in [1, min(k, p)] except degenerate forms, which force xi = p"
-
-
-def _p_singular_zero(ctx):
-    table = ctx.table
-    blocked = singular.singular_series((1,), prime_cutoff=10**4, table=table)
-    if blocked.value != 0.0:
-        return False, "system covering every residue class mod 2 not detected"
-    twin = singular.singular_series((2,), prime_cutoff=10**5, table=table)
-    if not twin.value > 0:
-        return False, "admissible system scored zero"
-    sys1 = singular.forms_from_links((1,))
-    if singular.xi(2, sys1) != 2:
-        return False, "xi(2) for the obstructed system is not 2"
-    return True, "zero value coincides with a fully obstructed prime"
 
 
 def _p_singular_size_report(ctx):
@@ -535,54 +449,16 @@ def _p_singular_size_report(ctx):
     return True, f"normalized singular values span [{lo:.3f}, {hi:.3f}] over 40 samples (report only)"
 
 
-def _p_brw_truncation(ctx):
-    lo_cfg = RunConfig(seed=5, cap=3.0, replicates=1, max_generation=8)
-    hi_cfg = RunConfig(seed=5, cap=5.0, replicates=1, max_generation=8)
-    lo = brw.simulate_run(lo_cfg)
-    hi = brw.simulate_run(hi_cfg)
-    for g_lo, g_hi in zip(lo, hi):
-        trimmed = g_hi.positions[g_hi.positions <= 3.0]
-        if not np.array_equal(g_lo.positions, trimmed):
-            return False, f"cap change altered surviving points at generation {g_lo.index}"
-    return True, "points below the lower cap are bit-identical across caps 3 and 5"
-
-
 def _p_brw_m1(ctx):
-    for i, u in enumerate((1.5, 2.0, 2.5)):
-        cfg = RunConfig(seed=320 + i, replicates=100_000, threads=ctx.threads)
+    for seed, u in ((420, 1.5), (321, 2.0), (322, 2.5), (421, 3.0)):
+        cfg = RunConfig(seed=seed, replicates=200_000, threads=ctx.threads)
         z = brw.replicate_z_counts(1, math.log(u), cfg)
         phat = float(np.mean(z == 0))
         target = dickman.rho(u)
         se = math.sqrt(max(phat * (1 - phat), 1e-12) / len(z))
         if abs(phat - target) > 3 * se:
             return False, f"P(largest fragment <= 1/{u}) = {phat:.5f} vs rho({u}) = {target:.5f}"
-    return True, "largest-fragment law matches the rho table at u in {1.5, 2, 2.5}"
-
-
-def _p_brw_threads(ctx):
-    single = RunConfig(seed=77, replicates=300, threads=1, batch_rows=20_000)
-    multi = RunConfig(seed=77, replicates=300, threads=4, batch_rows=20_000)
-    a = brw.replicate_minima(6, single, cap=8.0)
-    b = brw.replicate_minima(6, multi, cap=8.0)
-    if a.tobytes() != b.tobytes():
-        return False, "per-replicate minima depend on the thread count"
-    r1 = brw.rde_iterate(2000, 2, RunConfig(seed=9, threads=1))
-    r2 = brw.rde_iterate(2000, 2, RunConfig(seed=9, threads=4))
-    if r1.samples.tobytes() != r2.samples.tobytes():
-        return False, "distributional iteration depends on the thread count"
-    return True, "replicate results identical for threads 1 vs 4"
-
-
-def _p_dickman_mc(ctx):
-    for i, u in enumerate((1.5, 3.0)):
-        cfg = RunConfig(seed=420 + i, replicates=200_000, threads=ctx.threads)
-        z = brw.replicate_z_counts(1, math.log(u), cfg)
-        phat = float(np.mean(z == 0))
-        target = dickman.rho(u)
-        se = math.sqrt(max(phat * (1 - phat), 1e-12) / len(z))
-        if abs(phat - target) > 3 * se:
-            return False, f"Monte Carlo {phat:.5f} vs rho({u}) = {target:.5f}"
-    return True, "rho table agrees with simulation at u in {1.5, 3}"
+    return True, "largest-fragment law matches the rho table at u in {1.5, 2, 2.5, 3}"
 
 
 def _p_dickman_shape(ctx):
@@ -599,25 +475,6 @@ def _p_dickman_shape(ctx):
     if np.any(d2 > 1e-10):
         return False, "log rho convex somewhere past u = 1"
     return True, "rho positive with concave-decreasing log on the grid"
-
-
-def _p_dickman_independent(ctx):
-    for u in (2.5, 3.0, 3.5):
-        a = dickman.rho(u)
-        b = dickman.rho_independent(u, tol=1e-12)
-        if abs(a - b) > 1e-8 * b:
-            return False, f"table and integrator differ at u={u}: {a!r} vs {b!r}"
-    return True, "table matches the independent integrator to 1e-8 relative"
-
-
-def _p_rng_unit(ctx):
-    keys = rng.replicate_keys(123, 0, 100_000)
-    draws = rng.to_unit(rng.stream_draw(keys, 1))
-    if not (np.all(draws > 0.0) and np.all(draws < 1.0)):
-        return False, "unit draws touched 0 or 1"
-    if abs(float(draws.mean()) - 0.5) > 0.01:
-        return False, f"unit draw mean {draws.mean():.4f} far from 0.5"
-    return True, "draws stay strictly inside (0,1) with mean near 0.5"
 
 
 def _p_rng_oracle(ctx):
@@ -662,38 +519,26 @@ SUITES: dict[str, tuple[tuple[str, object], ...]] = {
         ("sieve/prime-count-crosscheck", _p_sieve_pi),
     ),
     "pratt": (
-        ("pratt/level-profiles", _p_pratt_levels),
         ("pratt/iterated-totient", _p_pratt_phi_iter),
     ),
     "chains": (
         ("chains/monotone-in-x", _p_chains_monotone),
-        ("chains/length2-progression", _p_chains_length2),
         ("chains/length-partition", _p_chains_partition),
         ("chains/ratio-telescoping", _p_chains_ratio),
-        ("chains/two-rooted-counts", _p_chains_g),
-        ("chains/link-vector-roundtrip", _p_chains_roundtrip),
     ),
     "sifted": (
         ("sifted/even-gcd-structure", _p_sifted_gcd),
-        ("sifted/bound-dominates-counts", _p_sifted_dominates),
     ),
     "singular": (
-        ("singular/xi-range", _p_singular_xi),
-        ("singular/zero-iff-obstructed", _p_singular_zero),
         ("singular/normalized-size-report", _p_singular_size_report),
     ),
     "brw": (
-        ("brw/truncation-exactness", _p_brw_truncation),
         ("brw/largest-fragment-law", _p_brw_m1),
-        ("brw/thread-invariance", _p_brw_threads),
     ),
     "dickman": (
-        ("dickman/monte-carlo-agreement", _p_dickman_mc),
         ("dickman/positive-log-concave", _p_dickman_shape),
-        ("dickman/independent-integrator", _p_dickman_independent),
     ),
     "rng": (
-        ("rng/open-unit-interval", _p_rng_unit),
         ("rng/scalar-oracle", _p_rng_oracle),
         ("rng/distinct-keys", _p_rng_distinct),
     ),

@@ -112,6 +112,12 @@ class TestSingleRun:
             kept = gh.positions[gh.positions <= 3.0]
             assert np.array_equal(gl.positions, kept), gl.index
 
+    def test_negative_replicate_rejected(self):
+        with pytest.raises(DomainError):
+            brw.simulate_run(cfg(), replicate=-1)
+        with pytest.raises(DomainError):
+            brw.t_epsilon(0.5, cfg(), replicate=-1)
+
     def test_censored_flag_after_death(self):
         gens = brw.simulate_run(cfg(seed=2, cap=0.05, max_generation=6))
         died = [g.index for g in gens if g.censored]
@@ -246,6 +252,25 @@ class TestPrunedMinima:
         whole = brw.replicate_minima(6, cfg(seed=29, replicates=600), cap=6.0)
         assert one.tobytes() == four.tobytes() == whole.tobytes()
 
+    def test_bound_admits_a_child_on_its_parents_mass(self, monkeypatch):
+        # 200 sticks at u ~ 0.01 spend the root's mass down to cum ~ 2.01;
+        # the next stick has u = 1 - 2^-53, so its child lands exactly on
+        # cum and is the minimum.  The bound must sit strictly above it, or
+        # the exact pass retires the root before drawing that child.
+        draw = brw.stream_draw
+        small = np.uint64(int(0.01 * 2**52) << 12)
+
+        def forced(keys, index):
+            if index % 2 == 0:
+                return draw(keys, index)
+            return np.full(keys.shape, small if index < 400 else np.uint64(2**64 - 1))
+
+        monkeypatch.setattr(brw, "stream_draw", forced)
+        c = cfg(seed=1, replicates=1, cap=6.0, max_generation=1)
+        want = brw.simulate_run(c)[1].positions.min()
+        assert 2.0 < want < 2.1
+        assert brw.replicate_minima(1, c, cap=6.0)[0] == want
+
     def test_draws_fewer_rows_than_full_cap(self, monkeypatch):
         rows = []
         draw = brw.stream_draw
@@ -357,3 +382,6 @@ class TestRdeIteration:
             brw.rde_iterate(100, 2, cfg())
         with pytest.raises(DomainError):
             brw.rde_iterate(2000, 0, cfg())
+        # the whole population must fit the walk's row budget
+        with pytest.raises(CapacityError):
+            brw.rde_iterate(2001, 1, cfg(batch_rows=2000))

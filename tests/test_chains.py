@@ -48,7 +48,7 @@ class TestEnumerateFrom:
     def test_two_link_count_is_ap_count(self, table):
         # Chains of length exactly 2 from p correspond to primes
         # q <= ceiling with q = 1 (mod p).
-        for p, x in ((3, 100), (5, 200), (11, 50)):
+        for p, x in ((3, 50), (3, 100), (5, 200), (7, 50), (7, 100), (11, 50), (11, 100)):
             enum = chains.enumerate_from(p, x, table)
             two = enum.counts_by_length().get(2, 0)
             want = sieve.count_primes_in_ap(p * x, p, table)
@@ -94,7 +94,7 @@ class TestLinkVectorDuality:
         assert vec.multipliers == (1, 2)
 
     def test_roundtrip(self, table):
-        enum = chains.enumerate_from(2, 40, table)
+        enum = chains.enumerate_from(2, 60, table)
         for c in enum.chains:
             vec = chains.link_vector(c)
             back = chains.rebuild(vec, table)

@@ -244,12 +244,30 @@ class TestBrwCommands:
         ("chains", "--start", "2", "--ratio", "nan"),
         ("chains", "--start", "2", "--ratio", "inf"),
         ("dickman", "--u", "nan"),
+        ("sift-bound", "--x", "nan", "--y", "3"),
     ],
 )
 def test_non_finite_is_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("sift-bound", "--x", "1000", "--y", "3", "--grid", "-3"), "DomainError"),
+        (("sift-bound", "--x", "1000", "--y", "3", "--grid", "0"), "DomainError"),
+        (("brw", "run", "--n", "3", "--cap", "2", "--replicate", "-1"), "DomainError"),
+        (("singular", "--links", "2", "--pcut", "99999999999"), "CapacityError"),
+        (("brw", "rde", "--pop", "100000000000", "--iters", "2"), "CapacityError"),
+    ],
+    ids=["sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop"],
+)
+def test_bad_input_is_typed_error(capsys, argv, kind):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == kind
 
 
 def test_tail_grid_too_large_is_capacity_error(capsys):

@@ -150,10 +150,12 @@ class TestChainCountBound:
         assert rec.bound >= rec.phi_r * 1000.0 ** rec.s_star
 
     def test_dominates_brute_force(self, table):
-        for x in (50.0, 200.0):
+        # the bound holds for every start p > y, so sweep the starts too
+        for x in (50.0, 100.0, 200.0, 1000.0):
             rec = sifted.chain_count_bound(x, 5)
-            brute = chains.enumerate_from(7, x, table).total
-            assert brute <= rec.bound, x
+            for p in table.primes(7, 50).tolist():
+                brute = chains.enumerate_from(p, x, table).total
+                assert brute <= rec.bound, (p, x)
 
     def test_monotone_in_x(self):
         b1 = sifted.chain_count_bound(10.0, 3).bound
@@ -169,4 +171,9 @@ class TestChainCountBound:
         with pytest.raises(DomainError):
             sifted.chain_count_bound(0.5, 3)
         with pytest.raises(DomainError):
+            sifted.chain_count_bound(math.nan, 3)
+        with pytest.raises(DomainError):
             sifted.chain_count_bound(10.0, 6)
+        for grid_size in (0, -3):
+            with pytest.raises(DomainError):
+                sifted.chain_count_bound(10.0, 3, grid_size=grid_size)

@@ -59,13 +59,18 @@ class TestXi:
             for p in (2, 3, 5, 7, 11, 13):
                 assert singular.xi(p, sys) == xi_by_scan(p, sys), (p, ms)
 
-    def test_range(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
+    @pytest.mark.parametrize(
+        "seed, systems, top, primes",
+        [(11, 30, 20, (2, 3, 5, 7, 11)), (7, 200, 9, (2, 3, 5, 7, 11, 13, 17, 37))],
+        ids=["seed11", "seed7"],
+    )
+    def test_range(self, seed, systems, top, primes):
+        rng = np.random.default_rng(seed)
+        for _ in range(systems):
             k = int(rng.integers(1, 6))
-            ms = tuple(int(m) for m in rng.integers(1, 20, size=k - 1))
+            ms = tuple(int(rng.integers(1, top)) for _ in range(k - 1))
             sys = singular.forms_from_links(ms)
-            for p in (2, 3, 5, 7, 11):
+            for p in primes:
                 x = singular.xi(p, sys)
                 degenerate = any(
                     a % p == 0 and b % p == 0 for a, b in zip(sys.a, sys.b)
@@ -74,6 +79,10 @@ class TestXi:
                     assert x == p
                 else:
                     assert 1 <= x <= min(sys.k, p)
+
+    def test_obstructed_one_link(self):
+        # n and n + 1 cover both residues mod 2
+        assert singular.xi(2, singular.forms_from_links((1,))) == 2
 
     def test_degenerate_form(self):
         # Multipliers (7, 6): third form is 42n + 7, identically 0 mod 7.
