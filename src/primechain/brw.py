@@ -270,11 +270,16 @@ def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce) -> 
 
         return reduce(key, walk, guard)
 
-    starts = range(lo, hi, batch)
-    if cfg.threads == 1 or len(starts) == 1:
-        return [work(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(work, starts))
+    return _map(cfg.threads, work, range(lo, hi, batch))
+
+
+def _map(threads: int, fn, items) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``threads`` workers
+    when there is more than one of each."""
+    if threads == 1 or len(items) == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +555,33 @@ class RdeResult:
     diverged: bool
 
 
+def _rde_minima(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min_i (z_i + X_i) for the samples with stream ``keys``, the X_i
+    drawn from the population ``x``."""
+    min_x = float(x.min())
+    res = np.full(keys.size, np.inf)
+    act = np.arange(keys.size)
+    cum = np.zeros(keys.size)
+    best = np.full(keys.size, np.inf)
+    kact = keys
+    t = 0
+    while act.size:
+        u = to_unit(stream_draw(kact, 3 * t + 1))
+        pick = (stream_draw(kact, 3 * t + 2) % _U64(x.size)).astype(np.int64)
+        cand = cum - np.log(u) + x[pick]
+        np.minimum(best, cand, out=best)
+        cum = cum - np.log1p(-u)
+        keep = cum + min_x < best
+        if not keep.all():
+            done = ~keep
+            res[act[done]] = best[done]
+            act, kact, cum, best = act[keep], kact[keep], cum[keep], best[keep]
+        t += 1
+        if t > 100_000:
+            raise NumericalError("rde stick loop failed to terminate")
+    return res
+
+
 def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
     """Population iteration of X = -1/e + min_i (z_i + X_i).
 
@@ -559,7 +591,9 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
     cannot beat its current best (cum + min X >= best), which is exact.
     Starting population is identically 0, so one step reproduces
     -1/e + B_1.  The population is held whole, so it must fit the row
-    budget cfg.batch_rows.
+    budget cfg.batch_rows.  Each iteration splits the population into
+    cfg.threads chunks; a sample's loop reads only its own key and the
+    previous population, so the result does not depend on the split.
     """
     if pop_size < 1000:
         raise DomainError("population must be >= 1000 for a stable iteration")
@@ -574,27 +608,8 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
     for it in range(iters):
         iter_base = mix64_int((base + (it + 1) * int(GOLDEN)) & _MASK)
         keys = mix64(_U64(iter_base) + np.arange(1, pop_size + 1, dtype=np.uint64) * GOLDEN)
-        min_x = float(x.min())
-        res = np.full(pop_size, np.inf)
-        act = np.arange(pop_size)
-        cum = np.zeros(pop_size)
-        best = np.full(pop_size, np.inf)
-        kact = keys
-        t = 0
-        while act.size:
-            u = to_unit(stream_draw(kact, 3 * t + 1))
-            pick = (stream_draw(kact, 3 * t + 2) % _U64(pop_size)).astype(np.int64)
-            cand = cum - np.log(u) + x[pick]
-            np.minimum(best, cand, out=best)
-            cum = cum - np.log1p(-u)
-            keep = cum + min_x < best
-            if not keep.all():
-                done = ~keep
-                res[act[done]] = best[done]
-                act, kact, cum, best = act[keep], kact[keep], cum[keep], best[keep]
-            t += 1
-            if t > 100_000:
-                raise NumericalError("rde stick loop failed to terminate")
+        chunks = np.array_split(keys, cfg.threads)
+        res = np.concatenate(_map(cfg.threads, lambda k: _rde_minima(k, x), chunks))
         new_x = res - 1.0 / _E
         ks_trace.append(ks_distance(x, new_x))
         x = new_x

@@ -183,11 +183,9 @@ def n_identity_check(x: int, table: SpfTable, dag: PrattDag | None = None) -> bo
         raise DomainError("x must be >= 2")
     dag = dag or PrattDag(table)
     lhs = 0
-    for arr in table.prime_arrays(2, x):
-        for p in arr.tolist():
-            lhs += dag.f_of(p)
+    for p in table.primes(2, x).tolist():
+        lhs += dag.f_of(p)
     rhs = table.prime_count(x)
-    for arr in table.prime_arrays(2, x // 2):
-        for q in arr.tolist():
-            rhs += dag.f_of(q) * count_primes_in_ap(x, q, table)
+    for q in table.primes(2, x // 2).tolist():
+        rhs += dag.f_of(q) * count_primes_in_ap(x, q, table)
     return lhs == rhs

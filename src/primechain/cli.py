@@ -26,6 +26,8 @@ _STDOUT = "-"
 
 
 def _fmt_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -60,33 +62,37 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _config_dict(args, command: str) -> dict:
+def _config_dict(args) -> dict:
     skip = {"func", "command", "brw_command", "format", "out"}
     cfg = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    cfg["command"] = command
+    cfg["command"] = " ".join(filter(None, (args.command, getattr(args, "brw_command", None))))
     return cfg
 
 
-def _emit_json(args, command: str, payload: dict) -> None:
+def _emit_json(args, payload: dict) -> None:
     body = dict(payload)
-    body["config"] = _config_dict(args, command)
+    body["config"] = _config_dict(args)
     _write_text(args.out, json.dumps(_pyify(body), sort_keys=True, allow_nan=False) + "\n")
 
 
-def _emit(args, command: str, payload: dict, header: list[str], rows: list[list]) -> None:
+def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
+    """Write a handler's result: the payload as JSON, or the rows as CSV
+    (then hist's gnuplot companion script, if asked for)."""
     if args.format == "json":
-        _emit_json(args, command, payload)
+        _emit_json(args, payload)
         return
-    config = _config_dict(args, command)
+    config = _config_dict(args)
     cfg_line = "# config: " + " ".join(f"{k}={_fmt_cell(v)}" for k, v in sorted(config.items()))
     lines = [cfg_line, ",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
     _write_text(args.out, "\n".join(lines) + "\n")
+    if getattr(args, "plot_script", None):
+        _write_text(args.plot_script, _GNUPLOT_TEMPLATE.format(script=args.plot_script, data=args.out))
 
 
-def _kv_rows(payload: dict) -> tuple[list[str], list[list]]:
-    rows = [[k, payload[k]] for k in sorted(payload)]
-    return ["key", "value"], rows
+def _kv(payload: dict, *skip: str) -> tuple[dict, list[str], list[list]]:
+    """A payload with its key,value rows in key order, leaving out ``skip``."""
+    return payload, ["key", "value"], [[k, payload[k]] for k in sorted(payload) if k not in skip]
 
 
 def _resolve_threads(args) -> int:
@@ -116,19 +122,16 @@ def _table(limit: int = 10**6) -> sieve.SpfTable:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each but verify returns (payload, header, rows) for _emit
 
 
-def _cmd_pratt(args) -> int:
+def _cmd_pratt(args):
     p = args.prime
     if p > 10**7:
         raise DomainError("--prime above 1e7 needs a factor table too large for the CLI")
     table = _table(10**6 if p < 10**6 else p + 1)
     dag = pratt.PrattDag(table)
-    payload = {"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)}
-    header, rows = _kv_rows(payload)
-    _emit(args, "pratt", payload, header, rows)
-    return 0
+    return _kv({"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)})
 
 
 _GNUPLOT_TEMPLATE = """# gnuplot companion script; run: gnuplot -p {script}
@@ -146,9 +149,11 @@ plot '{data}' skip 2 using 2:3 with boxes
 _HIST_MAX_BYTES = 1 << 30
 
 
-def _cmd_hist(args) -> int:
+def _cmd_hist(args):
     if args.limit < 2:
         raise DomainError("--limit must be at least 2")
+    if args.plot_script and (args.out == _STDOUT or args.format != "csv"):
+        raise DomainError("--plot-script needs --format csv with --out FILE")
     limit = max(args.limit, 10**6)
     need = pratt.footprint_bytes(limit)
     if need > _HIST_MAX_BYTES:
@@ -169,15 +174,10 @@ def _cmd_hist(args) -> int:
         "max_f_prime": stats.max_f_prime,
         "rows": rows,
     }
-    _emit(args, "hist", payload, ["stat", "value", "count"], rows)
-    if args.plot_script:
-        if args.out == _STDOUT or args.format != "csv":
-            raise DomainError("--plot-script needs --format csv with --out FILE")
-        _write_text(args.plot_script, _GNUPLOT_TEMPLATE.format(script=args.plot_script, data=args.out))
-    return 0
+    return payload, ["stat", "value", "count"], rows
 
 
-def _cmd_chains(args) -> int:
+def _cmd_chains(args):
     table = _table()
     enum = chains.enumerate_from(
         args.start,
@@ -199,14 +199,13 @@ def _cmd_chains(args) -> int:
         [i, len(c), " ".join(map(str, c.primes)), " ".join(map(str, lv.multipliers))]
         for i, (c, lv) in enumerate(zip(enum.chains, links))
     ]
-    _emit(args, "chains", payload, ["index", "length", "primes", "multipliers"], rows)
-    return 0
+    return payload, ["index", "length", "primes", "multipliers"], rows
 
 
-def _cmd_sift_bound(args) -> int:
+def _cmd_sift_bound(args):
     result = sifted.chain_count_bound(args.x, args.y, grid_size=args.grid)
     lam = sifted.perron_eigenvalue(sifted.build_matrix(args.y, result.s_star))
-    payload = {
+    return _kv({
         "x": result.x,
         "y": result.y,
         "r": result.r,
@@ -217,10 +216,7 @@ def _cmd_sift_bound(args) -> int:
         "bound": result.bound,
         "suggested_y": result.suggested_y,
         "suggested_s": result.suggested_s,
-    }
-    header, rows = _kv_rows(payload)
-    _emit(args, "sift-bound", payload, header, rows)
-    return 0
+    })
 
 
 def _parse_links(text: str) -> tuple[int, ...]:
@@ -233,30 +229,24 @@ def _parse_links(text: str) -> tuple[int, ...]:
     return links
 
 
-def _cmd_singular(args) -> int:
+def _cmd_singular(args):
     links = _parse_links(args.links)
     value = singular.singular_series(links, prime_cutoff=args.pcut, table=_table())
-    payload = {
+    return _kv({
         "links": list(links),
         "k": value.k,
         "value": value.value,
         "tail_low": value.lower,
         "tail_high": value.upper,
         "prime_cutoff": value.prime_cutoff,
-    }
-    header, rows = _kv_rows({k: v for k, v in payload.items() if k != "links"})
-    _emit(args, "singular", payload, header, rows)
-    return 0
+    }, "links")
 
 
-def _cmd_dickman(args) -> int:
-    payload = {"u": args.u, "rho": dickman.rho(args.u)}
-    header, rows = _kv_rows(payload)
-    _emit(args, "dickman", payload, header, rows)
-    return 0
+def _cmd_dickman(args):
+    return _kv({"u": args.u, "rho": dickman.rho(args.u)})
 
 
-def _cmd_brw_run(args) -> int:
+def _cmd_brw_run(args):
     cfg = RunConfig(
         seed=args.seed,
         cap=args.cap,
@@ -264,29 +254,24 @@ def _cmd_brw_run(args) -> int:
         max_generation=args.n,
         threads=args.threads,
     )
-    gens = brw.simulate_run(cfg, replicate=args.replicate)
-    rows = []
-    summary = []
-    for g in gens:
-        least = float(g.positions.min()) if g.positions.size else None
-        rows.append([g.index, int(g.positions.size), "" if least is None else least, g.censored])
-        summary.append(
-            {
-                "generation": g.index,
-                "count": int(g.positions.size),
-                "min": least,
-                "censored": g.censored,
-            }
-        )
+    summary = [
+        {
+            "generation": g.index,
+            "count": int(g.positions.size),
+            "min": float(g.positions.min()) if g.positions.size else None,
+            "censored": g.censored,
+        }
+        for g in brw.simulate_run(cfg, replicate=args.replicate)
+    ]
+    header = ["generation", "count", "min", "censored"]
     payload = {"cap": cfg.cap, "replicate": args.replicate, "generations": summary}
-    _emit(args, "brw run", payload, ["generation", "count", "min", "censored"], rows)
-    return 0
+    return payload, header, [[s[k] for k in header] for s in summary]
 
 
-def _cmd_brw_median(args) -> int:
+def _cmd_brw_median(args):
     cfg = RunConfig(seed=args.seed, replicates=args.reps, threads=args.threads)
     est = brw.median_bn_detail(args.n, cfg, margin=args.margin, cap=args.cap)
-    payload = {
+    return _kv({
         "n": est.n,
         "median": est.median,
         "predicted": brw.predicted_median_bn(args.n),
@@ -294,13 +279,10 @@ def _cmd_brw_median(args) -> int:
         "censor_rate": est.censor_rate,
         "replicates": est.replicates,
         "retried": est.retried,
-    }
-    header, rows = _kv_rows(payload)
-    _emit(args, "brw median-bn", payload, header, rows)
-    return 0
+    })
 
 
-def _cmd_brw_tails(args) -> int:
+def _cmd_brw_tails(args):
     cfg = RunConfig(seed=args.seed, replicates=args.reps, threads=args.threads)
     est = brw.estimate_tails(args.n, cfg, margin=args.margin, grid_step=args.grid_step, grid_max=args.grid_max)
     payload = {
@@ -316,24 +298,12 @@ def _cmd_brw_tails(args) -> int:
         "left_ci": est.left_ci,
         "right_ci": est.right_ci,
     }
-    rows = [
-        [
-            float(est.offsets[i]),
-            float(est.left[i]),
-            est.left_ci[i][0],
-            est.left_ci[i][1],
-            float(est.right[i]),
-            est.right_ci[i][0],
-            est.right_ci[i][1],
-        ]
-        for i in range(len(est.offsets))
-    ]
-    header = ["offset", "left", "left_lo", "left_hi", "right", "right_lo", "right_hi"]
-    _emit(args, "brw tails", payload, header, rows)
-    return 0
+    cols = zip(est.offsets.tolist(), est.left.tolist(), est.left_ci, est.right.tolist(), est.right_ci)
+    rows = [[offset, left, *left_ci, right, *right_ci] for offset, left, left_ci, right, right_ci in cols]
+    return payload, ["offset", "left", "left_lo", "left_hi", "right", "right_lo", "right_hi"], rows
 
 
-def _cmd_brw_teps(args) -> int:
+def _cmd_brw_teps(args):
     cfg = RunConfig(
         seed=args.seed,
         replicates=args.reps,
@@ -351,18 +321,14 @@ def _cmd_brw_teps(args) -> int:
         "replicates": args.reps,
         "histogram": rows,
     }
-    _emit(args, "brw teps", payload, ["generation", "count"], rows)
-    return 0
+    return payload, ["generation", "count"], rows
 
 
-def _cmd_brw_rde(args) -> int:
+def _cmd_brw_rde(args):
     cfg = RunConfig(seed=args.seed, threads=args.threads)
     res = brw.rde_iterate(args.pop, args.iters, cfg)
     deciles = np.quantile(res.samples, np.linspace(0.0, 1.0, 11))
-    rows = [
-        [i + 1, res.ks_trace[i], res.mean_trace[i]]
-        for i in range(len(res.ks_trace))
-    ]
+    rows = [[i, ks, mean] for i, (ks, mean) in enumerate(zip(res.ks_trace, res.mean_trace), 1)]
     payload = {
         "population": args.pop,
         "iterations": args.iters,
@@ -371,8 +337,7 @@ def _cmd_brw_rde(args) -> int:
         "mean_trace": res.mean_trace,
         "deciles": deciles,
     }
-    _emit(args, "brw rde", payload, ["iteration", "ks", "mean"], rows)
-    return 0
+    return payload, ["iteration", "ks", "mean"], rows
 
 
 def _result_line(r: verify.CheckResult) -> str:
@@ -396,7 +361,7 @@ def _cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        _emit_json(args, "verify", payload)
+        _emit_json(args, payload)
     else:
         lines = [_result_line(r) for r in results]
         lines.append(f"{passed}/{len(results)} checks passed")
@@ -408,11 +373,15 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _add_common(sp: argparse.ArgumentParser, formats=("json", "csv")) -> None:
+def _command(sub, name: str, func, help: str, formats=("json", "csv")) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` run by ``func``, with the four common flags."""
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("--format", choices=formats, default=formats[0], help="output format")
     sp.add_argument("--out", default=_STDOUT, help="output path ('-' for stdout)")
     sp.add_argument("--seed", type=int, default=1, help="RNG seed (never time-derived)")
     sp.add_argument("--threads", type=int, default=None, help="worker threads (default: PRIMECHAIN_THREADS or 1)")
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,93 +391,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("pratt", help="tree statistics f, H, g of one prime")
+    sp = _command(sub, "pratt", _cmd_pratt, "tree statistics f, H, g of one prime")
     sp.add_argument("--prime", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_pratt)
 
-    sp = sub.add_parser("hist", help="histogram of a tree statistic over primes <= limit")
+    sp = _command(sub, "hist", _cmd_hist, "histogram of a tree statistic over primes <= limit")
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--stat", choices=("H", "f"), default="H")
     sp.add_argument("--plot-script", default=None, help="also write a gnuplot companion script")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_hist)
 
-    sp = sub.add_parser("chains", help="enumerate chains starting at a prime")
+    sp = _command(sub, "chains", _cmd_chains, "enumerate chains starting at a prime")
     sp.add_argument("--start", type=int, required=True)
     sp.add_argument("--ratio", type=float, required=True, help="largest allowed p_k / p_1")
     sp.add_argument("--no-trivial", action="store_true", help="drop the length-1 chain")
     sp.add_argument("--max-chains", type=int, default=1_000_000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_chains)
 
-    sp = sub.add_parser("sift-bound", help="residue-matrix upper bound for chain counts")
+    sp = _command(sub, "sift-bound", _cmd_sift_bound, "residue-matrix upper bound for chain counts")
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--grid", type=int, default=64)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_sift_bound)
 
-    sp = sub.add_parser("singular", help="singular series of a multiplier system")
+    sp = _command(sub, "singular", _cmd_singular, "singular series of a multiplier system")
     sp.add_argument("--links", required=True, help="comma-separated multipliers, e.g. 2,4")
     sp.add_argument("--pcut", type=int, default=1_000_000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_singular)
 
-    sp = sub.add_parser("dickman", help="smooth-number density rho(u)")
+    sp = _command(sub, "dickman", _cmd_dickman, "smooth-number density rho(u)")
     sp.add_argument("--u", type=float, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_dickman)
 
     brw_parser = sub.add_parser("brw", help="branching random walk simulations")
     bsub = brw_parser.add_subparsers(dest="brw_command", required=True)
 
-    sp = bsub.add_parser("run", help="one replicate, per-generation summary")
+    sp = _command(bsub, "run", _cmd_brw_run, "one replicate, per-generation summary")
     sp.add_argument("--n", type=int, required=True, help="number of generations")
     sp.add_argument("--cap", type=float, required=True)
     sp.add_argument("--replicate", type=int, default=0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_brw_run)
 
-    sp = bsub.add_parser("median-bn", help="median minimal displacement at generation n")
+    sp = _command(bsub, "median-bn", _cmd_brw_median, "median minimal displacement at generation n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--margin", type=float, default=4.0)
     sp.add_argument("--cap", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_brw_median)
 
-    sp = bsub.add_parser("tails", help="tail profile of the minimal displacement")
+    sp = _command(bsub, "tails", _cmd_brw_tails, "tail profile of the minimal displacement")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--margin", type=float, default=4.0)
     sp.add_argument("--grid-step", type=float, default=0.5)
     sp.add_argument("--grid-max", type=float, default=4.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_brw_tails)
 
-    sp = bsub.add_parser("teps", help="extinction generation of the eps-truncated process")
+    sp = _command(bsub, "teps", _cmd_brw_teps, "extinction generation of the eps-truncated process")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--max-gen", type=int, default=20)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_brw_teps)
 
-    sp = bsub.add_parser("rde", help="population iteration of the centered-minimum equation")
+    sp = _command(bsub, "rde", _cmd_brw_rde, "population iteration of the centered-minimum equation")
     sp.add_argument("--pop", type=int, required=True)
     sp.add_argument("--iters", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_brw_rde)
 
-    sp = sub.add_parser("verify", help="run acceptance criteria and property suites")
+    sp = _command(sub, "verify", _cmd_verify, "run acceptance criteria and property suites", formats=("text", "json"))
     sp.add_argument(
         "--suite",
         choices=verify.SUITE_CHOICES,
         default="all",
         help="all, acceptance, properties, or a module name (e.g. pratt)",
     )
-    _add_common(sp, formats=("text", "json"))
-    sp.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -517,9 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "threads"):
-            args.threads = _resolve_threads(args)
-        return args.func(args)
+        args.threads = _resolve_threads(args)
+        if args.func is _cmd_verify:
+            return _cmd_verify(args)
+        _emit(args, *args.func(args))
+        return 0
     except PrimechainError as exc:
         blob = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(blob, sort_keys=True) + "\n")

@@ -323,10 +323,9 @@ def phi_iter_stats(x: int, k: int, eps: float, table: SpfTable) -> float:
         raise DomainError("need k >= 0 and 0 < eps <= 1")
     phi = np.arange(x + 1, dtype=np.int64)
     gpf = np.ones(x + 1, dtype=np.int64)
-    for arr in table.prime_arrays(2, x):
-        for p in arr.tolist():
-            phi[p::p] -= phi[p::p] // p
-            gpf[p::p] = p
+    for p in table.primes(2, x).tolist():
+        phi[p::p] -= phi[p::p] // p
+        gpf[p::p] = p
     vals = np.arange(1, x + 1, dtype=np.int64)
     for _ in range(k):
         vals = phi[vals]

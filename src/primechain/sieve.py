@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-DEFAULT_SEGMENT_WIDTH = 1 << 20
+# Cells sieved per pass; one segment of uint16 cells stays cache resident.
+SEGMENT_WIDTH = 1 << 20
 MAX_LIMIT = (1 << 32) - 1
 # Ceiling on the bytes of one table; SpfTable refuses larger limits before
 # allocating anything.
@@ -120,10 +121,10 @@ class SpfTable:
     Cells holding 0 denote primes (their smallest prime factor is the
     number itself).  A composite below 2**32 has its smallest prime factor
     below 2**16, so each cell is a uint16.  ``segments`` are views of
-    ``segment_width`` cells each; the width must be a power of two.
+    ``SEGMENT_WIDTH`` cells each.
     """
 
-    def __init__(self, limit: int, segment_width: int = DEFAULT_SEGMENT_WIDTH):
+    def __init__(self, limit: int):
         if limit < 2:
             raise DomainError("table limit must be at least 2")
         if limit > MAX_LIMIT:
@@ -132,16 +133,13 @@ class SpfTable:
             raise CapacityError(
                 f"table limit {limit} needs {table_bytes(limit) >> 20} MiB, above the {MAX_TABLE_BYTES >> 20} MiB ceiling"
             )
-        if segment_width < 1 << 10 or segment_width & (segment_width - 1):
-            raise DomainError("segment width must be a power of two >= 1024")
         self.limit = int(limit)
-        self.segment_width = int(segment_width)
         self._base = _simple_prime_array(math.isqrt(limit))
         self._cells = np.zeros(limit + 1, dtype=np.uint16)
         self._cells[:2] = 1  # 0 and 1 are out of domain; poison the cells
         self.segments: list[np.ndarray] = []
-        for lo in range(0, limit + 1, segment_width):
-            seg = self._cells[lo : lo + segment_width]
+        for lo in range(0, limit + 1, SEGMENT_WIDTH):
+            seg = self._cells[lo : lo + SEGMENT_WIDTH]
             self._sieve_segment(seg, lo)
             self.segments.append(seg)
 
@@ -234,40 +232,24 @@ class SpfTable:
         order = np.argsort(rows, kind="stable")
         return rows[order], np.concatenate(got_primes)[order]
 
-    def prime_arrays(self, lo: int = 2, hi: int | None = None):
-        """Yield primes in [lo, hi] as one int64 array per segment."""
-        hi = self.limit if hi is None else min(hi, self.limit)
-        if lo < 2:
-            lo = 2
-        w = self.segment_width
-        for si, seg in enumerate(self.segments):
-            base = si * w
-            if base > hi or base + len(seg) <= lo:
-                continue
-            idx = np.nonzero(seg == 0)[0] + base
-            idx = idx[(idx >= lo) & (idx <= hi)]
-            if idx.size:
-                yield idx.astype(np.int64)
-
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
-        chunks = list(self.prime_arrays(lo, hi))
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        """The primes in [lo, hi] (hi defaults to, and is clipped at, the limit) as int64."""
+        lo = max(lo, 0)
+        hi = self.limit if hi is None else min(hi, self.limit)
+        # the poisoned cells 0 and 1 are nonzero, so they never match
+        cells = self._cells[lo : max(hi + 1, lo)]
+        return (np.flatnonzero(cells == 0) + lo).astype(np.int64, copy=False)
 
     def prime_count(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
         if x > self.limit:
             raise DomainError(f"x={x} beyond table limit {self.limit}")
-        total = 0
-        for arr in self.prime_arrays(2, x):
-            total += arr.size
-        return total
+        return int(np.count_nonzero(self._cells[: max(x + 1, 0)] == 0))
 
 
-def build_spf(limit: int, segment_width: int = DEFAULT_SEGMENT_WIDTH) -> SpfTable:
+def build_spf(limit: int) -> SpfTable:
     """Construct the smallest-prime-factor table for 2..limit."""
-    return SpfTable(limit, segment_width)
+    return SpfTable(limit)
 
 
 def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:

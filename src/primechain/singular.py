@@ -34,6 +34,7 @@ from .errors import CapacityError, DomainError
 from .sieve import MAX_TABLE_BYTES, SpfTable, _simple_prime_array
 
 _COEFF_CAP = 1 << 63
+_DIGIT_MASK = (1 << 31) - 1
 
 
 @dataclass(frozen=True)
@@ -164,14 +165,17 @@ def singular_series(
     else:
         primes = _simple_prime_array(prime_cutoff)
 
-    # Primes whose local factor needs the direct scan: divisors of N.
-    special = []
+    # Primes whose local factor needs the direct scan: divisors of N.  N
+    # mod p for every p at once by Horner's rule over N's 31-bit digits;
+    # p < 2^30 under the cutoff guard, so every step fits in int64.
+    rem = np.zeros(primes.size, dtype=np.int64)
+    for shift in range(31 * (bigN.bit_length() // 31), -1, -31):
+        rem = ((rem << 31) + ((bigN >> shift) & _DIGIT_MASK)) % primes
+    special = primes[rem == 0].tolist()
     residue = bigN
-    for p in primes.tolist():
-        if residue % p == 0:
-            special.append(p)
-            while residue % p == 0:
-                residue //= p
+    for p in special:
+        while residue % p == 0:
+            residue //= p
     # residue > 1 now only has prime factors beyond the cutoff; their xi
     # is unknown (1..k), handled by widening the tail interval below.
     unknown_big_primes = 0
@@ -185,8 +189,7 @@ def singular_series(
             return SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
         log_exact += math.log1p(-x / p) - k * math.log1p(-1.0 / p)
 
-    special_set = set(special)
-    generic = np.array([p for p in primes.tolist() if p not in special_set], dtype=np.float64)
+    generic = primes[rem != 0].astype(np.float64)
     # A generic prime carries k distinct roots, so p <= k forces xi(p) = p
     # (possible only when p = k) and the whole product vanishes.
     if generic.size and float(generic.min()) <= k:

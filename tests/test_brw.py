@@ -371,6 +371,22 @@ class TestRdeIteration:
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.ks_trace == b.ks_trace
 
+    def test_threads_split_the_population_without_moving_a_bit(self, monkeypatch):
+        pools = []
+
+        class CountingPool(brw.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(brw, "ThreadPoolExecutor", CountingPool)
+        one = brw.rde_iterate(2001, 3, cfg(seed=28, threads=1))
+        assert pools == []
+        four = brw.rde_iterate(2001, 3, cfg(seed=28, threads=4))
+        assert pools == [4, 4, 4]  # one pool per iteration
+        assert one.samples.tobytes() == four.samples.tobytes()
+        assert one.ks_trace == four.ks_trace and one.mean_trace == four.mean_trace
+
     def test_ks_trace_settles(self):
         res = brw.rde_iterate(4000, 8, cfg(seed=27))
         assert not res.diverged

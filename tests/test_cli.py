@@ -70,6 +70,17 @@ class TestHist:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("out_args", [(), ("--out", "h.json")], ids=["stdout", "out-file"])
+    def test_plot_script_usage_error_writes_nothing(self, capsys, tmp_path, out_args):
+        out_args = tuple(str(tmp_path / a) if a.endswith(".json") else a for a in out_args)
+        gp_path = tmp_path / "x.gp"
+        code, out, err = run_cli(
+            capsys, "hist", "--limit", "100", "--format", "json", *out_args, "--plot-script", str(gp_path)
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_script_written(self, capsys, tmp_path):
         csv_path = tmp_path / "h.csv"
         gp_path = tmp_path / "h.gp"
@@ -347,6 +358,69 @@ _GOLDEN_WALK = [
 
 @pytest.mark.parametrize("argv, digest", _GOLDEN_WALK, ids=["run-csv", "run-cap-17", "teps-0.01", "teps-1e-4"])
 def test_walk_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of each command's stdout as the hand-built per-command rows wrote
+# it; emitting every handler's (payload, header, rows) through one path
+# must not move a byte.  `brw run --cap 3.0` censors its late generations,
+# so its CSV carries empty `min` cells.
+_GOLDEN_OUTPUTS = [
+    (("chains", "--start", "7", "--ratio", "200"), "048421c5363216e80c6d60d217012105af3092e0b2c3cab29c9546c53afe6ae1"),
+    (
+        ("chains", "--start", "7", "--ratio", "200", "--format", "csv"),
+        "bd77b0f625bcd658fbdb4e52b2bd01d526e1b15f3f1dd5d6553559ef28789337",
+    ),
+    (("sift-bound", "--x", "1e6", "--y", "7"), "5023213fa80a9cb3ec33e2649d407064dce1498f0196e49f189379cad3db921d"),
+    (
+        ("sift-bound", "--x", "1e6", "--y", "7", "--format", "csv"),
+        "074147b323811a728dbfb64670a8b47e3b4995d6a8dc83a4b412330c9b3f8e1d",
+    ),
+    (("singular", "--links", "2,6"), "3547c0059d88bc49d6a9f33154a58f185ef5669e3eb9a11f7a5208e4deda796f"),
+    (
+        ("singular", "--links", "2,6", "--format", "csv"),
+        "f15d020d3cb455742e13bf720aa3cc76cf8ba93bf05a3e8f3f0dbb32b8bd1935",
+    ),
+    (("dickman", "--u", "3.5"), "cae2c2f3894e4f5a9d31e37e052ff6400282bb8de70e6755b0c1ae5121640456"),
+    (("dickman", "--u", "3.5", "--format", "csv"), "85fc28201f1685bf878d96489f1dbefad9461bc716d8f161d0480af79bbd6fa4"),
+    (
+        ("brw", "rde", "--pop", "2000", "--iters", "2", "--seed", "7"),
+        "7fffb2da7a270f5a13520e5c1605f3b1cc299147ef07cf123eba12aaf83a2469",
+    ),
+    (
+        ("brw", "rde", "--pop", "2000", "--iters", "2", "--seed", "7", "--format", "csv"),
+        "fef12c64ed94ce6ff286bc3d4e56e4371f9a23f45eaf3fd716755abfc1eec816",
+    ),
+    (("brw", "run", "--n", "20", "--cap", "3.0"), "97be29b911b187021f53652e71610d416da0f929c4af6ba58afcd31c59726637"),
+    (
+        ("brw", "run", "--n", "20", "--cap", "3.0", "--format", "csv"),
+        "d37c98521e2810bc6a0a23d1098f8099c7aa686713f9e75ab230c5d734330ded",
+    ),
+    (("pratt", "--prime", "65537", "--format", "csv"), "f717e9cf11fa42aa04a9f49095d9d786928691d5cf6762412f36a8ce21896398"),
+    (
+        ("brw", "median-bn", "--n", "8", "--reps", "300", "--seed", "42", "--format", "csv"),
+        "68d1aa5b33c91722ad86dcf7e1f62ab5889fa1bd165997002b2f956e292b08d4",
+    ),
+    (
+        ("brw", "teps", "--eps", "0.01", "--reps", "5000", "--format", "csv"),
+        "a904342f488ecffcbd13f405c121a9aa4024e94b96be7a06ef3fd3c5a03e48d4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    _GOLDEN_OUTPUTS,
+    ids=[
+        "chains-json", "chains-csv", "sift-bound-json", "sift-bound-csv", "singular-json", "singular-csv",
+        "dickman-json", "dickman-csv", "rde-json", "rde-csv", "run-censored-json", "run-censored-csv",
+        "pratt-csv", "median-bn-csv", "teps-csv",
+    ],
+)
+def test_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err

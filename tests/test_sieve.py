@@ -50,16 +50,23 @@ class TestMillerRabin:
 
 class TestSpfTable:
     def test_spf_matches_trial_division(self):
-        t = sieve.build_spf(5000, segment_width=1024)
+        t = sieve.build_spf(5000)
         for n in range(2, 5001):
             assert t.spf(n) == naive_spf(n), n
 
     def test_segment_boundaries(self):
-        # Width 1024 forces several segments; check primality across joins.
-        t = sieve.build_spf(10_000, segment_width=1024)
-        ref = set(naive_primes(10_000).tolist())
-        for n in range(2, 10_001):
-            assert t.is_prime(n) == (n in ref), n
+        # Three full segments and a short fourth; check each join.
+        w = sieve.SEGMENT_WIDTH
+        t = sieve.build_spf(3 * w + 100)
+        assert [s.size for s in t.segments] == [w, w, w, 101]
+        for join in (w, 2 * w, 3 * w):
+            ns = range(join - 500, min(join + 500, t.limit + 1))
+            for n in ns:
+                assert t.is_prime(n) == sieve.is_prime_u64(n), n
+                assert t.spf(n) == naive_spf(n), n
+            assert t.primes(ns[0], ns[-1]).tolist() == [n for n in ns if sieve.is_prime_u64(n)]
+            assert t.prime_count(join) == naive_primes(join).size
+        assert t.prime_count(t.limit) == naive_primes(t.limit).size
 
     def test_is_prime_array_matches_scalar(self, table):
         ns = np.arange(2, 40_000, dtype=np.int64)
@@ -78,14 +85,16 @@ class TestSpfTable:
     def test_primes_slice(self, table):
         ps = table.primes(90, 120)
         assert ps.tolist() == [97, 101, 103, 107, 109, 113]
+        assert ps.dtype == np.int64
+        assert table.primes(0, 12).tolist() == [2, 3, 5, 7, 11]
+        assert table.primes(-5, 1).size == 0 and table.primes(20, 10).size == 0
+        assert table.primes(table.limit - 100).tolist() == table.primes(table.limit - 100, 10**12).tolist()
 
     def test_limit_guards(self):
         with pytest.raises(DomainError):
             sieve.SpfTable(1)
         with pytest.raises(CapacityError):
             sieve.SpfTable(1 << 32)
-        with pytest.raises(DomainError):
-            sieve.SpfTable(100, segment_width=1000)
 
     def test_memory_ceiling_before_allocation(self, monkeypatch):
         def no_sieving(n):
