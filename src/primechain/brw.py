@@ -40,7 +40,7 @@ a replicate expected to exceed the row budget before drawing anything,
 sets the row guard, derives the replicate keys and maps the batches over
 the threads.  Each operation passes its own reduction of a batch's
 generations: the minimum below the beam bounds (B_n), a bincount of the
-last generation (Z_n(t)), the first empty generation (T(eps)), or the
+last generation (Z_n(t)), the last non-empty generation (T(eps)), or the
 sorted positions of every generation (a single run, the range [r, r+1)).
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
     remaining mass cannot produce another child below their bound.
     """
     per_row = np.ndim(cap) > 0
-    out_pos, out_key, out_rep = [], [], []
+    out_pos, out_key, out_rep = [np.zeros(0)], [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.int64)]
     cum = np.zeros_like(pos)
     total = 0
     t = 0
@@ -163,9 +163,6 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
         t += 1
         if t > 100_000:
             raise NumericalError("stick loop failed to terminate")
-    if not out_pos:
-        empty = np.zeros(0)
-        return empty, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
     return (
         np.concatenate(out_pos),
         np.concatenate(out_key),
@@ -175,18 +172,12 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
 
 def _segment_min(rep, values, size):
     out = np.full(size, np.inf)
-    if rep.size:
-        order = np.argsort(rep, kind="stable")
-        r = rep[order]
-        v = values[order]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = r[1:] != r[:-1]
-        starts = np.nonzero(first)[0]
-        out[r[starts]] = np.minimum.reduceat(v, starts)
+    np.minimum.at(out, rep, values)
     return out
 
 
 _BEAM_WIDTH = 16
+_MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 
 
 def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
@@ -222,10 +213,10 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
 
 
 def _expected_peak_rows(cap: float, n: int) -> float:
-    best = 1.0
-    for m in range(1, n + 1):
-        best = max(best, math.exp(m * math.log(max(cap, 1e-9)) - math.lgamma(m + 1)))
-    return best
+    """Max of cap^m / m! over 0 <= m <= n, which peaks at m = floor(cap)."""
+    m = min(n, math.floor(cap))
+    log_peak = m * math.log(cap) - math.lgamma(m + 1)
+    return math.exp(log_peak) if log_peak < 700.0 else math.inf
 
 
 def _batch_size(cfg: RunConfig, count: int, cap: float, n: int) -> int:
@@ -253,8 +244,10 @@ def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce) -> 
     generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
     at or (if strict) below ``bound``, a scalar or one bound per replicate.
     """
-    if lo < 0:
-        raise DomainError("replicate index must be >= 0")
+    if not 0 <= lo < hi < 1 << 63:
+        raise DomainError("replicate index must be in [0, 2^63)")
+    if depth > _MAX_GENERATIONS:
+        raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
     batch = _batch_size(cfg, hi - lo, cap, depth)
     guard = 4 * cfg.batch_rows
 
@@ -364,8 +357,8 @@ class MedianEstimate:
     retried: bool
 
 
-def median_bn_detail(n: int, cfg: RunConfig, margin: float = 4.0, cap: float | None = None) -> MedianEstimate:
-    """Median of B_n with censored replicates counted as +infinity.
+def _censored_minima(n: int, cfg: RunConfig, margin: float, cap: float | None) -> tuple[np.ndarray, MedianEstimate]:
+    """Sorted B_n per replicate, censored replicates as +infinity, and their median.
 
     The cap defaults to the predicted median plus ``margin``.  The lower
     median order statistic is exact as long as fewer than half of the
@@ -375,24 +368,21 @@ def median_bn_detail(n: int, cfg: RunConfig, margin: float = 4.0, cap: float | N
     if not math.isfinite(margin):
         raise DomainError("margin must be finite")
     chosen = float(cap) if cap is not None else predicted_median_bn(n) + margin
-    retried = False
-    for attempt in range(2):
-        minima = replicate_minima(n, cfg, chosen)
+    for retried in (False, True):
+        chosen += 2.0 * retried
+        minima = np.sort(replicate_minima(n, cfg, chosen))
         censor = float(np.mean(np.isinf(minima)))
         if censor < 0.5:
-            order = np.sort(minima)
-            med = float(order[(len(order) - 1) // 2])
-            return MedianEstimate(n, med, chosen, censor, cfg.replicates, retried)
-        if attempt == 0:
-            chosen += 2.0
-            retried = True
+            med = float(minima[(len(minima) - 1) // 2])
+            return minima, MedianEstimate(n, med, chosen, censor, cfg.replicates, retried)
     raise CensoringError(
         f"{censor:.0%} of replicates censored at cap {chosen}; raise the margin"
     )
 
 
-def estimate_median_bn(n: int, cfg: RunConfig, margin: float = 4.0, cap: float | None = None) -> float:
-    return median_bn_detail(n, cfg, margin, cap).median
+def median_bn_detail(n: int, cfg: RunConfig, margin: float = 4.0, cap: float | None = None) -> MedianEstimate:
+    """Median of B_n, censored replicates counted as +infinity (see ``_censored_minima``)."""
+    return _censored_minima(n, cfg, margin, cap)[1]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -424,11 +414,10 @@ class TailEstimate:
     right: np.ndarray  # P{B_n >= median + x} (conservative beyond the cap)
     left_ci: list[tuple[float, float]]
     right_ci: list[tuple[float, float]]
-    left_slope: float  # fitted decay rate of the left tail
-    field_note: str = field(default="left tail fitted on log P vs x where counts >= 25")
+    left_slope: float  # fitted decay rate of the left tail, on log P vs x where counts >= 25
 
 
-# Each tail offset costs two passes over the minima and one row of output.
+# Each tail offset costs two binary searches over the minima and one row of output.
 _MAX_TAIL_OFFSETS = 100_000
 
 
@@ -439,31 +428,18 @@ def estimate_tails(
     grid_step: float = 0.5,
     grid_max: float = 4.0,
 ) -> TailEstimate:
-    if not math.isfinite(margin):
-        raise DomainError("margin must be finite")
+    """Tail profile of B_n around the median, cap and censoring of ``_censored_minima``."""
     if not (0 < grid_step < math.inf and 0 <= grid_max < math.inf):
         raise DomainError("grid step must be positive and grid max non-negative, both finite")
-    if grid_max / grid_step >= _MAX_TAIL_OFFSETS:
+    if (grid_max + 1e-12) / grid_step >= _MAX_TAIL_OFFSETS:
         raise CapacityError(f"tail grid of more than {_MAX_TAIL_OFFSETS} offsets; raise grid_step or lower grid_max")
-    cap = predicted_median_bn(n) + margin
-    minima = replicate_minima(n, cfg, cap)
-    censor = float(np.mean(np.isinf(minima)))
-    if censor >= 0.5:
-        raise CensoringError("tail estimate needs a majority of uncensored replicates")
-    order = np.sort(minima)
-    med = float(order[(len(order) - 1) // 2])
+    minima, est = _censored_minima(n, cfg, margin, None)
     reps = len(minima)
     offsets = np.arange(0.0, grid_max + 1e-12, grid_step)
-    left = np.empty(len(offsets))
-    right = np.empty(len(offsets))
-    left_ci, right_ci = [], []
-    for i, x in enumerate(offsets):
-        lcount = int(np.count_nonzero(minima <= med - x))
-        rcount = int(np.count_nonzero(minima >= med + x))  # +inf counts as beyond
-        left[i] = lcount / reps
-        right[i] = rcount / reps
-        left_ci.append(wilson_interval(lcount, reps))
-        right_ci.append(wilson_interval(rcount, reps))
+    lcount = np.searchsorted(minima, est.median - offsets, side="right")
+    rcount = reps - np.searchsorted(minima, est.median + offsets, side="left")  # +inf counts as beyond
+    left = lcount / reps
+    right = rcount / reps
     fit_mask = (offsets >= 0.5) & (left * reps >= 25)
     if fit_mask.sum() >= 2:
         slope = float(np.polyfit(offsets[fit_mask], np.log(left[fit_mask]), 1)[0])
@@ -473,14 +449,14 @@ def estimate_tails(
     return TailEstimate(
         n=n,
         replicates=reps,
-        cap=cap,
-        median=med,
-        censor_rate=censor,
+        cap=est.cap,
+        median=est.median,
+        censor_rate=est.censor_rate,
         offsets=offsets,
         left=left,
         right=right,
-        left_ci=left_ci,
-        right_ci=right_ci,
+        left_ci=[wilson_interval(c, reps) for c in lcount.tolist()],
+        right_ci=[wilson_interval(c, reps) for c in rcount.tolist()],
         left_slope=left_slope,
     )
 
@@ -494,22 +470,18 @@ def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int) -> np.ndarray:
     cap = -math.log(eps)
     limit = max(cfg.max_generation, int(6 * cap) + 60)
 
-    def first_empty(key, walk, guard):
-        deaths = np.full(key.size, -1, dtype=np.int64)
-        alive = np.ones(key.size, dtype=bool)
+    def last_nonempty(key, walk, guard):
+        last = np.zeros(key.size, dtype=np.int64)
         for gen, (pos, rep) in enumerate(itertools.islice(walk(strict=True), limit), 1):
-            present = np.zeros(key.size, dtype=bool)
-            present[rep] = True
-            deaths[alive & ~present] = gen
-            alive = present
             if not pos.size:
                 break
-        return deaths
+            last[rep] = gen
+        return last
 
-    deaths = np.concatenate(_drive(cfg, lo, hi, cap, limit, first_empty))
-    if np.any(deaths < 0):
+    last = np.concatenate(_drive(cfg, lo, hi, cap, limit, last_nonempty))
+    if np.any(last >= limit):
         raise CapacityError("generation budget hit before the population died")
-    return deaths
+    return last + 1
 
 
 def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0) -> int:

@@ -11,6 +11,7 @@ on stderr; argparse usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -58,8 +59,11 @@ def _write_text(path: str, text: str) -> None:
     if path == _STDOUT:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _config_dict(args) -> dict:
@@ -231,7 +235,7 @@ def _parse_links(text: str) -> tuple[int, ...]:
 
 def _cmd_singular(args):
     links = _parse_links(args.links)
-    value = singular.singular_series(links, prime_cutoff=args.pcut, table=_table())
+    value = singular.singular_series(links, prime_cutoff=args.pcut)
     return _kv({
         "links": list(links),
         "k": value.k,
@@ -271,36 +275,15 @@ def _cmd_brw_run(args):
 def _cmd_brw_median(args):
     cfg = RunConfig(seed=args.seed, replicates=args.reps, threads=args.threads)
     est = brw.median_bn_detail(args.n, cfg, margin=args.margin, cap=args.cap)
-    return _kv({
-        "n": est.n,
-        "median": est.median,
-        "predicted": brw.predicted_median_bn(args.n),
-        "cap": est.cap,
-        "censor_rate": est.censor_rate,
-        "replicates": est.replicates,
-        "retried": est.retried,
-    })
+    return _kv({**dataclasses.asdict(est), "predicted": brw.predicted_median_bn(args.n)})
 
 
 def _cmd_brw_tails(args):
     cfg = RunConfig(seed=args.seed, replicates=args.reps, threads=args.threads)
     est = brw.estimate_tails(args.n, cfg, margin=args.margin, grid_step=args.grid_step, grid_max=args.grid_max)
-    payload = {
-        "n": est.n,
-        "replicates": est.replicates,
-        "cap": est.cap,
-        "median": est.median,
-        "censor_rate": est.censor_rate,
-        "left_slope": est.left_slope,
-        "offsets": est.offsets,
-        "left": est.left,
-        "right": est.right,
-        "left_ci": est.left_ci,
-        "right_ci": est.right_ci,
-    }
     cols = zip(est.offsets.tolist(), est.left.tolist(), est.left_ci, est.right.tolist(), est.right_ci)
     rows = [[offset, left, *left_ci, right, *right_ci] for offset, left, left_ci, right, right_ci in cols]
-    return payload, ["offset", "left", "left_lo", "left_hi", "right", "right_lo", "right_hi"], rows
+    return dataclasses.asdict(est), ["offset", "left", "left_lo", "left_hi", "right", "right_lo", "right_hi"], rows
 
 
 def _cmd_brw_teps(args):

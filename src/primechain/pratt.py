@@ -70,7 +70,6 @@ class PrattDag:
         self._g = np.ones(1, dtype=np.uint8)
         self._kid_start = np.zeros(2, dtype=np.int64)  # children of prime i: _kids[start[i]:start[i+1]]
         self._kids = np.zeros(0, dtype=np.int32)
-        self._profiles: dict[int, tuple[int, ...]] = {2: (1,)}
 
     def _require_prime(self, p: int) -> None:
         if not self.table.is_prime(p):
@@ -152,15 +151,11 @@ class PrattDag:
 
     def level_counts(self, p: int) -> list[int]:
         """Number of tree nodes at each depth; length h(p), entries sum to f(p)."""
-        for q, kids in _bottom_up(self, p, self._profiles):
-            parts = [self._profiles[c] for c in kids]
-            counts = [0] * (1 + max(len(t) for t in parts))
-            counts[0] = 1
-            for t in parts:
-                for i, c in enumerate(t):
-                    counts[i + 1] += c
-            self._profiles[q] = tuple(counts)
-        return list(self._profiles[p])
+        counts, level = [], [p]
+        while level:
+            counts.append(len(level))
+            level = [c for q in level for c in self.children(q)]
+        return counts
 
 
 def _bottom_up(dag: PrattDag, p: int, done) -> list[tuple[int, tuple[int, ...]]]:

@@ -46,6 +46,7 @@ _BERNOULLI = (
 
 _MAX_MATRIX_ENTRIES = 40_000_000  # dense float64 budget (~320 MB)
 _ADMISSIBLE_Y = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_MAX_GRID = 10_000  # each s point costs one row-sum evaluation
 
 
 def hurwitz_zeta(s: float, a: float | np.ndarray, tol: float = 1e-12):
@@ -261,6 +262,8 @@ def chain_count_bound(x: float, y: int, grid_size: int = 64) -> ChainCountBound:
         raise DomainError("x must be >= 1")
     if grid_size < 1:
         raise DomainError("grid size must be >= 1")
+    if grid_size > _MAX_GRID:
+        raise CapacityError(f"grid of more than {_MAX_GRID} points; lower the grid size")
     _check_y(y)
     r = _primorial(y)
     phi_r = _totient_of_primorial(y)
@@ -270,7 +273,10 @@ def chain_count_bound(x: float, y: int, grid_size: int = 64) -> ChainCountBound:
         rs = max_row_sum_value(y, s)
         if rs >= 1.0:
             continue
-        val = phi_r * float(x) ** s / (1.0 - rs)
+        try:
+            val = phi_r * float(x) ** s / (1.0 - rs)
+        except OverflowError:  # x^s beyond a float: no finite bound
+            val = math.inf
         if best is None or val < best[0]:
             best = (val, s, rs)
     if best is None:

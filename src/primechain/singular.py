@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import MAX_TABLE_BYTES, SpfTable, _simple_prime_array
+from .sieve import MAX_TABLE_BYTES, _simple_prime_array
 
 _COEFF_CAP = 1 << 63
 _DIGIT_MASK = (1 << 31) - 1
@@ -136,7 +136,6 @@ class SingularValue:
 def singular_series(
     multipliers: tuple[int, ...] | list[int],
     prime_cutoff: int = 1_000_000,
-    table: SpfTable | None = None,
 ) -> SingularValue:
     """Evaluate S for a positive multiplier vector.
 
@@ -160,10 +159,7 @@ def singular_series(
     k = system.k
     bigN = discriminant_product(system)
 
-    if table is not None and table.limit >= prime_cutoff:
-        primes = table.primes(2, prime_cutoff)
-    else:
-        primes = _simple_prime_array(prime_cutoff)
+    primes = _simple_prime_array(prime_cutoff)
 
     # Primes whose local factor needs the direct scan: divisors of N.  N
     # mod p for every p at once by Horner's rule over N's 31-bit digits;

@@ -175,10 +175,10 @@ def _a05_sifted_matrix(ctx: VerifyContext):
 
 
 def _a06_singular_series(ctx: VerifyContext):
-    twin = singular.singular_series((2,), prime_cutoff=10**6, table=ctx.table)
+    twin = singular.singular_series((2,), prime_cutoff=10**6)
     if abs(twin.value - 1.32032) > 1e-3:
         return False, f"twin-prime constant came out as {twin.value:.6f}"
-    degenerate = singular.singular_series((1,), prime_cutoff=10**4, table=ctx.table)
+    degenerate = singular.singular_series((1,), prime_cutoff=10**4)
     if degenerate.value != 0.0:
         return False, f"fully obstructed system returned {degenerate.value}, expected 0"
     # every box: each free set, and every residue of each fixed index
@@ -230,11 +230,11 @@ def _a07_brw_expectations(ctx: VerifyContext):
 
 def _a08_minimum_displacement(ctx: VerifyContext):
     cfg1 = RunConfig(seed=801, replicates=10_000, threads=ctx.threads)
-    b1 = brw.estimate_median_bn(1, cfg1)
+    b1 = brw.median_bn_detail(1, cfg1).median
     if abs(b1 - 0.5) > 0.02:
         return False, f"median of B_1 = {b1:.4f}, expected 0.5 +- 0.02"
     cfg20 = RunConfig(seed=802, replicates=10_000, threads=ctx.threads)
-    b20 = brw.estimate_median_bn(20, cfg20, margin=3.0)
+    b20 = brw.median_bn_detail(20, cfg20, margin=3.0).median
     pred20 = brw.predicted_median_bn(20)
     delta = b20 - pred20
     if not -2.0 <= delta <= 2.0:
@@ -252,7 +252,7 @@ def _a08_minimum_displacement(ctx: VerifyContext):
         threads=ctx.threads,
         batch_rows=max(4_000_000, rows),
     )
-    b40 = brw.estimate_median_bn(40, cfg40, cap=cap40)
+    b40 = brw.median_bn_detail(40, cfg40, cap=cap40).median
     growth = b40 - b20
     if not 6.9 <= growth <= 8.6:
         return False, f"b40 - b20 = {growth:.3f} outside [6.9, 8.6] (reps {reps40})"
@@ -438,7 +438,7 @@ def _p_singular_size_report(ctx):
     for _ in range(40):
         k = int(draws.integers(2, 7))
         ms = tuple(int(draws.integers(1, 12)) for _ in range(k - 1))
-        val = singular.singular_series(ms, prime_cutoff=10**4, table=ctx.table).value
+        val = singular.singular_series(ms, prime_cutoff=10**4).value
         if val <= 0:
             continue
         denom = math.log2(4 * math.prod(ms))

@@ -300,6 +300,15 @@ class TestTails:
         for (lo, hi), p in zip(est.left_ci, est.left):
             assert lo <= p <= hi
 
+    def test_retries_at_the_cap_median_bn_uses(self):
+        # margin -1.5 censors most replicates at the first cap, so both
+        # estimates must retry once at cap + 2 and agree on what they found.
+        c = brw.RunConfig(seed=14, replicates=200)
+        tails = brw.estimate_tails(8, c, margin=-1.5)
+        median = brw.median_bn_detail(8, c, margin=-1.5)
+        assert median.retried
+        assert (tails.cap, tails.median, tails.censor_rate) == (median.cap, median.median, median.censor_rate)
+
 
 class TestExtinction:
     def test_eps_one(self):
@@ -312,6 +321,21 @@ class TestExtinction:
         ts = [brw.t_epsilon(e, c) for e in (0.5, 0.1, 0.01, 1e-4)]
         assert all(a <= b for a, b in zip(ts, ts[1:]))
         assert ts[0] >= 1
+
+    def test_generation_budget_error(self, monkeypatch):
+        # u = 1 - 2^-53 on every stick: each node's first child lands on its
+        # parent's position and its remaining mass leaves the window, so the
+        # population never dies and the budget must stop it.
+        draw = brw.stream_draw
+
+        def forced(keys, index):
+            if index % 2 == 0:
+                return draw(keys, index)
+            return np.full(keys.shape, np.uint64(2**64 - 1))
+
+        monkeypatch.setattr(brw, "stream_draw", forced)
+        with pytest.raises(CapacityError, match="generation budget"):
+            brw.replicate_t_epsilon(0.5, brw.RunConfig(replicates=4))
 
     def test_vector_agrees_with_scalar(self):
         c = cfg(seed=18, replicates=50)

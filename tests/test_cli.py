@@ -470,6 +470,14 @@ class TestSeedAndThreadsPlumbing:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["rho"] == pytest.approx(1 - 0.6931471805599453)
 
+    def test_write_error_is_typed_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "dickman", "--u", "2", "--out", str(target))
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError" and str(target) in error["message"]
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pratt", "--prime", "7", "--bogus"])

@@ -109,8 +109,8 @@ class TestDiscriminantProduct:
 
 
 class TestSingularSeries:
-    def test_twin_value(self, table):
-        sv = singular.singular_series((2,), table=table)
+    def test_twin_value(self):
+        sv = singular.singular_series((2,))
         assert sv.value == pytest.approx(TWIN_CONSTANT, abs=1e-6)
         assert sv.lower <= TWIN_CONSTANT <= sv.upper
 
@@ -135,7 +135,7 @@ class TestSingularSeries:
         # xi(p) directly at every prime up to the cutoff.
         cutoff = 2000
         for ms in ((2,), (2, 4), (4, 2), (2, 2)):
-            sv = singular.singular_series(ms, prime_cutoff=cutoff, table=table)
+            sv = singular.singular_series(ms, prime_cutoff=cutoff)
             sys = singular.forms_from_links(ms)
             log_total = 0.0
             vanished = False
