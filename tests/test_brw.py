@@ -5,7 +5,7 @@ import pytest
 
 from primechain import brw
 from primechain.errors import CapacityError, CensoringError, DomainError
-from primechain.rng import replicate_keys
+from primechain.rng import replicate_keys, stream_draw, to_unit
 
 
 def cfg(**kw):
@@ -221,6 +221,87 @@ class TestMinima:
         assert 0.4 < lo < 0.5 < hi < 0.6
         lo0, hi0 = brw.wilson_interval(0, 100)
         assert lo0 == 0.0 and hi0 < 0.05
+
+
+def _per_parent_children(pos, key, rep, cap, strict):
+    """The stick loop run one parent at a time.  Returns the children as
+    (round, parent, pos, key, rep) rows, sorted round-major with parents in
+    order within a round, and each parent's number of stick draws."""
+    caps = np.broadcast_to(cap, pos.shape)
+    rows, sticks = [], []
+    for i in range(pos.size):
+        k, cum, t = key[i : i + 1], np.zeros(1), 0
+        while True:
+            u = to_unit(stream_draw(k, 2 * t + 1))
+            child = (pos[i] + cum) - np.log(u)
+            if (child[0] < caps[i]) if strict else (child[0] <= caps[i]):
+                rows.append((t, i, child[0], stream_draw(k, 2 * t + 2)[0], rep[i]))
+            cum = cum - np.log1p(-u)
+            t += 1
+            if not pos[i] + cum[0] < caps[i]:
+                break
+        sticks.append(t)
+    return sorted(rows, key=lambda r: r[:2]), sticks
+
+
+def _nudge(f, target, p):
+    """Step p an ulp at a time until the increasing f(p) equals target."""
+    for _ in range(16):
+        v = f(p)
+        if v == target:
+            return p
+        p = np.nextafter(p, -np.inf if v > target else np.inf)
+    raise AssertionError("no float lands on the target")
+
+
+class TestRoundKernel:
+    """_next_generation against the stick loop run one parent at a time:
+    the same children, bit for bit, round-major and in parent order within
+    a round, from the same number of stick draws."""
+
+    def parents(self, per_row):
+        key = replicate_keys(7, 0, 20)
+        pos = np.linspace(0.0, 3.8, 20)
+        pos[11] = 5.2  # starts above the cap: one stick, no child
+        rep = (np.arange(20, dtype=np.int64) * 7) % 5
+        u = to_unit(stream_draw(key, 1))
+        log_u, spent = np.log(u), -np.log1p(-u)
+        # parent 3's first child lands exactly on its bound, and parent 4's
+        # pos + cum reaches its bound exactly after its first stick
+        if per_row:
+            cap = pos + np.linspace(2.0, 4.0, 20)
+            cap[3] = pos[3] - log_u[3]
+            cap[4] = pos[4] + spent[4]
+            cap[11] = 5.0
+        else:
+            cap = 5.0
+            pos[3] = _nudge(lambda p: p - log_u[3], cap, cap + log_u[3])
+            pos[4] = _nudge(lambda p: p + spent[4], cap, cap - spent[4])
+        return pos, key, rep, cap
+
+    @pytest.mark.parametrize(
+        "per_row, strict", [(False, False), (True, False), (False, True)], ids=["scalar", "per-row", "strict"]
+    )
+    def test_matches_per_parent_loop(self, monkeypatch, per_row, strict):
+        pos, key, rep, cap = self.parents(per_row)
+        rows, sticks = _per_parent_children(pos, key, rep, cap, strict)
+        assert ((0, 3) in [r[:2] for r in rows]) == (not strict)
+        assert sticks[4] == 1 and sticks[11] == 1 and sum(sticks) > 60
+        drawn = [0]
+        draw = brw.stream_draw
+
+        def counting(keys, index):
+            if index % 2:
+                drawn[0] += keys.size
+            return draw(keys, index)
+
+        monkeypatch.setattr(brw, "stream_draw", counting)
+        got = brw._next_generation(pos.copy(), key.copy(), rep.copy(), np.copy(cap), strict, 10_000)
+        _, _, want_pos, want_key, want_rep = zip(*rows)
+        assert got[0].tobytes() == np.array(want_pos).tobytes()
+        assert got[1].tobytes() == np.array(want_key, dtype=np.uint64).tobytes()
+        assert got[2].tobytes() == np.array(want_rep, dtype=np.int64).tobytes()
+        assert drawn[0] == sum(sticks)
 
 
 class TestPrunedMinima:
