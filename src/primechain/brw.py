@@ -133,30 +133,35 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
 
     ``cap`` is a scalar or an array holding each row's own bound.  Round t
     draws stick t for every still-active parent; parents retire once their
-    remaining mass cannot produce another child below their bound.
+    remaining mass cannot produce another child below their bound.  A round
+    takes one index array for its kept children and one for its surviving
+    parents and gathers every column with them; it does its arithmetic in
+    place on arrays it allocated, so the inputs are never written.
     """
     per_row = np.ndim(cap) > 0
+    below = np.less if strict else np.less_equal
     out_pos, out_key, out_rep = [np.zeros(0)], [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.int64)]
     cum = np.zeros_like(pos)
     total = 0
     t = 0
     while pos.size:
         u = to_unit(stream_draw(key, 2 * t + 1))
-        child_pos = pos + cum - np.log(u)
-        keep = child_pos < cap if strict else child_pos <= cap
-        if keep.any():
-            kept = child_pos[keep]
+        child = pos + cum
+        child -= np.log(u)
+        cum -= np.log1p(np.negative(u, out=u), out=u)
+        del u  # its buffer goes before the gathers, which set the peak
+        kept = np.flatnonzero(below(child, cap))
+        if kept.size:
             total += kept.size
             if total > row_guard:
                 raise CapacityError(
                     "generation exceeds the row budget; lower the cap or batch size"
                 )
-            out_pos.append(kept)
-            out_key.append(stream_draw(key[keep], 2 * t + 2))
-            out_rep.append(rep[keep])
-        cum = cum - np.log1p(-u)
-        alive = pos + cum < cap
-        if not alive.all():
+            out_pos.append(child[kept])
+            out_key.append(stream_draw(key[kept], 2 * t + 2))
+            out_rep.append(rep[kept])
+        alive = np.flatnonzero(np.add(pos, cum, out=child) < cap)
+        if alive.size < pos.size:
             pos, key, rep, cum = pos[alive], key[alive], rep[alive], cum[alive]
             if per_row:
                 cap = cap[alive]
@@ -191,13 +196,14 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     Where the beam dies the bound is the cap itself.
 
     The width trades beam rows against the pruned pass's rows; measured on
-    one core at seed 1 (2000 replicates, n=16, cap 10.42, unpruned 64.3M
-    rows in 11.5 s), widths 4/8/16/32 drew 4.1M/4.1M/4.9M/6.7M rows in
-    0.96/0.98/1.27/1.91 s.  On the A08 generation-40 run (seed 803, 61
-    replicates, cap 17.52), where the pass below the bound dominates, the
-    mean of e^(U_r - cap), which tracks its cost, is 0.75/0.59/0.47/0.43,
-    with 27/16/4/3 beams ending at the cap.  Width 16 keeps nearly all of
-    the small-n saving and most of the large-n one.
+    one core of a 2-core Xeon at seed 1 (2000 replicates, n=16, cap 10.42,
+    unpruned 64.3M rows in 6.6 s), widths 8/16/32 draw 4.1M/4.9M/6.7M rows
+    in 0.79/1.11/1.73 s (width 4 draws 4.1M).  On the A08 generation-40 run
+    (seed 803, 61 replicates, cap 17.52), where the pass below the bound
+    dominates, the mean of e^(U_r - cap), which tracks its cost, is
+    0.75/0.59/0.47/0.43 at widths 4/8/16/32, with 27/16/4/3 beams ending at
+    the cap.  Width 16 keeps most of the small-n saving and most of the
+    large-n one.
     """
     b = key.size
     pos = np.zeros(b)
@@ -223,7 +229,7 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int) -> int:
     per_rep = _expected_peak_rows(cap, n) + 1.0
     if per_rep > cfg.batch_rows:
         raise CapacityError(
-            f"a single replicate at cap {cap:.2f} expects ~{per_rep:.0f} points, "
+            f"a single replicate at cap {cap:.2f} expects ~{per_rep:.3g} points, "
             f"above the row budget {cfg.batch_rows}"
         )
     # halve the nominal fit so sampling fluctuations stay inside the guard
@@ -539,15 +545,18 @@ def _rde_minima(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     t = 0
     while act.size:
         u = to_unit(stream_draw(kact, 3 * t + 1))
-        pick = (stream_draw(kact, 3 * t + 2) % _U64(x.size)).astype(np.int64)
-        cand = cum - np.log(u) + x[pick]
+        pick = stream_draw(kact, 3 * t + 2)
+        pick %= _U64(x.size)
+        cand = cum - np.log(u)
+        cand += x[pick]
         np.minimum(best, cand, out=best)
-        cum = cum - np.log1p(-u)
-        keep = cum + min_x < best
-        if not keep.all():
-            done = ~keep
+        cum -= np.log1p(np.negative(u, out=u), out=u)
+        keep = np.add(cum, min_x, out=cand) < best
+        alive = np.flatnonzero(keep)
+        if alive.size < act.size:
+            done = np.flatnonzero(~keep)
             res[act[done]] = best[done]
-            act, kact, cum, best = act[keep], kact[keep], cum[keep], best[keep]
+            act, kact, cum, best = act[alive], kact[alive], cum[alive], best[alive]
         t += 1
         if t > 100_000:
             raise NumericalError("rde stick loop failed to terminate")

@@ -27,12 +27,21 @@ _U64 = np.uint64
 _MASK = (1 << 64) - 1
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """Stafford variant-13 finalizer (bijective avalanche on uint64)."""
+def mix64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stafford variant-13 finalizer (bijective avalanche on uint64 arrays).
+
+    Writes into ``out`` when given (``out=z`` mixes in place) and into a
+    new array otherwise; ``z`` itself is only read.  One scratch array
+    holds the shifts.
+    """
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return z ^ (z >> _U64(31))
+        scratch = z >> _U64(30)
+        out = np.bitwise_xor(z, scratch, out=out)
+        out *= _U64(0xBF58476D1CE4E5B9)
+        out ^= np.right_shift(out, _U64(27), out=scratch)
+        out *= _U64(0x94D049BB133111EB)
+        out ^= np.right_shift(out, _U64(31), out=scratch)
+        return out
 
 
 def mix64_int(z: int) -> int:
@@ -44,9 +53,11 @@ def mix64_int(z: int) -> int:
 
 
 def stream_draw(keys: np.ndarray, index: int) -> np.ndarray:
-    """Raw 64-bit draw number ``index`` (>= 1) of each key's stream."""
+    """Raw 64-bit draw number ``index`` (>= 1) of each key's stream, as a
+    new array (``keys`` is only read)."""
     with np.errstate(over="ignore"):
-        return mix64(keys + _U64(index) * GOLDEN)
+        z = keys + _U64(index) * GOLDEN
+    return mix64(z, out=z)
 
 
 def to_unit(raw: np.ndarray) -> np.ndarray:
@@ -56,7 +67,9 @@ def to_unit(raw: np.ndarray) -> np.ndarray:
     result lies in [2^-53, 1 - 2^-53] and log(u) and log1p(-u) are both
     finite for every input word.
     """
-    return ((raw >> _U64(12)).astype(np.float64) + 0.5) * (2.0 ** -52)
+    u = np.add(raw >> _U64(12), 0.5)
+    u *= 2.0**-52
+    return u
 
 
 def replicate_keys(seed: int, start: int, stop: int) -> np.ndarray:

@@ -272,13 +272,16 @@ def test_non_finite_is_domain_error(capsys, argv):
         (("brw", "run", "--n", "3", "--cap", "2", "--replicate", "-1"), "DomainError"),
         (("singular", "--links", "2", "--pcut", "99999999999"), "CapacityError"),
         (("brw", "rde", "--pop", "100000000000", "--iters", "2"), "CapacityError"),
+        (("brw", "teps", "--eps", "1e-300", "--reps", "3"), "CapacityError"),
     ],
-    ids=["sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop"],
+    ids=["sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop", "teps-tiny-eps"],
 )
 def test_bad_input_is_typed_error(capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert json.loads(err)["error"]["type"] == kind
+    error = json.loads(err)["error"]
+    assert error["type"] == kind
+    assert len(error["message"]) < 200, error["message"]
 
 
 def test_tail_grid_too_large_is_capacity_error(capsys):

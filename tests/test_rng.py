@@ -20,6 +20,15 @@ class TestMixer:
         xs = np.arange(200_000, dtype=np.uint64)
         assert len(np.unique(rng.mix64(xs))) == xs.size
 
+    def test_in_place_matches_fresh_and_scalar(self):
+        drawn = np.random.default_rng(9).integers(0, 2**64, 1000, dtype=np.uint64)
+        words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), drawn])
+        fresh = rng.mix64(words)
+        z = words.copy()
+        assert rng.mix64(z, out=z) is z
+        assert z.tobytes() == fresh.tobytes()
+        assert fresh.tolist() == [rng.mix64_int(w) for w in words.tolist()]
+
     def test_zero_fixed_point(self):
         # The finalizer maps 0 to 0, which is why every key derivation
         # salts the seed before mixing.
@@ -81,3 +90,15 @@ class TestStreams:
         u = rng.to_unit(rng.stream_draw(keys, 1))
         assert float(u.mean()) == pytest.approx(0.5, abs=0.005)
         assert float((u * u).mean()) == pytest.approx(1.0 / 3.0, abs=0.005)
+
+
+def test_inputs_are_not_mutated():
+    keys = rng.replicate_keys(5, 0, 1000)
+    raw = rng.stream_draw(keys, 1)
+    words = keys ^ raw
+    before = [a.copy() for a in (keys, raw, words)]
+    rng.stream_draw(keys, 3)
+    rng.to_unit(raw)
+    rng.mix64(words)
+    for a, b in zip((keys, raw, words), before):
+        assert a.tobytes() == b.tobytes()
