@@ -303,10 +303,25 @@ _GOLDEN_TREES = [
     ),
     (("pratt", "--prime", "9999991"), "26819957efdee106d4fb8b61839b7f0f105f38f76813ab0ebc9303ed98209f75"),
     (("pratt", "--prime", "65537"), "1a45dfd9e1c41d1e070f38925d19abb36897fd3b1b67ea3e7532a8bde0558835"),
+    # recorded on a 1e6 table; these commands now build tables sized to the query
+    (
+        ("hist", "--limit", "1000", "--stat", "f", "--format", "csv"),
+        "cd5a37611cf28f1cd68e5c9d163c87946179a849b89c8fbc4135f80074edefa8",
+    ),
+    (
+        ("hist", "--limit", "20000", "--stat", "H", "--format", "csv"),
+        "a5800d9c242d7955c6c5096f26891278a28e06060dead29ec3644e276790c856",
+    ),
+    (("hist", "--limit", "2"), "a77cb1add7d7b84bd263d8b48d3f9e2662a3625e0bca4edc39d910d780ba360a"),
+    (("pratt", "--prime", "7"), "620d2a295d0e6a920436ae471f568bcb42dd87d3f8ad41ba5a9a6f6cd7811dd4"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", _GOLDEN_TREES, ids=["hist-f-csv", "hist-h-json", "pratt-9999991", "pratt-65537"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    _GOLDEN_TREES,
+    ids=["hist-f-csv", "hist-h-json", "pratt-9999991", "pratt-65537", "hist-1000-f-csv", "hist-20000-h-csv", "hist-2", "pratt-7"],
+)
 def test_tree_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
     code, out, err = run_cli(capsys, *argv)
