@@ -183,6 +183,9 @@ def _segment_min(rep, values, size):
 
 _BEAM_WIDTH = 16
 _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
+# Rows a call may expect to draw: replicates times the expected peak of one
+# (or, for rde, population times iterations).  A08's b40 run expects ~5e8.
+_MAX_WORK_ROWS = 1 << 40
 
 
 def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
@@ -231,6 +234,10 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int) -> int:
         raise CapacityError(
             f"a single replicate at cap {cap:.2f} expects ~{per_rep:.3g} points, "
             f"above the row budget {cfg.batch_rows}"
+        )
+    if count * per_rep > _MAX_WORK_ROWS:
+        raise CapacityError(
+            f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}"
         )
     # halve the nominal fit so sampling fluctuations stay inside the guard
     return max(1, min(count, int(cfg.batch_rows / (2.0 * per_rep))))
@@ -582,6 +589,8 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
         raise DomainError("iters must be >= 1")
     if pop_size > cfg.batch_rows:
         raise CapacityError(f"population {pop_size} exceeds the row budget {cfg.batch_rows}")
+    if pop_size * iters > _MAX_WORK_ROWS:
+        raise CapacityError(f"{pop_size} samples x {iters} iterations is above the work bound {_MAX_WORK_ROWS:.3g}")
     x = np.zeros(pop_size)
     base = mix64_int((cfg.seed & _MASK) ^ int(RDE_SALT))
     ks_trace: list[float] = []

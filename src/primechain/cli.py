@@ -133,8 +133,7 @@ def _cmd_pratt(args):
     p = args.prime
     if p > 10**7:
         raise DomainError("--prime above 1e7 needs a factor table too large for the CLI")
-    table = _table(10**6 if p < 10**6 else p + 1)
-    dag = pratt.PrattDag(table)
+    dag = pratt.PrattDag(_table(max(p, 2) + 1))
     return _kv({"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)})
 
 
@@ -149,7 +148,7 @@ plot '{data}' skip 2 using 2:3 with boxes
 """
 
 
-# Memory ceiling for hist's factor table plus tree arrays; 1e8 needs ~580 MiB.
+# Memory ceiling for hist's factor table plus tree arrays; 1e8 peaks at ~510 MiB RSS.
 _HIST_MAX_BYTES = 1 << 30
 
 
@@ -158,14 +157,12 @@ def _cmd_hist(args):
         raise DomainError("--limit must be at least 2")
     if args.plot_script and (args.out == _STDOUT or args.format != "csv"):
         raise DomainError("--plot-script needs --format csv with --out FILE")
-    limit = max(args.limit, 10**6)
-    need = pratt.footprint_bytes(limit)
+    need = pratt.footprint_bytes(args.limit)
     if need > _HIST_MAX_BYTES:
         raise CapacityError(
             f"--limit {args.limit} needs about {need >> 20} MiB of tables, above the {_HIST_MAX_BYTES >> 20} MiB ceiling"
         )
-    table = _table(limit)
-    stats = pratt.range_stats(args.limit, table)
+    stats = pratt.range_stats(args.limit, _table(args.limit))
     rows = [list(r) for r in stats.rows(args.stat)]
     payload = {
         "stat": args.stat,

@@ -11,8 +11,8 @@ prime q dividing p - 1; the tree of 2 is a single node.  Per prime p:
 with f(p) = 1 + sum f(q), H(p) = 1 + max H(q) and g(p) = sum g(q) over the
 children q.  Every child of p is at most (p - 1) / 2, so the primes of a
 block [L, 2L) depend only on primes below L.  :class:`PrattDag` therefore
-holds f, H and g in dense per-prime arrays and fills them one block at a
-time: it factors the block's p - 1 with the table's vectorised spf
+holds f, H and g of every prime in its table in dense per-prime arrays and
+fills them in place, one block at a time: it factors the block's p - 1 with the table's vectorised spf
 division, gathers the children's values and reduces per parent.  Range
 histograms and N(x) = sum f(p) are reductions over those arrays.
 
@@ -38,10 +38,11 @@ _LINNIK_VALUE_CAP = 1 << 63
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
 
-# Peak PrattDag bytes per prime: the prime (8), f/H/g (3), the children
-# offset (8) and the children's indices (4 each, fewer than 4 on average);
-# offsets and indices are held twice while a growth step joins them.
-_BYTES_PER_PRIME = 60
+# Peak PrattDag bytes per prime while it fills: the prime (8), f/H/g (3),
+# the children offset (8) and the children's indices (4 each, fewer than 4
+# on average), which are held twice while the pieces are joined.  The
+# tracemalloc peak is 42-43 bytes per Rosser-Schoenfeld prime at 2e7 and 5e7.
+_BYTES_PER_PRIME = 48
 
 
 def footprint_bytes(limit: int) -> int:
@@ -52,76 +53,51 @@ def footprint_bytes(limit: int) -> int:
 
 
 class PrattDag:
-    """f, H, g and the children of every prime up to a lazily grown bound.
+    """f, H, g and the children of every prime up to the table's limit.
 
-    Values live in arrays indexed by a prime's position in ``_primes`` and
-    cover every prime below ``_end``.  Asking for a larger prime fills the
-    dyadic blocks [2^k, 2^(k+1)) up to it, cut into pieces of at most
-    ``_BLOCK_WIDTH`` integers; no piece holds a child of its own primes.
+    Values live in arrays indexed by a prime's position in ``_primes``.
+    The constructor fills them once, in place, one dyadic block
+    [2^k, 2^(k+1)) at a time, cut into pieces of at most ``_BLOCK_WIDTH``
+    integers; no piece holds a child of its own primes.
     f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds f, H and g.
     """
 
     def __init__(self, table: SpfTable):
         self.table = table
-        self._end = 3
-        self._primes = np.array([2], dtype=np.int64)
-        self._f = np.ones(1, dtype=np.uint8)
-        self._h = np.ones(1, dtype=np.uint8)
-        self._g = np.ones(1, dtype=np.uint8)
-        self._kid_start = np.zeros(2, dtype=np.int64)  # children of prime i: _kids[start[i]:start[i+1]]
-        self._kids = np.zeros(0, dtype=np.int32)
-
-    def _require_prime(self, p: int) -> None:
-        if not self.table.is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        if p > self.table.limit:
-            raise DomainError(f"{p} beyond factorization limit {self.table.limit}")
-
-    def _index(self, p: int) -> int:
-        if p >= self._end:
-            self._require_prime(p)
-            self._extend(p)
-        i = int(self._primes.searchsorted(p))
-        if i == self._primes.size or self._primes[i] != p:
-            raise DomainError(f"{p} is not prime")
-        return i
-
-    def _extend(self, p: int) -> None:
-        """Fill the arrays through the end of the block that holds p."""
-        table = self.table
-        bounds = [self._end]
-        while bounds[-1] <= p:
-            lo = bounds[-1]
-            bounds.append(min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, table.limit + 1))
-        primes = np.concatenate([self._primes, table.primes(bounds[0], bounds[-1] - 1)])
-        n0 = self._primes.size
-        f, h, g = (np.zeros(primes.size, dtype=np.uint8) for _ in range(3))
-        f[:n0], h[:n0], g[:n0] = self._f, self._h, self._g
-        kid_start, kids = [self._kid_start], [self._kids]
-        for lo, hi in zip(bounds, bounds[1:]):
+        primes = self._primes = table.primes()
+        f, h, g = self._f, self._h, self._g = [np.ones(primes.size, dtype=np.uint8) for _ in range(3)]
+        # children of prime i: _kids[_kid_start[i]:_kid_start[i + 1]]; 2 has none
+        kid_start = self._kid_start = np.zeros(primes.size + 1, dtype=np.int64)
+        kids = [np.zeros(0, dtype=np.int32)]
+        lo = 3
+        while lo <= table.limit:
+            hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, table.limit + 1)
             a, b = np.searchsorted(primes, [lo, hi]).tolist()
+            lo = hi
             if a == b:
                 continue
             rows, divisors = table.prime_divisors(primes[a:b] - 1)
-            kid = np.searchsorted(primes[:a], divisors)  # every child is below lo
+            kid = np.searchsorted(primes[:a], divisors)  # every child is below the piece
             counts = np.bincount(rows, minlength=b - a)
             first = np.cumsum(counts) - counts  # p >= 3, so every parent has a child
             f[a:b] = 1 + np.add.reduceat(f[kid], first, dtype=np.int64)
             h[a:b] = 1 + np.maximum.reduceat(h[kid], first)
             g[a:b] = np.add.reduceat(g[kid], first, dtype=np.int64)
-            kid_start.append(kid_start[-1][-1] + np.cumsum(counts))
+            kid_start[a + 1 : b + 1] = kid_start[a] + np.cumsum(counts)
             kids.append(kid.astype(np.int32))
-        self._primes, self._f, self._h, self._g = primes, f, h, g
-        self._kid_start = np.concatenate(kid_start)
         self._kids = np.concatenate(kids)
-        self._end = bounds[-1]
+
+    def _index(self, p: int) -> int:
+        i = int(self._primes.searchsorted(p))
+        if i == self._primes.size or self._primes[i] != p:
+            why = "is not prime" if p <= self.table.limit else f"is beyond factorization limit {self.table.limit}"
+            raise DomainError(f"{p} {why}")
+        return i
 
     def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(primes, f, H, g) for every prime p <= x, as read-only views."""
         if x > self.table.limit:
             raise DomainError(f"x={x} beyond table limit {self.table.limit}")
-        if x >= self._end:
-            self._extend(x)
         k = int(np.searchsorted(self._primes, x, side="right"))
         views = tuple(a[:k] for a in (self._primes, self._f, self._h, self._g))
         for v in views:
@@ -136,18 +112,15 @@ class PrattDag:
 
     def f_of(self, p: int) -> int:
         """Node count: f(2) = 1, f(p) = 1 + sum of f over the children."""
-        i = self._index(p)  # may grow the arrays, so index after it
-        return int(self._f[i])
+        return int(self._f[self._index(p)])
 
     def h_of(self, p: int) -> int:
         """Height: H(2) = 1, H(p) = 1 + max of H over the children."""
-        i = self._index(p)
-        return int(self._h[i])
+        return int(self._h[self._index(p)])
 
     def g_of(self, p: int) -> int:
         """Descending label chains from p to a leaf 2; f(p) / 2 for odd p."""
-        i = self._index(p)
-        return int(self._g[i])
+        return int(self._g[self._index(p)])
 
     def level_counts(self, p: int) -> list[int]:
         """Number of tree nodes at each depth; length h(p), entries sum to f(p)."""
@@ -156,24 +129,6 @@ class PrattDag:
             counts.append(len(level))
             level = [c for q in level for c in self.children(q)]
         return counts
-
-
-def _bottom_up(dag: PrattDag, p: int, done) -> list[tuple[int, tuple[int, ...]]]:
-    """(label, children) for the distinct labels of the tree of p that are
-    not in ``done``, by increasing label.
-
-    A child is smaller than its parent, so increasing order visits every
-    child first.  ``done`` must be closed under children: the walk does not
-    descend below its members.
-    """
-    todo: dict[int, tuple[int, ...]] = {}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if q not in done and q not in todo:
-            todo[q] = dag.children(q)
-            stack.extend(todo[q])
-    return sorted(todo.items())
 
 
 def is_fermat_prime(p: int) -> bool:
@@ -220,8 +175,6 @@ def range_stats(x: int, table: SpfTable, dag: PrattDag | None = None) -> RangeSt
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    if x > table.limit:
-        raise DomainError(f"x={x} beyond table limit {table.limit}")
     primes, f, h, _ = (dag or PrattDag(table)).values(x)
     i_h, i_f = int(np.argmax(h)), int(np.argmax(f))
     return RangeStats(
@@ -241,7 +194,7 @@ class MassProducts:
     """Exact integer products over the label multiset Q(p) of the tree.
 
     For each prime p the multiset Q(p) consists of p together with the
-    labels of all child subtrees.  Memoized bottom-up:
+    labels of all child subtrees.  Memoized recursively over the children:
 
     * ``den(p)``  = product of (q - 1) over Q(p),
     * ``num(p)``  = product of q * l(q - 1) over Q(p),
@@ -264,18 +217,15 @@ class MassProducts:
     def _ensure(self, p: int) -> None:
         if p in self._den:
             return
-        for q, kids in _bottom_up(self.dag, p, self._den):
-            lq = self.table.factorize(q - 1).unitary_cofactor()
-            den = q - 1
-            num = q * lq
-            lp = lq
-            for c in kids:
-                den *= self._den[c]
-                num *= self._num[c]
-                lp *= self._lprod[c]
-            self._den[q] = den
-            self._num[q] = num
-            self._lprod[q] = lp
+        kids = self.dag.children(p)
+        lp = self.table.factorize(p - 1).unitary_cofactor()
+        den, num = p - 1, p * lp
+        for c in kids:  # depth <= H(p), at most 33 below 2**32
+            self._ensure(c)
+            den *= self._den[c]
+            num *= self._num[c]
+            lp *= self._lprod[c]
+        self._den[p], self._num[p], self._lprod[p] = den, num, lp
 
     def den(self, p: int) -> int:
         self._ensure(p)

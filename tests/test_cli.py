@@ -273,8 +273,13 @@ def test_non_finite_is_domain_error(capsys, argv):
         (("singular", "--links", "2", "--pcut", "99999999999"), "CapacityError"),
         (("brw", "rde", "--pop", "100000000000", "--iters", "2"), "CapacityError"),
         (("brw", "teps", "--eps", "1e-300", "--reps", "3"), "CapacityError"),
+        (("brw", "teps", "--eps", "0.5", "--reps", "9223372036854775807"), "CapacityError"),
+        (("brw", "rde", "--pop", "1000", "--iters", "100000000000000"), "CapacityError"),
     ],
-    ids=["sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop", "teps-tiny-eps"],
+    ids=[
+        "sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop", "teps-tiny-eps",
+        "teps-huge-reps", "rde-huge-iters",
+    ],
 )
 def test_bad_input_is_typed_error(capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv)
@@ -320,7 +325,10 @@ _GOLDEN_TREES = [
 @pytest.mark.parametrize(
     "argv, digest",
     _GOLDEN_TREES,
-    ids=["hist-f-csv", "hist-h-json", "pratt-9999991", "pratt-65537", "hist-1000-f-csv", "hist-20000-h-csv", "hist-2", "pratt-7"],
+    ids=[
+        "hist-f-csv", "hist-h-json", "pratt-9999991", "pratt-65537",
+        "hist-1000-f-csv", "hist-20000-h-csv", "hist-2", "pratt-7",
+    ],
 )
 def test_tree_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)

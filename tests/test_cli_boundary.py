@@ -66,6 +66,7 @@ _Y = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "7", "11", str(2**63)]
 _LINKS = st.one_of(st.lists(st.integers(-2, 12).map(str), max_size=4).map(",".join), _JUNK, st.just("9" * 25))
 _PCUT = st.one_of(st.integers(-5, 20_000).map(str), st.sampled_from(["99", str(10**12), str(2**63)]))
 _STAT = st.sampled_from(["H", "f", "g"])
+_REPS = small(20, 10**15, 2**63 - 1, 2**63)
 
 ARGV = st.one_of(
     command(["pratt"], req("--prime", INTS)),
@@ -81,20 +82,24 @@ ARGV = st.one_of(
     command(
         ["brw", "median-bn"],
         req("--n", small(20, 10**30, 2**63)),
-        req("--reps", small(20, 2**63)),
+        req("--reps", _REPS),
         opt("--margin", floats(-30, 4)),
         opt("--cap", floats(-2, 10)),
     ),
     command(
         ["brw", "tails"],
         req("--n", small(20, 10**30, 2**63)),
-        req("--reps", small(20, 2**63)),
+        req("--reps", _REPS),
         opt("--margin", floats(-30, 4)),
         opt("--grid-step", FLOATS),
         opt("--grid-max", FLOATS),
     ),
-    command(["brw", "teps"], req("--eps", floats(-1, 2)), req("--reps", small(20, 2**63)), opt("--max-gen", small(60, 10**30))),
-    command(["brw", "rde"], req("--pop", st.sampled_from(["-1", "0", "999", "1000", "1500", str(10**12)])), req("--iters", small(3))),
+    command(["brw", "teps"], req("--eps", floats(-1, 2)), req("--reps", _REPS), opt("--max-gen", small(60, 10**30))),
+    command(
+        ["brw", "rde"],
+        req("--pop", st.sampled_from(["-1", "0", "999", "1000", "1500", str(10**12)])),
+        req("--iters", small(3, 10**14, 2**63 - 1)),
+    ),
 )
 COMMON = st.tuples(
     opt("--format", mixed(st.sampled_from(["json", "csv"]), st.just("text"))),

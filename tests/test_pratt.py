@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -136,6 +137,32 @@ class TestBlockArrays:
             assert dag.h_of(p) == naive_h(p, table), p
             assert dag.g_of(p) == naive_g(p, table), p
             assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+
+    def test_pieces_cut_inside_a_dyadic_block(self):
+        # [2^21, 2^22) is filled in pieces of _BLOCK_WIDTH = 2^20 integers,
+        # so 2^21 + 2^20 and the limit cut it.
+        table = sieve.SpfTable(3 * 2**20 + 100)
+        dag = pratt.PrattDag(table)
+        cases = {int(table.primes(2, table.limit)[-1])}
+        for cut in (2**20, 2**21, 2**21 + 2**20):
+            cases.add(int(table.primes(2, cut - 1)[-1]))
+            cases.add(int(table.primes(cut, table.limit)[0]))
+        for p in sorted(cases):
+            assert dag.f_of(p) == naive_f(p, table), p
+            assert dag.h_of(p) == naive_h(p, table), p
+            assert dag.g_of(p) == naive_g(p, table), p
+            assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+
+    def test_fill_peak_within_footprint(self):
+        limit = 2 * 10**7
+        table = sieve.SpfTable(limit)
+        tracemalloc.start()
+        try:
+            pratt.PrattDag(table).values(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pratt.footprint_bytes(limit) - sieve.table_bytes(limit)
 
     def test_lazy_growth_keeps_values(self, table):
         dag = pratt.PrattDag(table)
