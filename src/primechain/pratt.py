@@ -12,9 +12,10 @@ with f(p) = 1 + sum f(q), H(p) = 1 + max H(q) and g(p) = sum g(q) over the
 children q.  Every child of p is at most (p - 1) / 2, so the primes of a
 block [L, 2L) depend only on primes below L.  :class:`PrattDag` therefore
 holds f, H and g of every prime in its table in dense per-prime arrays and
-fills them in place, one block at a time: it factors the block's p - 1 with the table's vectorised spf
-division, gathers the children's values and reduces per parent.  Range
-histograms and N(x) = sum f(p) are reductions over those arrays.
+fills them in place, one block at a time: it factors the block's p - 1
+with the table's vectorised spf division, gathers the children's values
+and reduces per parent.  Range histograms and N(x) = sum f(p) are
+reductions over those arrays.
 
 The module also carries level profiles, the exact product identities on
 the label multiset Q(p) of the tree (every label q contributes
@@ -112,15 +113,18 @@ class PrattDag:
 
     def f_of(self, p: int) -> int:
         """Node count: f(2) = 1, f(p) = 1 + sum of f over the children."""
-        return int(self._f[self._index(p)])
+        i = self._index(p)
+        return int(self._f[i])
 
     def h_of(self, p: int) -> int:
         """Height: H(2) = 1, H(p) = 1 + max of H over the children."""
-        return int(self._h[self._index(p)])
+        i = self._index(p)
+        return int(self._h[i])
 
     def g_of(self, p: int) -> int:
         """Descending label chains from p to a leaf 2; f(p) / 2 for odd p."""
-        return int(self._g[self._index(p)])
+        i = self._index(p)
+        return int(self._g[i])
 
     def level_counts(self, p: int) -> list[int]:
         """Number of tree nodes at each depth; length h(p), entries sum to f(p)."""
@@ -219,13 +223,16 @@ class MassProducts:
             return
         kids = self.dag.children(p)
         lp = self.table.factorize(p - 1).unitary_cofactor()
-        den, num = p - 1, p * lp
-        for c in kids:  # depth <= H(p), at most 33 below 2**32
+        den = p - 1
+        num = p * lp
+        for c in kids:  # recursion depth <= H(p) <= 33 below 2**32
             self._ensure(c)
             den *= self._den[c]
             num *= self._num[c]
             lp *= self._lprod[c]
-        self._den[p], self._num[p], self._lprod[p] = den, num, lp
+        self._den[p] = den
+        self._num[p] = num
+        self._lprod[p] = lp
 
     def den(self, p: int) -> int:
         self._ensure(p)

@@ -26,6 +26,14 @@ def naive_g(p, table):
     return sum(naive_g(q, table) for q in table.factorize(p - 1).distinct_primes())
 
 
+def assert_matches_naive(dag, table, primes):
+    for p in primes:
+        assert dag.f_of(p) == naive_f(p, table), p
+        assert dag.h_of(p) == naive_h(p, table), p
+        assert dag.g_of(p) == naive_g(p, table), p
+        assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+
+
 class TestNodeFunctionals:
     def test_hand_checked_values(self, dag):
         # (p, f, h, g) worked out by expanding the certification tree.
@@ -132,11 +140,7 @@ class TestBlockArrays:
         for k in range(2, 18):
             cases.add(int(table.primes(2, (1 << k) - 1)[-1]))
             cases.add(int(table.primes((1 << k) + 1, 1 << (k + 1))[0]))
-        for p in sorted(cases):
-            assert dag.f_of(p) == naive_f(p, table), p
-            assert dag.h_of(p) == naive_h(p, table), p
-            assert dag.g_of(p) == naive_g(p, table), p
-            assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+        assert_matches_naive(dag, table, sorted(cases))
 
     def test_pieces_cut_inside_a_dyadic_block(self):
         # [2^21, 2^22) is filled in pieces of _BLOCK_WIDTH = 2^20 integers,
@@ -147,11 +151,7 @@ class TestBlockArrays:
         for cut in (2**20, 2**21, 2**21 + 2**20):
             cases.add(int(table.primes(2, cut - 1)[-1]))
             cases.add(int(table.primes(cut, table.limit)[0]))
-        for p in sorted(cases):
-            assert dag.f_of(p) == naive_f(p, table), p
-            assert dag.h_of(p) == naive_h(p, table), p
-            assert dag.g_of(p) == naive_g(p, table), p
-            assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+        assert_matches_naive(dag, table, sorted(cases))
 
     def test_fill_peak_within_footprint(self):
         limit = 2 * 10**7
@@ -164,7 +164,7 @@ class TestBlockArrays:
             tracemalloc.stop()
         assert peak <= pratt.footprint_bytes(limit) - sieve.table_bytes(limit)
 
-    def test_lazy_growth_keeps_values(self, table):
+    def test_query_order_keeps_values(self, table):
         dag = pratt.PrattDag(table)
         small, large = 23, 999_983
         first = (dag.f_of(small), dag.h_of(small), dag.g_of(small), dag.children(small))
