@@ -181,11 +181,11 @@ def n_identity_check(x: int, table: SpfTable, dag: PrattDag | None = None) -> bo
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    dag = dag or PrattDag(table)
-    lhs = 0
-    for p in table.primes(2, x).tolist():
-        lhs += dag.f_of(p)
-    rhs = table.prime_count(x)
-    for q in table.primes(2, x // 2).tolist():
-        rhs += dag.f_of(q) * count_primes_in_ap(x, q, table)
+    primes, f, _, _ = (dag or PrattDag(table)).values(x)
+    f = f.tolist()
+    lhs, rhs = sum(f), table.prime_count(x)
+    for q, fq in zip(primes.tolist(), f):
+        if 2 * q > x:
+            break
+        rhs += fq * count_primes_in_ap(x, q, table)
     return lhs == rhs

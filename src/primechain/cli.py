@@ -125,15 +125,25 @@ def _table(limit: int = 10**6) -> sieve.SpfTable:
     return _TABLE_CACHE[limit]
 
 
+# Memory ceiling for a tree command's factor table plus PrattDag fill; hist --limit 1e8 peaks at ~361 MiB RSS.
+_TREE_MAX_BYTES = 1 << 30
+
+
+def _tree_table(limit: int, flag: str) -> sieve.SpfTable:
+    """``_table(limit)`` for a PrattDag, refused before it is built above the ceiling."""
+    need = pratt.footprint_bytes(limit)
+    if need > _TREE_MAX_BYTES:
+        raise CapacityError(f"{flag} needs about {need >> 20} MiB of tables, above the {_TREE_MAX_BYTES >> 20} MiB ceiling")
+    return _table(limit)
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each but verify returns (payload, header, rows) for _emit
 
 
 def _cmd_pratt(args):
     p = args.prime
-    if p > 10**7:
-        raise DomainError("--prime above 1e7 needs a factor table too large for the CLI")
-    dag = pratt.PrattDag(_table(max(p, 2) + 1))
+    dag = pratt.PrattDag(_tree_table(max(p, 2) + 1, f"--prime {p}"))
     return _kv({"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)})
 
 
@@ -148,21 +158,12 @@ plot '{data}' skip 2 using 2:3 with boxes
 """
 
 
-# Memory ceiling for hist's factor table plus tree arrays; 1e8 peaks at ~510 MiB RSS.
-_HIST_MAX_BYTES = 1 << 30
-
-
 def _cmd_hist(args):
     if args.limit < 2:
         raise DomainError("--limit must be at least 2")
     if args.plot_script and (args.out == _STDOUT or args.format != "csv"):
         raise DomainError("--plot-script needs --format csv with --out FILE")
-    need = pratt.footprint_bytes(args.limit)
-    if need > _HIST_MAX_BYTES:
-        raise CapacityError(
-            f"--limit {args.limit} needs about {need >> 20} MiB of tables, above the {_HIST_MAX_BYTES >> 20} MiB ceiling"
-        )
-    stats = pratt.range_stats(args.limit, _table(args.limit))
+    stats = pratt.range_stats(args.limit, _tree_table(args.limit, f"--limit {args.limit}"))
     rows = [list(r) for r in stats.rows(args.stat)]
     payload = {
         "stat": args.stat,

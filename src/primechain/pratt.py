@@ -10,12 +10,13 @@ prime q dividing p - 1; the tree of 2 is a single node.  Per prime p:
 
 with f(p) = 1 + sum f(q), H(p) = 1 + max H(q) and g(p) = sum g(q) over the
 children q.  Every child of p is at most (p - 1) / 2, so the primes of a
-block [L, 2L) depend only on primes below L.  :class:`PrattDag` therefore
-holds f, H and g of every prime in its table in dense per-prime arrays and
-fills them in place, one block at a time: it factors the block's p - 1
-with the table's vectorised spf division, gathers the children's values
-and reduces per parent.  Range histograms and N(x) = sum f(p) are
-reductions over those arrays.
+block [L, 2L) depend only on primes below L.  ``_pieces`` therefore walks
+a table's primes one block at a time and factors the block's p - 1 with
+the table's vectorised spf division into per-parent runs of children.
+Every recurrence is one reduction over those runs: :class:`PrattDag` fills
+f, H and g in dense uint8 arrays, and :class:`MassProducts` the exact mass
+products in object arrays.  Range histograms and N(x) = sum f(p) are
+reductions over the PrattDag arrays.
 
 The module also carries level profiles, the exact product identities on
 the label multiset Q(p) of the tree (every label q contributes
@@ -39,54 +40,56 @@ _LINNIK_VALUE_CAP = 1 << 63
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
 
-# Peak PrattDag bytes per prime while it fills: the prime (8), f/H/g (3),
-# the children offset (8) and the children's indices (4 each, fewer than 4
-# on average), which are held twice while the pieces are joined.  The
-# tracemalloc peak is 42-43 bytes per Rosser-Schoenfeld prime at 2e7 and 5e7.
-_BYTES_PER_PRIME = 48
+# A PrattDag fill's tracemalloc peak beyond its table: the 1-byte mask per
+# integer of ``table.primes()``, each prime (8 bytes) with its f/H/g (3) and
+# one piece's temporaries (at most 22 MiB, at 2^21).  The peak is 9.8, 35.1
+# and 70.6 MiB at 1e6, 2e7 and 5e7, the bound 25.9, 58.7 and 108.8 MiB.
+_BYTES_PER_INTEGER = 1
+_BYTES_PER_PRIME = 11
+_PIECE_BYTES = 24 << 20
 
 
 def footprint_bytes(limit: int) -> int:
-    """Bytes of a factor table to ``limit`` plus the PrattDag arrays for
-    every prime up to it, with pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld)."""
+    """Bytes of a factor table to ``limit`` plus the peak of a PrattDag fill
+    over it, with pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld)."""
     primes = 1.25506 * limit / math.log(limit) if limit > 1 else 0
-    return table_bytes(limit) + int(primes * _BYTES_PER_PRIME)
+    return table_bytes(limit) + limit * _BYTES_PER_INTEGER + int(primes * _BYTES_PER_PRIME) + _PIECE_BYTES
+
+
+def _pieces(table: SpfTable, primes: np.ndarray):
+    """Yield (a, b, kid, first) per piece of the dyadic blocks [2^k, 2^(k+1)),
+    each cut at ``_BLOCK_WIDTH`` integers: ``kid`` indexes in ``primes`` the
+    children of primes[a:b], and those of primes[a + j] start at kid[first[j]].
+    Every child lies below its piece, so reductions read finished values."""
+    lo = 3
+    while lo <= table.limit:
+        hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, table.limit + 1)
+        a, b = np.searchsorted(primes, [lo, hi]).tolist()
+        lo = hi
+        if a == b:
+            continue
+        rows, divisors = table.prime_divisors(primes[a:b] - 1)
+        kid = np.searchsorted(primes[:a], divisors)  # every child is below the piece
+        counts = np.bincount(rows, minlength=b - a)
+        yield a, b, kid, np.cumsum(counts) - counts  # p >= 3, so every parent has a child
 
 
 class PrattDag:
-    """f, H, g and the children of every prime up to the table's limit.
+    """f, H and g of every prime up to the table's limit.
 
-    Values live in arrays indexed by a prime's position in ``_primes``.
-    The constructor fills them once, in place, one dyadic block
-    [2^k, 2^(k+1)) at a time, cut into pieces of at most ``_BLOCK_WIDTH``
-    integers; no piece holds a child of its own primes.
-    f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds f, H and g.
+    Values live in arrays indexed by a prime's position in ``_primes``,
+    filled once, in place, by reductions over ``_pieces``; no children are
+    stored.  f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
     """
 
     def __init__(self, table: SpfTable):
         self.table = table
         primes = self._primes = table.primes()
         f, h, g = self._f, self._h, self._g = [np.ones(primes.size, dtype=np.uint8) for _ in range(3)]
-        # children of prime i: _kids[_kid_start[i]:_kid_start[i + 1]]; 2 has none
-        kid_start = self._kid_start = np.zeros(primes.size + 1, dtype=np.int64)
-        kids = [np.zeros(0, dtype=np.int32)]
-        lo = 3
-        while lo <= table.limit:
-            hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, table.limit + 1)
-            a, b = np.searchsorted(primes, [lo, hi]).tolist()
-            lo = hi
-            if a == b:
-                continue
-            rows, divisors = table.prime_divisors(primes[a:b] - 1)
-            kid = np.searchsorted(primes[:a], divisors)  # every child is below the piece
-            counts = np.bincount(rows, minlength=b - a)
-            first = np.cumsum(counts) - counts  # p >= 3, so every parent has a child
+        for a, b, kid, first in _pieces(table, primes):
             f[a:b] = 1 + np.add.reduceat(f[kid], first, dtype=np.int64)
             h[a:b] = 1 + np.maximum.reduceat(h[kid], first)
             g[a:b] = np.add.reduceat(g[kid], first, dtype=np.int64)
-            kid_start[a + 1 : b + 1] = kid_start[a] + np.cumsum(counts)
-            kids.append(kid.astype(np.int32))
-        self._kids = np.concatenate(kids)
 
     def _index(self, p: int) -> int:
         i = int(self._primes.searchsorted(p))
@@ -107,9 +110,8 @@ class PrattDag:
 
     def children(self, p: int) -> tuple[int, ...]:
         """Distinct primes dividing p - 1 (deduplicated, increasing)."""
-        i = self._index(p)
-        kids = self._kids[self._kid_start[i] : self._kid_start[i + 1]]
-        return tuple(self._primes[kids].tolist())
+        self._index(p)
+        return tuple(self.table.prime_divisors(np.array([p - 1]))[1].tolist())
 
     def f_of(self, p: int) -> int:
         """Node count: f(2) = 1, f(p) = 1 + sum of f over the children."""
@@ -198,7 +200,7 @@ class MassProducts:
     """Exact integer products over the label multiset Q(p) of the tree.
 
     For each prime p the multiset Q(p) consists of p together with the
-    labels of all child subtrees.  Memoized recursively over the children:
+    labels of all child subtrees:
 
     * ``den(p)``  = product of (q - 1) over Q(p),
     * ``num(p)``  = product of q * l(q - 1) over Q(p),
@@ -206,49 +208,35 @@ class MassProducts:
 
     The identity num(p) == p * den(p) is the exact-arithmetic form of
     "the tree mass product telescopes to p", and lprod(p)^2 * 2^f(p) <= p^2
-    is the exact form of the 2^(-f/2) mass decay bound.  l(q - 1) comes from
-    the factorization of q - 1, not from the children of q, so the identity
-    also checks every node's children against that factorization.
+    is the exact form of the 2^(-f/2) mass decay bound.  The constructor
+    fills all three for every prime of the dag, so it costs the whole table:
+    one ``factorize(p - 1)`` per prime, then Python-int product reductions
+    over ``_pieces``.  l(q - 1) comes from that scalar factorization, not
+    from the pieces' children, so the identity also checks the children.
     """
 
     def __init__(self, table: SpfTable, dag: PrattDag):
-        self.table = table
         self.dag = dag
-        self._den: dict[int, int] = {}
-        self._num: dict[int, int] = {}
-        self._lprod: dict[int, int] = {}
-
-    def _ensure(self, p: int) -> None:
-        if p in self._den:
-            return
-        kids = self.dag.children(p)
-        lp = self.table.factorize(p - 1).unitary_cofactor()
-        den = p - 1
-        num = p * lp
-        for c in kids:  # recursion depth <= H(p) <= 33 below 2**32
-            self._ensure(c)
-            den *= self._den[c]
-            num *= self._num[c]
-            lp *= self._lprod[c]
-        self._den[p] = den
-        self._num[p] = num
-        self._lprod[p] = lp
+        primes = dag._primes
+        lp = self._lprod = np.array([table.factorize(p - 1).unitary_cofactor() for p in primes.tolist()], dtype=object)
+        den = self._den = (primes - 1).astype(object)
+        num = self._num = primes.astype(object) * lp  # before lp becomes lprod
+        for a, b, kid, first in _pieces(table, primes):
+            den[a:b] *= np.multiply.reduceat(den[kid], first)
+            num[a:b] *= np.multiply.reduceat(num[kid], first)
+            lp[a:b] *= np.multiply.reduceat(lp[kid], first)
 
     def den(self, p: int) -> int:
-        self._ensure(p)
-        return self._den[p]
+        return self._den[self.dag._index(p)]
 
     def num(self, p: int) -> int:
-        self._ensure(p)
-        return self._num[p]
+        return self._num[self.dag._index(p)]
 
     def lprod(self, p: int) -> int:
-        self._ensure(p)
-        return self._lprod[p]
+        return self._lprod[self.dag._index(p)]
 
     def mass_identity_holds(self, p: int) -> bool:
-        self._ensure(p)
-        return self._num[p] == p * self._den[p]
+        return self.num(p) == p * self.den(p)
 
 
 def phi_iterate(n: int, k: int, table: SpfTable) -> int:

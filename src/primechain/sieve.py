@@ -268,9 +268,9 @@ def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
     first = 1 + q
     if first > x:
         return 0
-    ns = np.arange(first, x + 1, q, dtype=np.int64)
     if x <= table.limit:
-        return int(table.is_prime_array(ns).sum())
+        return int(np.count_nonzero(table._cells[first : x + 1 : q] == 0))
+    ns = np.arange(first, x + 1, q, dtype=np.int64)
     below = ns[ns <= table.limit]
     above = ns[ns > table.limit]
     total = int(table.is_prime_array(below).sum()) if below.size else 0

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from primechain import cli
+from test_pratt import naive_f, naive_g, naive_h
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,21 @@ class TestPratt:
         assert out.endswith("\n")
         keys = list(json.loads(out).keys())
         assert keys == sorted(keys)
+
+    def test_prime_above_1e7(self, capsys):
+        p = 10_000_019
+        doc = run_json(capsys, "pratt", "--prime", str(p))
+        table = cli._table(p + 1)  # the table the command built
+        assert (doc["f"], doc["H"], doc["g"]) == (naive_f(p, table), naive_h(p, table), naive_g(p, table))
+
+    def test_prime_over_memory_ceiling_allocates_nothing(self, capsys, monkeypatch):
+        def no_table(limit):
+            raise AssertionError("pratt built a table")
+
+        monkeypatch.setattr(cli, "_table", no_table)
+        code, out, err = run_cli(capsys, "pratt", "--prime", "1000000000000")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "CapacityError"
 
 
 class TestHist:

@@ -26,12 +26,26 @@ def naive_g(p, table):
     return sum(naive_g(q, table) for q in table.factorize(p - 1).distinct_primes())
 
 
+def naive_mass(p, table):
+    """(den, num, lprod) of p by recursion over the children, with both the
+    children and l(q - 1) taken from ``factorize``."""
+    fac = table.factorize(p - 1)
+    lp = fac.unitary_cofactor()
+    den, num = p - 1, p * lp
+    for q in fac.distinct_primes():
+        d, n, l = naive_mass(q, table)
+        den, num, lp = den * d, num * n, lp * l
+    return den, num, lp
+
+
 def assert_matches_naive(dag, table, primes):
+    mass = pratt.MassProducts(table, dag)
     for p in primes:
         assert dag.f_of(p) == naive_f(p, table), p
         assert dag.h_of(p) == naive_h(p, table), p
         assert dag.g_of(p) == naive_g(p, table), p
         assert dag.children(p) == table.factorize(p - 1).distinct_primes(), p
+        assert (mass.den(p), mass.num(p), mass.lprod(p)) == naive_mass(p, table), p
 
 
 class TestNodeFunctionals:
@@ -153,8 +167,8 @@ class TestBlockArrays:
             cases.add(int(table.primes(cut, table.limit)[0]))
         assert_matches_naive(dag, table, sorted(cases))
 
-    def test_fill_peak_within_footprint(self):
-        limit = 2 * 10**7
+    @pytest.mark.parametrize("limit", [10**6, 2 * 10**7])
+    def test_fill_peak_within_footprint(self, limit):
         table = sieve.SpfTable(limit)
         tracemalloc.start()
         try:
