@@ -116,13 +116,9 @@ def _resolve_threads(args) -> int:
     return 1
 
 
-_TABLE_CACHE: dict[int, sieve.SpfTable] = {}
-
-
 def _table(limit: int = 10**6) -> sieve.SpfTable:
-    if limit not in _TABLE_CACHE:
-        _TABLE_CACHE[limit] = sieve.build_spf(limit)
-    return _TABLE_CACHE[limit]
+    """The factor table a command builds; uncached, as a process runs one command."""
+    return sieve.build_spf(limit)
 
 
 # Memory ceiling for a tree command's factor table plus PrattDag fill; hist --limit 1e8 peaks at ~361 MiB RSS.

@@ -27,6 +27,9 @@ MAX_LIMIT = (1 << 32) - 1
 # Ceiling on the bytes of one table; SpfTable refuses larger limits before
 # allocating anything.
 MAX_TABLE_BYTES = 1 << 30
+# Ceiling on the candidates above a table's limit that count_primes_in_ap
+# tests one by one with Miller-Rabin: about 20 s at 64 bits on a 2-core Xeon.
+MAX_AP_CANDIDATES = 10**6
 
 # Deterministic Miller-Rabin witness set, exact for n < 3.3*10^24 and in
 # particular for every 64-bit integer.
@@ -255,27 +258,30 @@ def build_spf(limit: int) -> SpfTable:
 def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
     """Number of primes p <= x with p = 1 (mod q).
 
-    q = 1 degenerates to pi(x).  Candidates 1 + mq are tested against the
-    table (or Miller-Rabin above its limit), so x may exceed the table
-    limit as long as it stays within 64 bits.
+    q = 1 degenerates to pi(x).  Candidates 1 + mq up to the table limit
+    are read from one strided slice of the cells.  Those above it are tested
+    one by one with Miller-Rabin, so x may exceed the limit by at most
+    ``MAX_AP_CANDIDATES`` candidates, all below 2**64; beyond that the count
+    is refused with a CapacityError before any test.
     """
     if q < 1:
         raise DomainError("modulus q must be >= 1")
-    if x < 2:
-        return 0
-    if q == 1:
-        return table.prime_count(x)
     first = 1 + q
-    if first > x:
+    if x < first:
         return 0
+    total = int(np.count_nonzero(table._cells[first : min(x, table.limit) + 1 : q] == 0))
     if x <= table.limit:
-        return int(np.count_nonzero(table._cells[first : x + 1 : q] == 0))
-    ns = np.arange(first, x + 1, q, dtype=np.int64)
-    below = ns[ns <= table.limit]
-    above = ns[ns > table.limit]
-    total = int(table.is_prime_array(below).sum()) if below.size else 0
-    total += sum(1 for n in above.tolist() if table.is_prime(n))
-    return total
+        return total
+    start = table.limit + 1 + (-table.limit) % q  # the least candidate above the limit
+    last = x - (x - 1) % q
+    count = (last - start) // q + 1
+    if count > MAX_AP_CANDIDATES:
+        raise CapacityError(
+            f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested"
+        )
+    if last >= 1 << 64:
+        raise CapacityError("witness set only proves primality below 2**64")
+    return total + sum(1 for n in range(start, last + 1, q) if is_prime_u64(n))
 
 
 def l_value(n: int, table: SpfTable) -> int:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibleError, NumericalError
-from .sieve import _simple_prime_array
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -45,7 +44,7 @@ _BERNOULLI = (
 )
 
 _MAX_MATRIX_ENTRIES = 40_000_000  # dense float64 budget (~320 MB)
-_ADMISSIBLE_Y = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_ADMISSIBLE_Y = (2, 3, 5, 7, 11, 13, 17, 19, 23)  # the primes to 23
 _MAX_GRID = 10_000  # each s point costs one row-sum evaluation
 
 
@@ -92,17 +91,11 @@ def hurwitz_zeta(s: float, a: float | np.ndarray, tol: float = 1e-12):
     return float(total[0]) if scalar else total
 
 
-def _primorial(y: int) -> int:
-    r = 1
-    for p in _simple_prime_array(y).tolist():
-        r *= p
-    return r
-
-
-def _check_y(y: int) -> list[int]:
+def _check_y(y: int) -> tuple[int, ...]:
+    """The primes <= y, for an admissible y."""
     if y not in _ADMISSIBLE_Y:
         raise DomainError(f"y must be one of {_ADMISSIBLE_Y}")
-    return _simple_prime_array(y).tolist()
+    return _ADMISSIBLE_Y[: _ADMISSIBLE_Y.index(y) + 1]
 
 
 def euler_factor_tail(s: float, y: int) -> float:
@@ -124,6 +117,7 @@ class ResidueMatrix:
     r: int
     units: np.ndarray  # the phi(r) units mod r, increasing
     entries: np.ndarray  # entries[i, j] = S(units[j], units[i])
+    tail: float  # euler_factor_tail(s, y), the factor every row sum shares
 
     @property
     def dimension(self) -> int:
@@ -135,7 +129,7 @@ class ResidueMatrix:
     def row_sum_closed_form(self, b: int) -> float:
         """Closed form for the row sum at unit b (see module docstring)."""
         d = math.gcd(b - 1, self.r)
-        value = euler_factor_tail(self.s, self.y)
+        value = self.tail
         for p in _check_y(self.y):
             if d % p == 0:
                 value *= (p - 1) / (float(p) ** self.s - 1.0)
@@ -152,7 +146,7 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
     primes = _check_y(y)
-    r = _primorial(y)
+    r = math.prod(primes)
     coprime = np.ones(r + 1, dtype=bool)
     for p in primes:
         coprime[p::p] = False
@@ -162,22 +156,22 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
         raise CapacityError(
             f"dense matrix for y={y} needs {dim}x{dim} entries; budget exceeded"
         )
-    zvals = hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
-    scale = float(r) ** (-s)
+    # series[k - 1] = S for the link residue m0 = k, k = 1..r
+    series = float(r) ** (-s) * hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
     inv = np.array([pow(int(a), -1, r) for a in units.tolist()], dtype=np.int64)
     entries = np.empty((dim, dim), dtype=np.float64)
     for i, b in enumerate(units.tolist()):
-        m0 = (b - 1) * inv % r  # in [0, r); 0 stands for the residue r
-        idx = np.where(m0 == 0, r, m0) - 1
-        entries[i] = scale * zvals[idx]
-    return ResidueMatrix(y=y, s=float(s), r=r, units=units, entries=entries)
+        # m0 - 1 for m0 in [1, r] solving a * m0 = b - 1 (mod r)
+        np.take(series, ((b - 1) * inv - 1) % r, out=entries[i])
+    return ResidueMatrix(
+        y=y, s=float(s), r=r, units=units, entries=entries, tail=euler_factor_tail(s, y)
+    )
 
 
 def link_series_direct(a: int, b: int, y: int, s: float, terms: int = 1_000_000) -> float:
     """S(a, b) by direct summation of ``terms`` leading terms plus an
     Euler-Maclaurin tail; an independent check of the closed form."""
-    primes = _check_y(y)
-    r = _primorial(y)
+    r = math.prod(_check_y(y))
     if math.gcd(a, r) != 1 or math.gcd(b, r) != 1:
         raise DomainError("a and b must be units mod r")
     m0 = (b - 1) * pow(a, -1, r) % r
@@ -209,21 +203,24 @@ def max_row_sum_value(y: int, s: float) -> float:
 
 def perron_eigenvalue(matrix: ResidueMatrix, tol: float = 1e-12, max_iter: int = 10_000) -> float:
     """Dominant eigenvalue of the (entrywise positive) matrix by power
-    iteration with Rayleigh quotient stopping."""
+    iteration with Rayleigh quotient stopping.
+
+    Each step takes one matvec: the product m @ w that gives the Rayleigh
+    quotient of the unit vector w is the next step's m @ v.
+    """
     m = matrix.entries
-    v = np.full(m.shape[0], 1.0 / m.shape[0])
+    mv = m @ np.full(m.shape[0], 1.0 / m.shape[0])
     lam = 0.0
     for _ in range(max_iter):
-        w = m @ v
-        nw = float(np.linalg.norm(w))
+        nw = float(np.linalg.norm(mv))
         if nw == 0.0:
             raise NumericalError("power iteration collapsed to zero")
-        w /= nw
-        new_lam = float(w @ (m @ w))
+        w = mv / nw
+        mv = m @ w
+        new_lam = float(w @ mv)
         if abs(new_lam - lam) < tol:
             return new_lam
         lam = new_lam
-        v = w
     raise NumericalError("power iteration did not converge")
 
 
@@ -242,13 +239,6 @@ class ChainCountBound:
     suggested_s: float  # asymptotic guidance: 1 + log_2 y / log y
 
 
-def _totient_of_primorial(y: int) -> int:
-    phi = 1
-    for p in _check_y(y):
-        phi *= p - 1
-    return phi
-
-
 def chain_count_bound(x: float, y: int, grid_size: int = 64) -> ChainCountBound:
     """Upper bound for the number of chains p_1 < ... < p_k <= x * p_1
     starting at any fixed prime p_1 > y.
@@ -264,9 +254,9 @@ def chain_count_bound(x: float, y: int, grid_size: int = 64) -> ChainCountBound:
         raise DomainError("grid size must be >= 1")
     if grid_size > _MAX_GRID:
         raise CapacityError(f"grid of more than {_MAX_GRID} points; lower the grid size")
-    _check_y(y)
-    r = _primorial(y)
-    phi_r = _totient_of_primorial(y)
+    primes = _check_y(y)
+    r = math.prod(primes)
+    phi_r = math.prod(p - 1 for p in primes)
     best = None
     for delta in np.geomspace(1e-3, 2.0, grid_size):
         s = 1.0 + float(delta)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from primechain import cli
+from primechain import cli, sieve
 from test_pratt import naive_f, naive_g, naive_h
 
 
@@ -45,7 +45,7 @@ class TestPratt:
     def test_prime_above_1e7(self, capsys):
         p = 10_000_019
         doc = run_json(capsys, "pratt", "--prime", str(p))
-        table = cli._table(p + 1)  # the table the command built
+        table = sieve.SpfTable(p + 1)
         assert (doc["f"], doc["H"], doc["g"]) == (naive_f(p, table), naive_h(p, table), naive_g(p, table))
 
     def test_prime_over_memory_ceiling_allocates_nothing(self, capsys, monkeypatch):

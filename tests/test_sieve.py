@@ -179,8 +179,15 @@ class TestPrimesInProgression:
         # x above the table limit falls back to Miller-Rabin per candidate.
         want = sum(1 for p in naive_primes(5000).tolist() if p % 7 == 1)
         assert sieve.count_primes_in_ap(5000, 7, small) == want
+        assert sieve.count_primes_in_ap(5000, 1, small) == 669
 
     def test_guards(self, table):
         assert sieve.count_primes_in_ap(1, 3, table) == 0
         with pytest.raises(DomainError):
             sieve.count_primes_in_ap(100, 0, table)
+        # too many candidates above the limit: refused before any test
+        for x, q in ((10**18, 3), (2**63, 2)):
+            with pytest.raises(CapacityError):
+                sieve.count_primes_in_ap(x, q, table)
+        with pytest.raises(CapacityError):
+            sieve.count_primes_in_ap(2**64 + 5, 2**62, table)

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from primechain import chains, sifted
-from primechain.errors import CapacityError, DomainError, InfeasibleError
+from primechain.errors import CapacityError, DomainError, InfeasibleError, NumericalError
+
+
+def two_matvec_perron(m, tol=1e-12, max_iter=10_000):
+    """Power iteration with a fresh m @ v and m @ w at every step."""
+    v = np.full(m.shape[0], 1.0 / m.shape[0])
+    lam = 0.0
+    for _ in range(max_iter):
+        w = m @ v
+        w /= float(np.linalg.norm(w))
+        new_lam = float(w @ (m @ w))
+        if abs(new_lam - lam) < tol:
+            return new_lam
+        lam = new_lam
+        v = w
+    raise NumericalError("power iteration did not converge")
 
 
 class TestHurwitzZeta:
@@ -89,6 +104,31 @@ class TestResidueMatrix:
                     want = m.row_sum_closed_form(b)
                     assert sums[i] == pytest.approx(want, rel=1e-8), (y, s, b)
 
+    @pytest.mark.parametrize("y", [2, 3, 5, 7])
+    def test_entries_match_masked_gather(self, y):
+        s = 2.0
+        m = sifted.build_matrix(y, s)
+        r = m.r
+        zvals = sifted.hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
+        inv = np.array([pow(int(a), -1, r) for a in m.units.tolist()], dtype=np.int64)
+        for i, b in enumerate(m.units.tolist()):
+            m0 = (b - 1) * inv % r
+            want = float(r) ** (-s) * zvals[np.where(m0 == 0, r, m0) - 1]
+            assert m.entries[i].tobytes() == want.tobytes(), b
+
+    def test_one_hurwitz_tail_per_matrix(self, monkeypatch):
+        calls = []
+        real = sifted.hurwitz_zeta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sifted, "hurwitz_zeta", counted)
+        m = sifted.build_matrix(11, 2.0)
+        sums = [m.row_sum_closed_form(b) for b in m.units.tolist()]
+        assert len(sums) == 480 and len(calls) <= 2
+
     def test_direct_series_guard(self):
         with pytest.raises(DomainError):
             sifted.link_series_direct(2, 1, 3, 2.0)
@@ -135,6 +175,12 @@ class TestPerron:
             lam = sifted.perron_eigenvalue(m)
             dense = float(np.max(np.abs(np.linalg.eigvals(m.entries))))
             assert lam == pytest.approx(dense, rel=1e-8), (y, s)
+
+    @pytest.mark.parametrize("y", [2, 3, 5, 7])
+    @pytest.mark.parametrize("s", [1.5, 2.0])
+    def test_matches_two_matvec_loop(self, y, s):
+        m = sifted.build_matrix(y, s)
+        assert sifted.perron_eigenvalue(m).hex() == two_matvec_perron(m.entries).hex()
 
     def test_scalar_case(self):
         m = sifted.build_matrix(2, 2.0)
