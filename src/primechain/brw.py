@@ -398,10 +398,14 @@ def median_bn_detail(n: int, cfg: RunConfig, margin: float = 4.0, cap: float | N
     return _censored_minima(n, cfg, margin, cap)[1]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+_WILSON_Z = 1.96  # two-sided 95% normal quantile
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at ``_WILSON_Z``."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

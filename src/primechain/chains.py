@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, IntegrityError
 from .pratt import PrattDag
-from .sieve import SpfTable, count_primes_in_ap
+from .sieve import SpfTable, count_primes_in_ap, progression_step
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,8 @@ def enumerate_from(
         result.chains.append(ChainRecord((p,)))
 
     def extend(prefix: tuple[int, ...]) -> None:
-        tip = prefix[-1]
-        step = tip if tip == 2 else 2 * tip
-        cand = tip + 1 if tip == 2 else 2 * tip + 1
+        step = progression_step(prefix[-1])
+        cand = 1 + step
         while cand <= ceiling:
             if table.is_prime(cand):
                 chain = prefix + (cand,)
@@ -103,7 +102,6 @@ def enumerate_from(
                 extend(chain)
             cand += step
     extend((p,))
-    result.chains.sort(key=lambda c: c.primes)
     return result
 
 
@@ -127,18 +125,18 @@ def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[C
     return [ChainRecord(t) for t in sorted(walk(p))]
 
 
-def f_oracle(p: int, table: SpfTable, size_cap: int = 500_000) -> int:
+def f_oracle(p: int, table: SpfTable) -> int:
     """Tree node count of p obtained by counting chains that end at p.
 
     Independent of the memoized recursion: the chains are materialized one
     by one, so this is an enumeration witness, not a recurrence.
     """
-    return len(chains_ending_at(p, table, size_cap))
+    return len(chains_ending_at(p, table))
 
 
-def g_oracle(p: int, table: SpfTable, size_cap: int = 500_000) -> int:
+def g_oracle(p: int, table: SpfTable) -> int:
     """Number of chains from 2 to p, counted by explicit enumeration."""
-    return sum(1 for c in chains_ending_at(p, table, size_cap) if c.primes[0] == 2)
+    return sum(1 for c in chains_ending_at(p, table) if c.primes[0] == 2)
 
 
 def link_vector(chain: ChainRecord | tuple[int, ...]) -> LinkVector:

@@ -134,17 +134,15 @@ def rho_independent(u: float, tol: float = 1e-10) -> float:
     if u > 5:
         raise DomainError("independent evaluator restricted to u <= 5")
 
-    def layer(v: float, depth: int) -> float:
+    def layer(v: float) -> float:
         if v <= 1.0:
             return 1.0
         if v <= 2.0:
             return 1.0 - math.log(v)
         base = math.floor(v) if v != math.floor(v) else v - 1
-        return layer(base, depth - 1) - _adaptive_simpson(
-            lambda t: layer(t - 1.0, depth - 1) / t, base, v, tol
-        )
+        return layer(base) - _adaptive_simpson(lambda t: layer(t - 1.0) / t, base, v, tol)
 
-    return layer(float(u), 6)
+    return layer(float(u))
 
 
 def rho_n_asymptotic(n: int, u: float) -> float:

@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .sieve import SpfTable, is_prime_u64, table_bytes
-
-_LINNIK_VALUE_CAP = 1 << 63
+from .errors import DomainError
+from .sieve import SpfTable, is_prime_u64, progression_step, table_bytes
 
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
@@ -280,14 +278,9 @@ def linnik_chain(length: int, table: SpfTable) -> list[int]:
         raise DomainError("length must be >= 1")
     chain = [2]
     while len(chain) < length:
-        q = chain[-1]
-        step = q if q == 2 else 2 * q  # odd q forces even multipliers
-        cand = q + 1 if q == 2 else 2 * q + 1
-        while True:
-            if cand >= _LINNIK_VALUE_CAP:
-                raise CapacityError("chain value exceeds 63-bit guard")
-            if table.is_prime(cand):
-                break
+        step = progression_step(chain[-1])
+        cand = 1 + step
+        while not table.is_prime(cand):  # raises CapacityError from 2**64 on
             cand += step
         chain.append(cand)
     return chain

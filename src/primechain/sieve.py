@@ -172,8 +172,6 @@ class SpfTable:
             return False
         if n <= self.limit:
             return self._cells[n] == 0
-        if n >= 1 << 64:
-            raise CapacityError("primality queries limited to 64-bit integers")
         return is_prime_u64(n)
 
     def factorize(self, n: int) -> Factorization:
@@ -196,12 +194,6 @@ class SpfTable:
     def _check_range(self, ns: np.ndarray, lo: int) -> None:
         if ns.size and (ns.min() < lo or ns.max() > self.limit):
             raise DomainError(f"array entries outside table range {lo}..{self.limit}")
-
-    def is_prime_array(self, ns: np.ndarray) -> np.ndarray:
-        """Boolean primality mask for an int array with entries in 0..limit."""
-        ns = np.asarray(ns, dtype=np.int64)
-        self._check_range(ns, 0)
-        return self._cells[ns] == 0  # the poisoned cells 0 and 1 are nonzero
 
     def prime_divisors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distinct prime divisors of every entry of ``ns`` (1 <= n <= limit).
@@ -255,40 +247,38 @@ def build_spf(limit: int) -> SpfTable:
     return SpfTable(limit)
 
 
+def progression_step(q: int) -> int:
+    """Stride between the candidates 1 + mq that can be prime: q, or 2q for
+    odd q > 1, since 1 + qm is then even and at least 4 for every odd m."""
+    return 2 * q if q > 1 and q % 2 else q
+
+
 def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
     """Number of primes p <= x with p = 1 (mod q).
 
-    q = 1 degenerates to pi(x).  Candidates 1 + mq up to the table limit
-    are read from one strided slice of the cells.  Those above it are tested
-    one by one with Miller-Rabin, so x may exceed the limit by at most
-    ``MAX_AP_CANDIDATES`` candidates, all below 2**64; beyond that the count
-    is refused with a CapacityError before any test.
+    q = 1 degenerates to pi(x).  Only the candidates 1 + k * progression_step(q)
+    are read.  Those up to the table limit come from one strided slice of the
+    cells.  Those above it are tested one by one with Miller-Rabin, so x may
+    exceed the limit by at most ``MAX_AP_CANDIDATES`` candidates, all below
+    2**64; beyond that the count is refused with a CapacityError before any
+    test.
     """
     if q < 1:
         raise DomainError("modulus q must be >= 1")
-    first = 1 + q
+    step = progression_step(q)
+    first = 1 + step
     if x < first:
         return 0
-    total = int(np.count_nonzero(table._cells[first : min(x, table.limit) + 1 : q] == 0))
+    total = int(np.count_nonzero(table._cells[first : min(x, table.limit) + 1 : step] == 0))
     if x <= table.limit:
         return total
-    start = table.limit + 1 + (-table.limit) % q  # the least candidate above the limit
-    last = x - (x - 1) % q
-    count = (last - start) // q + 1
+    start = table.limit + 1 + (-table.limit) % step  # the least candidate above the limit
+    last = x - (x - 1) % step
+    count = (last - start) // step + 1
     if count > MAX_AP_CANDIDATES:
         raise CapacityError(
             f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested"
         )
     if last >= 1 << 64:
         raise CapacityError("witness set only proves primality below 2**64")
-    return total + sum(1 for n in range(start, last + 1, q) if is_prime_u64(n))
-
-
-def l_value(n: int, table: SpfTable) -> int:
-    """l(n) = product of p^(e-1) over prime powers p^e exactly dividing n.
-
-    Multiplicative, l(1) = 1, and l(n) * rad(n) = n.
-    """
-    if n < 1:
-        raise DomainError("l(n) defined for n >= 1")
-    return table.factorize(n).unitary_cofactor()
+    return total + sum(1 for n in range(start, last + 1, step) if is_prime_u64(n))

@@ -46,14 +46,17 @@ _BERNOULLI = (
 _MAX_MATRIX_ENTRIES = 40_000_000  # dense float64 budget (~320 MB)
 _ADMISSIBLE_Y = (2, 3, 5, 7, 11, 13, 17, 19, 23)  # the primes to 23
 _MAX_GRID = 10_000  # each s point costs one row-sum evaluation
+_ZETA_TOL = 1e-12  # relative size of the first omitted Euler-Maclaurin term
+_PERRON_TOL = 1e-12  # Rayleigh quotient step that ends the power iteration
+_PERRON_MAX_ITER = 10_000
 
 
-def hurwitz_zeta(s: float, a: float | np.ndarray, tol: float = 1e-12):
+def hurwitz_zeta(s: float, a: float | np.ndarray):
     """Hurwitz zeta(s, a) = sum_{k>=0} (k + a)^(-s) for s > 1, a > 0.
 
     Euler-Maclaurin: a partial sum of N leading terms plus the integral
     and derivative corrections at the truncation point.  N grows until
-    the first omitted correction term is below ``tol`` relative to the
+    the first omitted correction term is below ``_ZETA_TOL`` relative to the
     running value.  Accepts an array of a values (shared s).
     """
     if s <= 1:
@@ -83,7 +86,7 @@ def hurwitz_zeta(s: float, a: float | np.ndarray, tol: float = 1e-12):
             poch *= (s + 2 * j - 1) * (s + 2 * j)
             power = power / (edge * edge)
             fact *= (2 * j + 1) * (2 * j + 2)
-        if last_rel < tol:
+        if last_rel < _ZETA_TOL:
             break
         if n >= 1 << 14:
             raise NumericalError("hurwitz zeta failed to reach tolerance")
@@ -185,15 +188,6 @@ def link_series_direct(a: int, b: int, y: int, s: float, terms: int = 1_000_000)
     return partial + tail
 
 
-def max_row_sum(matrix: ResidueMatrix) -> tuple[float, float]:
-    """(largest directly summed row sum, closed-form maximum R(M)).
-
-    The closed-form maximum is (2^s - 1)^(-1) * prod_{p>y} (1-p^(-s))^(-1);
-    gcd(b - 1, r) is even for every unit b, so no row exceeds it.
-    """
-    return float(matrix.row_sums().max()), max_row_sum_value(matrix.y, matrix.s)
-
-
 def max_row_sum_value(y: int, s: float) -> float:
     """Closed-form R(M) without materializing the matrix."""
     if s <= 1:
@@ -201,7 +195,7 @@ def max_row_sum_value(y: int, s: float) -> float:
     return euler_factor_tail(s, y) / (2.0 ** s - 1.0)
 
 
-def perron_eigenvalue(matrix: ResidueMatrix, tol: float = 1e-12, max_iter: int = 10_000) -> float:
+def perron_eigenvalue(matrix: ResidueMatrix) -> float:
     """Dominant eigenvalue of the (entrywise positive) matrix by power
     iteration with Rayleigh quotient stopping.
 
@@ -211,14 +205,14 @@ def perron_eigenvalue(matrix: ResidueMatrix, tol: float = 1e-12, max_iter: int =
     m = matrix.entries
     mv = m @ np.full(m.shape[0], 1.0 / m.shape[0])
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         nw = float(np.linalg.norm(mv))
         if nw == 0.0:
             raise NumericalError("power iteration collapsed to zero")
         w = mv / nw
         mv = m @ w
         new_lam = float(w @ mv)
-        if abs(new_lam - lam) < tol:
+        if abs(new_lam - lam) < _PERRON_TOL:
             return new_lam
         lam = new_lam
     raise NumericalError("power iteration did not converge")

@@ -251,19 +251,6 @@ class TestBrwCommands:
         assert len(doc["ks_trace"]) == 2
         assert len(doc["deciles"]) == 11
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("brw", "median-bn", "--n", "8", "--reps", "100", "--cap", "nan"),
-            ("brw", "tails", "--n", "6", "--reps", "100", "--margin", "nan"),
-            ("brw", "run", "--n", "4", "--cap", "inf"),
-        ],
-    )
-    def test_non_finite_is_domain_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and out == ""
-        assert json.loads(err)["error"]["type"] == "DomainError"
-
 
 @pytest.mark.parametrize(
     "argv",
@@ -272,6 +259,9 @@ class TestBrwCommands:
         ("chains", "--start", "2", "--ratio", "inf"),
         ("dickman", "--u", "nan"),
         ("sift-bound", "--x", "nan", "--y", "3"),
+        ("brw", "median-bn", "--n", "8", "--reps", "100", "--cap", "nan"),
+        ("brw", "tails", "--n", "6", "--reps", "100", "--margin", "nan"),
+        ("brw", "run", "--n", "4", "--cap", "inf"),
     ],
 )
 def test_non_finite_is_domain_error(capsys, argv):
@@ -311,6 +301,20 @@ def test_tail_grid_too_large_is_capacity_error(capsys):
     assert json.loads(err)["error"]["type"] == "CapacityError"
 
 
+def _golden_bytes_test(table, ids):
+    """One test per (argv, digest) of ``table``: the command exits 0 and the
+    SHA-256 of its stdout is ``digest``."""
+
+    @pytest.mark.parametrize("argv, digest", table, ids=ids)
+    def test(capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    return test
+
+
 # SHA-256 of each command's stdout as the per-prime dictionary recursion
 # wrote it; the dense block arrays must not move a byte.
 _GOLDEN_TREES = [
@@ -338,19 +342,13 @@ _GOLDEN_TREES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
+test_tree_commands_match_golden_bytes = _golden_bytes_test(
     _GOLDEN_TREES,
-    ids=[
+    [
         "hist-f-csv", "hist-h-json", "pratt-9999991", "pratt-65537",
         "hist-1000-f-csv", "hist-20000-h-csv", "hist-2", "pratt-7",
     ],
 )
-def test_tree_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of each command's stdout as the unpruned minima path wrote it;
@@ -371,12 +369,9 @@ _GOLDEN_MINIMA = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", _GOLDEN_MINIMA, ids=["a11-median-bn", "a11-tails", "readme-tails"])
-def test_minima_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+test_minima_commands_match_golden_bytes = _golden_bytes_test(
+    _GOLDEN_MINIMA, ["a11-median-bn", "a11-tails", "readme-tails"]
+)
 
 
 # SHA-256 of each command's stdout as the hand-written single-replicate
@@ -398,12 +393,9 @@ _GOLDEN_WALK = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", _GOLDEN_WALK, ids=["run-csv", "run-cap-17", "teps-0.01", "teps-1e-4"])
-def test_walk_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+test_walk_commands_match_golden_bytes = _golden_bytes_test(
+    _GOLDEN_WALK, ["run-csv", "run-cap-17", "teps-0.01", "teps-1e-4"]
+)
 
 
 # SHA-256 of each command's stdout as the hand-built per-command rows wrote
@@ -453,20 +445,14 @@ _GOLDEN_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
+test_commands_match_golden_bytes = _golden_bytes_test(
     _GOLDEN_OUTPUTS,
-    ids=[
+    [
         "chains-json", "chains-csv", "sift-bound-json", "sift-bound-csv", "singular-json", "singular-csv",
         "dickman-json", "dickman-csv", "rde-json", "rde-csv", "run-censored-json", "run-censored-csv",
         "pratt-csv", "median-bn-csv", "teps-csv",
     ],
 )
-def test_commands_match_golden_bytes(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _reject_constant(token):

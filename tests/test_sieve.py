@@ -46,6 +46,8 @@ class TestMillerRabin:
             sieve.is_prime_u64(-1)
         with pytest.raises(CapacityError):
             sieve.is_prime_u64(1 << 64)
+        with pytest.raises(CapacityError):
+            sieve.build_spf(1000).is_prime(1 << 64)
 
 
 class TestSpfTable:
@@ -67,13 +69,6 @@ class TestSpfTable:
             assert t.primes(ns[0], ns[-1]).tolist() == [n for n in ns if sieve.is_prime_u64(n)]
             assert t.prime_count(join) == naive_primes(join).size
         assert t.prime_count(t.limit) == naive_primes(t.limit).size
-
-    def test_is_prime_array_matches_scalar(self, table):
-        ns = np.arange(2, 40_000, dtype=np.int64)
-        vec = table.is_prime_array(ns)
-        for n, v in zip(ns[:2000].tolist(), vec[:2000].tolist()):
-            assert table.is_prime(n) == v
-        assert int(vec.sum()) == table.prime_count(39_999)
 
     def test_prime_count_checkpoints(self, table):
         assert table.prime_count(10) == 4
@@ -149,13 +144,10 @@ class TestFactorization:
 
     def test_l_value_fixed_points(self, table):
         # l(n) = n / rad(n): squarefree n give 1, prime powers give p^(e-1).
-        assert sieve.l_value(1, table) == 1
-        assert sieve.l_value(12, table) == 2
-        assert sieve.l_value(8, table) == 4
-        assert sieve.l_value(30, table) == 1
-        assert sieve.l_value(720, table) == 24
+        for n, l in ((1, 1), (12, 2), (8, 4), (30, 1), (720, 24)):
+            assert table.factorize(n).unitary_cofactor() == l, n
         with pytest.raises(DomainError):
-            sieve.l_value(0, table)
+            table.factorize(0)
 
     def test_largest_prime_factor(self, table):
         assert table.factorize(97).largest_prime_factor() == 97
@@ -168,7 +160,7 @@ class TestPrimesInProgression:
         assert sieve.count_primes_in_ap(1_000, 1, table) == 168
 
     def test_against_direct_loop(self, table):
-        for q in (2, 3, 4, 6, 10):
+        for q in (2, 3, 4, 6, 9, 10, 15):
             want = sum(
                 1 for p in naive_primes(20_000).tolist() if p % q == 1
             )
@@ -177,8 +169,10 @@ class TestPrimesInProgression:
     def test_beyond_table_limit(self):
         small = sieve.build_spf(1000)
         # x above the table limit falls back to Miller-Rabin per candidate.
-        want = sum(1 for p in naive_primes(5000).tolist() if p % 7 == 1)
-        assert sieve.count_primes_in_ap(5000, 7, small) == want
+        # q = 499 strides by 998: the composite 999 below the limit, the prime 1997 above it
+        for q in (7, 499):
+            want = sum(1 for p in naive_primes(5000).tolist() if p % q == 1)
+            assert sieve.count_primes_in_ap(5000, q, small) == want, q
         assert sieve.count_primes_in_ap(5000, 1, small) == 669
 
     def test_guards(self, table):

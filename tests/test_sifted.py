@@ -140,14 +140,16 @@ class TestResidueMatrix:
 
 class TestRowSumMaximum:
     def test_known_value_pi_squared_over_27(self):
-        direct, closed = sifted.max_row_sum(sifted.build_matrix(3, 2.0))
+        direct = sifted.build_matrix(3, 2.0).row_sums().max()
+        closed = sifted.max_row_sum_value(3, 2.0)
         assert closed == pytest.approx(math.pi**2 / 27, rel=1e-12)
         assert direct == pytest.approx(closed, rel=1e-10)
 
     def test_y2_value(self):
         # Single unit b = 1: row sum is zeta(s) * 2^(-s), and the closed
         # maximum (pi^2 / 8) / 3 agrees at s = 2.
-        direct, closed = sifted.max_row_sum(sifted.build_matrix(2, 2.0))
+        direct = sifted.build_matrix(2, 2.0).row_sums().max()
+        closed = sifted.max_row_sum_value(2, 2.0)
         assert closed == pytest.approx(math.pi**2 / 24, rel=1e-12)
         assert direct == pytest.approx(closed, rel=1e-12)
 
