@@ -337,7 +337,7 @@ def _a11_determinism(ctx: VerifyContext):
 # per-module property suites (claims no acceptance criterion or unit test covers)
 
 
-def _p_sieve_l_value(ctx):
+def _p_sieve_l_structure(ctx):
     table = ctx.table
     for n in range(1, 20_001):
         l = table.factorize(n).unitary_cofactor()
@@ -514,7 +514,7 @@ SUITES: dict[str, tuple[tuple[str, object], ...]] = {
         ("A11-determinism", _a11_determinism),
     ),
     "sieve": (
-        ("sieve/l-value-structure", _p_sieve_l_value),
+        ("sieve/l-value-structure", _p_sieve_l_structure),
         ("sieve/progression-count-bound", _p_sieve_bt),
         ("sieve/prime-count-crosscheck", _p_sieve_pi),
     ),
