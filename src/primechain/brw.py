@@ -63,7 +63,7 @@ _E = math.e
 
 @dataclass
 class RunConfig:
-    """Shared Monte Carlo settings.
+    """Monte Carlo settings that every walk operation reads.
 
     ``batch_rows`` caps the number of concurrently materialized points per
     replicate batch; it trades memory for numpy call overhead and has no
@@ -71,31 +71,15 @@ class RunConfig:
     """
 
     seed: int = 1
-    cap: float = 8.0
     replicates: int = 10_000
-    max_generation: int = 20
     threads: int = 1
     batch_rows: int = 4_000_000
 
     def __post_init__(self):
-        if not 0 < self.cap < math.inf:
-            raise DomainError("cap must be positive and finite")
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
-        if self.max_generation < 0:
-            raise DomainError("max_generation must be >= 0")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
-
-
-@dataclass
-class FragmentGeneration:
-    """One generation of one replicate: sorted positions <= cap."""
-
-    index: int
-    positions: np.ndarray
-    cap: float
-    censored: bool  # True once the generation is empty (minimum above cap)
 
 
 def lpd_offsets_from_uniforms(uniforms, cap: float) -> list[float]:
@@ -292,30 +276,25 @@ def _map(threads: int, fn, items) -> list:
 # public operations
 
 
-def simulate_run(cfg: RunConfig, replicate: int = 0) -> list[FragmentGeneration]:
-    """Generations 0..max_generation of one replicate, truncated at cfg.cap."""
+def simulate_run(n: int, cap: float, cfg: RunConfig, replicate: int = 0) -> list[np.ndarray]:
+    """Sorted positions <= cap of generations 0..n of one replicate; generation 0
+    is ``[0.0]`` and a censored generation (minimum above the cap) is empty."""
+    if not 0 < cap < math.inf:
+        raise DomainError("cap must be positive and finite")
+    if n < 0:
+        raise DomainError("n must be >= 0")
 
     def record(key, walk, guard):
-        return [np.sort(pos) for pos, _ in itertools.islice(walk(), cfg.max_generation)]
+        return [np.sort(pos) for pos, _ in itertools.islice(walk(), n)]
 
-    (positions,) = _drive(cfg, replicate, replicate + 1, cfg.cap, cfg.max_generation, record)
-    gens = [FragmentGeneration(0, np.zeros(1), cfg.cap, censored=False)]
-    for gen, pos in enumerate(positions, 1):
-        gens.append(FragmentGeneration(gen, pos, cfg.cap, censored=not pos.size))
-    return gens
-
-
-def z_count(generation: FragmentGeneration, t: float) -> int:
-    """Number of generation points at position <= t (t within the cap)."""
-    if t > generation.cap:
-        raise CensoringError(f"t={t} beyond the simulation cap {generation.cap}")
-    return int(np.count_nonzero(generation.positions <= t))
+    (positions,) = _drive(cfg, replicate, replicate + 1, float(cap), n, record)
+    return [np.zeros(1), *positions]
 
 
 def replicate_z_counts(n: int, t: float, cfg: RunConfig) -> np.ndarray:
     """Z_n(t) for every replicate, simulated exactly with cap = t."""
-    if t <= 0 or n < 1:
-        raise DomainError("need t > 0 and n >= 1")
+    if not 0 < t < math.inf or n < 1:
+        raise DomainError("need finite t > 0 and n >= 1")
 
     def count(key, walk, guard):
         _, rep = _nth(walk(), n)
@@ -478,14 +457,16 @@ def estimate_tails(
     )
 
 
-def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int) -> np.ndarray:
+def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int, max_generation: int) -> np.ndarray:
     """T(eps) of the replicates [lo, hi)."""
+    if max_generation < 0:
+        raise DomainError("max_generation must be >= 0")
     if not 0 < eps <= 1:
         raise DomainError("eps must be in (0, 1]")
     if eps == 1.0:
         return np.zeros(hi - lo, dtype=np.int64)
     cap = -math.log(eps)
-    limit = max(cfg.max_generation, int(6 * cap) + 60)
+    limit = max(max_generation, int(6 * cap) + 60)
 
     def last_nonempty(key, walk, guard):
         last = np.zeros(key.size, dtype=np.int64)
@@ -501,20 +482,20 @@ def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int) -> np.ndarray:
     return last + 1
 
 
-def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0) -> int:
+def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0, max_generation: int = 20) -> int:
     """First generation whose largest fragment is <= eps, exactly.
 
     Fragments <= eps are discarded at birth (their descendants are smaller
     still), so the process dies exactly at T(eps).  The generation budget
-    is cfg.max_generation, floored at a level the process essentially
-    never survives; hitting it raises a capacity error.
+    is max_generation, floored at a level the process essentially never
+    survives; hitting it raises a capacity error.
     """
-    return int(_extinction(eps, cfg, replicate, replicate + 1)[0])
+    return int(_extinction(eps, cfg, replicate, replicate + 1, max_generation)[0])
 
 
-def replicate_t_epsilon(eps: float, cfg: RunConfig) -> np.ndarray:
+def replicate_t_epsilon(eps: float, cfg: RunConfig, max_generation: int = 20) -> np.ndarray:
     """T(eps) for every replicate (vectorized across replicates)."""
-    return _extinction(eps, cfg, 0, cfg.replicates)
+    return _extinction(eps, cfg, 0, cfg.replicates, max_generation)
 
 
 def estimate_mean_t_epsilon(eps: float, cfg: RunConfig) -> tuple[float, float]:

@@ -245,24 +245,18 @@ def _cmd_dickman(args):
 
 
 def _cmd_brw_run(args):
-    cfg = RunConfig(
-        seed=args.seed,
-        cap=args.cap,
-        replicates=1,
-        max_generation=args.n,
-        threads=args.threads,
-    )
+    cfg = RunConfig(seed=args.seed, threads=args.threads)
     summary = [
         {
-            "generation": g.index,
-            "count": int(g.positions.size),
-            "min": float(g.positions.min()) if g.positions.size else None,
-            "censored": g.censored,
+            "generation": gen,
+            "count": int(pos.size),
+            "min": float(pos.min()) if pos.size else None,
+            "censored": not pos.size,
         }
-        for g in brw.simulate_run(cfg, replicate=args.replicate)
+        for gen, pos in enumerate(brw.simulate_run(args.n, args.cap, cfg, replicate=args.replicate))
     ]
     header = ["generation", "count", "min", "censored"]
-    payload = {"cap": cfg.cap, "replicate": args.replicate, "generations": summary}
+    payload = {"cap": args.cap, "replicate": args.replicate, "generations": summary}
     return payload, header, [[s[k] for k in header] for s in summary]
 
 
@@ -281,13 +275,8 @@ def _cmd_brw_tails(args):
 
 
 def _cmd_brw_teps(args):
-    cfg = RunConfig(
-        seed=args.seed,
-        replicates=args.reps,
-        max_generation=args.max_gen,
-        threads=args.threads,
-    )
-    deaths = brw.replicate_t_epsilon(args.eps, cfg)
+    cfg = RunConfig(seed=args.seed, replicates=args.reps, threads=args.threads)
+    deaths = brw.replicate_t_epsilon(args.eps, cfg, max_generation=args.max_gen)
     mean, se = brw.mean_and_se(deaths)
     hist = np.bincount(deaths)
     rows = [[g, int(c)] for g, c in enumerate(hist.tolist()) if c]

@@ -191,10 +191,6 @@ class SpfTable:
 
     # -- vectorized queries ---------------------------------------------
 
-    def _check_range(self, ns: np.ndarray, lo: int) -> None:
-        if ns.size and (ns.min() < lo or ns.max() > self.limit):
-            raise DomainError(f"array entries outside table range {lo}..{self.limit}")
-
     def prime_divisors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distinct prime divisors of every entry of ``ns`` (1 <= n <= limit).
 
@@ -205,7 +201,8 @@ class SpfTable:
         exactly when it differs from the one before.
         """
         m = np.asarray(ns, dtype=np.int64)
-        self._check_range(m, 1)
+        if m.size and (m.min() < 1 or m.max() > self.limit):
+            raise DomainError(f"array entries outside table range 1..{self.limit}")
         # the factor 2 in one step: strip the lowest set bit's power
         rows = np.flatnonzero(m % 2 == 0)
         got_rows, got_primes = [rows], [np.full(rows.size, 2, dtype=np.int64)]

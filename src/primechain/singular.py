@@ -84,18 +84,24 @@ def xi(p: int, system: FormSystem) -> int:
     """
     if p < 2:
         raise DomainError("p must be a prime >= 2")
-    # _COEFF_CAP keeps every coefficient below 2^63, so int64 rows are exact
-    return int(_xi_batch(p, np.array([system.a]), np.array([system.b]))[0])
+    return int(_xi_batch(p, np.array([system.multipliers], dtype=np.int64))[0])
 
 
-def _xi_batch(p: int, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """xi(p) for many form systems at once; rows are coefficient vectors."""
+def _xi_batch(p: int, multiplier_rows: np.ndarray) -> np.ndarray:
+    """xi(p) for many multiplier vectors at once (nonnegative int64 rows).
+
+    The a/b recursion of ``forms_from_links`` runs on residues mod p, so
+    no coefficient can overflow however long the vector.
+    """
     n = np.arange(p, dtype=np.int64)
-    prod = np.ones((a_rows.shape[0], p), dtype=np.int64)
-    for j in range(a_rows.shape[1]):
-        aj = a_rows[:, j] % p
-        bj = b_rows[:, j] % p
-        prod = prod * (aj[:, None] * n[None, :] + bj[:, None]) % p
+    rows = multiplier_rows % p
+    a = np.ones(rows.shape[0], dtype=np.int64)
+    b = np.zeros(rows.shape[0], dtype=np.int64)
+    prod = np.broadcast_to(n, (rows.shape[0], p))
+    for m in rows.T:
+        a = a * m % p
+        b = (b * m + 1) % p
+        prod = prod * ((a[:, None] * n + b[:, None]) % p) % p
     return (prod == 0).sum(axis=1)
 
 
@@ -232,23 +238,17 @@ def rhopm_total(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | N
     if p ** f_count > 2_000_000:
         raise CapacityError("multiplier box too large to enumerate")
 
-    base = [fixed.get(i, 1) for i in range(1, k)]
+    if any(v < 0 for v in fixed.values()):
+        raise DomainError("fixed multipliers must be nonnegative")
+
+    base = [fixed.get(i, 1) % p for i in range(1, k)]
     combos = p ** f_count
-    rows = np.tile(np.array(base, dtype=np.int64), (combos, 1)) if k > 1 else np.zeros((1, 0), dtype=np.int64)
+    rows = np.tile(np.array(base, dtype=np.int64), (combos, 1))
     for pos, idx in enumerate(free):
         period = p ** (f_count - pos - 1)
-        col = (np.arange(combos) // period) % p
-        rows[:, idx - 1] = col
+        rows[:, idx - 1] = (np.arange(combos) // period) % p
 
-    # Coefficient rows: a_j and b_j per combo, built by the same recursion.
-    a_rows = np.ones((max(combos, 1), k), dtype=np.int64)
-    b_rows = np.zeros((max(combos, 1), k), dtype=np.int64)
-    for j in range(1, k):
-        m = rows[:, j - 1]
-        a_rows[:, j] = a_rows[:, j - 1] * m
-        b_rows[:, j] = b_rows[:, j - 1] * m + 1
-
-    total = int(_xi_batch(p, a_rows, b_rows).sum())
+    total = int(_xi_batch(p, rows).sum())
     target = p ** (f_count + 1) - (p - 1) ** (f_count + 1)
     return total, target
 

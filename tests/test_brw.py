@@ -9,7 +9,7 @@ from primechain.rng import replicate_keys, stream_draw, to_unit
 
 
 def cfg(**kw):
-    base = dict(seed=1, cap=8.0, replicates=100, max_generation=10)
+    base = dict(seed=1, replicates=100)
     base.update(kw)
     return brw.RunConfig(**base)
 
@@ -47,20 +47,24 @@ class TestStickBreaking:
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
-            brw.RunConfig(seed=1, cap=0.0)
-        with pytest.raises(DomainError):
             brw.RunConfig(seed=1, replicates=0)
         with pytest.raises(DomainError):
             brw.RunConfig(seed=1, threads=0)
         with pytest.raises(DomainError):
-            brw.RunConfig(seed=1, max_generation=-1)
+            brw.simulate_run(10, 0.0, cfg())
+        with pytest.raises(DomainError):
+            brw.simulate_run(-1, 8.0, cfg())
+        with pytest.raises(DomainError):
+            brw.t_epsilon(0.5, cfg(), max_generation=-1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
-            brw.RunConfig(seed=1, cap=bad)
+            brw.simulate_run(4, bad, cfg())
         with pytest.raises(DomainError):
             brw.replicate_minima(4, cfg(), cap=bad)
+        with pytest.raises(DomainError):
+            brw.replicate_z_counts(4, bad, cfg())
         with pytest.raises(DomainError):
             brw.median_bn_detail(4, cfg(), margin=bad)
         with pytest.raises(DomainError):
@@ -77,63 +81,55 @@ class TestRunConfig:
 
     def test_defaults(self):
         c = brw.RunConfig(seed=7)
-        assert c.cap == 8.0 and c.replicates == 10_000 and c.threads == 1
+        assert c.replicates == 10_000 and c.threads == 1 and c.batch_rows == 4_000_000
 
 
 class TestSingleRun:
     def test_generation_zero(self):
-        gens = brw.simulate_run(cfg())
-        assert gens[0].index == 0
-        assert gens[0].positions.tolist() == [0.0]
-        assert not gens[0].censored
+        gens = brw.simulate_run(10, 8.0, cfg())
+        assert len(gens) == 11
+        assert gens[0].tolist() == [0.0]
 
     def test_positions_sorted_and_capped(self):
-        gens = brw.simulate_run(cfg(seed=3, cap=5.0))
+        gens = brw.simulate_run(10, 5.0, cfg(seed=3))
         for g in gens:
-            assert np.all(np.diff(g.positions) >= 0)
-            assert np.all(g.positions <= 5.0)
+            assert np.all(np.diff(g) >= 0)
+            assert np.all(g <= 5.0)
 
     def test_determinism(self):
-        a = brw.simulate_run(cfg(seed=11))
-        b = brw.simulate_run(cfg(seed=11))
+        a = brw.simulate_run(10, 8.0, cfg(seed=11))
+        b = brw.simulate_run(10, 8.0, cfg(seed=11))
         for ga, gb in zip(a, b):
-            assert np.array_equal(ga.positions, gb.positions)
+            assert np.array_equal(ga, gb)
 
     def test_replicates_differ(self):
-        a = brw.simulate_run(cfg(seed=11), replicate=0)
-        b = brw.simulate_run(cfg(seed=11), replicate=1)
-        assert not np.array_equal(a[1].positions, b[1].positions)
+        a = brw.simulate_run(10, 8.0, cfg(seed=11), replicate=0)
+        b = brw.simulate_run(10, 8.0, cfg(seed=11), replicate=1)
+        assert not np.array_equal(a[1], b[1])
 
     def test_truncation_exactness(self):
         # Raising the cap must not move any surviving position by a bit.
-        lo = brw.simulate_run(cfg(seed=5, cap=3.0))
-        hi = brw.simulate_run(cfg(seed=5, cap=5.0))
-        for gl, gh in zip(lo, hi):
-            kept = gh.positions[gh.positions <= 3.0]
-            assert np.array_equal(gl.positions, kept), gl.index
+        lo = brw.simulate_run(10, 3.0, cfg(seed=5))
+        hi = brw.simulate_run(10, 5.0, cfg(seed=5))
+        for gen, (gl, gh) in enumerate(zip(lo, hi)):
+            assert np.array_equal(gl, gh[gh <= 3.0]), gen
 
     def test_negative_replicate_rejected(self):
         with pytest.raises(DomainError):
-            brw.simulate_run(cfg(), replicate=-1)
+            brw.simulate_run(10, 8.0, cfg(), replicate=-1)
         with pytest.raises(DomainError):
             brw.t_epsilon(0.5, cfg(), replicate=-1)
 
     def test_censored_flag_after_death(self):
-        gens = brw.simulate_run(cfg(seed=2, cap=0.05, max_generation=6))
-        died = [g.index for g in gens if g.censored]
+        gens = brw.simulate_run(6, 0.05, cfg(seed=2))
+        died = [gen for gen, g in enumerate(gens) if not g.size]
         assert died, "population should die almost immediately at cap 0.05"
         first = died[0]
         for g in gens[first:]:
-            assert g.censored and g.positions.size == 0
+            assert g.size == 0
 
 
 class TestCounting:
-    def test_z_count_respects_cap(self):
-        gens = brw.simulate_run(cfg(seed=4, cap=3.0))
-        with pytest.raises(CensoringError):
-            brw.z_count(gens[1], 3.5)
-        assert brw.z_count(gens[0], 3.0) == 1
-
     def test_first_generation_exact_law(self):
         # Z_1(t) >= 1 iff some fragment mass is >= e^{-t}; for t <= log 2
         # at most one fragment can be that large, so the probability is
@@ -159,7 +155,7 @@ class TestCounting:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: brw.simulate_run(brw.RunConfig(cap=20, replicates=1, max_generation=40)),
+            lambda: brw.simulate_run(40, 20, brw.RunConfig(replicates=1)),
             lambda: brw.t_epsilon(1e-9, brw.RunConfig()),
         ],
         ids=["simulate_run", "t_epsilon"],
@@ -197,11 +193,11 @@ class TestMinima:
         assert np.all(finite >= 0) and np.all(finite <= 4.0)
 
     def test_minimum_matches_simulation(self):
-        c = cfg(seed=9, replicates=4, cap=6.0, max_generation=4)
+        c = cfg(seed=9, replicates=4)
         mins = brw.replicate_minima(4, c, cap=6.0)
         for r in range(4):
-            gens = brw.simulate_run(c, replicate=r)
-            want = float(gens[4].positions.min()) if gens[4].positions.size else np.inf
+            gens = brw.simulate_run(4, 6.0, c, replicate=r)
+            want = float(gens[4].min()) if gens[4].size else np.inf
             assert mins[r] == want, r
 
     def test_median_b1_exact_law(self):
@@ -309,13 +305,13 @@ class TestPrunedMinima:
     these pin that the pruning is exact and that it actually prunes."""
 
     def test_matches_simulation_with_censored_and_dead_beams(self):
-        c = cfg(seed=1, replicates=320, cap=5.0, max_generation=10)
+        c = cfg(seed=1, replicates=320)
         mins = brw.replicate_minima(10, c, cap=5.0)
         bounds = brw._minimum_bounds(replicate_keys(1, 0, 320), 10, 5.0, c.batch_rows)
         assert np.isinf(mins).any(), "grid should include censored replicates"
         assert np.any((bounds == 5.0) & np.isfinite(mins)), "grid should include replicates whose beam dies"
         for r in range(c.replicates):
-            last = brw.simulate_run(c, replicate=r)[10].positions
+            last = brw.simulate_run(10, 5.0, c, replicate=r)[10]
             want = last.min() if last.size else np.inf
             assert mins[r] == want, r
 
@@ -347,8 +343,8 @@ class TestPrunedMinima:
             return np.full(keys.shape, small if index < 400 else np.uint64(2**64 - 1))
 
         monkeypatch.setattr(brw, "stream_draw", forced)
-        c = cfg(seed=1, replicates=1, cap=6.0, max_generation=1)
-        want = brw.simulate_run(c)[1].positions.min()
+        c = cfg(seed=1, replicates=1)
+        want = brw.simulate_run(1, 6.0, c)[1].min()
         assert 2.0 < want < 2.1
         assert brw.replicate_minima(1, c, cap=6.0)[0] == want
 
@@ -406,17 +402,24 @@ class TestExtinction:
     def test_generation_budget_error(self, monkeypatch):
         # u = 1 - 2^-53 on every stick: each node's first child lands on its
         # parent's position and its remaining mass leaves the window, so the
-        # population never dies and the budget must stop it.
+        # population never dies and the budget must stop it.  Each
+        # generation is one stick round, so the rounds count the budget:
+        # max_generation, floored at int(6 log 2) + 60 = 64 for eps = 1/2.
         draw = brw.stream_draw
+        rounds = []
 
         def forced(keys, index):
             if index % 2 == 0:
                 return draw(keys, index)
+            rounds.append(index)
             return np.full(keys.shape, np.uint64(2**64 - 1))
 
         monkeypatch.setattr(brw, "stream_draw", forced)
-        with pytest.raises(CapacityError, match="generation budget"):
-            brw.replicate_t_epsilon(0.5, brw.RunConfig(replicates=4))
+        for budget, want in ((20, 64), (100, 100)):
+            rounds.clear()
+            with pytest.raises(CapacityError, match="generation budget"):
+                brw.replicate_t_epsilon(0.5, brw.RunConfig(replicates=4), max_generation=budget)
+            assert rounds == [1] * want
 
     def test_vector_agrees_with_scalar(self):
         c = cfg(seed=18, replicates=50)

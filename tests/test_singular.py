@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ def xi_by_scan(p, system):
         if prod == 0:
             count += 1
     return count
+
+
+def xi_by_python_ints(p, multipliers):
+    """xi(p) from the form coefficients in unbounded Python ints."""
+    a, b = [1], [0]
+    for m in multipliers:
+        a.append(a[-1] * m)
+        b.append(b[-1] * m + 1)
+    return xi_by_scan(p, SimpleNamespace(a=a, b=b))
 
 
 class TestFormSystem:
@@ -58,6 +68,11 @@ class TestXi:
             sys = singular.forms_from_links(ms)
             for p in (2, 3, 5, 7, 11, 13):
                 assert singular.xi(p, sys) == xi_by_scan(p, sys), (p, ms)
+        # p above 2^21: a running product times an unreduced factor
+        # a_j n + b_j would pass 2^63, so each factor is reduced first
+        sys, p = singular.forms_from_links((2, 1_500_001)), 3_000_017
+        roots = {-b * pow(a, -1, p) % p for a, b in zip(sys.a, sys.b)}
+        assert singular.xi(p, sys) == len(roots) == 3
 
     @pytest.mark.parametrize(
         "seed, systems, top, primes",
@@ -169,6 +184,14 @@ class TestResidueBox:
         # the target is 3^2 - 2^2 = 5, so the bound is tight here.
         total, target = singular.rhopm_total(3, 2, (1,))
         assert (total, target) == (5, 5)
+        # 25 fixed multipliers: a_26 = 9 * 8 * ... * 6 is far above 2^63,
+        # and the exact count is 10 (an int64 recursion wraps and gets 11)
+        ms = (9, 8, 5, 3, 3, 6, 7, 8, 7, 7, 8, 10, 3, 5, 8, 7, 10, 9, 7, 3, 9, 7, 2, 5, 6)
+        fixed = dict(enumerate(ms, 1))
+        assert singular.rhopm_total(11, 26, (), fixed)[0] == xi_by_python_ints(11, ms) == 10
+        # fixed values count only mod p, however large
+        fixed[1] += 11 * 2**64
+        assert singular.rhopm_total(11, 26, (), fixed)[0] == 10
 
     def test_no_free_indices(self):
         assert singular.rhopm_check(5, 3, ())
@@ -209,3 +232,5 @@ class TestResidueBox:
             singular.rhopm_total(3, 2, (2,))
         with pytest.raises(DomainError):
             singular.rhopm_total(1, 2, ())
+        with pytest.raises(DomainError):
+            singular.rhopm_total(5, 3, (), {1: -1})
