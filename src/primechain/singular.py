@@ -90,8 +90,9 @@ def xi(p: int, system: FormSystem) -> int:
 def _xi_batch(p: int, multiplier_rows: np.ndarray) -> np.ndarray:
     """xi(p) for many multiplier vectors at once (nonnegative int64 rows).
 
-    The a/b recursion of ``forms_from_links`` runs on residues mod p, so
-    no coefficient can overflow however long the vector.
+    The a/b recursion of ``forms_from_links`` runs on residues mod p, and
+    each form is reduced before it multiplies the running product, so every
+    intermediate stays below p^2 however long the vector.
     """
     n = np.arange(p, dtype=np.int64)
     rows = multiplier_rows % p
