@@ -30,7 +30,11 @@ of the minimising node lies at or below B_n <= U_r, so the exact pass may
 drop any point above U_r, and does, with bound min(cap, U_r).  A node's
 position and key come only from its parent's and its own stream, so the
 dropped rows change no bit of the minimum.  Z_n(t), T(eps) and single
-runs need every point below the cap and keep the cap alone.
+runs need every point below the cap and keep the cap alone.  The beam
+prunes itself the same way: once a replicate's beam is full, the smaller
+of the first two children of each of its parents fixes a bound that every
+child the beam keeps lies below, so each generation of the beam is drawn
+only up to that bound and the beam does not change.
 
 Replicates are independent and parallelize freely: replicate i draws its
 randomness from the substream keyed by (seed, i), so results do not
@@ -172,6 +176,34 @@ _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 _MAX_WORK_ROWS = 1 << 40
 
 
+def _beam_caps(pos, key, rep, b: int, cap: float) -> np.ndarray:
+    """Per-replicate cap for the beam's next generation, from its parents.
+
+    Sticks 1 and 2 of each parent (draws 1 and 3) are drawn with the round
+    kernel's own arithmetic, so the smaller of its first two children is the
+    position of a child the kernel returns.  A replicate with _BEAM_WIDTH
+    parents (the beam never holds more) gets the next float above the
+    largest of those children, capped at cap: its parents then have that
+    many children at or below the largest, so its _BEAM_WIDTH smallest
+    children all lie there too.  The next float up keeps a child that lands
+    on its parent's pos + cum, where the kernel retires the parent.  Every
+    other replicate keeps the cap.  The beam is ordered by replicate, so a
+    full replicate's parents are _BEAM_WIDTH consecutive rows.
+    """
+    bound = np.full(b, cap)
+    count = np.bincount(rep, minlength=b)
+    rows = np.flatnonzero(count[rep] >= _BEAM_WIDTH)
+    if rows.size:
+        p, k = pos[rows], key[rows]
+        u = to_unit(stream_draw(k, 1))
+        first = p - np.log(u)
+        second = p - np.log1p(-u)
+        second -= np.log(to_unit(stream_draw(k, 3)))
+        worst = np.minimum(first, second).reshape(-1, _BEAM_WIDTH).max(axis=1)
+        bound[count >= _BEAM_WIDTH] = np.minimum(cap, np.nextafter(worst, np.inf))
+    return bound
+
+
 def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     """Per-replicate bounds U_r >= B_n from a beam pass, capped at cap.
 
@@ -182,10 +214,22 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     bound, and a child's position never falls below its parent's pos + cum.
     Where the beam dies the bound is the cap itself.
 
+    Each generation is drawn below the per-replicate caps of _beam_caps,
+    which hold every child the beam keeps, so they cost no bit of the beam;
+    at n=16 they cut the beam's rows from 2.47M to 1.07M.  The beam is then
+    selected with one argsort of rep * scale + pos, scale a power of two at
+    least 2 * cap + 1, in place of a lexsort on (rep, pos): replicates stay
+    in order, and within one only positions closer than ulp(b * scale) can
+    round to one value and so swap.  The beam gathers pos by that order and
+    never reads the rounded value, so every survivor is still a real node,
+    and B_n below the bound is exact whichever of two such children the
+    beam keeps.
+
     The width trades beam rows against the pruned pass's rows; measured on
     one core of a 2-core Xeon at seed 1 (2000 replicates, n=16, cap 10.42,
-    unpruned 64.3M rows in 6.6 s), widths 8/16/32 draw 4.1M/4.9M/6.7M rows
-    in 0.79/1.11/1.73 s (width 4 draws 4.1M).  On the A08 generation-40 run
+    unpruned 64.3M rows in 6.6 s), widths 8/16/32 draw 3.2M/3.6M/4.7M rows
+    (0.49M/1.07M/2.32M of them in the beam) in 0.43/0.49/0.60 s, beam and
+    pruned pass together.  On the A08 generation-40 run
     (seed 803, 61 replicates, cap 17.52), where the pass below the bound
     dominates, the mean of e^(U_r - cap), which tracks its cost, is
     0.75/0.59/0.47/0.43 at widths 4/8/16/32, with 27/16/4/3 beams ending at
@@ -193,13 +237,16 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     large-n one.
     """
     b = key.size
+    scale = 2.0 ** math.ceil(math.log2(2.0 * cap + 1.0))
     pos = np.zeros(b)
     rep = np.arange(b, dtype=np.int64)
     for _ in range(n):
-        pos, key, rep = _next_generation(pos, key, rep, cap, False, row_guard)
-        order = np.lexsort((pos, rep))
+        row_cap = _beam_caps(pos, key, rep, b, cap)[rep]
+        pos, key, rep = _next_generation(pos, key, rep, row_cap, False, row_guard)
+        order = np.argsort(rep * scale + pos)
         pos, key, rep = pos[order], key[order], rep[order]
-        rank = np.arange(rep.size) - np.searchsorted(rep, rep)
+        count = np.bincount(rep, minlength=b)
+        rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
         beam = rank < _BEAM_WIDTH
         pos, key, rep = pos[beam], key[beam], rep[beam]
     return np.minimum(cap, np.nextafter(_segment_min(rep, pos, b), np.inf))

@@ -366,6 +366,61 @@ class TestPrunedMinima:
         pruned, full = rows
         assert 0 < pruned < full / 3, (pruned, full)
 
+    @staticmethod
+    def unbounded_beam(key, n, cap, row_guard):
+        """The beam drawn below the cap alone and selected with a lexsort."""
+        b = key.size
+        pos, rep = np.zeros(b), np.arange(b, dtype=np.int64)
+        for _ in range(n):
+            pos, key, rep = brw._next_generation(pos, key, rep, cap, False, row_guard)
+            order = np.lexsort((pos, rep))
+            pos, key, rep = pos[order], key[order], rep[order]
+            beam = np.arange(rep.size) - np.searchsorted(rep, rep) < brw._BEAM_WIDTH
+            pos, key, rep = pos[beam], key[beam], rep[beam]
+        return np.minimum(cap, np.nextafter(brw._segment_min(rep, pos, b), np.inf))
+
+    # the first grid is test_matches_simulation_with_censored_and_dead_beams'
+    @pytest.mark.parametrize("seed, n, cap, reps", [(1, 10, 5.0, 320), (3, 9, 6.0, 300), (7, 12, 6.5, 200)])
+    def test_bounded_beam_matches_unbounded_beam(self, monkeypatch, seed, n, cap, reps):
+        rows = [0]
+        draw = brw.stream_draw
+
+        def counting(keys, index):
+            if index % 2 == 0:  # even draws derive child keys: one per row
+                rows[-1] += keys.size
+            return draw(keys, index)
+
+        monkeypatch.setattr(brw, "stream_draw", counting)
+        key = replicate_keys(seed, 0, reps)
+        got = brw._minimum_bounds(key, n, cap, 1 << 24)
+        rows.append(0)
+        want = self.unbounded_beam(key, n, cap, 1 << 24)
+        assert got.tobytes() == want.tobytes()
+        assert np.any(got < cap)
+        bounded, unbounded = rows
+        assert 0 < bounded < unbounded, (bounded, unbounded)
+
+    def test_every_beam_cap_sits_just_above_a_real_child(self, monkeypatch):
+        # a cap one ulp off the pre-pass's child would silently drop it
+        reps, cap = 300, 7.0
+        tight = []
+        kernel = brw._next_generation
+
+        def checking(pos, key, rep, row_cap, strict, row_guard):
+            out_pos, out_key, out_rep = kernel(pos, key, rep, row_cap, strict, row_guard)
+            bound = np.full(reps, cap)
+            bound[rep] = row_cap
+            child = np.nextafter(bound, -np.inf)
+            hit = np.zeros(reps, dtype=bool)
+            hit[out_rep[out_pos == child[out_rep]]] = True
+            assert np.all(hit[bound < cap])
+            tight.append(int(np.sum(bound < cap)))
+            return out_pos, out_key, out_rep
+
+        monkeypatch.setattr(brw, "_next_generation", checking)
+        brw._minimum_bounds(replicate_keys(5, 0, reps), 12, cap, 1 << 24)
+        assert len(tight) == 12 and tight[0] == 0 and sum(tight) > 5 * reps, tight
+
 
 class TestTails:
     def test_tail_profile_structure(self):
