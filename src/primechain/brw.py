@@ -179,16 +179,16 @@ _MAX_WORK_ROWS = 1 << 40
 def _beam_caps(pos, key, rep, b: int, cap: float) -> np.ndarray:
     """Per-replicate cap for the beam's next generation, from its parents.
 
-    Sticks 1 and 2 of each parent (draws 1 and 3) are drawn with the round
-    kernel's own arithmetic, so the smaller of its first two children is the
-    position of a child the kernel returns.  A replicate with _BEAM_WIDTH
-    parents (the beam never holds more) gets the next float above the
-    largest of those children, capped at cap: its parents then have that
-    many children at or below the largest, so its _BEAM_WIDTH smallest
-    children all lie there too.  The next float up keeps a child that lands
-    on its parent's pos + cum, where the kernel retires the parent.  Every
-    other replicate keeps the cap.  The beam is ordered by replicate, so a
-    full replicate's parents are _BEAM_WIDTH consecutive rows.
+    A replicate whose beam is full (_BEAM_WIDTH parents; it never holds
+    more) gets the next float above the largest of its parents' smaller
+    first-or-second child, at most cap; every other replicate keeps the
+    cap.  Each parent then has a child below that cap, so the replicate's
+    _BEAM_WIDTH smallest children all do.  The two children come from
+    draws 1 and 3 with the round kernel's own arithmetic, so they are bit
+    for bit children the kernel returns; the next float up keeps one that
+    lands on its parent's pos + cum, where the kernel retires the parent.
+    The beam is ordered by replicate, so a full one's parents are
+    consecutive rows.
     """
     bound = np.full(b, cap)
     count = np.bincount(rep, minlength=b)
