@@ -42,7 +42,12 @@ depend on batch or thread layout.  One driver, ``_drive``, runs every
 operation on a replicate range [lo, hi): it sizes the batches and refuses
 a replicate expected to exceed the row budget before drawing anything,
 sets the row guard, derives the replicate keys and maps the batches over
-the threads.  Each operation passes its own reduction of a batch's
+the threads.  The row budget, RunConfig.batch_rows, bounds memory and sets
+the refusals and the guard; it does not size the batches by itself.  The
+full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
+about _CACHE_ROWS rows per generation, so their columns fit the cache; the
+minima, which draw far fewer rows than expected, get batches sized to the
+budget.  Each operation passes its own reduction of a batch's
 generations: the minimum below the beam bounds (B_n), a bincount of the
 last generation (Z_n(t)), the last non-empty generation (T(eps)), or the
 sorted positions of every generation (a single run, the range [r, r+1)).
@@ -67,11 +72,17 @@ _E = math.e
 
 @dataclass
 class RunConfig:
-    """Monte Carlo settings that every walk operation reads.
+    """Monte Carlo settings of the walk operations.
 
-    ``batch_rows`` caps the number of concurrently materialized points per
-    replicate batch; it trades memory for numpy call overhead and has no
-    effect on results.
+    ``batch_rows`` is the row budget: a replicate (or an rde population)
+    expected to exceed it is refused before anything is drawn, one
+    generation of a batch may hold at most 4x it, and a batch expects at
+    most half of it per generation.  Within that, ``_drive`` sizes the
+    batches to the cache for the full-cap reductions and to the budget for
+    the minima; batch layout has no effect on results.  ``simulate_run``,
+    ``t_epsilon`` and ``rde_iterate`` run one replicate or their own
+    population, so they read ``seed``, ``threads`` and ``batch_rows`` but
+    not ``replicates``.
     """
 
     seed: int = 1
@@ -169,21 +180,23 @@ def _segment_min(rep, values, size):
     return out
 
 
-_BEAM_WIDTH = 16
+_WIDE_BEAM_ROWS = 1e5  # expected rows per replicate above which the beam is wide
 _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 # Rows a call may expect to draw: replicates times the expected peak of one
 # (or, for rde, population times iterations).  A08's b40 run expects ~5e8.
 _MAX_WORK_ROWS = 1 << 40
+# Expected rows a full-cap batch holds in one generation: 1 MiB per float64 column.
+_CACHE_ROWS = 1 << 17
 
 
-def _beam_caps(pos, key, rep, b: int, cap: float) -> np.ndarray:
+def _beam_caps(pos, key, rep, b: int, cap: float, width: int) -> np.ndarray:
     """Per-replicate cap for the beam's next generation, from its parents.
 
-    A replicate whose beam is full (_BEAM_WIDTH parents; it never holds
+    A replicate whose beam is full (``width`` parents; it never holds
     more) gets the next float above the largest of its parents' smaller
     first-or-second child, at most cap; every other replicate keeps the
     cap.  Each parent then has a child below that cap, so the replicate's
-    _BEAM_WIDTH smallest children all do.  The two children come from
+    ``width`` smallest children all do.  The two children come from
     draws 1 and 3 with the round kernel's own arithmetic, so they are bit
     for bit children the kernel returns; the next float up keeps one that
     lands on its parent's pos + cum, where the kernel retires the parent.
@@ -192,22 +205,22 @@ def _beam_caps(pos, key, rep, b: int, cap: float) -> np.ndarray:
     """
     bound = np.full(b, cap)
     count = np.bincount(rep, minlength=b)
-    rows = np.flatnonzero(count[rep] >= _BEAM_WIDTH)
+    rows = np.flatnonzero(count[rep] >= width)
     if rows.size:
         p, k = pos[rows], key[rows]
         u = to_unit(stream_draw(k, 1))
         first = p - np.log(u)
         second = p - np.log1p(-u)
         second -= np.log(to_unit(stream_draw(k, 3)))
-        worst = np.minimum(first, second).reshape(-1, _BEAM_WIDTH).max(axis=1)
-        bound[count >= _BEAM_WIDTH] = np.minimum(cap, np.nextafter(worst, np.inf))
+        worst = np.minimum(first, second).reshape(-1, width).max(axis=1)
+        bound[count >= width] = np.minimum(cap, np.nextafter(worst, np.inf))
     return bound
 
 
 def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     """Per-replicate bounds U_r >= B_n from a beam pass, capped at cap.
 
-    Each generation keeps the _BEAM_WIDTH smallest children of each
+    Each generation keeps the _beam_width(cap, n) smallest children of each
     replicate, so the best survivor at generation n is a real node and its
     position bounds that replicate's minimum.  The bound returned is the
     next float above it: a parent retires only once pos + cum reaches the
@@ -224,32 +237,43 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     never reads the rounded value, so every survivor is still a real node,
     and B_n below the bound is exact whichever of two such children the
     beam keeps.
-
-    The width trades beam rows against the pruned pass's rows; measured on
-    one core of a 2-core Xeon at seed 1 (2000 replicates, n=16, cap 10.42,
-    unpruned 64.3M rows in 6.6 s), widths 8/16/32 draw 3.2M/3.6M/4.7M rows
-    (0.49M/1.07M/2.32M of them in the beam) in 0.43/0.49/0.60 s, beam and
-    pruned pass together.  On the A08 generation-40 run
-    (seed 803, 61 replicates, cap 17.52), where the pass below the bound
-    dominates, the mean of e^(U_r - cap), which tracks its cost, is
-    0.75/0.59/0.47/0.43 at widths 4/8/16/32, with 27/16/4/3 beams ending at
-    the cap.  Width 16 keeps most of the small-n saving and most of the
-    large-n one.
     """
     b = key.size
+    width = _beam_width(cap, n)
     scale = 2.0 ** math.ceil(math.log2(2.0 * cap + 1.0))
     pos = np.zeros(b)
     rep = np.arange(b, dtype=np.int64)
     for _ in range(n):
-        row_cap = _beam_caps(pos, key, rep, b, cap)[rep]
+        row_cap = _beam_caps(pos, key, rep, b, cap, width)[rep]
         pos, key, rep = _next_generation(pos, key, rep, row_cap, False, row_guard)
         order = np.argsort(rep * scale + pos)
         pos, key, rep = pos[order], key[order], rep[order]
         count = np.bincount(rep, minlength=b)
         rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
-        beam = rank < _BEAM_WIDTH
+        beam = rank < width
         pos, key, rep = pos[beam], key[beam], rep[beam]
     return np.minimum(cap, np.nextafter(_segment_min(rep, pos, b), np.inf))
+
+
+def _beam_width(cap: float, n: int) -> int:
+    """Beam width of the minima pass, from the rows it expects per replicate.
+
+    The width trades beam rows against the pruned pass's rows, and the
+    pruned pass costs about e^(U_r - cap) of the unpruned one.  Measured on
+    one core of a 2-core Xeon at seed 1 (2000 replicates, n=16, cap 10.42,
+    ~4.1e3 expected rows, unpruned 64.3M rows in 6.6 s), widths 8/16/32
+    draw 3.2M/3.6M/4.7M rows (0.49M/1.07M/2.32M of them in the beam) in
+    0.43/0.49/0.60 s, beam and pruned pass together; A08's generation-20
+    run (seed 802, 10,000 replicates, cap 12.01, ~1.9e4) took
+    10.6/9.8/10.4/12.3 s at widths 8/16/32/64.  On A08's generation-40 run
+    (seed 803, 61 replicates, cap 17.52, ~3.9e6), the mean of
+    e^(U_r - cap) is 0.467/0.429/0.388/0.345/0.339 at widths
+    16/32/64/128/256, with 4/3/2/1/1 beams ending at the cap, and the whole
+    run took 132 s at width 16 and 95 s at width 128.  The step between the
+    two, at _WIDE_BEAM_ROWS, sits far from both sides.  B_n is exact at any
+    width, and the width reads only (cap, n), so no minimum moves with it.
+    """
+    return 16 if _expected_peak_rows(cap, n) < _WIDE_BEAM_ROWS else 128
 
 
 def _expected_peak_rows(cap: float, n: int) -> float:
@@ -259,7 +283,28 @@ def _expected_peak_rows(cap: float, n: int) -> float:
     return math.exp(log_peak) if log_peak < 700.0 else math.inf
 
 
-def _batch_size(cfg: RunConfig, count: int, cap: float, n: int) -> int:
+def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, pruned: bool) -> int:
+    """Replicates per batch of ``count`` for ``n`` generations below ``cap``.
+
+    Refuses, before anything is drawn, a replicate expected to exceed the
+    row budget and a call expected to exceed the work bound.  A batch
+    expects at most half the budget in one generation, so sampling
+    fluctuations stay inside the 4x guard, and a full-cap batch also at
+    most _CACHE_ROWS.  A ``pruned`` batch (the minima) draws far fewer
+    rows than the estimate and is sized to the budget alone.
+
+    _CACHE_ROWS keeps a float64 column of a round near 1 MiB, inside the
+    2 MiB L2, where the budget fit alone (2e6 rows at the default budget)
+    made it 16 MiB.  Measured on one core of a 2-core Xeon at seed 1,
+    medians of six runs, each a fresh process: Z_8(6) over 100,000
+    replicates and T(1e-4) over 2,000 took 2.72 s and 2.12 s at 2^16 rows,
+    2.46 s and 1.55 s at 2^17, 2.41 s and 1.60 s at 2^18, against 3.19 s
+    and 1.95 s (three runs) with the budget fit alone; peak RSS with
+    rde_iterate(100,000, 12) in the same process was 52/53/62 MiB, against
+    212 MiB.  Every output was bit-equal.  The n=16 minima of 2,000
+    replicates (cap 10.42) split into 65 batches at 2^17 and took 1.9-2.5 s,
+    against 0.46-0.68 s in the 5 batches of the budget fit.
+    """
     per_rep = _expected_peak_rows(cap, n) + 1.0
     if per_rep > cfg.batch_rows:
         raise CapacityError(
@@ -270,8 +315,8 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int) -> int:
         raise CapacityError(
             f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}"
         )
-    # halve the nominal fit so sampling fluctuations stay inside the guard
-    return max(1, min(count, int(cfg.batch_rows / (2.0 * per_rep))))
+    rows = cfg.batch_rows / 2.0 if pruned else min(cfg.batch_rows / 2.0, _CACHE_ROWS)
+    return max(1, min(count, int(rows / per_rep)))
 
 
 def _nth(generations, n: int):
@@ -279,10 +324,13 @@ def _nth(generations, n: int):
     return next(itertools.islice(generations, n - 1, None))
 
 
-def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce) -> list:
+def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, pruned: bool = False) -> list:
     """Reduce the replicates [lo, hi) batch by batch; returns the batch results in order.
 
-    Batches are sized for ``depth`` generations below ``cap``.
+    Batches are sized for ``depth`` generations below ``cap`` by
+    ``_batch_size``: to the cache for a full-cap reduction, to the row
+    budget for a ``pruned`` one.  cfg.batch_rows sets the refusals and the
+    row guard, 4x the budget per generation.
     ``reduce(key, walk, guard)`` gets the batch's replicate keys, the row
     guard and ``walk(bound=cap, strict=False)``: an endless iterator over
     generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
@@ -292,7 +340,7 @@ def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce) -> 
         raise DomainError("replicate index must be in [0, 2^63)")
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
-    batch = _batch_size(cfg, hi - lo, cap, depth)
+    batch = _batch_size(cfg, hi - lo, cap, depth, pruned)
     guard = 4 * cfg.batch_rows
 
     def work(start: int):
@@ -383,7 +431,7 @@ def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
         pos, rep = _nth(walk(bounds), n)
         return _segment_min(rep, pos, key.size)
 
-    return np.concatenate(_drive(cfg, 0, cfg.replicates, float(cap), n, lowest))
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, float(cap), n, lowest, pruned=True))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -367,7 +368,7 @@ class TestPrunedMinima:
         assert 0 < pruned < full / 3, (pruned, full)
 
     @staticmethod
-    def unbounded_beam(key, n, cap, row_guard):
+    def unbounded_beam(key, n, cap, row_guard, width):
         """The beam drawn below the cap alone and selected with a lexsort."""
         b = key.size
         pos, rep = np.zeros(b), np.arange(b, dtype=np.int64)
@@ -375,12 +376,15 @@ class TestPrunedMinima:
             pos, key, rep = brw._next_generation(pos, key, rep, cap, False, row_guard)
             order = np.lexsort((pos, rep))
             pos, key, rep = pos[order], key[order], rep[order]
-            beam = np.arange(rep.size) - np.searchsorted(rep, rep) < brw._BEAM_WIDTH
+            beam = np.arange(rep.size) - np.searchsorted(rep, rep) < width
             pos, key, rep = pos[beam], key[beam], rep[beam]
         return np.minimum(cap, np.nextafter(brw._segment_min(rep, pos, b), np.inf))
 
-    # the first grid is test_matches_simulation_with_censored_and_dead_beams'
-    @pytest.mark.parametrize("seed, n, cap, reps", [(1, 10, 5.0, 320), (3, 9, 6.0, 300), (7, 12, 6.5, 200)])
+    # the first grid is test_matches_simulation_with_censored_and_dead_beams';
+    # the last expects ~2.1e5 rows per replicate, so its beam is 128 wide
+    @pytest.mark.parametrize(
+        "seed, n, cap, reps", [(1, 10, 5.0, 320), (3, 9, 6.0, 300), (7, 12, 6.5, 200), (11, 14, 14.5, 12)]
+    )
     def test_bounded_beam_matches_unbounded_beam(self, monkeypatch, seed, n, cap, reps):
         rows = [0]
         draw = brw.stream_draw
@@ -394,7 +398,7 @@ class TestPrunedMinima:
         key = replicate_keys(seed, 0, reps)
         got = brw._minimum_bounds(key, n, cap, 1 << 24)
         rows.append(0)
-        want = self.unbounded_beam(key, n, cap, 1 << 24)
+        want = self.unbounded_beam(key, n, cap, 1 << 24, brw._beam_width(cap, n))
         assert got.tobytes() == want.tobytes()
         assert np.any(got < cap)
         bounded, unbounded = rows
@@ -420,6 +424,13 @@ class TestPrunedMinima:
         monkeypatch.setattr(brw, "_next_generation", checking)
         brw._minimum_bounds(replicate_keys(5, 0, reps), 12, cap, 1 << 24)
         assert len(tight) == 12 and tight[0] == 0 and sum(tight) > 5 * reps, tight
+
+    def test_width_steps_with_expected_rows(self):
+        # walk-minima (n=16) and A08's b20 expect 4.1e3 and 1.9e4 rows per
+        # replicate, A08's b40 3.9e6
+        assert brw._beam_width(brw.predicted_median_bn(16) + 3.0, 16) == 16
+        assert brw._beam_width(12.01, 20) == 16
+        assert brw._beam_width(17.518, 40) == 128
 
 
 class TestTails:
@@ -504,6 +515,85 @@ class TestThreadInvariance:
         one = brw.replicate_z_counts(3, 2.0, cfg(seed=24, replicates=1200))
         two = brw.replicate_z_counts(3, 2.0, cfg(seed=24, replicates=1200, threads=8))
         assert np.array_equal(one, two)
+
+    def test_t_epsilon_independent_of_threads(self):
+        # eps = 1e-3 fits 862 replicates in a cache-sized batch: 3 batches
+        one = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000))
+        four = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000, threads=4))
+        assert one.tobytes() == four.tobytes()
+
+
+class TestBatchLayout:
+    """The full-cap reductions run in cache-sized batches and the minima in
+    batches sized to the row budget; batches are concatenated in replicate
+    order and each node keeps its own key, so no layout moves a bit."""
+
+    def test_batch_size(self, monkeypatch):
+        full, small = brw.RunConfig(), brw.RunConfig(batch_rows=2000)
+        # Z_8(6) expects 65.8 rows per replicate: 2^17 / 65.8 against the
+        # budget fit, 4e6 / (2 * 65.8)
+        assert brw._batch_size(full, 100_000, 6.0, 8, pruned=False) == 1991
+        assert brw._batch_size(full, 100_000, 6.0, 8, pruned=True) == 30_395
+        # T(1e-4): cap 9.21 over 115 generations, ~1.3e3 rows per replicate
+        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=False) == 99
+        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=True) == 1520
+        # a small budget bounds both
+        assert brw._batch_size(small, 600, 6.0, 6, pruned=False) == brw._batch_size(small, 600, 6.0, 6, pruned=True) == 15
+        sized = []
+        size = brw._batch_size
+        monkeypatch.setattr(brw, "_batch_size", lambda *a: sized.append(a[-1]) or size(*a))
+        brw.replicate_z_counts(2, 1.0, cfg())
+        brw.replicate_t_epsilon(0.5, cfg())
+        brw.simulate_run(2, 1.0, cfg())
+        brw.replicate_minima(2, cfg(), cap=2.0)
+        assert sized == [False, False, False, True]
+
+    @staticmethod
+    def batches(monkeypatch, call):
+        """(result of call(), batches it ran)."""
+        starts = []
+        keys = brw.replicate_keys
+
+        def counting(seed, lo, hi):
+            starts.append(lo)
+            return keys(seed, lo, hi)
+
+        monkeypatch.setattr(brw, "replicate_keys", counting)
+        out = call()
+        monkeypatch.setattr(brw, "replicate_keys", keys)
+        return out, len(starts)
+
+    # the default budget fits each call in one batch; the cache target alone splits it
+    @pytest.mark.parametrize(
+        "call, count",
+        [
+            (lambda: brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000)), 5),
+            (lambda: brw.replicate_t_epsilon(1e-3, cfg(seed=42, replicates=2000)), 3),
+        ],
+        ids=["z_counts", "t_epsilon"],
+    )
+    def test_cache_batches_match_one_batch(self, monkeypatch, call, count):
+        split, many = self.batches(monkeypatch, call)
+        monkeypatch.setattr(brw, "_CACHE_ROWS", math.inf)
+        whole, one = self.batches(monkeypatch, call)
+        assert (many, one) == (count, 1)
+        assert split.tobytes() == whole.tobytes()
+
+    def test_budget_batches_match_one_batch(self, monkeypatch):
+        def minima(**kw):
+            return lambda: brw.replicate_minima(6, cfg(seed=43, replicates=600, **kw), cap=6.0)
+
+        split, many = self.batches(monkeypatch, minima(batch_rows=2000))
+        whole, one = self.batches(monkeypatch, minima())
+        assert (many, one) == (40, 1)
+        assert split.tobytes() == whole.tobytes()
+
+    def test_z_counts_digest(self):
+        # SHA-256 recorded with budget-sized batches, one batch of 20,000
+        z = brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000))
+        assert hashlib.sha256(z.astype(np.int64).tobytes()).hexdigest() == (
+            "a80090685d212b5feb04c4804c834dc945a929ca8db68e6c0fa520c51d823d67"
+        )
 
 
 class TestKsDistance:
