@@ -47,7 +47,8 @@ the refusals and the guard; it does not size the batches by itself.  The
 full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
 about _CACHE_ROWS rows per generation, so their columns fit the cache; the
 minima, which draw far fewer rows than expected, get batches sized to the
-budget.  Each operation passes its own reduction of a batch's
+budget.  Every walk keeps the memory it frees (_keep_freed_memory), so
+small batches do not fault their heap back in each generation.  Each operation passes its own reduction of a batch's
 generations: the minimum below the beam bounds (B_n), a bincount of the
 last generation (Z_n(t)), the last non-empty generation (T(eps)), or the
 sorted positions of every generation (a single run, the range [r, r+1)).
@@ -55,6 +56,8 @@ sorted positions of every generation (a single run, the range [r, r+1)).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -185,8 +188,10 @@ _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 # Rows a call may expect to draw: replicates times the expected peak of one
 # (or, for rde, population times iterations).  A08's b40 run expects ~5e8.
 _MAX_WORK_ROWS = 1 << 40
-# Expected rows a full-cap batch holds in one generation: 1 MiB per float64 column.
-_CACHE_ROWS = 1 << 17
+# Expected rows a full-cap batch holds in one generation: 2 MiB per float64 column.
+_CACHE_ROWS = 1 << 18
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _beam_caps(pos, key, rep, b: int, cap: float, width: int) -> np.ndarray:
@@ -268,9 +273,10 @@ def _beam_width(cap: float, n: int) -> int:
     10.6/9.8/10.4/12.3 s at widths 8/16/32/64.  On A08's generation-40 run
     (seed 803, 61 replicates, cap 17.52, ~3.9e6), the mean of
     e^(U_r - cap) is 0.467/0.429/0.388/0.345/0.339 at widths
-    16/32/64/128/256, with 4/3/2/1/1 beams ending at the cap, and the whole
-    run took 132 s at width 16 and 95 s at width 128.  The step between the
-    two, at _WIDE_BEAM_ROWS, sits far from both sides.  B_n is exact at any
+    16/32/64/128/256, with 4/3/2/1/1 beams ending at the cap, and the call
+    took 134-136 s at width 16 and 95-101 s at width 128 (two alternating
+    runs each, bit-equal minima).  The step between the two, at
+    _WIDE_BEAM_ROWS, sits far from both sides.  B_n is exact at any
     width, and the width reads only (cap, n), so no minimum moves with it.
     """
     return 16 if _expected_peak_rows(cap, n) < _WIDE_BEAM_ROWS else 128
@@ -293,17 +299,19 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, pruned: bool) ->
     most _CACHE_ROWS.  A ``pruned`` batch (the minima) draws far fewer
     rows than the estimate and is sized to the budget alone.
 
-    _CACHE_ROWS keeps a float64 column of a round near 1 MiB, inside the
-    2 MiB L2, where the budget fit alone (2e6 rows at the default budget)
-    made it 16 MiB.  Measured on one core of a 2-core Xeon at seed 1,
-    medians of six runs, each a fresh process: Z_8(6) over 100,000
-    replicates and T(1e-4) over 2,000 took 2.72 s and 2.12 s at 2^16 rows,
-    2.46 s and 1.55 s at 2^17, 2.41 s and 1.60 s at 2^18, against 3.19 s
-    and 1.95 s (three runs) with the budget fit alone; peak RSS with
-    rde_iterate(100,000, 12) in the same process was 52/53/62 MiB, against
-    212 MiB.  Every output was bit-equal.  The n=16 minima of 2,000
-    replicates (cap 10.42) split into 65 batches at 2^17 and took 1.9-2.5 s,
-    against 0.46-0.68 s in the 5 batches of the budget fit.
+    _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
+    of L2, where the budget fit alone (2e6 rows at the default budget) made
+    it 16 MiB.  Measured on one core of a 2-core Xeon, each run a fresh
+    process, Z_8(6) over 100,000 replicates and T(1e-4) over 2,000 at
+    seed 101, with _keep_freed_memory in place: their summed wall time in
+    units of perfbench's speed probe was 14.3k-15.2k at 2^16 rows,
+    13.1k-13.9k at 2^17, 12.2k-12.95k at 2^18 (six runs) and 12.8k-13.5k
+    at 2^19, against 15.3k-16.0k with the budget fit alone; in seconds,
+    2.1-2.6 s and 1.3-1.7 s at 2^18 against 3.2-3.5 s and 1.9-2.1 s.  Peak
+    RSS with rde_iterate(100,000, 12) in the same process was 62 MiB at
+    2^18, against 212 MiB.  Every output was bit-equal.  The n=16 minima of
+    2,000 replicates (cap 10.42) split into 65 batches at 2^17 and took
+    1.9-2.5 s, against 0.46-0.68 s in the 5 batches of the budget fit.
     """
     per_rep = _expected_peak_rows(cap, n) + 1.0
     if per_rep > cfg.batch_rows:
@@ -324,6 +332,27 @@ def _nth(generations, n: int):
     return next(itertools.islice(generations, n - 1, None))
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds at their dynamic maxima.
+
+    Every stick round allocates and frees arrays of 0.1-2 MiB.  glibc
+    raises its mmap threshold only to the largest block freed so far and
+    trims the heap top beyond twice that, so once no batch frees a 16 MiB
+    column, each generation hands its heap back to the OS and faults it in
+    again: Z_8(6) over 100,000 replicates in cache-sized batches took 257k
+    minor page faults and 0.6-0.7 s of system time in 3.0-3.4 s.  With the
+    thresholds pinned at 32 and 64 MiB, the most the dynamic rule reaches
+    on 64-bit glibc, it took 6.6k faults and 0.02 s in 2.5-2.65 s, and
+    peak RSS did not move.  A C library without mallopt is left as it is.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, pruned: bool = False) -> list:
     """Reduce the replicates [lo, hi) batch by batch; returns the batch results in order.
 
@@ -341,6 +370,7 @@ def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, pru
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
     batch = _batch_size(cfg, hi - lo, cap, depth, pruned)
+    _keep_freed_memory()
     guard = 4 * cfg.batch_rows
 
     def work(start: int):
@@ -671,6 +701,7 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
         raise CapacityError(f"population {pop_size} exceeds the row budget {cfg.batch_rows}")
     if pop_size * iters > _MAX_WORK_ROWS:
         raise CapacityError(f"{pop_size} samples x {iters} iterations is above the work bound {_MAX_WORK_ROWS:.3g}")
+    _keep_freed_memory()
     x = np.zeros(pop_size)
     base = mix64_int((cfg.seed & _MASK) ^ int(RDE_SALT))
     ks_trace: list[float] = []

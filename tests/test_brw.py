@@ -517,7 +517,7 @@ class TestThreadInvariance:
         assert np.array_equal(one, two)
 
     def test_t_epsilon_independent_of_threads(self):
-        # eps = 1e-3 fits 862 replicates in a cache-sized batch: 3 batches
+        # eps = 1e-3 fits 1725 replicates in a cache-sized batch: 2 batches
         one = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000))
         four = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000, threads=4))
         assert one.tobytes() == four.tobytes()
@@ -530,12 +530,12 @@ class TestBatchLayout:
 
     def test_batch_size(self, monkeypatch):
         full, small = brw.RunConfig(), brw.RunConfig(batch_rows=2000)
-        # Z_8(6) expects 65.8 rows per replicate: 2^17 / 65.8 against the
+        # Z_8(6) expects 65.8 rows per replicate: 2^18 / 65.8 against the
         # budget fit, 4e6 / (2 * 65.8)
-        assert brw._batch_size(full, 100_000, 6.0, 8, pruned=False) == 1991
+        assert brw._batch_size(full, 100_000, 6.0, 8, pruned=False) == 3983
         assert brw._batch_size(full, 100_000, 6.0, 8, pruned=True) == 30_395
         # T(1e-4): cap 9.21 over 115 generations, ~1.3e3 rows per replicate
-        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=False) == 99
+        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=False) == 199
         assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=True) == 1520
         # a small budget bounds both
         assert brw._batch_size(small, 600, 6.0, 6, pruned=False) == brw._batch_size(small, 600, 6.0, 6, pruned=True) == 15
@@ -567,8 +567,8 @@ class TestBatchLayout:
     @pytest.mark.parametrize(
         "call, count",
         [
-            (lambda: brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000)), 5),
-            (lambda: brw.replicate_t_epsilon(1e-3, cfg(seed=42, replicates=2000)), 3),
+            (lambda: brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000)), 3),
+            (lambda: brw.replicate_t_epsilon(1e-3, cfg(seed=42, replicates=2000)), 2),
         ],
         ids=["z_counts", "t_epsilon"],
     )
