@@ -48,10 +48,11 @@ full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
 about _CACHE_ROWS rows per generation, so their columns fit the cache; the
 minima, which draw far fewer rows than expected, get batches sized to the
 budget.  Every walk keeps the memory it frees (_keep_freed_memory), so
-small batches do not fault their heap back in each generation.  Each operation passes its own reduction of a batch's
-generations: the minimum below the beam bounds (B_n), a bincount of the
-last generation (Z_n(t)), the last non-empty generation (T(eps)), or the
-sorted positions of every generation (a single run, the range [r, r+1)).
+small batches do not fault their heap back in each generation.  Each
+operation passes its own reduction of a batch's generations: the minimum
+below the beam bounds (B_n), a bincount of the last generation (Z_n(t)),
+the last non-empty generation (T(eps)), or the sorted positions of every
+generation (a single run, the range [r, r+1)).
 """
 
 from __future__ import annotations
@@ -307,9 +308,8 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, pruned: bool) ->
     units of perfbench's speed probe was 14.3k-15.2k at 2^16 rows,
     13.1k-13.9k at 2^17, 12.2k-12.95k at 2^18 (six runs) and 12.8k-13.5k
     at 2^19, against 15.3k-16.0k with the budget fit alone; in seconds,
-    2.1-2.6 s and 1.3-1.7 s at 2^18 against 3.2-3.5 s and 1.9-2.1 s.  Peak
-    RSS with rde_iterate(100,000, 12) in the same process was 62 MiB at
-    2^18, against 212 MiB.  Every output was bit-equal.  The n=16 minima of
+    2.1-2.6 s and 1.3-1.7 s at 2^18 against 3.2-3.5 s and 1.9-2.1 s.
+    Every output was bit-equal.  The n=16 minima of
     2,000 replicates (cap 10.42) split into 65 batches at 2^17 and took
     1.9-2.5 s, against 0.46-0.68 s in the 5 batches of the budget fit.
     """

@@ -538,7 +538,8 @@ class TestBatchLayout:
         assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=False) == 199
         assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=True) == 1520
         # a small budget bounds both
-        assert brw._batch_size(small, 600, 6.0, 6, pruned=False) == brw._batch_size(small, 600, 6.0, 6, pruned=True) == 15
+        for pruned in (False, True):
+            assert brw._batch_size(small, 600, 6.0, 6, pruned) == 15
         sized = []
         size = brw._batch_size
         monkeypatch.setattr(brw, "_batch_size", lambda *a: sized.append(a[-1]) or size(*a))
@@ -553,15 +554,9 @@ class TestBatchLayout:
         """(result of call(), batches it ran)."""
         starts = []
         keys = brw.replicate_keys
-
-        def counting(seed, lo, hi):
-            starts.append(lo)
-            return keys(seed, lo, hi)
-
-        monkeypatch.setattr(brw, "replicate_keys", counting)
-        out = call()
-        monkeypatch.setattr(brw, "replicate_keys", keys)
-        return out, len(starts)
+        with monkeypatch.context() as m:
+            m.setattr(brw, "replicate_keys", lambda seed, lo, hi: starts.append(lo) or keys(seed, lo, hi))
+            return call(), len(starts)
 
     # the default budget fits each call in one batch; the cache target alone splits it
     @pytest.mark.parametrize(
