@@ -61,6 +61,7 @@ import ctypes
 import functools
 import itertools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -344,13 +345,14 @@ def _keep_freed_memory() -> None:
     minor page faults and 0.6-0.7 s of system time in 3.0-3.4 s.  With the
     thresholds pinned at 32 and 64 MiB, the most the dynamic rule reaches
     on 64-bit glibc, it took 6.6k faults and 0.02 s in 2.5-2.65 s, and
-    peak RSS did not move.  A C library without mallopt is left as it is.
+    peak RSS did not move.  Other platforms are left as they are.
     """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, pruned: bool = False) -> list:
