@@ -7,8 +7,9 @@ its multiplier vector; :func:`link_vector` and :func:`rebuild` implement
 that bijection with integrity checks.
 
 ``enumerate_from`` lists all chains that start at a given prime p and obey
-the growth constraint p_k <= p * x (depth-first, multipliers increasing,
-output sorted lexicographically).  ``chains_ending_at`` walks the dual
+the growth constraint p_k <= p * x (one chain length at a time, each
+length's candidates tested in bounded array chunks, output sorted
+lexicographically).  ``chains_ending_at`` walks the dual
 direction and yields every chain whose last element is p; its cardinality
 is an enumeration oracle for the tree node count f(p).
 """
@@ -18,15 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapacityError, DomainError, IntegrityError
 from .pratt import PrattDag
-from .sieve import SpfTable, count_primes_in_ap, progression_step
+from .sieve import SpfTable, count_primes_in_aps, progression_candidates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainRecord:
     """An increasing chain of primes with each element = 1 modulo the one
-    before it."""
+    before it.  Slotted: an enumeration holds one per chain."""
 
     primes: tuple[int, ...]
 
@@ -75,34 +78,39 @@ def enumerate_from(
 ) -> ChainEnumeration:
     """All chains p = p_1, ..., p_k with p_k <= p * x.
 
-    Depth-first with multipliers tried in increasing order, so the chain
-    list comes out sorted lexicographically.  The one-element chain [p] is
-    included by default; ``include_trivial=False`` drops it from the count.
-    Raises a capacity error when more than ``bound`` chains would be
-    produced.
+    Built one length at a time: every chain of one length is extended by
+    the primes among its last element's candidates, all chains' candidates
+    tested together in bounded chunks.  One sort then lists the chains
+    lexicographically, the order of a depth-first walk with multipliers
+    increasing.  The one-element chain [p] is included by default;
+    ``include_trivial=False`` drops it from the count.  Raises a capacity
+    error as soon as more than ``bound`` chains are counted, before they
+    are built, or when p * x reaches 2**64, where primality is not proven.
     """
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if not 1 <= x < math.inf:  # also rejects nan
         raise DomainError(f"growth ratio x must be finite and >= 1, got {x}")
     ceiling = math.floor(p * x)
-    result = ChainEnumeration(start=p, ratio=float(x))
-    if include_trivial:
-        result.chains.append(ChainRecord((p,)))
-
-    def extend(prefix: tuple[int, ...]) -> None:
-        step = progression_step(prefix[-1])
-        cand = 1 + step
-        while cand <= ceiling:
-            if table.is_prime(cand):
-                chain = prefix + (cand,)
-                result.chains.append(ChainRecord(chain))
-                if len(result.chains) > bound:
-                    raise CapacityError(f"more than {bound} chains from {p}")
-                extend(chain)
-            cand += step
-    extend((p,))
-    return result
+    if ceiling >= 1 << 64:
+        raise CapacityError(f"chains up to {ceiling} reach 2**64; the witness set only proves primality below it")
+    found = [(p,)] if include_trivial else []
+    total = len(found)
+    level, tips = [(p,)], np.array([p], dtype=np.uint64)
+    while tips.size:
+        rows, primes = [], []
+        for r, cands in progression_candidates(tips, ceiling):
+            prime = table.are_prime(cands)
+            rows.append(r[prime])
+            primes.append(cands[prime])
+            total += rows[-1].size
+            if rows[-1].size and total > bound:
+                raise CapacityError(f"more than {bound} chains from {p}")
+        tips = np.concatenate(primes)
+        level = [level[i] + (q,) for i, q in zip(np.concatenate(rows).tolist(), tips.tolist())]
+        found += level
+    found.sort()
+    return ChainEnumeration(start=p, ratio=float(x), chains=[ChainRecord(c) for c in found])
 
 
 def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[ChainRecord]:
@@ -173,17 +181,14 @@ def n_identity_check(x: int, table: SpfTable, dag: PrattDag | None = None) -> bo
     """Exact double count of N(x) = sum of f(p) over primes p <= x.
 
     Grouping chains by final element gives sum f(p); grouping by the
-    second-to-last element gives pi(x) plus sum over primes q <= x/2 of
-    f(q) * pi(x; q, 1).  Both sides are computed in exact integer
-    arithmetic and compared.
+    second-to-last element gives pi(x) plus sum over primes q < x of
+    f(q) * pi(x; q, 1), where only q <= x/2 contribute, and q = 2 at x = 3.
+    Both sides are computed in exact integer arithmetic and compared;
+    pi(x; q, 1) is counted in the table's cells, never read off the dag.
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    primes, f, _, _ = (dag or PrattDag(table)).values(x)
-    f = f.tolist()
-    lhs, rhs = sum(f), table.prime_count(x)
-    for q, fq in zip(primes.tolist(), f):
-        if 2 * q > x:
-            break
-        rhs += fq * count_primes_in_ap(x, q, table)
-    return lhs == rhs
+    primes, f, _, _ = (dag or PrattDag(table, table.primes(2, x))).values(x)
+    f = f.astype(np.int64)
+    rhs = table.prime_count(x) + int(f @ count_primes_in_aps(x, primes, table))
+    return int(f.sum()) == rhs

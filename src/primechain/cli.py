@@ -139,7 +139,8 @@ def _tree_table(limit: int, flag: str) -> sieve.SpfTable:
 
 def _cmd_pratt(args):
     p = args.prime
-    dag = pratt.PrattDag(_tree_table(max(p, 2) + 1, f"--prime {p}"))
+    table = _tree_table(max(p, 2) + 1, f"--prime {p}")
+    dag = pratt.PrattDag(table, pratt.tree_primes(p, table))
     return _kv({"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)})
 
 

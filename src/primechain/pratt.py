@@ -11,12 +11,16 @@ prime q dividing p - 1; the tree of 2 is a single node.  Per prime p:
 with f(p) = 1 + sum f(q), H(p) = 1 + max H(q) and g(p) = sum g(q) over the
 children q.  Every child of p is at most (p - 1) / 2, so the primes of a
 block [L, 2L) depend only on primes below L.  ``_pieces`` therefore walks
-a table's primes one block at a time and factors the block's p - 1 with
-the table's vectorised spf division into per-parent runs of children.
-Every recurrence is one reduction over those runs: :class:`PrattDag` fills
-f, H and g in dense uint8 arrays, and :class:`MassProducts` the exact mass
-products in object arrays.  Range histograms and N(x) = sum f(p) are
-reductions over the PrattDag arrays.
+an increasing prime set one block at a time, factors the block's p - 1
+with the table's vectorised spf division and finds each child's position
+in a rank table, giving per-parent runs of children.  Every recurrence is
+one reduction over those runs: :class:`PrattDag` fills f, H and g in dense
+uint8 arrays, and :class:`MassProducts` the exact mass products in object
+arrays, with l(p - 1) from a separate vectorised spf division.  The set
+is every prime of the table, or any set closed under "prime divisor of
+p - 1": the primes up to x for range statistics, the labels of one tree
+(``tree_primes``) for a single prime.  Range histograms and
+N(x) = sum f(p) are reductions over the PrattDag arrays.
 
 The module also carries level profiles, the exact product identities on
 the label multiset Q(p) of the tree (every label q contributes
@@ -32,19 +36,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, IntegrityError
 from .sieve import SpfTable, is_prime_u64, progression_step, table_bytes
 
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
 
 # A PrattDag fill's tracemalloc peak beyond its table: the 1-byte mask per
-# integer of ``table.primes()``, each prime (8 bytes) with its f/H/g (3) and
-# one piece's temporaries (at most 22 MiB, at 2^21).  The peak is 9.8, 35.1
-# and 70.6 MiB at 1e6, 2e7 and 5e7, the bound 25.9, 58.7 and 108.8 MiB.
+# integer of ``table.primes()``, each prime (8 bytes) with its f/H/g (3), the
+# rank table (4 MiB) and one piece's temporaries (at most 15 MiB, at 2^21).
+# The peak is 10.5, 32.3 and 70.6 MiB at 1e6, 2e7 and 5e7, the bound 21.9,
+# 54.7 and 104.8 MiB.
 _BYTES_PER_INTEGER = 1
 _BYTES_PER_PRIME = 11
-_PIECE_BYTES = 24 << 20
+_PIECE_BYTES = 20 << 20
 
 
 def footprint_bytes(limit: int) -> int:
@@ -54,46 +59,95 @@ def footprint_bytes(limit: int) -> int:
     return table_bytes(limit) + limit * _BYTES_PER_INTEGER + int(primes * _BYTES_PER_PRIME) + _PIECE_BYTES
 
 
-def _pieces(table: SpfTable, primes: np.ndarray):
+def _rank_table(primes: np.ndarray) -> np.ndarray:
+    """Position in ``primes`` of each prime below ``_BLOCK_WIDTH``, indexed
+    by the prime; 0 elsewhere, so a lookup is confirmed by reading back."""
+    top = int(primes[-1]) if primes.size else 0
+    small = primes[: np.searchsorted(primes, _BLOCK_WIDTH)]
+    rank = np.zeros(min(_BLOCK_WIDTH, top + 1), dtype=np.int32)
+    rank[small] = np.arange(small.size, dtype=np.int32)
+    return rank
+
+
+def _pieces(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
     """Yield (a, b, kid, first) per piece of the dyadic blocks [2^k, 2^(k+1)),
     each cut at ``_BLOCK_WIDTH`` integers: ``kid`` indexes in ``primes`` the
     children of primes[a:b], and those of primes[a + j] start at kid[first[j]].
-    Every child lies below its piece, so reductions read finished values."""
+    Every child lies below its piece, so reductions read finished values.
+
+    Children below ``_BLOCK_WIDTH`` are looked up in ``rank``, the
+    ``_rank_table`` of ``primes``, larger ones by binary search; a child
+    missing from ``primes`` raises an IntegrityError.
+    """
+    top = int(primes[-1]) if primes.size else 0
     lo = 3
-    while lo <= table.limit:
-        hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, table.limit + 1)
+    while lo <= top:
+        hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, top + 1)
         a, b = np.searchsorted(primes, [lo, hi]).tolist()
         lo = hi
         if a == b:
             continue
         rows, divisors = table.prime_divisors(primes[a:b] - 1)
-        kid = np.searchsorted(primes[:a], divisors)  # every child is below the piece
+        kid = rank[np.minimum(divisors, rank.size - 1)]
+        big = divisors >= rank.size
+        kid[big] = np.searchsorted(primes[:a], divisors[big])  # every child is below the piece
+        if not np.array_equal(primes[kid], divisors):
+            raise IntegrityError(f"a prime divisor of p - 1 for some p in [{primes[a]}, {primes[b - 1]}] is missing from the primes")
         counts = np.bincount(rows, minlength=b - a)
         yield a, b, kid, np.cumsum(counts) - counts  # p >= 3, so every parent has a child
 
 
+def _require_prime(p: int, table: SpfTable) -> None:
+    if p > table.limit:
+        raise DomainError(f"{p} is beyond factorization limit {table.limit}")
+    if not table.is_prime(p):
+        raise DomainError(f"{p} is not prime")
+
+
+def tree_primes(p: int, table: SpfTable) -> np.ndarray:
+    """The distinct labels of the tree of p, increasing: the least prime
+    set holding p and closed under "prime divisor of q - 1"."""
+    _require_prime(p, table)
+    found, level = {p}, {p}
+    while level:
+        level = set(table.prime_divisors(np.fromiter(level, np.int64) - 1)[1].tolist()) - found
+        found |= level
+    return np.array(sorted(found), dtype=np.int64)
+
+
 class PrattDag:
-    """f, H and g of every prime up to the table's limit.
+    """f, H and g of every prime of a set closed under "prime divisor of
+    p - 1": by default all primes up to the table's limit.
 
     Values live in arrays indexed by a prime's position in ``_primes``,
     filled once, in place, by reductions over ``_pieces``; no children are
     stored.  f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
+    ``tree_primes(p, table)`` is the least set that answers for p.
     """
 
-    def __init__(self, table: SpfTable):
+    def __init__(self, table: SpfTable, primes: np.ndarray | None = None):
         self.table = table
-        primes = self._primes = table.primes()
+        if primes is None:
+            primes = table.primes()
+        else:
+            primes = np.asarray(primes, dtype=np.int64)
+            if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(np.diff(primes) <= 0)):
+                raise DomainError(f"primes must increase within 2..{table.limit}")
+            if not np.all(table._cells[primes] == 0):
+                raise DomainError("the set holds a composite")
+        self._primes = primes
+        rank = self._rank = _rank_table(primes)
         f, h, g = self._f, self._h, self._g = [np.ones(primes.size, dtype=np.uint8) for _ in range(3)]
-        for a, b, kid, first in _pieces(table, primes):
+        for a, b, kid, first in _pieces(table, primes, rank):
             f[a:b] = 1 + np.add.reduceat(f[kid], first, dtype=np.int64)
             h[a:b] = 1 + np.maximum.reduceat(h[kid], first)
             g[a:b] = np.add.reduceat(g[kid], first, dtype=np.int64)
 
     def _index(self, p: int) -> int:
-        i = int(self._primes.searchsorted(p))
+        i = int(self._rank[p] if 0 <= p < self._rank.size else self._primes.searchsorted(p))
         if i == self._primes.size or self._primes[i] != p:
-            why = "is not prime" if p <= self.table.limit else f"is beyond factorization limit {self.table.limit}"
-            raise DomainError(f"{p} {why}")
+            _require_prime(p, self.table)
+            raise DomainError(f"{p} is not among the dag's primes")
         return i
 
     def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -179,7 +233,7 @@ def range_stats(x: int, table: SpfTable, dag: PrattDag | None = None) -> RangeSt
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    primes, f, h, _ = (dag or PrattDag(table)).values(x)
+    primes, f, h, _ = (dag or PrattDag(table, table.primes(2, x))).values(x)
     i_h, i_f = int(np.argmax(h)), int(np.argmax(f))
     return RangeStats(
         limit=x,
@@ -207,19 +261,19 @@ class MassProducts:
     The identity num(p) == p * den(p) is the exact-arithmetic form of
     "the tree mass product telescopes to p", and lprod(p)^2 * 2^f(p) <= p^2
     is the exact form of the 2^(-f/2) mass decay bound.  The constructor
-    fills all three for every prime of the dag, so it costs the whole table:
-    one ``factorize(p - 1)`` per prime, then Python-int product reductions
-    over ``_pieces``.  l(q - 1) comes from that scalar factorization, not
-    from the pieces' children, so the identity also checks the children.
+    fills all three for every prime of the dag: l(p - 1) for all of them at
+    once by ``table.unitary_cofactors``, then Python-int product reductions
+    over ``_pieces``.  l(q - 1) comes from its own spf division, not from
+    the pieces' children, so the identity also checks the children.
     """
 
     def __init__(self, table: SpfTable, dag: PrattDag):
         self.dag = dag
         primes = dag._primes
-        lp = self._lprod = np.array([table.factorize(p - 1).unitary_cofactor() for p in primes.tolist()], dtype=object)
+        lp = self._lprod = table.unitary_cofactors(primes - 1).astype(object)
         den = self._den = (primes - 1).astype(object)
         num = self._num = primes.astype(object) * lp  # before lp becomes lprod
-        for a, b, kid, first in _pieces(table, primes):
+        for a, b, kid, first in _pieces(table, primes, dag._rank):
             den[a:b] *= np.multiply.reduceat(den[kid], first)
             num[a:b] *= np.multiply.reduceat(num[kid], first)
             lp[a:b] *= np.multiply.reduceat(lp[kid], first)
@@ -234,7 +288,8 @@ class MassProducts:
         return self._lprod[self.dag._index(p)]
 
     def mass_identity_holds(self, p: int) -> bool:
-        return self.num(p) == p * self.den(p)
+        i = self.dag._index(p)
+        return self._num[i] == p * self._den[i]
 
 
 def phi_iterate(n: int, k: int, table: SpfTable) -> int:

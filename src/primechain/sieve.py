@@ -174,6 +174,16 @@ class SpfTable:
             return self._cells[n] == 0
         return is_prime_u64(n)
 
+    def are_prime(self, ns: np.ndarray) -> np.ndarray:
+        """``is_prime`` of every entry of a non-negative integer array: the cells
+        below the limit, Miller-Rabin one entry at a time above it."""
+        ns = np.asarray(ns)
+        low = ns <= self.limit
+        out = np.zeros(ns.size, dtype=bool)
+        out[low] = self._cells[ns[low]] == 0  # the poisoned cells 0 and 1 read composite
+        out[~low] = [is_prime_u64(n) for n in ns[~low].tolist()]
+        return out
+
     def factorize(self, n: int) -> Factorization:
         """Factorization of 1 <= n <= limit via repeated spf division."""
         if not 1 <= n <= self.limit:
@@ -219,10 +229,41 @@ class SpfTable:
             m //= s
             more = m > 1
             rows, m, last = rows[more], m[more], s[more]
+        # each round's rows are increasing, so the stable sort merges runs;
+        # one concatenation at a time keeps the peak at four arrays
         rows = np.concatenate(got_rows)
-        # each round's rows are increasing, so the stable sort merges runs
+        del got_rows
         order = np.argsort(rows, kind="stable")
-        return rows[order], np.concatenate(got_primes)[order]
+        rows = rows[order]
+        primes = np.concatenate(got_primes)
+        del got_primes
+        return rows, primes[order]
+
+    def unitary_cofactors(self, ns: np.ndarray) -> np.ndarray:
+        """l(n) = n / rad(n) of every entry of ``ns`` (1 <= n <= limit), int64.
+
+        The power of 2 goes in one step, 2^e giving 2^(e-1); each later
+        round divides every unfinished entry by its smallest prime factor
+        s and multiplies l by s when s repeats the round before's factor.
+        """
+        m = np.asarray(ns, dtype=np.int64)
+        if m.size and (m.min() < 1 or m.max() > self.limit):
+            raise DomainError(f"array entries outside table range 1..{self.limit}")
+        low = m & -m
+        out = np.maximum(low >> 1, 1)
+        m = m // low
+        rows = np.flatnonzero(m > 1)
+        m = m[rows]
+        last = np.zeros_like(m)
+        while m.size:
+            s = self._cells[m].astype(np.int64)
+            s = np.where(s == 0, m, s)
+            again = s == last
+            out[rows[again]] *= s[again]
+            m //= s
+            more = m > 1
+            rows, m, last = rows[more], m[more], s[more]
+        return out
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
         """The primes in [lo, hi] (hi defaults to, and is clipped at, the limit) as int64."""
@@ -244,10 +285,50 @@ def build_spf(limit: int) -> SpfTable:
     return SpfTable(limit)
 
 
-def progression_step(q: int) -> int:
+def progression_step(q):
     """Stride between the candidates 1 + mq that can be prime: q, or 2q for
-    odd q > 1, since 1 + qm is then even and at least 4 for every odd m."""
-    return 2 * q if q > 1 and q % 2 else q
+    odd q > 1, since 1 + qm is then even and at least 4 for every odd m.
+    Takes an int or an integer array, elementwise."""
+    return q << ((q > 1) & (q % 2 == 1))
+
+
+# Candidates per array of progression_candidates; bounds the temporaries
+# (a few 2 MiB arrays).
+PROGRESSION_CHUNK = 1 << 18
+
+
+def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSION_CHUNK):
+    """Yield (rows, candidates): every 1 + k * progression_step(qs[row]) with
+    k >= 1 and at most ``ceiling`` (below 2**64), as uint64, in chunks of at
+    most ``width``.  Rows come in order and each row's candidates increase; a
+    row with more than ``width`` candidates gets chunks of its own."""
+    qs = np.asarray(qs, dtype=np.uint64)
+    if ceiling < 2 or not qs.size:
+        return
+    steps = progression_step(qs)
+    counts = (ceiling - 1) // steps
+    # a row above width is clipped to width + 1, so no shared chunk takes it
+    clipped = np.minimum(counts, width + 1).astype(np.int64)
+    ends = np.cumsum(clipped)
+    i = 0
+    while i < qs.size:
+        if clipped[i] > width:
+            total, step = int(counts[i]), steps[i]
+            for k in range(0, total, width):
+                ks = np.arange(k + 1, min(k + width, total) + 1, dtype=np.uint64)
+                yield np.full(ks.size, i), 1 + ks * step
+            i += 1
+            continue
+        start = ends[i] - clipped[i]
+        j = int(np.searchsorted(ends, start + width, side="right"))  # rows i..j-1 fit
+        c = clipped[i:j]
+        rows = np.repeat(np.arange(i, j), c)
+        ks = np.arange(1, rows.size + 1, dtype=np.uint64)
+        ks -= np.repeat((ends[i:j] - c - start).astype(np.uint64), c)
+        ks *= steps[rows]
+        ks += 1
+        yield rows, ks
+        i = j
 
 
 def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
@@ -279,3 +360,15 @@ def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
     if last >= 1 << 64:
         raise CapacityError("witness set only proves primality below 2**64")
     return total + sum(1 for n in range(start, last + 1, step) if is_prime_u64(n))
+
+
+def count_primes_in_aps(x: int, qs: np.ndarray, table: SpfTable) -> np.ndarray:
+    """``count_primes_in_ap(x, q, table)`` for every q of ``qs``, as int64,
+    with x within the table: the candidates of ``progression_candidates``
+    read from the cells and counted per row."""
+    if x > table.limit:
+        raise DomainError(f"x={x} beyond table limit {table.limit}")
+    counts = np.zeros(len(qs), dtype=np.int64)
+    for rows, cands in progression_candidates(qs, x):
+        counts += np.bincount(rows[table._cells[cands] == 0], minlength=counts.size)
+    return counts

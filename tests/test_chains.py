@@ -1,7 +1,28 @@
+import itertools
+
 import pytest
 
 from primechain import chains, sieve
 from primechain.errors import CapacityError, DomainError, IntegrityError
+
+
+def dfs_chains(p, x, table, bound=10**9, include_trivial=True):
+    """Reference enumeration: depth-first, multipliers increasing, one
+    ``is_prime`` per candidate, the capacity check after every chain."""
+    ceiling = int(p * x)
+    found = [(p,)] if include_trivial else []
+
+    def extend(prefix):
+        step = sieve.progression_step(prefix[-1])
+        for cand in range(1 + step, ceiling + 1, step):
+            if table.is_prime(cand):
+                found.append(prefix + (cand,))
+                if len(found) > bound:
+                    raise CapacityError("bound")
+                extend(found[-1])
+
+    extend((p,))
+    return found
 
 
 class TestChainRecord:
@@ -61,6 +82,39 @@ class TestEnumerateFrom:
             chains.enumerate_from(2, 0.5, table)
         with pytest.raises(CapacityError):
             chains.enumerate_from(2, 1000, table, bound=10)
+
+    def test_matches_depth_first_walk(self):
+        # a 1000 table, so every ceiling above it runs the Miller-Rabin branch
+        small = sieve.build_spf(1000)
+        for p, x, trivial in itertools.product((2, 3, 5, 7, 11, 101, 997), (1, 1.5, 7, 40, 600), (True, False)):
+            got = [c.primes for c in chains.enumerate_from(p, x, small, include_trivial=trivial).chains]
+            assert got == dfs_chains(p, x, small, include_trivial=trivial), (p, x, trivial)
+
+    def test_bound_fires_at_the_depth_first_totals(self, table):
+        for p, x, trivial in itertools.product((2, 7, 13), (5, 30, 200), (True, False)):
+            total = len(dfs_chains(p, x, table, include_trivial=trivial))
+            for bound in range(-1, total + 2):
+                try:
+                    dfs_chains(p, x, table, bound=bound, include_trivial=trivial)
+                    want = False
+                except CapacityError:
+                    want = True
+                try:
+                    chains.enumerate_from(p, x, table, bound=bound, include_trivial=trivial)
+                    got = False
+                except CapacityError:
+                    got = True
+                assert got == want, (p, x, trivial, bound)
+
+    def test_huge_ceiling_is_refused_before_work(self, table):
+        with pytest.raises(CapacityError):
+            chains.enumerate_from(2, 1e300, table)
+        with pytest.raises(CapacityError):
+            chains.enumerate_from(3, 1e100, table, bound=10)
+        # the one candidate 1 + 2p lies in [2**63, 2**64): prime for p, not for q
+        p, q = 2**63 - 10000000000659, 2**63 - 10000000000041
+        assert [c.primes for c in chains.enumerate_from(p, 2.000001, table).chains] == [(p,), (p, 2 * p + 1)]
+        assert [c.primes for c in chains.enumerate_from(q, 2.000001, table).chains] == [(q,)]
 
     @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
     def test_non_finite_ratio(self, table, ratio):
@@ -122,3 +176,7 @@ class TestNodeCountIdentity:
     def test_identity_small_ranges(self, table, dag):
         for x in (10, 100, 1000):
             assert chains.n_identity_check(x, table, dag)
+
+    def test_identity_fills_only_the_primes_up_to_x(self, table):
+        for x in (2, 3, 4, 100, 10**4 + 1):
+            assert chains.n_identity_check(x, table)

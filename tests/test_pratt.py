@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from primechain import pratt, sieve
-from primechain.errors import DomainError
+from primechain.errors import DomainError, IntegrityError
 from primechain.verify import naive_f, naive_h
 
 
@@ -155,6 +156,15 @@ class TestBlockArrays:
             cases.add(int(table.primes(cut, table.limit)[0]))
         assert_matches_naive(dag, table, sorted(cases))
 
+    def test_children_above_the_rank_table(self):
+        # 2097779 - 1 = 2 * 1048889 and 4195229 - 1 = 4 * 1048807: children
+        # above 2^20, found by binary search instead of the rank table
+        p, q = 2097779, 4195229
+        table = sieve.SpfTable(q + 1)
+        assert max(table.factorize(p - 1).distinct_primes()) > pratt._BLOCK_WIDTH
+        assert_matches_naive(pratt.PrattDag(table), table, [p, q])
+        assert_matches_naive(pratt.PrattDag(table, pratt.tree_primes(q, table)), table, [q])
+
     @pytest.mark.parametrize("limit", [10**6, 2 * 10**7])
     def test_fill_peak_within_footprint(self, limit):
         table = sieve.SpfTable(limit)
@@ -178,6 +188,41 @@ class TestBlockArrays:
     def test_values_guard(self, table):
         with pytest.raises(DomainError):
             pratt.PrattDag(table).values(table.limit + 1)
+
+
+class TestPrimeSets:
+    def test_tree_closure_matches_full_fill(self, table, dag):
+        for p in [2, 3, 7, 65537, 999_983] + table.primes(2, 3000).tolist()[::7]:
+            labels = pratt.tree_primes(p, table)
+            assert labels[-1] == p and labels.size <= dag.f_of(p) <= 2 * math.log2(p) - 1 + 1e-9
+            sub = pratt.PrattDag(table, labels)
+            assert (sub.f_of(p), sub.h_of(p), sub.g_of(p)) == (dag.f_of(p), dag.h_of(p), dag.g_of(p)), p
+
+    def test_primes_up_to_x(self, table, dag):
+        for x in (2, 3, 100, 4099, 10**5):
+            assert pratt.range_stats(x, table) == pratt.range_stats(x, table, dag), x
+            sub = pratt.PrattDag(table, table.primes(2, x))
+            assert all(a.tolist() == b.tolist() for a, b in zip(sub.values(x), dag.values(x)))
+
+    def test_set_without_a_child_is_refused(self):
+        # 7 - 1 = 2 * 3 and 3 is missing; 2 is missing under 3; the child
+        # 1048889 of 2097779 lies above the rank table
+        table = sieve.SpfTable(2097779)
+        for primes in ([2, 7], [3], [2, 2097779]):
+            with pytest.raises(IntegrityError):
+                pratt.PrattDag(table, np.array(primes))
+
+    def test_bad_sets_and_lookups(self, table):
+        for primes in ([3, 2], [2, 2], [1, 2], [2, 9], [2, 3, table.limit + 2]):
+            with pytest.raises(DomainError):
+                pratt.PrattDag(table, np.array(primes))
+        sub = pratt.PrattDag(table, pratt.tree_primes(13, table))
+        for p in (5, 9, 13 + table.limit):
+            with pytest.raises(DomainError):
+                sub.f_of(p)
+        for p in (1, 9, table.limit + 2):
+            with pytest.raises(DomainError):
+                pratt.tree_primes(p, table)
 
 
 class TestMassProducts:

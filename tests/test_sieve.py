@@ -122,6 +122,28 @@ class TestPrimeDivisors:
             table.prime_divisors(np.array([table.limit + 1]))
 
 
+class TestUnitaryCofactors:
+    def test_matches_factorize_to_2_17(self):
+        t = sieve.build_spf(1 << 17)
+        ns = np.arange(1, (1 << 17) + 1)
+        got = t.unitary_cofactors(ns).tolist()
+        assert got == [t.factorize(n).unitary_cofactor() for n in ns.tolist()]
+
+    def test_guard(self, table):
+        assert table.unitary_cofactors(np.zeros(0, dtype=np.int64)).size == 0
+        with pytest.raises(DomainError):
+            table.unitary_cofactors(np.array([0]))
+        with pytest.raises(DomainError):
+            table.unitary_cofactors(np.array([table.limit + 1]))
+
+
+class TestArrayPrimality:
+    def test_matches_scalar_across_the_limit(self):
+        small = sieve.build_spf(1000)
+        ns = np.array(list(range(0, 3000)) + [2**61 - 1, 2**64 - 59, 2**64 - 57], dtype=np.uint64)
+        assert small.are_prime(ns).tolist() == [small.is_prime(n) for n in ns.tolist()]
+
+
 class TestFactorization:
     def test_roundtrip_product(self, table):
         for n in range(1, 3000):
@@ -185,3 +207,40 @@ class TestPrimesInProgression:
                 sieve.count_primes_in_ap(x, q, table)
         with pytest.raises(CapacityError):
             sieve.count_primes_in_ap(2**64 + 5, 2**62, table)
+
+    @pytest.mark.parametrize("x", [2, 3, 100, 10**4 + 1, 2**20 + 3])
+    def test_batched_counts_match_scalar(self, x):
+        t = sieve.build_spf(max(x, 2))
+        qs = t.primes(2, x // 2)
+        got = sieve.count_primes_in_aps(x, qs, t).tolist()
+        assert got == [sieve.count_primes_in_ap(x, q, t) for q in qs.tolist()]
+
+    def test_batched_counts_guard(self, table):
+        qs = [1, 4, 6, 9, 1000]
+        assert sieve.count_primes_in_aps(1000, np.array(qs), table).tolist() == [sieve.count_primes_in_ap(1000, q, table) for q in qs]
+        assert sieve.count_primes_in_aps(1000, np.array([1]), table)[0] == 168
+        with pytest.raises(DomainError):
+            sieve.count_primes_in_aps(table.limit + 1, np.array([3]), table)
+
+
+class TestProgressionCandidates:
+    def test_step_takes_arrays(self):
+        qs = np.arange(1, 200)
+        assert sieve.progression_step(qs).tolist() == [sieve.progression_step(q) for q in qs.tolist()]
+
+    @pytest.mark.parametrize("width", [1, 7, 64, sieve.PROGRESSION_CHUNK])
+    def test_chunks_list_every_candidate_once(self, width):
+        qs = np.array([1, 2, 3, 5, 97, 499, 500, 10**4], dtype=np.uint64)
+        ceiling = 2000
+        want = [(i, n) for i, q in enumerate(qs.tolist()) for n in range(1 + sieve.progression_step(q), ceiling + 1, sieve.progression_step(q))]
+        got = []
+        for rows, cands in sieve.progression_candidates(qs, ceiling, width):
+            assert rows.size == cands.size <= width
+            assert cands.dtype == np.uint64
+            got += zip(rows.tolist(), cands.tolist())
+        assert got == want
+
+    def test_near_2_64(self):
+        q = 2**62 + 135  # 1 + 2q and 1 + 4q lie above 2**63
+        chunks = list(sieve.progression_candidates(np.array([q], dtype=np.uint64), 2**64 - 1))
+        assert [c.tolist() for _, c in chunks] == [[1 + 2 * q]]
