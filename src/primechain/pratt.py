@@ -44,12 +44,12 @@ _BLOCK_WIDTH = 1 << 20
 
 # A PrattDag fill's tracemalloc peak beyond its table: the 1-byte mask per
 # integer of ``table.primes()``, each prime (8 bytes) with its f/H/g (3), the
-# rank table (4 MiB) and one piece's temporaries (at most 15 MiB, at 2^21).
-# The peak is 10.5, 32.3 and 70.6 MiB at 1e6, 2e7 and 5e7, the bound 21.9,
-# 54.7 and 104.8 MiB.
+# rank table (4 MiB) and one piece's temporaries (at most 10.1 MiB, at 2^21).
+# The peak is 9.2, 28.8 and 70.6 MiB at 1e6, 2e7 and 5e7, the bound 16.9,
+# 49.7 and 99.8 MiB.
 _BYTES_PER_INTEGER = 1
 _BYTES_PER_PRIME = 11
-_PIECE_BYTES = 20 << 20
+_PIECE_BYTES = 15 << 20
 
 
 def footprint_bytes(limit: int) -> int:
@@ -73,28 +73,33 @@ def _pieces(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
     """Yield (a, b, kid, first) per piece of the dyadic blocks [2^k, 2^(k+1)),
     each cut at ``_BLOCK_WIDTH`` integers: ``kid`` indexes in ``primes`` the
     children of primes[a:b], and those of primes[a + j] start at kid[first[j]].
-    Every child lies below its piece, so reductions read finished values.
-
-    Children below ``_BLOCK_WIDTH`` are looked up in ``rank``, the
-    ``_rank_table`` of ``primes``, larger ones by binary search; a child
-    missing from ``primes`` raises an IntegrityError.
-    """
+    Every child lies below its piece, so reductions read finished values."""
     top = int(primes[-1]) if primes.size else 0
     lo = 3
     while lo <= top:
         hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, top + 1)
         a, b = np.searchsorted(primes, [lo, hi]).tolist()
         lo = hi
-        if a == b:
-            continue
-        rows, divisors = table.prime_divisors(primes[a:b] - 1)
-        kid = rank[np.minimum(divisors, rank.size - 1)]
-        big = divisors >= rank.size
-        kid[big] = np.searchsorted(primes[:a], divisors[big])  # every child is below the piece
-        if not np.array_equal(primes[kid], divisors):
-            raise IntegrityError(f"a prime divisor of p - 1 for some p in [{primes[a]}, {primes[b - 1]}] is missing from the primes")
-        counts = np.bincount(rows, minlength=b - a)
-        yield a, b, kid, np.cumsum(counts) - counts  # p >= 3, so every parent has a child
+        if a < b:
+            yield a, b, *_children(table, primes, rank, a, b)
+
+
+def _children(table: SpfTable, primes: np.ndarray, rank: np.ndarray, a: int, b: int):
+    """(kid, first) of primes[a:b] for ``_pieces``; its temporaries end with
+    the call, so they never overlap the next piece's.
+
+    Children below ``_BLOCK_WIDTH`` are looked up in ``rank``, the
+    ``_rank_table`` of ``primes``, larger ones by binary search; a child
+    missing from ``primes`` raises an IntegrityError.
+    """
+    rows, divisors = table.prime_divisors(primes[a:b] - 1)
+    kid = rank.take(divisors, mode="clip")
+    big = divisors >= rank.size
+    kid[big] = np.searchsorted(primes[:a], divisors[big])  # every child is below the piece
+    if not np.array_equal(primes[kid], divisors):
+        raise IntegrityError(f"a prime divisor of p - 1 for some p in [{primes[a]}, {primes[b - 1]}] is missing from the primes")
+    counts = np.bincount(rows, minlength=b - a)
+    return kid, np.cumsum(counts) - counts  # p >= 3, so every parent has a child
 
 
 def _require_prime(p: int, table: SpfTable) -> None:

@@ -271,7 +271,9 @@ class SpfTable:
         hi = self.limit if hi is None else min(hi, self.limit)
         # the poisoned cells 0 and 1 are nonzero, so they never match
         cells = self._cells[lo : max(hi + 1, lo)]
-        return (np.flatnonzero(cells == 0) + lo).astype(np.int64, copy=False)
+        out = np.flatnonzero(cells == 0).astype(np.int64, copy=False)
+        out += lo
+        return out
 
     def prime_count(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""

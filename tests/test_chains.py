@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from primechain import chains, sieve
+from primechain import chains, pratt, sieve
 from primechain.errors import CapacityError, DomainError, IntegrityError
 
 
@@ -91,7 +91,8 @@ class TestEnumerateFrom:
             assert got == dfs_chains(p, x, small, include_trivial=trivial), (p, x, trivial)
 
     def test_bound_fires_at_the_depth_first_totals(self, table):
-        for p, x, trivial in itertools.product((2, 7, 13), (5, 30, 200), (True, False)):
+        grid = list(itertools.product((2, 7, 13), (5, 30, 200), (True, False))) + [(11, 1.5, True), (11, 1.5, False)]
+        for p, x, trivial in grid:  # 11 at ratio 1.5 has no link: no bound is ever exceeded
             total = len(dfs_chains(p, x, table, include_trivial=trivial))
             for bound in range(-1, total + 2):
                 try:
@@ -176,6 +177,11 @@ class TestNodeCountIdentity:
     def test_identity_small_ranges(self, table, dag):
         for x in (10, 100, 1000):
             assert chains.n_identity_check(x, table, dag)
+
+    def test_identity_does_not_read_its_right_side_off_the_dag(self, table):
+        dag = pratt.PrattDag(table, table.primes(2, 1000))
+        dag._f[dag._index(997)] += 2  # a wrong f moves the left side, not the counts from the table
+        assert not chains.n_identity_check(1000, table, dag)
 
     def test_identity_fills_only_the_primes_up_to_x(self, table):
         for x in (2, 3, 4, 100, 10**4 + 1):
