@@ -178,7 +178,7 @@ class TestNodeCountIdentity:
         for x in (10, 100, 1000):
             assert chains.n_identity_check(x, table, dag)
 
-    def test_identity_does_not_read_its_right_side_off_the_dag(self, table):
+    def test_identity_catches_a_wrong_f(self, table):
         dag = pratt.PrattDag(table, table.primes(2, 1000))
         dag._f[dag._index(997)] += 2  # a wrong f moves the left side, not the counts from the table
         assert not chains.n_identity_check(1000, table, dag)

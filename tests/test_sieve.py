@@ -241,6 +241,6 @@ class TestProgressionCandidates:
         assert got == want
 
     def test_near_2_64(self):
-        q = 2**62 + 135  # 1 + 2q and 1 + 4q lie above 2**63
+        q = 2**62 + 135  # 1 + 2q lies in [2**63, 2**64), 1 + 4q above the ceiling
         chunks = list(sieve.progression_candidates(np.array([q], dtype=np.uint64), 2**64 - 1))
         assert [c.tolist() for _, c in chunks] == [[1 + 2 * q]]
