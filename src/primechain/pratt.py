@@ -102,6 +102,34 @@ def _children(table: SpfTable, primes: np.ndarray, rank: np.ndarray, a: int, b: 
     return kid, np.cumsum(counts) - counts  # p >= 3, so every parent has a child
 
 
+def _complete_to(table: SpfTable, primes: np.ndarray) -> int:
+    """The largest y <= table.limit with every prime <= y in ``primes``, a
+    validated increasing prime set.  Its first k entries are the first k
+    primes exactly when pi(primes[k - 1]) == k, which fails for every k
+    past the first missing prime, so a bisection finds the longest such
+    prefix.  The k-th prime is below k (ln k + ln ln k) for k >= 6
+    (Rosser), which refuses a sparse prefix, like most of a tree's labels,
+    without a count."""
+
+    def first_primes(k: int) -> bool:
+        if k == 0:
+            return True
+        top = int(primes[k - 1])
+        bound = 11 if k < 6 else k * (math.log(k) + math.log(math.log(k)))
+        return top <= bound and table.prime_count(top) == k
+
+    k = bad = primes.size
+    if not first_primes(k):
+        k = 0  # the first k entries are the first k primes, the first bad are not
+        while bad - k > 1:
+            mid = (k + bad) // 2
+            k, bad = (mid, bad) if first_primes(mid) else (k, mid)
+    nxt = int(primes[k - 1]) + 1 if k else 2  # the least prime past the prefix is missing
+    while nxt <= table.limit and not table.is_prime(nxt):
+        nxt += 1
+    return nxt - 1
+
+
 def _require_prime(p: int, table: SpfTable) -> None:
     if p > table.limit:
         raise DomainError(f"{p} is beyond factorization limit {table.limit}")
@@ -128,18 +156,21 @@ class PrattDag:
     filled once, in place, by reductions over ``_pieces``; no children are
     stored.  f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
     ``tree_primes(p, table)`` is the least set that answers for p.
+    ``values(x)`` answers only where the set holds every prime up to x.
     """
 
     def __init__(self, table: SpfTable, primes: np.ndarray | None = None):
         self.table = table
         if primes is None:
             primes = table.primes()
+            self._complete = table.limit
         else:
             primes = np.asarray(primes, dtype=np.int64)
             if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(np.diff(primes) <= 0)):
                 raise DomainError(f"primes must increase within 2..{table.limit}")
             if not np.all(table._cells[primes] == 0):
                 raise DomainError("the set holds a composite")
+            self._complete = _complete_to(table, primes)
         self._primes = primes
         rank = self._rank = _rank_table(primes)
         f, h, g = self._f, self._h, self._g = [np.ones(primes.size, dtype=np.uint8) for _ in range(3)]
@@ -156,9 +187,12 @@ class PrattDag:
         return i
 
     def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(primes, f, H, g) for every prime p <= x, as read-only views."""
+        """(primes, f, H, g) for every prime p <= x, as read-only views;
+        refused where the dag's set lacks a prime up to x."""
         if x > self.table.limit:
             raise DomainError(f"x={x} beyond table limit {self.table.limit}")
+        if x > self._complete:
+            raise DomainError(f"the dag's primes stop being complete at {self._complete} < x={x}")
         k = int(np.searchsorted(self._primes, x, side="right"))
         views = tuple(a[:k] for a in (self._primes, self._f, self._h, self._g))
         for v in views:

@@ -279,7 +279,9 @@ class SpfTable:
         """pi(x) for 0 <= x <= limit."""
         if x > self.limit:
             raise DomainError(f"x={x} beyond table limit {self.limit}")
-        return int(np.count_nonzero(self._cells[: max(x + 1, 0)] == 0))
+        # counted a segment at a time, so the temporary mask stays small
+        starts = range(0, x + 1, SEGMENT_WIDTH)
+        return sum(int(np.count_nonzero(self._cells[lo : min(lo + SEGMENT_WIDTH, x + 1)] == 0)) for lo in starts)
 
 
 def build_spf(limit: int) -> SpfTable:
@@ -290,7 +292,8 @@ def build_spf(limit: int) -> SpfTable:
 def progression_step(q):
     """Stride between the candidates 1 + mq that can be prime: q, or 2q for
     odd q > 1, since 1 + qm is then even and at least 4 for every odd m.
-    Takes an int or an integer array, elementwise."""
+    Takes an int or an integer array, elementwise; a uint64 array wraps
+    2q for odd q >= 2**63."""
     return q << ((q > 1) & (q % 2 == 1))
 
 
@@ -309,6 +312,7 @@ def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSIO
         return
     steps = progression_step(qs)
     counts = (ceiling - 1) // steps
+    counts[steps < qs] = 0  # 2q wrapped: the true step exceeds any ceiling below 2**64
     # a row above width is clipped to width + 1, so no shared chunk takes it
     clipped = np.minimum(counts, width + 1).astype(np.int64)
     ends = np.cumsum(clipped)

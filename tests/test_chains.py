@@ -116,6 +116,15 @@ class TestEnumerateFrom:
         p, q = 2**63 - 10000000000659, 2**63 - 10000000000041
         assert [c.primes for c in chains.enumerate_from(p, 2.000001, table).chains] == [(p,), (p, 2 * p + 1)]
         assert [c.primes for c in chains.enumerate_from(q, 2.000001, table).chains] == [(q,)]
+        for start in (p, q):
+            assert [c.primes for c in chains.enumerate_from(start, 2.000001, table).chains] == dfs_chains(start, 2.000001, table)
+
+    @pytest.mark.parametrize("x", [1, 1.5])
+    def test_tips_above_two_to_the_63(self, table, x):
+        # 2p overflows 64 bits; a wrapped step would walk candidates below p
+        p = 2**63 + 29  # the least prime above 2**63
+        assert sieve.is_prime_u64(p)
+        assert [c.primes for c in chains.enumerate_from(p, x, table).chains] == dfs_chains(p, x, table) == [(p,)]
 
     @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
     def test_non_finite_ratio(self, table, ratio):
@@ -182,6 +191,11 @@ class TestNodeCountIdentity:
         dag = pratt.PrattDag(table, table.primes(2, 1000))
         dag._f[dag._index(997)] += 2  # a wrong f moves the left side, not the counts from the table
         assert not chains.n_identity_check(1000, table, dag)
+
+    def test_identity_refuses_an_incomplete_dag(self, table):
+        dag = pratt.PrattDag(table, pratt.tree_primes(997, table))
+        with pytest.raises(DomainError):
+            chains.n_identity_check(1000, table, dag)
 
     def test_identity_fills_only_the_primes_up_to_x(self, table):
         for x in (2, 3, 4, 100, 10**4 + 1):
