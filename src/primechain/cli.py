@@ -125,9 +125,9 @@ def _table(limit: int = 10**6) -> sieve.SpfTable:
 _TREE_MAX_BYTES = 1 << 30
 
 
-def _tree_table(limit: int, flag: str) -> sieve.SpfTable:
-    """``_table(limit)`` for a PrattDag, refused before it is built above the ceiling."""
-    need = pratt.footprint_bytes(limit)
+def _tree_table(limit: int, flag: str, need: int) -> sieve.SpfTable:
+    """``_table(limit)`` for a PrattDag whose table and fill take ``need``
+    bytes, refused before it is built above the ceiling."""
     if need > _TREE_MAX_BYTES:
         raise CapacityError(f"{flag} needs about {need >> 20} MiB of tables, above the {_TREE_MAX_BYTES >> 20} MiB ceiling")
     return _table(limit)
@@ -139,7 +139,8 @@ def _tree_table(limit: int, flag: str) -> sieve.SpfTable:
 
 def _cmd_pratt(args):
     p = args.prime
-    table = _tree_table(max(p, 2) + 1, f"--prime {p}")
+    limit = max(p, 2) + 1
+    table = _tree_table(limit, f"--prime {p}", pratt.tree_footprint_bytes(limit))
     dag = pratt.PrattDag(table, pratt.tree_primes(p, table))
     return _kv({"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)})
 
@@ -160,7 +161,8 @@ def _cmd_hist(args):
         raise DomainError("--limit must be at least 2")
     if args.plot_script and (args.out == _STDOUT or args.format != "csv"):
         raise DomainError("--plot-script needs --format csv with --out FILE")
-    stats = pratt.range_stats(args.limit, _tree_table(args.limit, f"--limit {args.limit}"))
+    table = _tree_table(args.limit, f"--limit {args.limit}", pratt.footprint_bytes(args.limit))
+    stats = pratt.range_stats(args.limit, table)
     rows = [list(r) for r in stats.rows(args.stat)]
     payload = {
         "stat": args.stat,

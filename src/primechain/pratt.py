@@ -59,6 +59,13 @@ def footprint_bytes(limit: int) -> int:
     return table_bytes(limit) + limit * _BYTES_PER_INTEGER + int(primes * _BYTES_PER_PRIME) + _PIECE_BYTES
 
 
+def tree_footprint_bytes(limit: int) -> int:
+    """Bytes of a factor table to ``limit`` plus the peak of a PrattDag fill
+    over one tree's labels (``tree_primes``): a handful of primes, so the
+    rank table and one small piece, both inside ``_PIECE_BYTES``."""
+    return table_bytes(limit) + _PIECE_BYTES
+
+
 def _rank_table(primes: np.ndarray) -> np.ndarray:
     """Position in ``primes`` of each prime below ``_BLOCK_WIDTH``, indexed
     by the prime; 0 elsewhere, so a lookup is confirmed by reading back."""

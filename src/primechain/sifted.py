@@ -43,7 +43,10 @@ _BERNOULLI = (
     7.0 / 6,
 )
 
-_MAX_MATRIX_ENTRIES = 40_000_000  # dense float64 budget (~320 MB)
+# Bound on dim**2: the gathers of one row-sum pass, and the dense float64
+# copy (~320 MB) that perron_eigenvalue fills; y = 13 fits, y = 17 does not.
+_MAX_MATRIX_ENTRIES = 40_000_000
+_BLOCK_ENTRIES = 1 << 17  # entries gathered per row block (1 MiB of float64)
 _ADMISSIBLE_Y = (2, 3, 5, 7, 11, 13, 17, 19, 23)  # the primes to 23
 _MAX_GRID = 10_000  # each s point costs one row-sum evaluation
 _ZETA_TOL = 1e-12  # relative size of the first omitted Euler-Maclaurin term
@@ -113,21 +116,44 @@ def euler_factor_tail(s: float, y: int) -> float:
 
 @dataclass
 class ResidueMatrix:
-    """Dense matrix of link series values S(a, b), rows indexed by b."""
+    """Matrix of link series values S(a, b), rows indexed by b, kept as its
+    r distinct values; ``rows`` gathers dense rows on demand."""
 
     y: int
     s: float
     r: int
     units: np.ndarray  # the phi(r) units mod r, increasing
-    entries: np.ndarray  # entries[i, j] = S(units[j], units[i])
+    inverses: np.ndarray  # inverses[j] = units[j]^(-1) mod r
+    entries: np.ndarray  # entries[k - 1] = r^(-s) zeta(s, k/r), the value of link residue m0 = k
     tail: float  # euler_factor_tail(s, y), the factor every row sum shares
 
     @property
     def dimension(self) -> int:
         return len(self.units)
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Dense rows lo..hi-1: rows(lo, hi)[i, j] = S(units[j], units[lo + i])."""
+        # m0 - 1 for m0 in [1, r] solving a * m0 = b - 1 (mod r)
+        idx = np.multiply.outer(self.units[lo:hi] - 1, self.inverses)
+        idx -= 1
+        idx %= self.r
+        return self.entries.take(idx)
+
+    def blocks(self):
+        """Yield (lo, rows(lo, hi)) over consecutive row blocks of at most
+        ``_BLOCK_ENTRIES`` entries (one row if a row is longer)."""
+        dim = self.dimension
+        step = max(1, _BLOCK_ENTRIES // dim)
+        for lo in range(0, dim, step):
+            yield lo, self.rows(lo, min(lo + step, dim))
+
     def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        """Each row's sum, a block of rows at a time.  Every row is one
+        contiguous pairwise sum, so the bits equal a dense ``sum(axis=1)``."""
+        out = np.empty(self.dimension)
+        for lo, block in self.blocks():
+            out[lo : lo + len(block)] = block.sum(axis=1)
+        return out
 
     def row_sum_closed_form(self, b: int) -> float:
         """Closed form for the row sum at unit b (see module docstring)."""
@@ -140,34 +166,32 @@ class ResidueMatrix:
 
 
 def build_matrix(y: int, s: float) -> ResidueMatrix:
-    """Assemble M(r, s) for r = product of primes <= y.
+    """M(r, s) for r = product of primes <= y, without its dense entries.
 
     Entries share only r distinct values (the Hurwitz zetas at k/r for
-    k = 1..r), which are computed once and gathered.  Dense storage, so y
-    beyond 13 (dimension 5760) exceeds the entry budget and is rejected.
+    k = 1..r), which are computed once; ``ResidueMatrix.rows`` gathers
+    them.  y beyond 13 (dimension 5760) exceeds the entry budget and is
+    rejected before anything of size r is allocated.
     """
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
     primes = _check_y(y)
     r = math.prod(primes)
+    dim = math.prod(p - 1 for p in primes)  # phi(r)
+    if dim * dim > _MAX_MATRIX_ENTRIES:
+        raise CapacityError(
+            f"residue matrix for y={y} has {dim}x{dim} entries, above the {_MAX_MATRIX_ENTRIES:,} "
+            "that one row-sum pass gathers or a dense Perron copy holds"
+        )
     coprime = np.ones(r + 1, dtype=bool)
     for p in primes:
         coprime[p::p] = False
     units = np.nonzero(coprime[1 : r + 1])[0].astype(np.int64) + 1
-    dim = len(units)
-    if dim * dim > _MAX_MATRIX_ENTRIES:
-        raise CapacityError(
-            f"dense matrix for y={y} needs {dim}x{dim} entries; budget exceeded"
-        )
     # series[k - 1] = S for the link residue m0 = k, k = 1..r
     series = float(r) ** (-s) * hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
     inv = np.array([pow(int(a), -1, r) for a in units.tolist()], dtype=np.int64)
-    entries = np.empty((dim, dim), dtype=np.float64)
-    for i, b in enumerate(units.tolist()):
-        # m0 - 1 for m0 in [1, r] solving a * m0 = b - 1 (mod r)
-        np.take(series, ((b - 1) * inv - 1) % r, out=entries[i])
     return ResidueMatrix(
-        y=y, s=float(s), r=r, units=units, entries=entries, tail=euler_factor_tail(s, y)
+        y=y, s=float(s), r=r, units=units, inverses=inv, entries=series, tail=euler_factor_tail(s, y)
     )
 
 
@@ -197,12 +221,15 @@ def max_row_sum_value(y: int, s: float) -> float:
 
 def perron_eigenvalue(matrix: ResidueMatrix) -> float:
     """Dominant eigenvalue of the (entrywise positive) matrix by power
-    iteration with Rayleigh quotient stopping.
+    iteration with Rayleigh quotient stopping, on a dense copy filled one
+    row block at a time.
 
     Each step takes one matvec: the product m @ w that gives the Rayleigh
     quotient of the unit vector w is the next step's m @ v.
     """
-    m = matrix.entries
+    m = np.empty((matrix.dimension, matrix.dimension))
+    for lo, block in matrix.blocks():
+        m[lo : lo + len(block)] = block
     mv = m @ np.full(m.shape[0], 1.0 / m.shape[0])
     lam = 0.0
     for _ in range(_PERRON_MAX_ITER):

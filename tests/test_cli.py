@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from primechain import cli, sieve
+from primechain import cli, pratt, sieve
 from test_pratt import naive_f, naive_g, naive_h
 
 
@@ -54,6 +54,19 @@ class TestPratt:
 
         monkeypatch.setattr(cli, "_table", no_table)
         code, out, err = run_cli(capsys, "pratt", "--prime", "1000000000000")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "CapacityError"
+
+    def test_budget_is_the_table_and_a_label_fill(self, capsys, monkeypatch):
+        # p = 300000007 once needed "about 1080 MiB" for a full fill; its
+        # table is 572 MiB and the fill of its labels a few MiB
+        big = 300_000_008
+        assert pratt.tree_footprint_bytes(big) < cli._TREE_MAX_BYTES < pratt.footprint_bytes(big)
+        p = 1_000_003
+        between = (pratt.tree_footprint_bytes(p + 1) + pratt.footprint_bytes(p + 1)) // 2
+        monkeypatch.setattr(cli, "_TREE_MAX_BYTES", between)
+        assert run_json(capsys, "pratt", "--prime", str(p))["p"] == p
+        code, out, err = run_cli(capsys, "hist", "--limit", str(p + 1))
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "CapacityError"
 

@@ -176,6 +176,16 @@ class TestBlockArrays:
             tracemalloc.stop()
         assert peak <= pratt.footprint_bytes(limit) - sieve.table_bytes(limit)
 
+    def test_label_fill_peak_within_tree_footprint(self, table):
+        p = 999_983  # the largest prime of the 1e6 table
+        tracemalloc.start()
+        try:
+            pratt.PrattDag(table, pratt.tree_primes(p, table)).f_of(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pratt.tree_footprint_bytes(table.limit) - sieve.table_bytes(table.limit)
+
     def test_extremes_are_first_primes_attaining_them(self, table):
         x = 100_000
         dag = pratt.PrattDag(table)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,14 +87,15 @@ class TestResidueMatrix:
 
     def test_entries_positive(self):
         m = sifted.build_matrix(5, 2.0)
-        assert np.all(m.entries > 0)
+        assert np.all(m.rows(0, m.dimension) > 0)
 
     def test_entry_against_direct_series(self):
         m = sifted.build_matrix(3, 2.0)
+        dense = m.rows(0, m.dimension)
         for i, b in enumerate(m.units.tolist()):
             for j, a in enumerate(m.units.tolist()):
                 want = sifted.link_series_direct(a, b, 3, 2.0)
-                assert m.entries[i, j] == pytest.approx(want, rel=1e-9), (a, b)
+                assert dense[i, j] == pytest.approx(want, rel=1e-9), (a, b)
 
     def test_row_sums_match_closed_form(self):
         for y in (2, 3, 5):
@@ -111,10 +113,12 @@ class TestResidueMatrix:
         r = m.r
         zvals = sifted.hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
         inv = np.array([pow(int(a), -1, r) for a in m.units.tolist()], dtype=np.int64)
+        dense = m.rows(0, m.dimension)
         for i, b in enumerate(m.units.tolist()):
             m0 = (b - 1) * inv % r
             want = float(r) ** (-s) * zvals[np.where(m0 == 0, r, m0) - 1]
-            assert m.entries[i].tobytes() == want.tobytes(), b
+            assert dense[i].tobytes() == want.tobytes(), b
+            assert m.rows(i, i + 1).tobytes() == want.tobytes(), b
 
     def test_one_hurwitz_tail_per_matrix(self, monkeypatch):
         calls = []
@@ -133,9 +137,39 @@ class TestResidueMatrix:
         with pytest.raises(DomainError):
             sifted.link_series_direct(2, 1, 3, 2.0)
 
+    @pytest.mark.parametrize("y", [7, 11, 13])
+    def test_blocked_row_sums_match_dense_rows(self, y):
+        m = sifted.build_matrix(y, 2.0)
+        assert m.row_sums().tobytes() == m.rows(0, m.dimension).sum(axis=1).tobytes()
+
+    def test_blocks_cover_every_row_once(self):
+        # 22 rows of 5760 per block: 261 full blocks and a short one of 18
+        m = sifted.build_matrix(13, 2.0)
+        spans = [(lo, len(block)) for lo, block in m.blocks()]
+        assert spans[0] == (0, 22) and spans[-1] == (5742, 18)
+        assert [lo for lo, _ in spans] == list(range(0, 5760, 22))
+
+    def test_row_sums_hold_one_block_at_a_time(self):
+        # the dense y = 13 matrix alone is 253 MiB
+        tracemalloc.start()
+        try:
+            sifted.build_matrix(13, 2.0).row_sums()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            sifted.build_matrix(17, 2.0)
+        # refused before the r-sized unit mask (223 MB at y = 23) is made
+        for y in (17, 19, 23):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    sifted.build_matrix(y, 2.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, y
 
 
 class TestRowSumMaximum:
@@ -175,18 +209,18 @@ class TestPerron:
         for y, s in ((3, 1.5), (5, 2.0), (7, 2.0)):
             m = sifted.build_matrix(y, s)
             lam = sifted.perron_eigenvalue(m)
-            dense = float(np.max(np.abs(np.linalg.eigvals(m.entries))))
+            dense = float(np.max(np.abs(np.linalg.eigvals(m.rows(0, m.dimension)))))
             assert lam == pytest.approx(dense, rel=1e-8), (y, s)
 
     @pytest.mark.parametrize("y", [2, 3, 5, 7])
     @pytest.mark.parametrize("s", [1.5, 2.0])
     def test_matches_two_matvec_loop(self, y, s):
         m = sifted.build_matrix(y, s)
-        assert sifted.perron_eigenvalue(m).hex() == two_matvec_perron(m.entries).hex()
+        assert sifted.perron_eigenvalue(m).hex() == two_matvec_perron(m.rows(0, m.dimension)).hex()
 
     def test_scalar_case(self):
         m = sifted.build_matrix(2, 2.0)
-        assert sifted.perron_eigenvalue(m) == pytest.approx(float(m.entries[0, 0]), rel=1e-10)
+        assert sifted.perron_eigenvalue(m) == pytest.approx(float(m.rows(0, 1)[0, 0]), rel=1e-10)
 
 
 class TestChainCountBound:
