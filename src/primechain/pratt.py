@@ -111,27 +111,16 @@ def _children(table: SpfTable, primes: np.ndarray, rank: np.ndarray, a: int, b: 
 
 def _complete_to(table: SpfTable, primes: np.ndarray) -> int:
     """The largest y <= table.limit with every prime <= y in ``primes``, a
-    validated increasing prime set.  Its first k entries are the first k
-    primes exactly when pi(primes[k - 1]) == k, which fails for every k
-    past the first missing prime, so a bisection finds the longest such
-    prefix.  The k-th prime is below k (ln k + ln ln k) for k >= 6
-    (Rosser), which refuses a sparse prefix, like most of a tree's labels,
-    without a count."""
-
-    def first_primes(k: int) -> bool:
-        if k == 0:
-            return True
-        top = int(primes[k - 1])
-        bound = 11 if k < 6 else k * (math.log(k) + math.log(math.log(k)))
-        return top <= bound and table.prime_count(top) == k
-
-    k = bad = primes.size
-    if not first_primes(k):
-        k = 0  # the first k entries are the first k primes, the first bad are not
-        while bad - k > 1:
-            mid = (k + bad) // 2
-            k, bad = (mid, bad) if first_primes(mid) else (k, mid)
-    nxt = int(primes[k - 1]) + 1 if k else 2  # the least prime past the prefix is missing
+    validated increasing prime set, when the set is the first k primes: just
+    below the next prime.  Any other set gets 1, so it answers no x >= 2.
+    The k-th prime is below k (ln k + ln ln k) for k >= 6 (Rosser), which
+    refuses a sparse set, like most of a tree's labels, without a count."""
+    k = primes.size
+    top = int(primes[-1]) if k else 1
+    bound = 11 if k < 6 else k * (math.log(k) + math.log(math.log(k)))
+    if top > bound or table.prime_count(top) != k:
+        return 1
+    nxt = top + 1
     while nxt <= table.limit and not table.is_prime(nxt):
         nxt += 1
     return nxt - 1
@@ -163,7 +152,7 @@ class PrattDag:
     filled once, in place, by reductions over ``_pieces``; no children are
     stored.  f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
     ``tree_primes(p, table)`` is the least set that answers for p.
-    ``values(x)`` answers only where the set holds every prime up to x.
+    ``values(x)`` answers only for the first k primes, below the next one.
     """
 
     def __init__(self, table: SpfTable, primes: np.ndarray | None = None):
@@ -195,7 +184,7 @@ class PrattDag:
 
     def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(primes, f, H, g) for every prime p <= x, as read-only views;
-        refused where the dag's set lacks a prime up to x."""
+        refused unless the set is the first k primes, below the next one."""
         if x > self.table.limit:
             raise DomainError(f"x={x} beyond table limit {self.table.limit}")
         if x > self._complete:

@@ -27,8 +27,8 @@ MAX_LIMIT = (1 << 32) - 1
 # Ceiling on the bytes of one table; SpfTable refuses larger limits before
 # allocating anything.
 MAX_TABLE_BYTES = 1 << 30
-# Ceiling on the candidates above a table's limit that count_primes_in_ap
-# tests one by one with Miller-Rabin: about 20 s at 64 bits on a 2-core Xeon.
+# Ceiling on the candidates above a table's limit, summed over all moduli, that
+# count_primes_in_aps tests with Miller-Rabin: about 20 s at 64 bits, 2-core Xeon.
 MAX_AP_CANDIDATES = 10**6
 
 # Deterministic Miller-Rabin witness set, exact for n < 3.3*10^24 and in
@@ -175,13 +175,13 @@ class SpfTable:
         return is_prime_u64(n)
 
     def are_prime(self, ns: np.ndarray) -> np.ndarray:
-        """``is_prime`` of every entry of a non-negative integer array: the cells
-        below the limit, Miller-Rabin one entry at a time above it."""
+        """``is_prime`` of every entry of an integer array: the cells up to
+        the limit, where the poisoned cells 0 and 1 answer every n < 2, and
+        Miller-Rabin one entry at a time above it."""
         ns = np.asarray(ns)
-        low = ns <= self.limit
-        out = np.zeros(ns.size, dtype=bool)
-        out[low] = self._cells[ns[low]] == 0  # the poisoned cells 0 and 1 read composite
-        out[~low] = [is_prime_u64(n) for n in ns[~low].tolist()]
+        out = self._cells[np.clip(ns, 0, self.limit)] == 0
+        big = np.flatnonzero(ns > self.limit)
+        out[big] = [is_prime_u64(n) for n in ns[big].tolist()]
         return out
 
     def factorize(self, n: int) -> Factorization:
@@ -201,21 +201,14 @@ class SpfTable:
 
     # -- vectorized queries ---------------------------------------------
 
-    def prime_divisors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct prime divisors of every entry of ``ns`` (1 <= n <= limit).
-
-        Returns parallel int64 arrays (rows, primes): the primes dividing
-        ``ns[row]``, grouped by increasing row and increasing within a row.
-        Each round divides every unfinished entry by its smallest prime
-        factor; the factors come out non-decreasing, so a prime is new
-        exactly when it differs from the one before.
-        """
-        m = np.asarray(ns, dtype=np.int64)
+    def _spf_rounds(self, m: np.ndarray):
+        """Yield (rows, s, new) per round of spf division of the odd parts of
+        ``m``, an int64 array with every entry in 1..limit (DomainError
+        otherwise): each round divides every unfinished odd part m[row] by its
+        smallest prime factor s.  A row's factors come out non-decreasing, so
+        ``new`` marks the s that differ from the row's previous round's."""
         if m.size and (m.min() < 1 or m.max() > self.limit):
             raise DomainError(f"array entries outside table range 1..{self.limit}")
-        # the factor 2 in one step: strip the lowest set bit's power
-        rows = np.flatnonzero(m % 2 == 0)
-        got_rows, got_primes = [rows], [np.full(rows.size, 2, dtype=np.int64)]
         m = m // (m & -m)
         rows = np.flatnonzero(m > 1)
         m = m[rows]
@@ -223,12 +216,25 @@ class SpfTable:
         while m.size:
             s = self._cells[m].astype(np.int64)
             s = np.where(s == 0, m, s)
-            new = s != last
-            got_rows.append(rows[new])
-            got_primes.append(s[new])
+            yield rows, s, s != last
             m //= s
             more = m > 1
             rows, m, last = rows[more], m[more], s[more]
+
+    def prime_divisors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct prime divisors of every entry of ``ns`` (1 <= n <= limit).
+
+        Returns parallel int64 arrays (rows, primes): the primes dividing
+        ``ns[row]``, grouped by increasing row and increasing within a row.
+        2 comes from the parity, the odd primes from the new factors of
+        ``_spf_rounds``.
+        """
+        m = np.asarray(ns, dtype=np.int64)
+        rows = np.flatnonzero(m % 2 == 0)
+        got_rows, got_primes = [rows], [np.full(rows.size, 2, dtype=np.int64)]
+        for rows, s, new in self._spf_rounds(m):
+            got_rows.append(rows[new])
+            got_primes.append(s[new])
         # each round's rows are increasing, so the stable sort merges runs;
         # one concatenation at a time keeps the peak at four arrays
         rows = np.concatenate(got_rows)
@@ -242,27 +248,15 @@ class SpfTable:
     def unitary_cofactors(self, ns: np.ndarray) -> np.ndarray:
         """l(n) = n / rad(n) of every entry of ``ns`` (1 <= n <= limit), int64.
 
-        The power of 2 goes in one step, 2^e giving 2^(e-1); each later
-        round divides every unfinished entry by its smallest prime factor
-        s and multiplies l by s when s repeats the round before's factor.
+        The power of 2 goes in one step, 2^e giving 2^(e-1); the odd part
+        multiplies l by every factor of ``_spf_rounds`` that repeats the
+        round before's.
         """
         m = np.asarray(ns, dtype=np.int64)
-        if m.size and (m.min() < 1 or m.max() > self.limit):
-            raise DomainError(f"array entries outside table range 1..{self.limit}")
-        low = m & -m
-        out = np.maximum(low >> 1, 1)
-        m = m // low
-        rows = np.flatnonzero(m > 1)
-        m = m[rows]
-        last = np.zeros_like(m)
-        while m.size:
-            s = self._cells[m].astype(np.int64)
-            s = np.where(s == 0, m, s)
-            again = s == last
+        out = np.maximum((m & -m) >> 1, 1)
+        for rows, s, new in self._spf_rounds(m):
+            again = ~new
             out[rows[again]] *= s[again]
-            m //= s
-            more = m > 1
-            rows, m, last = rows[more], m[more], s[more]
         return out
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
@@ -337,44 +331,32 @@ def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSIO
         i = j
 
 
-def count_primes_in_ap(x: int, q: int, table: SpfTable) -> int:
-    """Number of primes p <= x with p = 1 (mod q).
-
-    q = 1 degenerates to pi(x).  Only the candidates 1 + k * progression_step(q)
-    are read.  Those up to the table limit come from one strided slice of the
-    cells.  Those above it are tested one by one with Miller-Rabin, so x may
-    exceed the limit by at most ``MAX_AP_CANDIDATES`` candidates, all below
-    2**64; beyond that the count is refused with a CapacityError before any
-    test.
-    """
-    if q < 1:
-        raise DomainError("modulus q must be >= 1")
-    step = progression_step(q)
-    first = 1 + step
-    if x < first:
-        return 0
-    total = int(np.count_nonzero(table._cells[first : min(x, table.limit) + 1 : step] == 0))
-    if x <= table.limit:
-        return total
-    start = table.limit + 1 + (-table.limit) % step  # the least candidate above the limit
-    last = x - (x - 1) % step
-    count = (last - start) // step + 1
-    if count > MAX_AP_CANDIDATES:
-        raise CapacityError(
-            f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested"
-        )
-    if last >= 1 << 64:
-        raise CapacityError("witness set only proves primality below 2**64")
-    return total + sum(1 for n in range(start, last + 1, step) if is_prime_u64(n))
-
-
 def count_primes_in_aps(x: int, qs: np.ndarray, table: SpfTable) -> np.ndarray:
-    """``count_primes_in_ap(x, q, table)`` for every q of ``qs``, as int64,
-    with x within the table: the candidates of ``progression_candidates``
-    read from the cells and counted per row."""
+    """Number of primes p <= x with p = 1 (mod q) for every q >= 1 of
+    ``qs``, as int64; q = 1 degenerates to pi(x).
+
+    Only the candidates of ``progression_candidates`` are read, and
+    ``table.are_prime`` tests them: the cells up to the table limit,
+    Miller-Rabin above it.  x must lie below 2**64, and at most
+    ``MAX_AP_CANDIDATES`` candidates, summed over all moduli, above the
+    limit; beyond either the counts are refused with a CapacityError before
+    any test.
+    """
+    if np.min(qs, initial=1) < 1:
+        raise DomainError("modulus q must be >= 1")
+    qs = np.asarray(qs, dtype=np.uint64)
+    if x >= 1 << 64:
+        raise CapacityError("witness set only proves primality below 2**64")
     if x > table.limit:
-        raise DomainError(f"x={x} beyond table limit {table.limit}")
-    counts = np.zeros(len(qs), dtype=np.int64)
+        steps = progression_step(qs)
+        above = (x - 1) // steps - (table.limit - 1) // steps
+        above[steps < qs] = 0  # 2q wrapped: no candidate below 2**64
+        count = sum(above.tolist())
+        if count > MAX_AP_CANDIDATES:
+            raise CapacityError(
+                f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested"
+            )
+    counts = np.zeros(qs.size, dtype=np.int64)
     for rows, cands in progression_candidates(qs, x):
-        counts += np.bincount(rows[table._cells[cands] == 0], minlength=counts.size)
+        counts += np.bincount(rows[table.are_prime(cands)], minlength=counts.size)
     return counts

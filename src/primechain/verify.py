@@ -351,8 +351,8 @@ def _p_sieve_l_structure(ctx):
 def _p_sieve_bt(ctx):
     table = ctx.table
     for x in (10**4, 10**5):
-        for q in table.primes(2, int(math.isqrt(x))).tolist():
-            count = sieve.count_primes_in_ap(x, q, table)
+        qs = table.primes(2, int(math.isqrt(x)))
+        for q, count in zip(qs.tolist(), sieve.count_primes_in_aps(x, qs, table).tolist()):
             cap = 2 * x / ((q - 1) * math.log(x / q))
             if count > cap:
                 return False, f"progression count {count} above 2x/((q-1)log(x/q)) at x={x}, q={q}"
@@ -362,7 +362,7 @@ def _p_sieve_bt(ctx):
 def _p_sieve_pi(ctx):
     table = ctx.table
     direct = sum(1 for n in range(2, 10**5 + 1) if sieve.is_prime_u64(n))
-    via_table = sieve.count_primes_in_ap(10**5, 1, table)
+    via_table = int(sieve.count_primes_in_aps(10**5, [1], table)[0])
     if direct != via_table:
         return False, f"prime counts disagree: {via_table} vs {direct}"
     return True, f"pi(1e5) = {direct} by two independent methods"

@@ -72,7 +72,7 @@ class TestEnumerateFrom:
         for p, x in ((3, 50), (3, 100), (5, 200), (7, 50), (7, 100), (11, 50), (11, 100)):
             enum = chains.enumerate_from(p, x, table)
             two = enum.counts_by_length().get(2, 0)
-            want = sieve.count_primes_in_ap(p * x, p, table)
+            want = sieve.count_primes_in_aps(p * x, [p], table)[0]
             assert two == want, (p, x)
 
     def test_guards(self, table):

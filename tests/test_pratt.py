@@ -215,19 +215,23 @@ class TestPrimeSets:
             assert all(a.tolist() == b.tolist() for a, b in zip(sub.values(x), dag.values(x)))
 
     def test_values_stop_where_the_set_stops_being_complete(self, table):
-        # the tree of 997 has labels 2, 3, 5, 41, 83, 997: 7 is the first prime missing
+        # the tree of 997 has labels 2, 3, 5, 41, 83, 997, not the first six
+        # primes, so it answers no x >= 2
         sub = pratt.PrattDag(table, pratt.tree_primes(997, table))
-        assert sub.values(6)[0].tolist() == [2, 3, 5]
-        for x in (7, 100, 997):
+        for x in (2, 6, 7, 100, 997):
             with pytest.raises(DomainError):
                 sub.values(x)
             with pytest.raises(DomainError):
                 pratt.range_stats(x, table, sub)
+        # the tree of 3 is {2, 3}, the first two primes: complete up to 4
+        three = pratt.PrattDag(table, pratt.tree_primes(3, table))
+        assert three.values(4)[0].tolist() == [2, 3]
+        with pytest.raises(DomainError):
+            three.values(5)
         for x, complete in ((2, 2), (3, 4), (100, 100), (4099, 4110)):
             assert pratt._complete_to(table, table.primes(2, x)) == complete
-        assert pratt._complete_to(table, np.array([2, 3, 7])) == 4
-        assert pratt._complete_to(table, np.array([3, 7])) == 1
-        assert pratt._complete_to(table, np.array([], dtype=np.int64)) == 1
+        for primes in ([2, 3, 7], [3, 7], []):
+            assert pratt._complete_to(table, np.array(primes, dtype=np.int64)) == 1
         assert pratt._complete_to(table, table.primes()) == table.limit
 
     def test_set_without_a_child_is_refused(self):

@@ -16,6 +16,13 @@ def naive_primes(n):
     return np.flatnonzero(flags)
 
 
+def naive_ap_counts(x, qs):
+    """pi(x; q, 1) for every q of ``qs``: strided slices of naive sieve flags."""
+    flags = np.zeros(x + 1, dtype=bool)
+    flags[naive_primes(x)] = True
+    return [int(np.count_nonzero(flags[1 + q :: q])) for q in qs]
+
+
 def naive_spf(n):
     for p in range(2, math.isqrt(n) + 1):
         if n % p == 0:
@@ -143,6 +150,11 @@ class TestArrayPrimality:
         ns = np.array(list(range(0, 3000)) + [2**61 - 1, 2**64 - 59, 2**64 - 57], dtype=np.uint64)
         assert small.are_prime(ns).tolist() == [small.is_prime(n) for n in ns.tolist()]
 
+    def test_negative_zero_one_and_above_limit(self):
+        t = sieve.build_spf(10**4)
+        ns = np.array([-9999, -10**4 - 7, -2, -1, 0, 1, 2, 3, 9973, 10**4, 10007, 10**4 + 9])
+        assert t.are_prime(ns).tolist() == [t.is_prime(n) for n in ns.tolist()]
+
 
 class TestFactorization:
     def test_roundtrip_product(self, table):
@@ -179,14 +191,12 @@ class TestFactorization:
 
 class TestPrimesInProgression:
     def test_degenerate_modulus(self, table):
-        assert sieve.count_primes_in_ap(1_000, 1, table) == 168
+        assert sieve.count_primes_in_aps(1_000, [1], table)[0] == 168
 
     def test_against_direct_loop(self, table):
-        for q in (2, 3, 4, 6, 9, 10, 15):
-            want = sum(
-                1 for p in naive_primes(20_000).tolist() if p % q == 1
-            )
-            assert sieve.count_primes_in_ap(20_000, q, table) == want, q
+        qs = (2, 3, 4, 6, 9, 10, 15)
+        want = [sum(1 for p in naive_primes(20_000).tolist() if p % q == 1) for q in qs]
+        assert sieve.count_primes_in_aps(20_000, qs, table).tolist() == want
 
     def test_beyond_table_limit(self):
         small = sieve.build_spf(1000)
@@ -194,33 +204,59 @@ class TestPrimesInProgression:
         # q = 499 strides by 998: the composite 999 below the limit, the prime 1997 above it
         for q in (7, 499):
             want = sum(1 for p in naive_primes(5000).tolist() if p % q == 1)
-            assert sieve.count_primes_in_ap(5000, q, small) == want, q
-        assert sieve.count_primes_in_ap(5000, 1, small) == 669
+            assert sieve.count_primes_in_aps(5000, [q], small)[0] == want, q
+        assert sieve.count_primes_in_aps(5000, [1], small)[0] == 669
+        # many moduli at once, their candidates on both sides of the limit;
+        # the odd q above 2**63 have wrapped strides and no candidate
+        qs = [1, 2, 3, 7, 333, 499, 500, 999, 1000, 1001, 2499, 2500, 4999, 5000, 2**63 + 1, 2**64 - 1]
+        assert sieve.count_primes_in_aps(5000, qs, small).tolist() == naive_ap_counts(5000, qs)
 
     def test_guards(self, table):
-        assert sieve.count_primes_in_ap(1, 3, table) == 0
-        with pytest.raises(DomainError):
-            sieve.count_primes_in_ap(100, 0, table)
+        assert sieve.count_primes_in_aps(1, [3], table)[0] == 0
         # too many candidates above the limit: refused before any test
         for x, q in ((10**18, 3), (2**63, 2)):
             with pytest.raises(CapacityError):
-                sieve.count_primes_in_ap(x, q, table)
+                sieve.count_primes_in_aps(x, [q], table)
         with pytest.raises(CapacityError):
-            sieve.count_primes_in_ap(2**64 + 5, 2**62, table)
+            sieve.count_primes_in_aps(2**64 + 5, [2**62], table)
+
+    def test_refusals_come_before_any_test(self, monkeypatch):
+        class Tested(Exception):
+            pass
+
+        def tested(n):
+            raise Tested(n)
+
+        monkeypatch.setattr(sieve, "is_prime_u64", tested)
+        small = sieve.build_spf(1000)
+        # one modulus 3 has 333,166 candidates above the limit, so testing starts;
+        # four share the MAX_AP_CANDIDATES budget and exceed it
+        with pytest.raises(Tested):
+            sieve.count_primes_in_aps(2 * 10**6, [3], small)
+        with pytest.raises(CapacityError):
+            sieve.count_primes_in_aps(2 * 10**6, [3, 3, 3, 3], small)
+        # three candidates 1 + k * 2**62 lie below 2**64; x = 2**64 is refused
+        with pytest.raises(Tested):
+            sieve.count_primes_in_aps(2**64 - 1, [2**62], small)
+        with pytest.raises(CapacityError):
+            sieve.count_primes_in_aps(2**64, [2**62], small)
 
     @pytest.mark.parametrize("x", [2, 3, 100, 10**4 + 1, 2**20 + 3])
     def test_batched_counts_match_scalar(self, x):
         t = sieve.build_spf(max(x, 2))
         qs = t.primes(2, x // 2)
-        got = sieve.count_primes_in_aps(x, qs, t).tolist()
-        assert got == [sieve.count_primes_in_ap(x, q, t) for q in qs.tolist()]
+        assert sieve.count_primes_in_aps(x, qs, t).tolist() == naive_ap_counts(x, qs.tolist())
 
     def test_batched_counts_guard(self, table):
         qs = [1, 4, 6, 9, 1000]
-        assert sieve.count_primes_in_aps(1000, np.array(qs), table).tolist() == [sieve.count_primes_in_ap(1000, q, table) for q in qs]
+        assert sieve.count_primes_in_aps(1000, np.array(qs), table).tolist() == naive_ap_counts(1000, qs)
         assert sieve.count_primes_in_aps(1000, np.array([1]), table)[0] == 168
-        with pytest.raises(DomainError):
-            sieve.count_primes_in_aps(table.limit + 1, np.array([3]), table)
+        # x above the limit is counted, its candidates above it by Miller-Rabin
+        x = table.limit + 100
+        assert sieve.count_primes_in_aps(x, np.array([3]), table).tolist() == naive_ap_counts(x, [3])
+        for qs in ([0], [-3], [3, 0]):
+            with pytest.raises(DomainError):
+                sieve.count_primes_in_aps(1000, np.array(qs), table)
 
 
 class TestProgressionCandidates:
