@@ -82,20 +82,25 @@ def enumerate_from(
     the primes among its last element's candidates, all chains' candidates
     tested together in bounded chunks.  One sort then lists the chains
     lexicographically, the order of a depth-first walk with multipliers
-    increasing.  The one-element chain [p] is included by default;
-    ``include_trivial=False`` drops it from the count.  Raises a capacity
-    error as soon as more than ``bound`` chains are counted, before they
-    are built, or when p * x reaches 2**64, where primality is not proven.
+    increasing.  The one-element chain [p] is included by default, and
+    counted like any other; ``include_trivial=False`` drops it.  Raises a
+    capacity error as soon as more than ``bound`` (>= 0) chains are
+    counted, before they are built, or when p * x reaches 2**64, where
+    primality is not proven.
     """
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if not 1 <= x < math.inf:  # also rejects nan
         raise DomainError(f"growth ratio x must be finite and >= 1, got {x}")
+    if bound < 0:
+        raise DomainError(f"chain bound must be >= 0, got {bound}")
     ceiling = math.floor(p * x)
     if ceiling >= 1 << 64:
         raise CapacityError(f"chains up to {ceiling} reach 2**64; the witness set only proves primality below it")
     found = [(p,)] if include_trivial else []
     total = len(found)
+    if total > bound:
+        raise CapacityError(f"more than {bound} chains from {p}")
     level, tips = [(p,)], np.array([p], dtype=np.uint64)
     while tips.size:
         rows, primes = [], []
@@ -104,7 +109,7 @@ def enumerate_from(
             rows.append(r[prime])
             primes.append(cands[prime])
             total += rows[-1].size
-            if rows[-1].size and total > bound:
+            if total > bound:
                 raise CapacityError(f"more than {bound} chains from {p}")
         tips = np.concatenate(primes)
         level = [level[i] + (q,) for i, q in zip(np.concatenate(rows).tolist(), tips.tolist())]

@@ -10,17 +10,16 @@ prime q dividing p - 1; the tree of 2 is a single node.  Per prime p:
 
 with f(p) = 1 + sum f(q), H(p) = 1 + max H(q) and g(p) = sum g(q) over the
 children q.  Every child of p is at most (p - 1) / 2, so the primes of a
-block [L, 2L) depend only on primes below L.  ``_pieces`` therefore walks
-an increasing prime set one block at a time, factors the block's p - 1
-with the table's vectorised spf division and finds each child's position
-in a rank table, giving per-parent runs of children.  Every recurrence is
-one reduction over those runs: :class:`PrattDag` fills f, H and g in dense
-uint8 arrays, and :class:`MassProducts` the exact mass products in object
-arrays, with l(p - 1) from a separate vectorised spf division.  The set
-is every prime of the table, or any set closed under "prime divisor of
-p - 1": the primes up to x for range statistics, the labels of one tree
-(``tree_primes``) for a single prime.  Range histograms and
-N(x) = sum f(p) are reductions over the PrattDag arrays.
+block [L, 2L) depend only on primes below L.  ``_links`` walks an
+increasing prime set block by block and yields its links "q divides
+p - 1" straight from the table's spf-division rounds, each child found in
+a rank table; every recurrence is one update per yield.  :class:`PrattDag`
+fills f, H and g in dense uint8 arrays, :class:`MassProducts` the exact
+mass products in object arrays.  The set is every prime of the table, or
+any set closed under "prime divisor of p - 1": the primes up to x for
+range statistics, the labels of one tree (``tree_primes``) for a single
+prime.  Range histograms and N(x) = sum f(p) are reductions over the
+PrattDag arrays.
 
 The module also carries level profiles, the exact product identities on
 the label multiset Q(p) of the tree (every label q contributes
@@ -31,6 +30,7 @@ the least prime = 1 modulo its predecessor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +44,9 @@ _BLOCK_WIDTH = 1 << 20
 
 # A PrattDag fill's tracemalloc peak beyond its table: the 1-byte mask per
 # integer of ``table.primes()``, each prime (8 bytes) with its f/H/g (3), the
-# rank table (4 MiB) and one piece's temporaries (at most 10.1 MiB, at 2^21).
-# The peak is 9.2, 28.8 and 70.6 MiB at 1e6, 2e7 and 5e7, the bound 16.9,
-# 49.7 and 99.8 MiB.
+# rank table (4 MiB) and one piece's temporaries (at most 7.6 MiB, the piece
+# from 2^20).  The peak is 8.3, 28.8 and 70.6 MiB at 1e6, 2e7 and 5e7, the
+# bound 16.9, 49.7 and 99.8 MiB.
 _BYTES_PER_INTEGER = 1
 _BYTES_PER_PRIME = 11
 _PIECE_BYTES = 15 << 20
@@ -76,37 +76,30 @@ def _rank_table(primes: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _pieces(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
-    """Yield (a, b, kid, first) per piece of the dyadic blocks [2^k, 2^(k+1)),
-    each cut at ``_BLOCK_WIDTH`` integers: ``kid`` indexes in ``primes`` the
-    children of primes[a:b], and those of primes[a + j] start at kid[first[j]].
-    Every child lies below its piece, so reductions read finished values."""
+def _links(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
+    """Yield (up, kid), positions in ``primes`` of parents and of one child
+    each, over every link "q divides p - 1" of the set.  Per piece of the
+    dyadic blocks [2^k, 2^(k+1)), cut at ``_BLOCK_WIDTH`` integers, come the
+    child 2 of every (odd) parent, then the new factors of each round of
+    ``table.spf_rounds``: no parent repeats in a yield, and every child lies
+    below its piece, so an update reads finished values.  Children below
+    ``_BLOCK_WIDTH`` are found in ``rank``, the ``_rank_table`` of
+    ``primes``, larger ones by binary search; a child missing from
+    ``primes`` raises an IntegrityError."""
     top = int(primes[-1]) if primes.size else 0
     lo = 3
     while lo <= top:
         hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, top + 1)
         a, b = np.searchsorted(primes, [lo, hi]).tolist()
         lo = hi
-        if a < b:
-            yield a, b, *_children(table, primes, rank, a, b)
-
-
-def _children(table: SpfTable, primes: np.ndarray, rank: np.ndarray, a: int, b: int):
-    """(kid, first) of primes[a:b] for ``_pieces``; its temporaries end with
-    the call, so they never overlap the next piece's.
-
-    Children below ``_BLOCK_WIDTH`` are looked up in ``rank``, the
-    ``_rank_table`` of ``primes``, larger ones by binary search; a child
-    missing from ``primes`` raises an IntegrityError.
-    """
-    rows, divisors = table.prime_divisors(primes[a:b] - 1)
-    kid = rank.take(divisors, mode="clip")
-    big = divisors >= rank.size
-    kid[big] = np.searchsorted(primes[:a], divisors[big])  # every child is below the piece
-    if not np.array_equal(primes[kid], divisors):
-        raise IntegrityError(f"a prime divisor of p - 1 for some p in [{primes[a]}, {primes[b - 1]}] is missing from the primes")
-    counts = np.bincount(rows, minlength=b - a)
-    return kid, np.cumsum(counts) - counts  # p >= 3, so every parent has a child
+        rounds = ((rows[new], s[new]) for rows, s, new in table.spf_rounds(primes[a:b] - 1))
+        for rows, s in itertools.chain([(np.arange(b - a), np.full(b - a, 2))], rounds):
+            kid = rank.take(s, mode="clip")
+            big = s >= rank.size
+            kid[big] = np.searchsorted(primes[:a], s[big])  # every child is below the piece
+            if not np.array_equal(primes[kid], s):
+                raise IntegrityError(f"a prime divisor of p - 1 for some p in [{primes[a]}, {primes[b - 1]}] is missing from the primes")
+            yield rows + a, kid
 
 
 def _complete_to(table: SpfTable, primes: np.ndarray) -> int:
@@ -139,7 +132,8 @@ def tree_primes(p: int, table: SpfTable) -> np.ndarray:
     _require_prime(p, table)
     found, level = {p}, {p}
     while level:
-        level = set(table.prime_divisors(np.fromiter(level, np.int64) - 1)[1].tolist()) - found
+        rounds = table.spf_rounds(np.fromiter(level, np.int64) - 1)
+        level = {2}.union(*(s[new].tolist() for _, s, new in rounds)) - found
         found |= level
     return np.array(sorted(found), dtype=np.int64)
 
@@ -149,8 +143,9 @@ class PrattDag:
     p - 1": by default all primes up to the table's limit.
 
     Values live in arrays indexed by a prime's position in ``_primes``,
-    filled once, in place, by reductions over ``_pieces``; no children are
-    stored.  f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
+    filled once, in place, by one update per yield of ``_links`` (g starts
+    at 1 for the prime 2 only); no children are stored.
+    f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
     ``tree_primes(p, table)`` is the least set that answers for p.
     ``values(x)`` answers only for the first k primes, below the next one.
     """
@@ -164,16 +159,17 @@ class PrattDag:
             primes = np.asarray(primes, dtype=np.int64)
             if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(np.diff(primes) <= 0)):
                 raise DomainError(f"primes must increase within 2..{table.limit}")
-            if not np.all(table._cells[primes] == 0):
+            if not table.are_prime(primes).all():
                 raise DomainError("the set holds a composite")
             self._complete = _complete_to(table, primes)
         self._primes = primes
         rank = self._rank = _rank_table(primes)
-        f, h, g = self._f, self._h, self._g = [np.ones(primes.size, dtype=np.uint8) for _ in range(3)]
-        for a, b, kid, first in _pieces(table, primes, rank):
-            f[a:b] = 1 + np.add.reduceat(f[kid], first, dtype=np.int64)
-            h[a:b] = 1 + np.maximum.reduceat(h[kid], first)
-            g[a:b] = np.add.reduceat(g[kid], first, dtype=np.int64)
+        f, h = self._f, self._h = np.ones((2, primes.size), dtype=np.uint8)
+        g = self._g = (primes == 2).astype(np.uint8)
+        for up, kid in _links(table, primes, rank):
+            f[up] += f[kid]
+            g[up] += g[kid]
+            h[up] = np.maximum(h[up], h[kid] + 1)
 
     def _index(self, p: int) -> int:
         i = int(self._rank[p] if 0 <= p < self._rank.size else self._primes.searchsorted(p))
@@ -198,7 +194,7 @@ class PrattDag:
     def children(self, p: int) -> tuple[int, ...]:
         """Distinct primes dividing p - 1 (deduplicated, increasing)."""
         self._index(p)
-        return tuple(self.table.prime_divisors(np.array([p - 1]))[1].tolist())
+        return self.table.factorize(p - 1).distinct_primes()
 
     def f_of(self, p: int) -> int:
         """Node count: f(2) = 1, f(p) = 1 + sum of f over the children."""
@@ -297,21 +293,20 @@ class MassProducts:
     "the tree mass product telescopes to p", and lprod(p)^2 * 2^f(p) <= p^2
     is the exact form of the 2^(-f/2) mass decay bound.  The constructor
     fills all three for every prime of the dag: l(p - 1) for all of them at
-    once by ``table.unitary_cofactors``, then Python-int product reductions
-    over ``_pieces``.  l(q - 1) comes from its own spf division, not from
-    the pieces' children, so the identity also checks the children.
+    once by ``table.unitary_cofactors``, then each parent's Python-int
+    products are multiplied by the child's, one yield of ``_links`` at a
+    time.  l(q - 1) comes from its own spf division, not from the links,
+    so the identity also checks the children.
     """
 
     def __init__(self, table: SpfTable, dag: PrattDag):
         self.dag = dag
         primes = dag._primes
-        lp = self._lprod = table.unitary_cofactors(primes - 1).astype(object)
-        den = self._den = (primes - 1).astype(object)
-        num = self._num = primes.astype(object) * lp  # before lp becomes lprod
-        for a, b, kid, first in _pieces(table, primes, dag._rank):
-            den[a:b] *= np.multiply.reduceat(den[kid], first)
-            num[a:b] *= np.multiply.reduceat(num[kid], first)
-            lp[a:b] *= np.multiply.reduceat(lp[kid], first)
+        lp = table.unitary_cofactors(primes - 1).astype(object)
+        prods = np.stack([(primes - 1).astype(object), primes.astype(object) * lp, lp])
+        for up, kid in _links(table, primes, dag._rank):
+            prods[:, up] *= prods[:, kid]
+        self._den, self._num, self._lprod = prods
 
     def den(self, p: int) -> int:
         return self._den[self.dag._index(p)]

@@ -124,7 +124,8 @@ class SpfTable:
     Cells holding 0 denote primes (their smallest prime factor is the
     number itself).  A composite below 2**32 has its smallest prime factor
     below 2**16, so each cell is a uint16.  ``segments`` are views of
-    ``SEGMENT_WIDTH`` cells each.
+    ``SEGMENT_WIDTH`` cells each.  No other module reads the cells; they
+    ask the methods, ``spf_rounds`` for spf division of whole arrays.
     """
 
     def __init__(self, limit: int):
@@ -201,12 +202,13 @@ class SpfTable:
 
     # -- vectorized queries ---------------------------------------------
 
-    def _spf_rounds(self, m: np.ndarray):
+    def spf_rounds(self, ns: np.ndarray):
         """Yield (rows, s, new) per round of spf division of the odd parts of
-        ``m``, an int64 array with every entry in 1..limit (DomainError
-        otherwise): each round divides every unfinished odd part m[row] by its
-        smallest prime factor s.  A row's factors come out non-decreasing, so
-        ``new`` marks the s that differ from the row's previous round's."""
+        ``ns``, integers in 1..limit (DomainError otherwise): each round
+        divides every unfinished odd part m[row] by its smallest prime factor
+        s, int64.  ``new`` marks the s that differ from the row's previous
+        round's: the odd prime divisors of ns[row], once each, increasing."""
+        m = np.asarray(ns, dtype=np.int64)
         if m.size and (m.min() < 1 or m.max() > self.limit):
             raise DomainError(f"array entries outside table range 1..{self.limit}")
         m = m // (m & -m)
@@ -221,40 +223,16 @@ class SpfTable:
             more = m > 1
             rows, m, last = rows[more], m[more], s[more]
 
-    def prime_divisors(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct prime divisors of every entry of ``ns`` (1 <= n <= limit).
-
-        Returns parallel int64 arrays (rows, primes): the primes dividing
-        ``ns[row]``, grouped by increasing row and increasing within a row.
-        2 comes from the parity, the odd primes from the new factors of
-        ``_spf_rounds``.
-        """
-        m = np.asarray(ns, dtype=np.int64)
-        rows = np.flatnonzero(m % 2 == 0)
-        got_rows, got_primes = [rows], [np.full(rows.size, 2, dtype=np.int64)]
-        for rows, s, new in self._spf_rounds(m):
-            got_rows.append(rows[new])
-            got_primes.append(s[new])
-        # each round's rows are increasing, so the stable sort merges runs;
-        # one concatenation at a time keeps the peak at four arrays
-        rows = np.concatenate(got_rows)
-        del got_rows
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        primes = np.concatenate(got_primes)
-        del got_primes
-        return rows, primes[order]
-
     def unitary_cofactors(self, ns: np.ndarray) -> np.ndarray:
         """l(n) = n / rad(n) of every entry of ``ns`` (1 <= n <= limit), int64.
 
         The power of 2 goes in one step, 2^e giving 2^(e-1); the odd part
-        multiplies l by every factor of ``_spf_rounds`` that repeats the
+        multiplies l by every factor of ``spf_rounds`` that repeats the
         round before's.
         """
         m = np.asarray(ns, dtype=np.int64)
         out = np.maximum((m & -m) >> 1, 1)
-        for rows, s, new in self._spf_rounds(m):
+        for rows, s, new in self.spf_rounds(m):
             again = ~new
             out[rows[again]] *= s[again]
         return out
@@ -296,22 +274,33 @@ def progression_step(q):
 PROGRESSION_CHUNK = 1 << 18
 
 
+def _strides(qs) -> np.ndarray:
+    """``progression_step`` of every modulus of ``qs`` as uint64, any q < 1
+    refused before the conversion wraps it.  Where 2q wraps, the true stride
+    exceeds any ceiling below 2**64, and so does the 2**64 - 1 put there."""
+    if np.min(qs, initial=1) < 1:
+        raise DomainError("modulus q must be >= 1")
+    qs = np.asarray(qs, dtype=np.uint64)
+    steps = progression_step(qs)
+    steps[steps < qs] = np.iinfo(np.uint64).max
+    return steps
+
+
 def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSION_CHUNK):
     """Yield (rows, candidates): every 1 + k * progression_step(qs[row]) with
     k >= 1 and at most ``ceiling`` (below 2**64), as uint64, in chunks of at
     most ``width``.  Rows come in order and each row's candidates increase; a
-    row with more than ``width`` candidates gets chunks of its own."""
-    qs = np.asarray(qs, dtype=np.uint64)
-    if ceiling < 2 or not qs.size:
+    row with more than ``width`` candidates gets chunks of its own.  Any
+    q < 1 is refused with a DomainError."""
+    steps = _strides(qs)
+    if ceiling < 2 or not steps.size:
         return
-    steps = progression_step(qs)
     counts = (ceiling - 1) // steps
-    counts[steps < qs] = 0  # 2q wrapped: the true step exceeds any ceiling below 2**64
     # a row above width is clipped to width + 1, so no shared chunk takes it
     clipped = np.minimum(counts, width + 1).astype(np.int64)
     ends = np.cumsum(clipped)
     i = 0
-    while i < qs.size:
+    while i < steps.size:
         if clipped[i] > width:
             total, step = int(counts[i]), steps[i]
             for k in range(0, total, width):
@@ -342,21 +331,17 @@ def count_primes_in_aps(x: int, qs: np.ndarray, table: SpfTable) -> np.ndarray:
     limit; beyond either the counts are refused with a CapacityError before
     any test.
     """
-    if np.min(qs, initial=1) < 1:
-        raise DomainError("modulus q must be >= 1")
-    qs = np.asarray(qs, dtype=np.uint64)
+    steps = _strides(qs)
     if x >= 1 << 64:
         raise CapacityError("witness set only proves primality below 2**64")
     if x > table.limit:
-        steps = progression_step(qs)
         above = (x - 1) // steps - (table.limit - 1) // steps
-        above[steps < qs] = 0  # 2q wrapped: no candidate below 2**64
         count = sum(above.tolist())
         if count > MAX_AP_CANDIDATES:
             raise CapacityError(
                 f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested"
             )
-    counts = np.zeros(qs.size, dtype=np.int64)
+    counts = np.zeros(steps.size, dtype=np.int64)
     for rows, cands in progression_candidates(qs, x):
         counts += np.bincount(rows[table.are_prime(cands)], minlength=counts.size)
     return counts

@@ -11,6 +11,8 @@ def dfs_chains(p, x, table, bound=10**9, include_trivial=True):
     ``is_prime`` per candidate, the capacity check after every chain."""
     ceiling = int(p * x)
     found = [(p,)] if include_trivial else []
+    if len(found) > bound:
+        raise CapacityError("bound")
 
     def extend(prefix):
         step = sieve.progression_step(prefix[-1])
@@ -82,6 +84,15 @@ class TestEnumerateFrom:
             chains.enumerate_from(2, 0.5, table)
         with pytest.raises(CapacityError):
             chains.enumerate_from(2, 1000, table, bound=10)
+        with pytest.raises(DomainError):
+            chains.enumerate_from(2, 5, table, bound=-1)
+
+    def test_trivial_chain_counts_against_the_bound(self, table):
+        # 7 at ratio 1 has no link; its one chain [7] counts like any other
+        with pytest.raises(CapacityError):
+            chains.enumerate_from(7, 1.0, table, bound=0)
+        assert [c.primes for c in chains.enumerate_from(7, 1.0, table, bound=1).chains] == [(7,)]
+        assert chains.enumerate_from(7, 1.0, table, bound=0, include_trivial=False).chains == []
 
     def test_matches_depth_first_walk(self):
         # a 1000 table, so every ceiling above it runs the Miller-Rabin branch
@@ -94,7 +105,7 @@ class TestEnumerateFrom:
         grid = list(itertools.product((2, 7, 13), (5, 30, 200), (True, False))) + [(11, 1.5, True), (11, 1.5, False)]
         for p, x, trivial in grid:  # 11 at ratio 1.5 has no link: no bound is ever exceeded
             total = len(dfs_chains(p, x, table, include_trivial=trivial))
-            for bound in range(-1, total + 2):
+            for bound in range(total + 2):
                 try:
                     dfs_chains(p, x, table, bound=bound, include_trivial=trivial)
                     want = False

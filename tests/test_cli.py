@@ -294,10 +294,12 @@ def test_non_finite_is_domain_error(capsys, argv):
         (("brw", "teps", "--eps", "1e-300", "--reps", "3"), "CapacityError"),
         (("brw", "teps", "--eps", "0.5", "--reps", "9223372036854775807"), "CapacityError"),
         (("brw", "rde", "--pop", "1000", "--iters", "100000000000000"), "CapacityError"),
+        (("chains", "--start", "7", "--ratio", "1", "--max-chains", "0"), "CapacityError"),
+        (("chains", "--start", "7", "--ratio", "1", "--max-chains", "-1"), "DomainError"),
     ],
     ids=[
         "sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop", "teps-tiny-eps",
-        "teps-huge-reps", "rde-huge-iters",
+        "teps-huge-reps", "rde-huge-iters", "chains-trivial-over-bound", "chains-bound-neg",
     ],
 )
 def test_bad_input_is_typed_error(capsys, argv, kind):

@@ -165,6 +165,21 @@ class TestBlockArrays:
         assert_matches_naive(pratt.PrattDag(table), table, [p, q])
         assert_matches_naive(pratt.PrattDag(table, pratt.tree_primes(q, table)), table, [q])
 
+    @pytest.mark.parametrize("limit", [10**6, 3 * 2**20 + 100])
+    def test_links_are_the_prime_divisors(self, table, limit):
+        # every parent's kids, over all yields, are the prime divisors of
+        # p - 1 in increasing order, and no parent repeats within a yield
+        if limit != table.limit:
+            table = sieve.SpfTable(limit)
+        primes = table.primes()
+        kids = [[] for _ in primes.tolist()]
+        for up, kid in pratt._links(table, primes, pratt._rank_table(primes)):
+            assert np.unique(up).size == up.size
+            for i, q in zip(up.tolist(), primes[kid].tolist()):
+                kids[i].append(q)
+        for p, qs in zip(primes.tolist(), kids):
+            assert tuple(qs) == table.factorize(p - 1).distinct_primes(), p
+
     @pytest.mark.parametrize("limit", [10**6, 2 * 10**7])
     def test_fill_peak_within_footprint(self, limit):
         table = sieve.SpfTable(limit)

@@ -109,24 +109,24 @@ class TestSpfTable:
             sieve.SpfTable(limit)
 
 
-class TestPrimeDivisors:
+class TestSpfRounds:
     def test_matches_factorize(self, table):
         ns = np.array(list(range(1, 3000)) + [2**19, 3**12, 720_720, 999_983, 1_000_000], dtype=np.int64)
-        rows, primes = table.prime_divisors(ns)
-        got = [[] for _ in ns]
-        for r, p in zip(rows.tolist(), primes.tolist()):
-            got[r].append(p)
-        assert rows.tolist() == sorted(rows.tolist())
+        got = [[2] if n % 2 == 0 else [] for n in ns.tolist()]
+        for rows, s, new in table.spf_rounds(ns):
+            assert np.unique(rows[new]).size == np.count_nonzero(new)  # one new factor per row and round
+            for r, q in zip(rows[new].tolist(), s[new].tolist()):
+                got[r].append(q)
         for n, ps in zip(ns.tolist(), got):
             assert tuple(ps) == table.factorize(n).distinct_primes(), n
 
     def test_empty_and_guard(self, table):
-        rows, primes = table.prime_divisors(np.ones(3, dtype=np.int64))
-        assert rows.size == 0 and primes.size == 0
+        assert list(table.spf_rounds(np.ones(3, dtype=np.int64))) == []
+        assert list(table.spf_rounds(np.array([2**19]))) == []
         with pytest.raises(DomainError):
-            table.prime_divisors(np.array([0]))
+            next(table.spf_rounds(np.array([0])))
         with pytest.raises(DomainError):
-            table.prime_divisors(np.array([table.limit + 1]))
+            next(table.spf_rounds(np.array([table.limit + 1])))
 
 
 class TestUnitaryCofactors:
@@ -275,6 +275,12 @@ class TestProgressionCandidates:
             assert cands.dtype == np.uint64
             got += zip(rows.tolist(), cands.tolist())
         assert got == want
+
+    def test_moduli_below_1_are_refused(self):
+        # 0 would divide by zero; -3 as int64 would wrap to 2**64 - 3
+        for qs in (np.array([0, 3]), np.array([-3], dtype=np.int64)):
+            with pytest.raises(DomainError):
+                list(sieve.progression_candidates(qs, 100))
 
     def test_near_2_64(self):
         q = 2**62 + 135  # 1 + 2q lies in [2**63, 2**64), 1 + 4q above the ceiling
