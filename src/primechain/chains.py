@@ -43,6 +43,19 @@ class ChainRecord:
     def __len__(self) -> int:
         return len(self.primes)
 
+    @classmethod
+    def _trusted(cls, chains: list[tuple[int, ...]]) -> list[ChainRecord]:
+        """Records of chains whose links hold by construction, without the
+        per-link check of ``__post_init__``."""
+        records = [object.__new__(cls) for _ in chains]
+        for _ in map(_set_primes, records, chains):
+            pass
+        return records
+
+
+# the slot's own setter, which a frozen dataclass's __setattr__ would refuse
+_set_primes = ChainRecord.__dict__["primes"].__set__
+
 
 @dataclass(frozen=True)
 class LinkVector:
@@ -115,7 +128,8 @@ def enumerate_from(
         level = [level[i] + (q,) for i, q in zip(np.concatenate(rows).tolist(), tips.tolist())]
         found += level
     found.sort()
-    return ChainEnumeration(start=p, ratio=float(x), chains=[ChainRecord(c) for c in found])
+    # every candidate is 1 + k * step, so each link holds by construction
+    return ChainEnumeration(start=p, ratio=float(x), chains=ChainRecord._trusted(found))
 
 
 def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[ChainRecord]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import json
 import math
 import os
@@ -121,8 +122,10 @@ def _table(limit: int = 10**6) -> sieve.SpfTable:
     return sieve.build_spf(limit)
 
 
-# Memory ceiling for a tree command's factor table plus PrattDag fill; hist --limit 1e8 peaks at ~361 MiB RSS.
-_TREE_MAX_BYTES = 1 << 30
+# Memory ceiling for a tree command's factor table plus PrattDag fill: hist
+# admits the limits up to about 2.85e8, as 1 GiB did when every integer had a
+# table cell.  hist --limit 1e8 peaks at ~247 MiB RSS.
+_TREE_MAX_BYTES = 480 << 20
 
 
 def _tree_table(limit: int, flag: str, need: int) -> sieve.SpfTable:
@@ -342,13 +345,30 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _integer(text: str) -> int:
+    """The type of every integer flag: an integer, or an integral float
+    spelling such as 1e8; anything else is a usage error (exit 2)."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        value = None
+    # int()'s own digit ceiling also bounds the exponent, e.g. of 1e99999999
+    if value is None or not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(value)
+
+
 def _command(sub, name: str, func, help: str, formats=("json", "csv")) -> argparse.ArgumentParser:
     """Add subcommand ``name`` run by ``func``, with the four common flags."""
     sp = sub.add_parser(name, help=help)
     sp.add_argument("--format", choices=formats, default=formats[0], help="output format")
     sp.add_argument("--out", default=_STDOUT, help="output path ('-' for stdout)")
-    sp.add_argument("--seed", type=int, default=1, help="RNG seed (never time-derived)")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads (default: PRIMECHAIN_THREADS or 1)")
+    sp.add_argument("--seed", type=_integer, default=1, help="RNG seed (never time-derived)")
+    sp.add_argument("--threads", type=_integer, default=None, help="worker threads (default: PRIMECHAIN_THREADS or 1)")
     sp.set_defaults(func=func)
     return sp
 
@@ -361,27 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = _command(sub, "pratt", _cmd_pratt, "tree statistics f, H, g of one prime")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_integer, required=True)
 
     sp = _command(sub, "hist", _cmd_hist, "histogram of a tree statistic over primes <= limit")
-    sp.add_argument("--limit", type=int, required=True)
+    sp.add_argument("--limit", type=_integer, required=True)
     sp.add_argument("--stat", choices=("H", "f"), default="H")
     sp.add_argument("--plot-script", default=None, help="also write a gnuplot companion script")
 
     sp = _command(sub, "chains", _cmd_chains, "enumerate chains starting at a prime")
-    sp.add_argument("--start", type=int, required=True)
+    sp.add_argument("--start", type=_integer, required=True)
     sp.add_argument("--ratio", type=float, required=True, help="largest allowed p_k / p_1")
     sp.add_argument("--no-trivial", action="store_true", help="drop the length-1 chain")
-    sp.add_argument("--max-chains", type=int, default=1_000_000)
+    sp.add_argument("--max-chains", type=_integer, default=1_000_000)
 
     sp = _command(sub, "sift-bound", _cmd_sift_bound, "residue-matrix upper bound for chain counts")
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--y", type=int, required=True)
-    sp.add_argument("--grid", type=int, default=64)
+    sp.add_argument("--y", type=_integer, required=True)
+    sp.add_argument("--grid", type=_integer, default=64)
 
     sp = _command(sub, "singular", _cmd_singular, "singular series of a multiplier system")
     sp.add_argument("--links", required=True, help="comma-separated multipliers, e.g. 2,4")
-    sp.add_argument("--pcut", type=int, default=1_000_000)
+    sp.add_argument("--pcut", type=_integer, default=1_000_000)
 
     sp = _command(sub, "dickman", _cmd_dickman, "smooth-number density rho(u)")
     sp.add_argument("--u", type=float, required=True)
@@ -390,31 +410,31 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = brw_parser.add_subparsers(dest="brw_command", required=True)
 
     sp = _command(bsub, "run", _cmd_brw_run, "one replicate, per-generation summary")
-    sp.add_argument("--n", type=int, required=True, help="number of generations")
+    sp.add_argument("--n", type=_integer, required=True, help="number of generations")
     sp.add_argument("--cap", type=float, required=True)
-    sp.add_argument("--replicate", type=int, default=0)
+    sp.add_argument("--replicate", type=_integer, default=0)
 
     sp = _command(bsub, "median-bn", _cmd_brw_median, "median minimal displacement at generation n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, required=True)
+    sp.add_argument("--n", type=_integer, required=True)
+    sp.add_argument("--reps", type=_integer, required=True)
     sp.add_argument("--margin", type=float, default=4.0)
     sp.add_argument("--cap", type=float, default=None)
 
     sp = _command(bsub, "tails", _cmd_brw_tails, "tail profile of the minimal displacement")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--reps", type=int, required=True)
+    sp.add_argument("--n", type=_integer, required=True)
+    sp.add_argument("--reps", type=_integer, required=True)
     sp.add_argument("--margin", type=float, default=4.0)
     sp.add_argument("--grid-step", type=float, default=0.5)
     sp.add_argument("--grid-max", type=float, default=4.0)
 
     sp = _command(bsub, "teps", _cmd_brw_teps, "extinction generation of the eps-truncated process")
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--reps", type=int, required=True)
-    sp.add_argument("--max-gen", type=int, default=20)
+    sp.add_argument("--reps", type=_integer, required=True)
+    sp.add_argument("--max-gen", type=_integer, default=20)
 
     sp = _command(bsub, "rde", _cmd_brw_rde, "population iteration of the centered-minimum equation")
-    sp.add_argument("--pop", type=int, required=True)
-    sp.add_argument("--iters", type=int, required=True)
+    sp.add_argument("--pop", type=_integer, required=True)
+    sp.add_argument("--iters", type=_integer, required=True)
 
     sp = _command(sub, "verify", _cmd_verify, "run acceptance criteria and property suites", formats=("text", "json"))
     sp.add_argument(

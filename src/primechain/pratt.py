@@ -30,6 +30,7 @@ the least prime = 1 modulo its predecessor.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,12 +43,11 @@ from .sieve import SpfTable, is_prime_u64, progression_step, table_bytes
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
 
-# A PrattDag fill's tracemalloc peak beyond its table: the 1-byte mask per
-# integer of ``table.primes()``, each prime (8 bytes) with its f/H/g (3), the
+# A PrattDag fill's tracemalloc peak beyond its table: each prime (8 bytes)
+# of ``table.primes()``, built a segment at a time, with its f/H/g (3), the
 # rank table (4 MiB) and one piece's temporaries (at most 7.6 MiB, the piece
-# from 2^20).  The peak is 8.3, 28.8 and 70.6 MiB at 1e6, 2e7 and 5e7, the
-# bound 16.9, 49.7 and 99.8 MiB.
-_BYTES_PER_INTEGER = 1
+# from 2^20).  The peak is 8.3, 24.9, 43.1 and 72.1 MiB at 1e6, 2e7, 5e7 and
+# 1e8, the bound 16.0, 30.7, 52.1 and 86.5 MiB.
 _BYTES_PER_PRIME = 11
 _PIECE_BYTES = 15 << 20
 
@@ -56,7 +56,7 @@ def footprint_bytes(limit: int) -> int:
     """Bytes of a factor table to ``limit`` plus the peak of a PrattDag fill
     over it, with pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld)."""
     primes = 1.25506 * limit / math.log(limit) if limit > 1 else 0
-    return table_bytes(limit) + limit * _BYTES_PER_INTEGER + int(primes * _BYTES_PER_PRIME) + _PIECE_BYTES
+    return table_bytes(limit) + int(primes * _BYTES_PER_PRIME) + _PIECE_BYTES
 
 
 def tree_footprint_bytes(limit: int) -> int:
@@ -170,10 +170,15 @@ class PrattDag:
             f[up] += f[kid]
             g[up] += g[kid]
             h[up] = np.maximum(h[up], h[kid] + 1)
+        # zero-copy views for scalar reads, which give Python ints far more
+        # cheaply than numpy scalar indexing does
+        views = map(memoryview, (rank, primes, f, h, g))
+        self._rank_view, self._primes_view, self._f_view, self._h_view, self._g_view = views
 
     def _index(self, p: int) -> int:
-        i = int(self._rank[p] if 0 <= p < self._rank.size else self._primes.searchsorted(p))
-        if i == self._primes.size or self._primes[i] != p:
+        rank, primes = self._rank_view, self._primes_view
+        i = rank[p] if 0 <= p < len(rank) else bisect.bisect_left(primes, p)
+        if i == len(primes) or primes[i] != p:
             _require_prime(p, self.table)
             raise DomainError(f"{p} is not among the dag's primes")
         return i
@@ -198,18 +203,15 @@ class PrattDag:
 
     def f_of(self, p: int) -> int:
         """Node count: f(2) = 1, f(p) = 1 + sum of f over the children."""
-        i = self._index(p)
-        return int(self._f[i])
+        return self._f_view[self._index(p)]
 
     def h_of(self, p: int) -> int:
         """Height: H(2) = 1, H(p) = 1 + max of H over the children."""
-        i = self._index(p)
-        return int(self._h[i])
+        return self._h_view[self._index(p)]
 
     def g_of(self, p: int) -> int:
         """Descending label chains from p to a leaf 2; f(p) / 2 for odd p."""
-        i = self._index(p)
-        return int(self._g[i])
+        return self._g_view[self._index(p)]
 
     def level_counts(self, p: int) -> list[int]:
         """Number of tree nodes at each depth; length h(p), entries sum to f(p)."""

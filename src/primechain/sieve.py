@@ -1,10 +1,11 @@
 """Segmented smallest-prime-factor sieve and factorization helpers.
 
 The central object is :class:`SpfTable`: smallest-prime-factor values for
-every integer in ``2..limit``, materialized segment by segment so each
-working block stays cache resident.  Primes are the cells whose smallest
-prime factor equals the integer itself; internally those cells store 0 so
-a freshly zeroed segment needs one marking pass only.
+every odd integer in ``2..limit``, materialized segment by segment so each
+working block stays cache resident; an even integer's is 2.  Primes are
+the cells whose smallest prime factor equals the integer itself;
+internally those cells store 0 so a freshly zeroed segment needs one
+marking pass only.
 
 Everything downstream (Pratt trees, chain enumeration, totient iterates,
 singular series) factorizes through this table.  Integers above the table
@@ -25,8 +26,9 @@ from .errors import CapacityError, DomainError
 SEGMENT_WIDTH = 1 << 20
 MAX_LIMIT = (1 << 32) - 1
 # Ceiling on the bytes of one table; SpfTable refuses larger limits before
-# allocating anything.
-MAX_TABLE_BYTES = 1 << 30
+# allocating anything.  512 MiB of odd cells admit the limits below 2**29,
+# as 1 GiB did when every integer had a cell.
+MAX_TABLE_BYTES = 1 << 29
 # Ceiling on the candidates above a table's limit, summed over all moduli, that
 # count_primes_in_aps tests with Miller-Rabin: about 20 s at 64 bits, 2-core Xeon.
 MAX_AP_CANDIDATES = 10**6
@@ -66,8 +68,8 @@ def is_prime_u64(n: int) -> bool:
 
 
 def table_bytes(limit: int) -> int:
-    """Bytes of the cells of a table for 2..limit (one uint16 per integer)."""
-    return 2 * (limit + 1)
+    """Bytes of the cells of a table for 2..limit (one uint16 per odd integer)."""
+    return 2 * ((limit + 1) // 2)
 
 
 def _simple_prime_array(n: int) -> np.ndarray:
@@ -118,14 +120,16 @@ class Factorization:
 
 
 class SpfTable:
-    """Smallest-prime-factor values for 2..limit in one array, sieved per
-    segment.
+    """Smallest-prime-factor values for 2..limit, sieved per segment and
+    stored for the odd integers only.
 
-    Cells holding 0 denote primes (their smallest prime factor is the
-    number itself).  A composite below 2**32 has its smallest prime factor
-    below 2**16, so each cell is a uint16.  ``segments`` are views of
-    ``SEGMENT_WIDTH`` cells each.  No other module reads the cells; they
-    ask the methods, ``spf_rounds`` for spf division of whole arrays.
+    Cell j holds spf(2j + 1), 0 marking a prime (its smallest prime factor
+    is the number itself); the cell of 1 is poisoned.  Every even n has
+    spf 2, so the methods answer it arithmetically: prime only when n = 2.
+    A composite below 2**32 has its smallest prime factor below 2**16, so
+    each cell is a uint16.  ``segments`` are views of ``SEGMENT_WIDTH``
+    cells each.  No other module reads the cells; they ask the methods,
+    ``spf_rounds`` for spf division of whole arrays.
     """
 
     def __init__(self, limit: int):
@@ -138,24 +142,30 @@ class SpfTable:
                 f"table limit {limit} needs {table_bytes(limit) >> 20} MiB, above the {MAX_TABLE_BYTES >> 20} MiB ceiling"
             )
         self.limit = int(limit)
-        self._base = _simple_prime_array(math.isqrt(limit))
-        self._cells = np.zeros(limit + 1, dtype=np.uint16)
-        self._cells[:2] = 1  # 0 and 1 are out of domain; poison the cells
+        self._base = _simple_prime_array(math.isqrt(limit))[1:].tolist()[::-1]  # odd, largest first
+        self._cells = np.zeros((limit + 1) // 2, dtype=np.uint16)
+        self._cells[0] = 1  # 1 is out of domain; poison its cell
         self.segments: list[np.ndarray] = []
-        for lo in range(0, limit + 1, SEGMENT_WIDTH):
+        for lo in range(0, self._cells.size, SEGMENT_WIDTH):
             seg = self._cells[lo : lo + SEGMENT_WIDTH]
             self._sieve_segment(seg, lo)
             self.segments.append(seg)
 
     def _sieve_segment(self, seg: np.ndarray, lo: int) -> None:
+        """Mark cells lo.. of ``seg``: the odd multiples of an odd prime p
+        are the cells = (p - 1) / 2 (mod p), and each p marks those from
+        p^2 on.  The largest p goes first, so the smallest factor's mark is
+        the one that stays."""
         hi = lo + seg.size
         for p in self._base:
-            p = int(p)
-            start = max(2 * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            sl = seg[start - lo :: p]
-            sl[sl == 0] = p
+            start = max(p * p >> 1, lo + ((p >> 1) - lo) % p)
+            if start < hi:
+                seg[start - lo :: p] = p
+
+    def _zero_runs(self, a: int, b: int):
+        """(j, cells[j:k] == 0) for the cells a..b-1, a segment at a time."""
+        for j in range(a, b, SEGMENT_WIDTH):
+            yield j, self._cells[j : min(j + SEGMENT_WIDTH, b)] == 0
 
     # -- scalar queries -------------------------------------------------
 
@@ -163,7 +173,9 @@ class SpfTable:
         """Smallest prime factor of n (2 <= n <= limit)."""
         if not 2 <= n <= self.limit:
             raise DomainError(f"n={n} outside table range 2..{self.limit}")
-        v = int(self._cells[n])
+        if n % 2 == 0:
+            return 2
+        v = int(self._cells[n >> 1])
         return n if v == 0 else v
 
     def is_prime(self, n: int) -> bool:
@@ -172,15 +184,17 @@ class SpfTable:
         if n < 2:
             return False
         if n <= self.limit:
-            return self._cells[n] == 0
+            return n == 2 or (n % 2 == 1 and bool(self._cells[n >> 1] == 0))
         return is_prime_u64(n)
 
     def are_prime(self, ns: np.ndarray) -> np.ndarray:
         """``is_prime`` of every entry of an integer array: the cells up to
-        the limit, where the poisoned cells 0 and 1 answer every n < 2, and
-        Miller-Rabin one entry at a time above it."""
+        the limit, where the poisoned cell of 1 answers every n < 2, parity
+        for the even n, and Miller-Rabin one entry at a time above it."""
         ns = np.asarray(ns)
-        out = self._cells[np.clip(ns, 0, self.limit)] == 0
+        out = self._cells[np.clip(ns, 0, 2 * self._cells.size - 1) >> 1] == 0
+        out &= (ns & 1).astype(bool)
+        out |= ns == 2
         big = np.flatnonzero(ns > self.limit)
         out[big] = [is_prime_u64(n) for n in ns[big].tolist()]
         return out
@@ -189,8 +203,9 @@ class SpfTable:
         """Factorization of 1 <= n <= limit via repeated spf division."""
         if not 1 <= n <= self.limit:
             raise DomainError(f"n={n} outside factorization range 1..{self.limit}")
-        m = n
-        pairs = []
+        e = (n & -n).bit_length() - 1
+        pairs = [(2, e)] if e else []
+        m = n >> e
         while m > 1:
             p = self.spf(m)
             e = 0
@@ -216,7 +231,7 @@ class SpfTable:
         m = m[rows]
         last = np.zeros_like(m)
         while m.size:
-            s = self._cells[m].astype(np.int64)
+            s = self._cells[m >> 1].astype(np.int64)
             s = np.where(s == 0, m, s)
             yield rows, s, s != last
             m //= s
@@ -241,10 +256,18 @@ class SpfTable:
         """The primes in [lo, hi] (hi defaults to, and is clipped at, the limit) as int64."""
         lo = max(lo, 0)
         hi = self.limit if hi is None else min(hi, self.limit)
-        # the poisoned cells 0 and 1 are nonzero, so they never match
-        cells = self._cells[lo : max(hi + 1, lo)]
-        out = np.flatnonzero(cells == 0).astype(np.int64, copy=False)
-        out += lo
+        # the cells of the odd n in [lo, hi], counted and then filled a segment
+        # at a time, so no mask spans the range; the poisoned cell of 1 never matches
+        a = lo >> 1
+        b = max((hi + 1) >> 1, a)
+        two = int(lo <= 2 <= hi)
+        counts = [int(np.count_nonzero(zero)) for _, zero in self._zero_runs(a, b)]
+        out = np.empty(two + sum(counts), dtype=np.int64)
+        out[:two] = 2
+        k = two
+        for (j, zero), c in zip(self._zero_runs(a, b), counts):
+            out[k : k + c] = 2 * (np.flatnonzero(zero) + j) + 1
+            k += c
         return out
 
     def prime_count(self, x: int) -> int:
@@ -252,8 +275,7 @@ class SpfTable:
         if x > self.limit:
             raise DomainError(f"x={x} beyond table limit {self.limit}")
         # counted a segment at a time, so the temporary mask stays small
-        starts = range(0, x + 1, SEGMENT_WIDTH)
-        return sum(int(np.count_nonzero(self._cells[lo : min(lo + SEGMENT_WIDTH, x + 1)] == 0)) for lo in starts)
+        return int(x >= 2) + sum(int(np.count_nonzero(zero)) for _, zero in self._zero_runs(0, (x + 1) >> 1))
 
 
 def build_spf(limit: int) -> SpfTable:

@@ -31,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import MAX_TABLE_BYTES, _simple_prime_array
+from .sieve import _simple_prime_array
 
 _COEFF_CAP = 1 << 63
+# Ceiling on the bytes of the prime sieve, one byte per integer up to the cutoff.
+_MAX_SIEVE_BYTES = 1 << 30
 _DIGIT_MASK = (1 << 31) - 1
 
 
@@ -160,8 +162,8 @@ def singular_series(
         raise DomainError("singular series needs multipliers >= 1")
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be >= 100")
-    if prime_cutoff + 1 > MAX_TABLE_BYTES:
-        raise CapacityError(f"prime cutoff {prime_cutoff} needs a sieve above the {MAX_TABLE_BYTES >> 20} MiB ceiling")
+    if prime_cutoff + 1 > _MAX_SIEVE_BYTES:
+        raise CapacityError(f"prime cutoff {prime_cutoff} needs a sieve above the {_MAX_SIEVE_BYTES >> 20} MiB ceiling")
     system = forms_from_links(ms)
     k = system.k
     bigN = discriminant_product(system)

@@ -34,9 +34,14 @@ def floats(lo: float, hi: float):
 
 
 FLOATS = floats(-30, 30)
+# integer flags also take integral float spellings (1e3, 60.0); 1.5 is refused
 INTS = mixed(
-    st.integers(-20, 60).map(str),
-    st.one_of(st.sampled_from(["-7", str(2**63), str(2**64 + 1), str(10**30), "1e3"]), _JUNK),
+    st.one_of(
+        st.integers(-20, 60).map(str),
+        st.integers(-20, 60).map("{}.0".format),
+        st.integers(-2, 6).map("{}e1".format),
+    ),
+    st.one_of(st.sampled_from(["-7", str(2**63), str(2**64 + 1), str(10**30), "1e3", "1e19", "1.5", "2.5e-1"]), _JUNK),
 )
 
 
@@ -70,7 +75,7 @@ _REPS = small(20, 10**15, 2**63 - 1, 2**63)
 
 ARGV = st.one_of(
     command(["pratt"], req("--prime", INTS)),
-    command(["hist"], req("--limit", small(3000, 10**12, 2**63)), opt("--stat", _STAT)),
+    command(["hist"], req("--limit", st.one_of(small(3000, 10**12, 2**63), st.sampled_from(["2e3", "1e12"]))), opt("--stat", _STAT)),
     command(["chains"], req("--start", INTS), req("--ratio", FLOATS), opt("--max-chains", small(50, 10**12)), _FLAG),
     command(["sift-bound"], req("--x", FLOATS), req("--y", _Y), opt("--grid", small(64, 10**12, 2**63))),
     command(["singular"], req("--links", _LINKS), opt("--pcut", _PCUT)),
@@ -112,17 +117,34 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=ARGV, common=COMMON)
-def test_every_argv_ends_in_a_result_or_a_typed_error(argv, common):
-    argv = argv + [tok for part in common for tok in part]
+def run(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, usage errors included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_integral_float_spellings_print_the_same_bytes():
+    spelled = run(["hist", "--limit", "1e3", "--format", "csv"])
+    assert spelled[0] == 0
+    assert spelled == run(["hist", "--limit", "1000", "--format", "csv"])
+
+
+def test_other_spellings_are_usage_errors():
+    for token in ("1.5", "1e-3", "nan", "inf", "-inf", "1e", "0x10", "1e99999999"):
+        code, out, err = run(["hist", f"--limit={token}"])
+        assert code == 2 and out == "" and "invalid int value" in err, token
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGV, common=COMMON)
+def test_every_argv_ends_in_a_result_or_a_typed_error(argv, common):
+    argv = argv + [tok for part in common for tok in part]
+    code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code == 0 and "csv" not in argv:

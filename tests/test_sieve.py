@@ -64,10 +64,11 @@ class TestSpfTable:
             assert t.spf(n) == naive_spf(n), n
 
     def test_segment_boundaries(self):
-        # Three full segments and a short fourth; check each join.
+        # One cell per odd integer: a full segment for 1..2w - 1 and a short
+        # second; check around its join at 2w and at w and 3w.
         w = sieve.SEGMENT_WIDTH
         t = sieve.build_spf(3 * w + 100)
-        assert [s.size for s in t.segments] == [w, w, w, 101]
+        assert [s.size for s in t.segments] == [w, w // 2 + 50]
         for join in (w, 2 * w, 3 * w):
             ns = range(join - 500, min(join + 500, t.limit + 1))
             for n in ns:
@@ -107,6 +108,55 @@ class TestSpfTable:
         assert sieve.table_bytes(limit) > sieve.MAX_TABLE_BYTES
         with pytest.raises(CapacityError):
             sieve.SpfTable(limit)
+
+
+class TestOddCells:
+    """One cell per odd integer; every even n is answered by its parity."""
+
+    def check(self, t, ns):
+        for n in ns:
+            assert t.spf(n) == naive_spf(n), n
+            assert t.is_prime(n) == sieve.is_prime_u64(n), n
+        assert t.are_prime(np.array(ns, dtype=np.int64)).tolist() == [sieve.is_prime_u64(n) for n in ns]
+
+    def check_range(self, t, lo, hi):
+        """spf, is_prime, are_prime and primes on lo..hi, clipped to 2..limit."""
+        ns = list(range(max(lo, 2), min(hi, t.limit) + 1))
+        self.check(t, ns)
+        assert t.primes(lo, hi).tolist() == [n for n in ns if sieve.is_prime_u64(n)]
+
+    def test_small_and_even_n(self, table):
+        for n in (0, 1):
+            assert not table.is_prime(n)
+            with pytest.raises(DomainError):
+                table.spf(n)
+        assert table.are_prime(np.arange(5)).tolist() == [False, False, True, True, False]
+        assert [table.spf(n) for n in (2, 3, 4)] == [2, 3, 2]
+        self.check(table, list(range(2, 3000, 2)) + [2**19, 2 * 499_979, table.limit])
+        self.check_range(table, 0, 3000)
+        assert [table.factorize(n).pairs for n in (2, 4, 96, 2**19)] == [((2, 1),), ((2, 2),), ((2, 5), (3, 1)), ((2, 19),)]
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 2 * sieve.SEGMENT_WIDTH, 2 * sieve.SEGMENT_WIDTH + 1])
+    def test_limits_of_both_parities(self, limit):
+        t = sieve.build_spf(limit)
+        assert sum(s.nbytes for s in t.segments) == sieve.table_bytes(limit) == 2 * ((limit + 1) // 2)
+        assert t.primes().tolist() == naive_primes(limit).tolist()
+        assert t.prime_count(limit) == naive_primes(limit).size
+        self.check_range(t, limit - 300, limit + 300)
+        # n = limit + 1 and above go to Miller-Rabin, whatever their parity
+        above = np.arange(limit - 3, limit + 40)
+        assert t.are_prime(above).tolist() == [n >= 0 and sieve.is_prime_u64(n) for n in above.tolist()]
+
+    def test_every_segment_join(self):
+        w = sieve.SEGMENT_WIDTH
+        limit = 6 * w + 201
+        t = sieve.build_spf(limit)
+        assert [s.size for s in t.segments] == [w, w, w, 101]
+        assert sum(s.nbytes for s in t.segments) == sieve.table_bytes(limit)
+        for join in (2 * w, 4 * w, 6 * w):  # the first integer of each new segment is join + 1
+            self.check_range(t, join - 300, join + 300)
+            assert t.prime_count(join) == naive_primes(join).size
+        assert t.primes().tolist() == naive_primes(limit).tolist()
 
 
 class TestSpfRounds:
