@@ -46,15 +46,11 @@ class ChainRecord:
     @classmethod
     def _trusted(cls, chains: list[tuple[int, ...]]) -> list[ChainRecord]:
         """Records of chains whose links hold by construction, without the
-        per-link check of ``__post_init__``."""
+        per-link check of ``__post_init__``: each is set through the slot's
+        own setter, which the frozen ``__setattr__`` does not guard."""
         records = [object.__new__(cls) for _ in chains]
-        for _ in map(_set_primes, records, chains):
-            pass
+        list(map(cls.primes.__set__, records, chains))
         return records
-
-
-# the slot's own setter, which a frozen dataclass's __setattr__ would refuse
-_set_primes = ChainRecord.__dict__["primes"].__set__
 
 
 @dataclass(frozen=True)

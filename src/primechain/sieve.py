@@ -184,7 +184,7 @@ class SpfTable:
         if n < 2:
             return False
         if n <= self.limit:
-            return n == 2 or (n % 2 == 1 and bool(self._cells[n >> 1] == 0))
+            return n == 2 or (n % 2 == 1 and self._cells[n >> 1] == 0)
         return is_prime_u64(n)
 
     def are_prime(self, ns: np.ndarray) -> np.ndarray:

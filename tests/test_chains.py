@@ -46,14 +46,6 @@ class TestChainRecord:
             enum = chains.enumerate_from(p, x, table)
             assert [chains.ChainRecord(c.primes) for c in enum.chains] == enum.chains
             assert [c.primes for c in enum.chains] == dfs_chains(p, x, table), (p, x)
-        assert chains.enumerate_from(2, 5, table).chains[2] == chains.ChainRecord((2, 3, 7))
-
-    def test_untrusted_paths_still_check(self, table):
-        with pytest.raises(IntegrityError):
-            chains.ChainRecord((3, 5))
-        # the multipliers of (2, 3, 7) with the last one changed: 3 * 3 + 1 = 10
-        with pytest.raises(IntegrityError):
-            chains.rebuild(chains.LinkVector(2, (1, 3)), table)
 
 
 class TestEnumerateFrom:
