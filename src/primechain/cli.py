@@ -122,10 +122,11 @@ def _table(limit: int = 10**6) -> sieve.SpfTable:
     return sieve.build_spf(limit)
 
 
-# Memory ceiling for a tree command's factor table plus PrattDag fill: hist
-# admits the limits up to about 2.85e8, as 1 GiB did when every integer had a
-# table cell.  hist --limit 1e8 peaks at ~247 MiB RSS.
-_TREE_MAX_BYTES = 480 << 20
+# Memory ceiling for a tree command's factor table plus PrattDag fill: pratt
+# admits --prime up to about 5.29e8 and hist --limit up to about 3.1e8, at
+# least what 1 GiB admitted when every integer had a table cell.
+# hist --limit 1e8 peaks at ~204 MiB RSS.
+_TREE_MAX_BYTES = 520 << 20
 
 
 def _tree_table(limit: int, flag: str, need: int) -> sieve.SpfTable:
@@ -348,10 +349,6 @@ def _cmd_verify(args) -> int:
 def _integer(text: str) -> int:
     """The type of every integer flag: an integer, or an integral float
     spelling such as 1e8; anything else is a usage error (exit 2)."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
     try:
         value = decimal.Decimal(text)
     except decimal.InvalidOperation:

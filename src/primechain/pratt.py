@@ -43,11 +43,13 @@ from .sieve import SpfTable, is_prime_u64, progression_step, table_bytes
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
 
-# A PrattDag fill's tracemalloc peak beyond its table: each prime (8 bytes)
-# of ``table.primes()``, built a segment at a time, with its f/H/g (3), the
-# rank table (4 MiB) and one piece's temporaries (at most 7.6 MiB, the piece
-# from 2^20).  The peak is 8.3, 24.9, 43.1 and 72.1 MiB at 1e6, 2e7, 5e7 and
-# 1e8, the bound 16.0, 30.7, 52.1 and 86.5 MiB.
+# A PrattDag fill's tracemalloc peak beyond its table, and so that of
+# ``range_stats`` to the table's limit (hist), which runs that fill: each
+# prime (8 bytes) of ``table.primes()``, built a segment at a time, with its
+# f/H/g (3), the rank table (4 MiB) and one piece's temporaries (at most
+# 7.6 MiB, the piece from 2^20).  The peak is 8.3, 24.9, 43.1 and 72.1 MiB at
+# 1e6, 2e7, 5e7 and 1e8, the bound 16.0, 30.7, 52.1 and 86.5 MiB.  A fill of
+# a given set also checks it: one int64 and a few bytes per prime more.
 _BYTES_PER_PRIME = 11
 _PIECE_BYTES = 15 << 20
 
@@ -157,7 +159,7 @@ class PrattDag:
             self._complete = table.limit
         else:
             primes = np.asarray(primes, dtype=np.int64)
-            if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(np.diff(primes) <= 0)):
+            if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(primes[1:] <= primes[:-1])):
                 raise DomainError(f"primes must increase within 2..{table.limit}")
             if not table.are_prime(primes).all():
                 raise DomainError("the set holds a composite")
@@ -255,7 +257,10 @@ class RangeStats:
 
 
 def _histogram(values: np.ndarray) -> dict[int, int]:
-    counts = np.bincount(values)
+    """Counts of the uint8 ``values``, a block at a time, as bincount widens
+    what it counts to int64."""
+    blocks = range(0, values.size, _BLOCK_WIDTH)
+    counts = sum(np.bincount(values[i : i + _BLOCK_WIDTH], minlength=256) for i in blocks)
     return {v: int(counts[v]) for v in np.flatnonzero(counts).tolist()}
 
 
@@ -266,7 +271,8 @@ def range_stats(x: int, table: SpfTable, dag: PrattDag | None = None) -> RangeSt
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    primes, f, h, _ = (dag or PrattDag(table, table.primes(2, x))).values(x)
+    # to the table's limit the primes are the table's own, so not re-checked
+    primes, f, h, _ = (dag or PrattDag(table, table.primes(2, x) if x < table.limit else None)).values(x)
     i_h, i_f = int(np.argmax(h)), int(np.argmax(f))
     return RangeStats(
         limit=x,

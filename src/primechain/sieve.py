@@ -192,8 +192,11 @@ class SpfTable:
         the limit, where the poisoned cell of 1 answers every n < 2, parity
         for the even n, and Miller-Rabin one entry at a time above it."""
         ns = np.asarray(ns)
-        out = self._cells[np.clip(ns, 0, 2 * self._cells.size - 1) >> 1] == 0
-        out &= (ns & 1).astype(bool)
+        # one index temporary, shifted and then reused for the parity
+        idx = np.clip(ns, 0, 2 * self._cells.size - 1)
+        idx >>= 1
+        out = self._cells[idx] == 0
+        out &= np.bitwise_and(ns, 1, out=idx) == 1
         out |= ns == 2
         big = np.flatnonzero(ns > self.limit)
         out[big] = [is_prime_u64(n) for n in ns[big].tolist()]

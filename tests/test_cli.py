@@ -58,9 +58,9 @@ class TestPratt:
         assert json.loads(err)["error"]["type"] == "CapacityError"
 
     def test_budget_is_the_table_and_a_label_fill(self, capsys, monkeypatch):
-        # p = 300000007 once needed "about 1080 MiB" for a full fill; its
-        # table is 572 MiB and the fill of its labels a few MiB
-        big = 300_000_008
+        # p = 400000009 needs about 662 MiB for a full fill; its table is
+        # 381 MiB and the fill of its labels a few MiB
+        big = 400_000_010
         assert pratt.tree_footprint_bytes(big) < cli._TREE_MAX_BYTES < pratt.footprint_bytes(big)
         p = 1_000_003
         between = (pratt.tree_footprint_bytes(p + 1) + pratt.footprint_bytes(p + 1)) // 2

@@ -191,6 +191,19 @@ class TestBlockArrays:
             tracemalloc.stop()
         assert peak <= pratt.footprint_bytes(limit) - sieve.table_bytes(limit)
 
+    @pytest.mark.parametrize("limit", [10**6, 5 * 10**7])
+    def test_range_stats_peak_within_footprint(self, limit):
+        # hist's path: the same fill, then the histograms; the model's slack
+        # below 5e7 would hide a second int64 per prime
+        table = sieve.SpfTable(limit)
+        tracemalloc.start()
+        try:
+            pratt.range_stats(limit, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pratt.footprint_bytes(limit) - sieve.table_bytes(limit)
+
     def test_label_fill_peak_within_tree_footprint(self, table):
         p = 999_983  # the largest prime of the 1e6 table
         tracemalloc.start()
