@@ -123,9 +123,10 @@ def lpd_offsets_from_uniforms(uniforms, cap: float) -> list[float]:
 
 def sample_lpd_offsets(key: int, cap: float) -> np.ndarray:
     """Offsets of the node stream ``key``, in stick order."""
+    stream = uniform_stream(key)
     if cap <= 0:
         return np.zeros(0, dtype=np.float64)
-    return np.array(lpd_offsets_from_uniforms(uniform_stream(key), cap), dtype=np.float64)
+    return np.array(lpd_offsets_from_uniforms(stream, cap), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +139,28 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
     ``cap`` is a scalar or an array holding each row's own bound.  Round t
     draws stick t for every still-active parent; parents retire once their
     remaining mass cannot produce another child below their bound.  A round
-    takes one index array for its kept children and one for its surviving
-    parents and gathers every column with them; it does its arithmetic in
-    place on arrays it allocated, so the inputs are never written.
+    computes each parent's pos + cum once: the retirement test compares it
+    with the bound, and the next round's children start from it.  It takes
+    one index array for its kept children and one for its surviving parents
+    and gathers every column with them, and it does its arithmetic in place
+    on arrays it allocated, so the inputs are never written (``base`` is
+    ``pos`` itself until the first round ends).
     """
     per_row = np.ndim(cap) > 0
     below = np.less if strict else np.less_equal
-    out_pos, out_key, out_rep = [np.zeros(0)], [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.int64)]
+    out_pos, out_key, out_rep = [], [], []
     cum = np.zeros_like(pos)
+    base = pos
     total = 0
     t = 0
     while pos.size:
-        u = to_unit(stream_draw(key, 2 * t + 1))
-        child = pos + cum
-        child -= np.log(u)
+        raw = stream_draw(key, 2 * t + 1)
+        u = to_unit(raw, out=raw)
+        child = np.log(u)
+        np.subtract(base, child, out=child)
         cum -= np.log1p(np.negative(u, out=u), out=u)
-        del u  # its buffer goes before the gathers, which set the peak
-        kept = np.flatnonzero(below(child, cap))
+        del raw, u  # their one buffer goes before the gathers, which set the peak
+        kept = below(child, cap).nonzero()[0]
         if kept.size:
             total += kept.size
             if total > row_guard:
@@ -164,14 +170,17 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
             out_pos.append(child[kept])
             out_key.append(stream_draw(key[kept], 2 * t + 2))
             out_rep.append(rep[kept])
-        alive = np.flatnonzero(np.add(pos, cum, out=child) < cap)
+        base = np.add(pos, cum, out=child)
+        alive = (base < cap).nonzero()[0]
         if alive.size < pos.size:
-            pos, key, rep, cum = pos[alive], key[alive], rep[alive], cum[alive]
+            pos, key, rep, cum, base = pos[alive], key[alive], rep[alive], cum[alive], base[alive]
             if per_row:
                 cap = cap[alive]
         t += 1
         if t > 100_000:
             raise NumericalError("stick loop failed to terminate")
+    if not out_pos:
+        return pos, key, rep
     return (
         np.concatenate(out_pos),
         np.concatenate(out_key),

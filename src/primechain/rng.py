@@ -13,11 +13,24 @@ Because every node owns its key, enlarging the truncation cap (or
 changing batch or thread layout) never shifts the randomness consumed by
 the surviving nodes: shared lineages see byte-identical samples.  All
 operations vectorize over uint64 numpy arrays.
+
+Arithmetic mod 2^64 runs in numpy's array ufuncs, which wrap silently,
+and the draw offset i * GOLDEN mod 2^64 is taken in Python ints, so no
+call needs ``np.errstate``.  Numpy scalars check for overflow, so no
+product is ever taken between two of them.  A uniform is built from the
+top 52 bits m of a word: m under the exponent of 1.0 is the float
+1 + m * 2^-52, and subtracting 1 - 2^-53 leaves (m + 1/2) * 2^-52 exactly
+(Sterbenz's lemma: both operands lie within a factor of two of each
+other), the same bits as computing (m + 0.5) * 2^-52 in floats.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from .errors import DomainError
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 SALT = np.uint64(0x8BB84B93962EACC9)
@@ -25,6 +38,11 @@ RDE_SALT = np.uint64(0x5851F42D4C957F2D)
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
+_GOLDEN_INT = int(GOLDEN)
+_MUL1, _MUL2 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_SHIFT12, _SHIFT27, _SHIFT30, _SHIFT31 = _U64(12), _U64(27), _U64(30), _U64(31)
+_ONE_BITS = _U64(0x3FF0000000000000)  # the exponent field of 1.0
+_UNIT_OFFSET = 1.0 - 2.0**-53
 
 
 def mix64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -32,16 +50,17 @@ def mix64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Writes into ``out`` when given (``out=z`` mixes in place) and into a
     new array otherwise; ``z`` itself is only read.  One scratch array
-    holds the shifts.
+    holds the shifts.  A 0-d ``z`` gives a 0-d array.
     """
-    with np.errstate(over="ignore"):
-        scratch = z >> _U64(30)
-        out = np.bitwise_xor(z, scratch, out=out)
-        out *= _U64(0xBF58476D1CE4E5B9)
-        out ^= np.right_shift(out, _U64(27), out=scratch)
-        out *= _U64(0x94D049BB133111EB)
-        out ^= np.right_shift(out, _U64(31), out=scratch)
-        return out
+    if z.ndim == 0:  # a 0-d result comes back as a numpy scalar, whose *= warns
+        return mix64(z.reshape(1), None if out is None else out.reshape(1)).reshape(())
+    scratch = z >> _SHIFT30
+    out = np.bitwise_xor(z, scratch, out=out)
+    out *= _MUL1
+    out ^= np.right_shift(out, _SHIFT27, out=scratch)
+    out *= _MUL2
+    out ^= np.right_shift(out, _SHIFT31, out=scratch)
+    return out
 
 
 def mix64_int(z: int) -> int:
@@ -55,20 +74,24 @@ def mix64_int(z: int) -> int:
 def stream_draw(keys: np.ndarray, index: int) -> np.ndarray:
     """Raw 64-bit draw number ``index`` (>= 1) of each key's stream, as a
     new array (``keys`` is only read)."""
-    with np.errstate(over="ignore"):
-        z = keys + _U64(index) * GOLDEN
+    z = keys + _U64(index * _GOLDEN_INT & _MASK)
     return mix64(z, out=z)
 
 
-def to_unit(raw: np.ndarray) -> np.ndarray:
+def to_unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map raw 64-bit words to floats strictly inside (0, 1).
 
-    The 12-bit shift keeps the +0.5 offset exactly representable, so the
-    result lies in [2^-53, 1 - 2^-53] and log(u) and log1p(-u) are both
-    finite for every input word.
+    u = (m + 1/2) * 2^-52 for the top 52 bits m of the word, built from
+    the bits of 1 + m * 2^-52 minus 1 - 2^-53, which is exact (see the
+    module docstring).  So u lies in [2^-53, 1 - 2^-53] and log(u) and
+    log1p(-u) are both finite for every input word.  ``raw`` is only read
+    unless it is passed as ``out``, a uint64 array whose buffer then
+    holds the floats (``out=raw`` converts a fresh draw in place).
     """
-    u = np.add(raw >> _U64(12), 0.5)
-    u *= 2.0**-52
+    bits = np.right_shift(raw, _SHIFT12, out=out)
+    bits |= _ONE_BITS
+    u = bits.view(np.float64)
+    u -= _UNIT_OFFSET
     return u
 
 
@@ -76,14 +99,15 @@ def replicate_keys(seed: int, start: int, stop: int) -> np.ndarray:
     """Keys for replicates ``start..stop-1`` of the run with this seed."""
     root = mix64_int((seed & _MASK) ^ int(SALT))
     reps = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return mix64(_U64(root) + reps * GOLDEN)
+    return mix64(_U64(root) + reps * GOLDEN)
 
 
 def uniform_stream(key: int):
     """Scalar generator yielding the uniforms of one node stream, in the
-    exact order the vectorized engine consumes them (draws 1, 3, 5, ...)."""
-    t = 0
-    while True:
-        yield float(to_unit(stream_draw(np.array([key], dtype=np.uint64), 2 * t + 1))[0])
-        t += 1
+    exact order the vectorized engine consumes them (draws 1, 3, 5, ...).
+    A key outside [0, 2^64) raises a DomainError here, not at the first
+    draw."""
+    if not 0 <= key <= _MASK:
+        raise DomainError(f"stream key {key} is outside [0, 2^64)")
+    keys = np.array([key], dtype=np.uint64)
+    return (float(to_unit(stream_draw(keys, 2 * t + 1))[0]) for t in itertools.count())

@@ -37,6 +37,12 @@ class TestStickBreaking:
         offs = brw.sample_lpd_offsets(99, cap=30.0)
         assert float(np.sum(np.exp(-offs))) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("key", [-1, 2**64])
+    @pytest.mark.parametrize("cap", [2.0, 0.0])
+    def test_key_outside_u64_is_a_domain_error(self, key, cap):
+        with pytest.raises(DomainError):
+            brw.sample_lpd_offsets(key, cap=cap)
+
     def test_mean_count_in_window(self):
         # The point process drops unit-rate offsets: E #[0, c] = c.
         total = 0
@@ -299,6 +305,22 @@ class TestRoundKernel:
         assert got[1].tobytes() == np.array(want_key, dtype=np.uint64).tobytes()
         assert got[2].tobytes() == np.array(want_rep, dtype=np.int64).tobytes()
         assert drawn[0] == sum(sticks)
+
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+    def test_inputs_are_not_written(self, per_row):
+        # the round's child base is pos itself until the first round ends
+        pos, key, rep, cap = self.parents(per_row)
+        cols = (pos, key, rep, np.asarray(cap))
+        before = [c.tobytes() for c in cols]
+        got = brw._next_generation(pos, key, rep, cap, False, 10_000)
+        assert got[0].size > 20
+        assert [c.tobytes() for c in cols] == before
+
+    def test_no_child_gives_empty_columns(self):
+        key = replicate_keys(7, 0, 3)
+        got = brw._next_generation(np.full(3, 6.0), key, np.arange(3, dtype=np.int64), 5.0, False, 10)
+        assert [(g.size, g.dtype) for g in got] == [(0, np.float64), (0, np.uint64), (0, np.int64)]
 
 
 class TestPrunedMinima:

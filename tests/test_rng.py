@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from primechain import rng
+from primechain.errors import DomainError
+
+MASK = 2**64 - 1
 
 
 class TestMixer:
@@ -29,6 +34,19 @@ class TestMixer:
         assert z.tobytes() == fresh.tobytes()
         assert fresh.tolist() == [rng.mix64_int(w) for w in words.tolist()]
 
+    def test_zero_dimensional_arrays_raise_no_warning(self):
+        # numpy scalars check their arithmetic for overflow; 0-d arrays
+        # must still hash mod 2^64 without a RuntimeWarning
+        z = np.array(MASK, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = rng.mix64(z)
+            drawn = rng.stream_draw(z, 2**63 - 1)
+        assert mixed.shape == drawn.shape == ()
+        assert int(mixed) == rng.mix64_int(MASK)
+        assert int(drawn) == rng.mix64_int((MASK + (2**63 - 1) * int(rng.GOLDEN)) & MASK)
+        assert int(z) == MASK
+
     def test_zero_fixed_point(self):
         # The finalizer maps 0 to 0, which is why every key derivation
         # salts the seed before mixing.
@@ -44,6 +62,15 @@ class TestUnitInterval:
         assert hi == 1.0 - 2.0**-53
         # Both endpoints keep the stick-breaking logs finite.
         assert np.isfinite(np.log(hi)) and np.isfinite(np.log1p(-hi))
+
+    def test_bits_match_the_float_formula(self):
+        edges = np.array([0, 1, 2**12 - 1, 2**12, 2**63, MASK], dtype=np.uint64)
+        drawn = np.random.default_rng(11).integers(0, 2**64, 100_000, dtype=np.uint64)
+        words = np.concatenate([edges, drawn])
+        want = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
+        assert rng.to_unit(words).tobytes() == want.tobytes()
+        buf = words.copy()
+        assert rng.to_unit(buf, out=buf).tobytes() == want.tobytes()
 
     def test_vectorized(self):
         xs = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
@@ -62,6 +89,17 @@ class TestStreams:
             for t in range(6)
         ]
         assert from_gen == direct
+
+    @pytest.mark.parametrize("index", [1, 2**32 + 1, 2**62 + 3, 2**63 - 1])
+    def test_draw_offset_at_large_indices(self, index):
+        keys = np.concatenate([np.array([0, MASK], dtype=np.uint64), rng.replicate_keys(4, 0, 6)])
+        want = [rng.mix64_int((k + index * int(rng.GOLDEN)) & MASK) for k in keys.tolist()]
+        assert rng.stream_draw(keys, index).tolist() == want
+
+    @pytest.mark.parametrize("key", [-1, 2**64])
+    def test_stream_key_outside_u64_is_a_domain_error(self, key):
+        with pytest.raises(DomainError):
+            rng.uniform_stream(key)
 
     def test_replicate_keys_deterministic(self):
         a = rng.replicate_keys(3, 0, 1000)
