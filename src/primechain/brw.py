@@ -139,27 +139,26 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
     ``cap`` is a scalar or an array holding each row's own bound.  Round t
     draws stick t for every still-active parent; parents retire once their
     remaining mass cannot produce another child below their bound.  A round
-    computes each parent's pos + cum once: the retirement test compares it
-    with the bound, and the next round's children start from it.  It takes
-    one index array for its kept children and one for its surviving parents
-    and gathers every column with them, and it does its arithmetic in place
-    on arrays it allocated, so the inputs are never written (``base`` is
-    ``pos`` itself until the first round ends).
+    hashes one word per active parent and turns it into u in the same
+    buffer; that one u gives both the child's offset -log(u) and the mass
+    spent, -log1p(-u).  It takes one index array for its kept children and
+    one for its surviving parents and gathers every column with them, and
+    it does its arithmetic in place on arrays it allocated, so the inputs
+    are never written.
     """
     per_row = np.ndim(cap) > 0
     below = np.less if strict else np.less_equal
     out_pos, out_key, out_rep = [], [], []
     cum = np.zeros_like(pos)
-    base = pos
     total = 0
     t = 0
     while pos.size:
         raw = stream_draw(key, 2 * t + 1)
         u = to_unit(raw, out=raw)
-        child = np.log(u)
-        np.subtract(base, child, out=child)
+        child = pos + cum
+        child -= np.log(u)
         cum -= np.log1p(np.negative(u, out=u), out=u)
-        del raw, u  # their one buffer goes before the gathers, which set the peak
+        del raw, u  # freed before the gathers, which set the peak
         kept = below(child, cap).nonzero()[0]
         if kept.size:
             total += kept.size
@@ -170,10 +169,9 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
             out_pos.append(child[kept])
             out_key.append(stream_draw(key[kept], 2 * t + 2))
             out_rep.append(rep[kept])
-        base = np.add(pos, cum, out=child)
-        alive = (base < cap).nonzero()[0]
+        alive = (np.add(pos, cum, out=child) < cap).nonzero()[0]
         if alive.size < pos.size:
-            pos, key, rep, cum, base = pos[alive], key[alive], rep[alive], cum[alive], base[alive]
+            pos, key, rep, cum = pos[alive], key[alive], rep[alive], cum[alive]
             if per_row:
                 cap = cap[alive]
         t += 1

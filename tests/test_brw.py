@@ -309,7 +309,7 @@ class TestRoundKernel:
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
     def test_inputs_are_not_written(self, per_row):
-        # the round's child base is pos itself until the first round ends
+        # every round writes into arrays of its own; a per-row cap is gathered, not compacted in place
         pos, key, rep, cap = self.parents(per_row)
         cols = (pos, key, rep, np.asarray(cap))
         before = [c.tobytes() for c in cols]
