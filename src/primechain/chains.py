@@ -203,8 +203,7 @@ def n_identity_check(x: int, table: SpfTable, dag: PrattDag | None = None) -> bo
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    # to the table's limit the primes are the table's own, so not re-checked
-    primes, f, _, _ = (dag or PrattDag(table, table.primes(2, x) if x < table.limit else None)).values(x)
+    primes, f, _, _ = (dag or PrattDag.upto(table, x)).values(x)
     f = f.astype(np.int64)
     rhs = table.prime_count(x) + int(f @ count_primes_in_aps(x, primes, table))
     return int(f.sum()) == rhs

@@ -17,6 +17,7 @@ survives here as the independent cross-check for small u.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,10 +32,11 @@ class RhoTable:
     """Grid of rho values on [0, u_max] with step 1/steps_per_unit."""
 
     def __init__(self, step: float = DEFAULT_STEP, u_max: float = DEFAULT_UMAX):
-        inv = round(1.0 / step)
+        # 0, nan and a step whose reciprocal overflows get inv = 0
+        inv = round(1.0 / step) if 0 < step <= 0.125 and math.isfinite(1.0 / step) else 0
         if inv < 8 or abs(inv * step - 1.0) > 1e-12 or inv % 2:
             raise DomainError("step must be an even integer reciprocal, e.g. 2**-10")
-        if u_max < 3 or u_max > 200:
+        if not 3 <= u_max <= 200:  # also rejects nan
             raise DomainError("u_max must lie in [3, 200]")
         self.step = 1.0 / inv
         self.per_unit = inv
@@ -86,14 +88,10 @@ class RhoTable:
         return val
 
 
-_DEFAULT_TABLE: RhoTable | None = None
-
-
+@functools.cache
 def default_table() -> RhoTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = RhoTable()
-    return _DEFAULT_TABLE
+    """The table on the default grid, built once on first use."""
+    return RhoTable()
 
 
 def rho(u: float, table: RhoTable | None = None) -> float:

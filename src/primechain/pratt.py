@@ -104,23 +104,6 @@ def _links(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
             yield rows + a, kid
 
 
-def _complete_to(table: SpfTable, primes: np.ndarray) -> int:
-    """The largest y <= table.limit with every prime <= y in ``primes``, a
-    validated increasing prime set, when the set is the first k primes: just
-    below the next prime.  Any other set gets 1, so it answers no x >= 2.
-    The k-th prime is below k (ln k + ln ln k) for k >= 6 (Rosser), which
-    refuses a sparse set, like most of a tree's labels, without a count."""
-    k = primes.size
-    top = int(primes[-1]) if k else 1
-    bound = 11 if k < 6 else k * (math.log(k) + math.log(math.log(k)))
-    if top > bound or table.prime_count(top) != k:
-        return 1
-    nxt = top + 1
-    while nxt <= table.limit and not table.is_prime(nxt):
-        nxt += 1
-    return nxt - 1
-
-
 def _require_prime(p: int, table: SpfTable) -> None:
     if p > table.limit:
         raise DomainError(f"{p} is beyond factorization limit {table.limit}")
@@ -148,22 +131,22 @@ class PrattDag:
     filled once, in place, by one update per yield of ``_links`` (g starts
     at 1 for the prime 2 only); no children are stored.
     f(p) <= 2 log2 p - 1 < 64 below 2**32, so uint8 holds them.
-    ``tree_primes(p, table)`` is the least set that answers for p.
-    ``values(x)`` answers only for the first k primes, below the next one.
+    ``tree_primes(p, table)`` is the least set that answers for p, and
+    ``upto(table, x)`` the dag of the primes up to x.  ``values(x)`` answers
+    when the set holds every prime up to x: checked to be increasing primes,
+    it does exactly when it has ``table.prime_count(x)`` of them up to x.
     """
 
     def __init__(self, table: SpfTable, primes: np.ndarray | None = None):
         self.table = table
         if primes is None:
             primes = table.primes()
-            self._complete = table.limit
         else:
             primes = np.asarray(primes, dtype=np.int64)
             if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(primes[1:] <= primes[:-1])):
                 raise DomainError(f"primes must increase within 2..{table.limit}")
             if not table.are_prime(primes).all():
                 raise DomainError("the set holds a composite")
-            self._complete = _complete_to(table, primes)
         self._primes = primes
         rank = self._rank = _rank_table(primes)
         f, h = self._f, self._h = np.ones((2, primes.size), dtype=np.uint8)
@@ -177,6 +160,12 @@ class PrattDag:
         views = map(memoryview, (rank, primes, f, h, g))
         self._rank_view, self._primes_view, self._f_view, self._h_view, self._g_view = views
 
+    @classmethod
+    def upto(cls, table: SpfTable, x: int) -> PrattDag:
+        """The dag of the primes up to x; to the table's limit they are the
+        table's own, so not re-checked."""
+        return cls(table, table.primes(2, x) if x < table.limit else None)
+
     def _index(self, p: int) -> int:
         rank, primes = self._rank_view, self._primes_view
         i = rank[p] if 0 <= p < len(rank) else bisect.bisect_left(primes, p)
@@ -187,12 +176,11 @@ class PrattDag:
 
     def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(primes, f, H, g) for every prime p <= x, as read-only views;
-        refused unless the set is the first k primes, below the next one."""
-        if x > self.table.limit:
-            raise DomainError(f"x={x} beyond table limit {self.table.limit}")
-        if x > self._complete:
-            raise DomainError(f"the dag's primes stop being complete at {self._complete} < x={x}")
+        refused unless the set holds all pi(x) of them."""
         k = int(np.searchsorted(self._primes, x, side="right"))
+        pi = self.table.prime_count(x)  # a DomainError beyond the table's limit
+        if k != pi:
+            raise DomainError(f"the dag holds {k} of the {pi} primes up to x={x}")
         views = tuple(a[:k] for a in (self._primes, self._f, self._h, self._g))
         for v in views:
             v.flags.writeable = False
@@ -271,8 +259,7 @@ def range_stats(x: int, table: SpfTable, dag: PrattDag | None = None) -> RangeSt
     """
     if x < 2:
         raise DomainError("x must be >= 2")
-    # to the table's limit the primes are the table's own, so not re-checked
-    primes, f, h, _ = (dag or PrattDag(table, table.primes(2, x) if x < table.limit else None)).values(x)
+    primes, f, h, _ = (dag or PrattDag.upto(table, x)).values(x)
     i_h, i_f = int(np.argmax(h)), int(np.argmax(f))
     return RangeStats(
         limit=x,
@@ -359,6 +346,8 @@ def phi_iter_stats(x: int, k: int, eps: float, table: SpfTable) -> float:
         gpf[p::p] = p
     vals = np.arange(1, x + 1, dtype=np.int64)
     for _ in range(k):
+        if vals.max() == 1:  # phi(1) = 1, so no later iterate moves
+            break
         vals = phi[vals]
     threshold = float(x) ** eps
     return float(np.mean(gpf[vals] <= threshold))

@@ -105,9 +105,9 @@ def replicate_keys(seed: int, start: int, stop: int) -> np.ndarray:
 def uniform_stream(key: int):
     """Scalar generator yielding the uniforms of one node stream, in the
     exact order the vectorized engine consumes them (draws 1, 3, 5, ...).
-    A key outside [0, 2^64) raises a DomainError here, not at the first
-    draw."""
-    if not 0 <= key <= _MASK:
-        raise DomainError(f"stream key {key} is outside [0, 2^64)")
+    A key that is not an integer in [0, 2^64) raises a DomainError here,
+    not at the first draw."""
+    if not isinstance(key, (int, np.integer)) or not 0 <= key <= _MASK:
+        raise DomainError(f"stream key {key!r} is not an integer in [0, 2^64)")
     keys = np.array([key], dtype=np.uint64)
     return (float(to_unit(stream_draw(keys, 2 * t + 1))[0]) for t in itertools.count())

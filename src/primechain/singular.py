@@ -166,6 +166,9 @@ def singular_series(
         raise CapacityError(f"prime cutoff {prime_cutoff} needs a sieve above the {_MAX_SIEVE_BYTES >> 20} MiB ceiling")
     system = forms_from_links(ms)
     k = system.k
+    if xi(2, system) == 2:
+        # exactly when some multiplier is odd; known before N's O(k^2) factors
+        return SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
     bigN = discriminant_product(system)
 
     primes = _simple_prime_array(prime_cutoff)

@@ -12,6 +12,7 @@ acceptance criterion and no unit test already covers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -33,27 +34,18 @@ class VerifyContext:
 
     def __init__(self, threads: int = 1):
         self.threads = threads
-        self._table = None
-        self._dag = None
-        self._mass = None
 
-    @property
+    @functools.cached_property
     def table(self) -> sieve.SpfTable:
-        if self._table is None:
-            self._table = sieve.build_spf(10**6)
-        return self._table
+        return sieve.build_spf(10**6)
 
-    @property
+    @functools.cached_property
     def dag(self) -> pratt.PrattDag:
-        if self._dag is None:
-            self._dag = pratt.PrattDag(self.table)
-        return self._dag
+        return pratt.PrattDag(self.table)
 
-    @property
+    @functools.cached_property
     def mass(self) -> pratt.MassProducts:
-        if self._mass is None:
-            self._mass = pratt.MassProducts(self.table, self.dag)
-        return self._mass
+        return pratt.MassProducts(self.table, self.dag)
 
 
 @dataclass

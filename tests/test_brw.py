@@ -37,7 +37,7 @@ class TestStickBreaking:
         offs = brw.sample_lpd_offsets(99, cap=30.0)
         assert float(np.sum(np.exp(-offs))) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("key", [-1, 2**64])
+    @pytest.mark.parametrize("key", [-1, 2**64, 1.5])
     @pytest.mark.parametrize("cap", [2.0, 0.0])
     def test_key_outside_u64_is_a_domain_error(self, key, cap):
         with pytest.raises(DomainError):

@@ -190,6 +190,11 @@ class TestSingular:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    def test_long_odd_system_answers_at_once(self, capsys):
+        # 2,000 ones would give N about a million factors to build and read
+        doc = run_json(capsys, "singular", "--links", ",".join(["1"] * 2000))
+        assert doc["value"] == 0 and doc["k"] == 2001
+
     def test_malformed_links(self, capsys):
         code, _, err = run_cli(capsys, "singular", "--links", "2,x")
         assert code == 1

@@ -128,6 +128,16 @@ class TestTableConstruction:
         with pytest.raises(DomainError):
             dickman.RhoTable(u_max=2.0)
 
+    @pytest.mark.parametrize("step", [0.0, -2.0**-10, math.nan, math.inf, 5e-324, 0.25])
+    def test_bad_step_is_a_domain_error(self, step):
+        with pytest.raises(DomainError, match="step"):
+            dickman.RhoTable(step=step)
+
+    @pytest.mark.parametrize("u_max", [math.nan, math.inf, 201.0])
+    def test_bad_u_max_is_a_domain_error(self, u_max):
+        with pytest.raises(DomainError, match="u_max"):
+            dickman.RhoTable(u_max=u_max)
+
     def test_range_guards(self, tab):
         with pytest.raises(DomainError):
             dickman.rho(-1.0, tab)
@@ -136,3 +146,4 @@ class TestTableConstruction:
 
     def test_module_level_default(self):
         assert dickman.rho(2.0) == 1.0 - math.log(2.0)
+        assert dickman.default_table() is dickman.default_table()

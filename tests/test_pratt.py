@@ -242,25 +242,35 @@ class TestPrimeSets:
             sub = pratt.PrattDag(table, table.primes(2, x))
             assert all(a.tolist() == b.tolist() for a, b in zip(sub.values(x), dag.values(x)))
 
-    def test_values_stop_where_the_set_stops_being_complete(self, table):
-        # the tree of 997 has labels 2, 3, 5, 41, 83, 997, not the first six
-        # primes, so it answers no x >= 2
+    def test_values_stop_where_the_set_stops_being_complete(self, table, dag):
+        # the tree of 997 has labels 2, 3, 5, 41, 83, 997: every prime up to
+        # 6, so it answers 2..6 exactly as the full dag does, and no x >= 7
         sub = pratt.PrattDag(table, pratt.tree_primes(997, table))
-        for x in (2, 6, 7, 100, 997):
+        for x in (2, 4, 6):
+            assert all(a.tolist() == b.tolist() for a, b in zip(sub.values(x), dag.values(x))), x
+            assert pratt.range_stats(x, table, sub) == pratt.range_stats(x, table, dag), x
+        for x in (7, 100, 997, 1000):
             with pytest.raises(DomainError):
                 sub.values(x)
             with pytest.raises(DomainError):
                 pratt.range_stats(x, table, sub)
-        # the tree of 3 is {2, 3}, the first two primes: complete up to 4
+        # the tree of 3 is {2, 3}: complete up to 4
         three = pratt.PrattDag(table, pratt.tree_primes(3, table))
         assert three.values(4)[0].tolist() == [2, 3]
         with pytest.raises(DomainError):
             three.values(5)
-        for x, complete in ((2, 2), (3, 4), (100, 100), (4099, 4110)):
-            assert pratt._complete_to(table, table.primes(2, x)) == complete
-        for primes in ([2, 3, 7], [3, 7], []):
-            assert pratt._complete_to(table, np.array(primes, dtype=np.int64)) == 1
-        assert pratt._complete_to(table, table.primes()) == table.limit
+        # the primes up to x answer up to one below the next prime
+        for x, nxt in ((2, 3), (3, 5), (100, 101), (4099, 4111)):
+            prefix = pratt.PrattDag(table, table.primes(2, x))
+            assert prefix.values(nxt - 1)[0].tolist() == table.primes(2, x).tolist()
+            with pytest.raises(DomainError):
+                prefix.values(nxt)
+        assert dag.values(table.limit)[0].size == table.prime_count(table.limit)
+
+    def test_upto_is_the_dag_of_the_primes_up_to_x(self, table):
+        for x in (2, 100, table.limit - 1, table.limit):
+            sub = pratt.PrattDag.upto(table, x)
+            assert sub.values(x)[0].tolist() == table.primes(2, x).tolist(), x
 
     def test_set_without_a_child_is_refused(self):
         # 7 - 1 = 2 * 3 and 3 is missing; 2 is missing under 3; the child
@@ -313,6 +323,18 @@ class TestTotientIteration:
         assert pratt.phi_iterate(97, 1, table) == 96
         assert pratt.phi_iterate(97, 2, table) == 32
         assert pratt.phi_iterate(1, 5, table) == 1
+
+    def test_phi_iter_stats_stops_once_every_iterate_is_one(self, table):
+        # every phi_k(n) with n <= 300 is 1 by k = 20, so k = 10^12 answers
+        # at once, as k = 20 does; each k matches phi_iterate's iterates
+        x, eps = 300, 0.5
+
+        def naive(k):
+            iterates = (pratt.phi_iterate(n, k, table) for n in range(1, x + 1))
+            return sum(m == 1 or table.factorize(m).pairs[-1][0] <= x**eps for m in iterates) / x
+
+        assert [pratt.phi_iter_stats(x, k, eps, table) for k in range(21)] == [naive(k) for k in range(21)]
+        assert pratt.phi_iter_stats(x, 10**12, eps, table) == naive(20) == 1.0
 
     def test_phi_iter_stats_bounds(self, table):
         lo = pratt.phi_iter_stats(2000, 1, 0.5, table)

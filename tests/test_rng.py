@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -96,10 +97,15 @@ class TestStreams:
         want = [rng.mix64_int((k + index * int(rng.GOLDEN)) & MASK) for k in keys.tolist()]
         assert rng.stream_draw(keys, index).tolist() == want
 
-    @pytest.mark.parametrize("key", [-1, 2**64])
+    @pytest.mark.parametrize("key", [-1, 2**64, np.int64(-1), 1.5, 1.0, np.float64(1.0), "1", None])
     def test_stream_key_outside_u64_is_a_domain_error(self, key):
         with pytest.raises(DomainError):
             rng.uniform_stream(key)
+
+    def test_numpy_integer_keys_are_their_values(self):
+        want = list(itertools.islice(rng.uniform_stream(7), 4))
+        for key in (np.uint64(7), np.int64(7), np.uint8(7)):
+            assert list(itertools.islice(rng.uniform_stream(key), 4)) == want
 
     def test_replicate_keys_deterministic(self):
         a = rng.replicate_keys(3, 0, 1000)

@@ -141,6 +141,13 @@ class TestSingularSeries:
         assert singular.singular_series((3,), prime_cutoff=1000).value == 0.0
         assert singular.singular_series((2, 4), prime_cutoff=1000).value == 0.0
 
+    def test_odd_multiplier_is_zero_before_the_discriminant(self, monkeypatch):
+        # an odd m makes xi(2) = 2; the answer comes before N is built
+        monkeypatch.setattr(singular, "discriminant_product", None)
+        for ms in ((3,), (2, 5), (4, 2, 7)):
+            sv = singular.singular_series(ms, prime_cutoff=1000)
+            assert sv == singular.SingularValue(0.0, 0.0, 0.0, 1000, len(ms) + 1)
+
     def test_trivial_system_is_one(self):
         sv = singular.singular_series((), prime_cutoff=1000)
         assert sv.value == 1.0
