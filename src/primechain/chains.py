@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError, IntegrityError
-from .pratt import PrattDag
-from .sieve import SpfTable, count_primes_in_aps, progression_candidates
+from .pratt import PrattDag, _require_prime
+from .sieve import SpfTable, count_primes_in_aps, primes_in_aps
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,8 +94,9 @@ def enumerate_from(
     increasing.  The one-element chain [p] is included by default, and
     counted like any other; ``include_trivial=False`` drops it.  Raises a
     capacity error as soon as more than ``bound`` (>= 0) chains are
-    counted, before they are built, or when p * x reaches 2**64, where
-    primality is not proven.
+    counted, before they are built; ``primes_in_aps`` reads each length and
+    refuses one that reaches 2**64 or has more than ``MAX_AP_CANDIDATES``
+    candidates above the table limit, before any of them is tested.
     """
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -104,24 +105,20 @@ def enumerate_from(
     if bound < 0:
         raise DomainError(f"chain bound must be >= 0, got {bound}")
     ceiling = math.floor(p * x)
-    if ceiling >= 1 << 64:
-        raise CapacityError(f"chains up to {ceiling} reach 2**64; the witness set only proves primality below it")
     found = [(p,)] if include_trivial else []
     total = len(found)
     if total > bound:
         raise CapacityError(f"more than {bound} chains from {p}")
     level, tips = [(p,)], np.array([p], dtype=np.uint64)
     while tips.size:
-        rows, primes = [], []
-        for r, cands in progression_candidates(tips, ceiling):
-            prime = table.are_prime(cands)
-            rows.append(r[prime])
-            primes.append(cands[prime])
-            total += rows[-1].size
+        chunks = []
+        for rows, primes in primes_in_aps(tips, ceiling, table):
+            chunks.append((rows, primes))
+            total += rows.size
             if total > bound:
                 raise CapacityError(f"more than {bound} chains from {p}")
-        tips = np.concatenate(primes)
-        level = [level[i] + (q,) for i, q in zip(np.concatenate(rows).tolist(), tips.tolist())]
+        rows, tips = (np.concatenate(a) for a in zip(*chunks))
+        level = [level[i] + (q,) for i, q in zip(rows.tolist(), tips.tolist())]
         found += level
     found.sort()
     # every candidate is 1 + k * step, so each link holds by construction
@@ -131,8 +128,7 @@ def enumerate_from(
 def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[ChainRecord]:
     """Every chain whose final element is p, by explicit recursion on the
     prime divisors of predecessor candidates (no memoization)."""
-    if not table.is_prime(p) or p > table.limit:
-        raise DomainError(f"{p} must be a prime within the table limit")
+    _require_prime(p, table)
     budget = [size_cap]
 
     def walk(q: int) -> list[tuple[int, ...]]:

@@ -22,10 +22,14 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 DEFAULT_STEP = 2.0 ** -10
 DEFAULT_UMAX = 20.0
+# Ceiling on the multiply-adds of one table's recurrence, (n - 2 inv) * inv for
+# n grid points of step 1/inv: about 7 s at 1.3e9 per second.  Step 2**-12 to
+# u = 20 takes 3.0e8 of them, step 2**-16 to u = 200 would take 8.5e11.
+MAX_RHO_WORK = 1 << 33
 
 
 class RhoTable:
@@ -38,10 +42,13 @@ class RhoTable:
             raise DomainError("step must be an even integer reciprocal, e.g. 2**-10")
         if not 3 <= u_max <= 200:  # also rejects nan
             raise DomainError("u_max must lie in [3, 200]")
+        n = int(round(u_max * inv))
+        work = (n - 2 * inv) * inv
+        if work > MAX_RHO_WORK:
+            raise CapacityError(f"a grid of step 1/{inv} to u = {u_max} takes {work:.3g} multiply-adds, above {MAX_RHO_WORK:.3g}")
         self.step = 1.0 / inv
         self.per_unit = inv
         self.u_max = float(u_max)
-        n = int(round(u_max * inv))
         grid = np.empty(n + 1, dtype=np.float64)
         u = np.arange(n + 1, dtype=np.float64) / inv
         grid[u <= 1.0] = 1.0

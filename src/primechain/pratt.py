@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError
+from .errors import CapacityError, DomainError, IntegrityError
 from .sieve import SpfTable, is_prime_u64, progression_step, table_bytes
 
 # Widest block of integers factored in one pass; bounds the temporaries.
@@ -52,6 +52,9 @@ _BLOCK_WIDTH = 1 << 20
 # a given set also checks it: one int64 and a few bytes per prime more.
 _BYTES_PER_PRIME = 11
 _PIECE_BYTES = 15 << 20
+# Ceiling on the bytes of phi_iter_stats's three int64 arrays of x + 1 entries
+# (x up to about 2.2e7), refused before they are allocated.
+_PHI_ITER_MAX_BYTES = 1 << 29
 
 
 def footprint_bytes(limit: int) -> int:
@@ -333,12 +336,16 @@ def phi_iter_stats(x: int, k: int, eps: float, table: SpfTable) -> float:
 
     Smoothness means the largest prime factor of phi_k(n) is <= x^eps,
     with P+(1) = 1.  Computed exhaustively with full totient and
-    largest-prime-factor tables up to x.
+    largest-prime-factor tables up to x, refused with a CapacityError
+    before they are allocated when they pass 512 MiB.
     """
     if x < 2 or x > table.limit:
         raise DomainError("x must be in 2..table limit")
     if k < 0 or not 0 < eps <= 1:
         raise DomainError("need k >= 0 and 0 < eps <= 1")
+    need = 24 * (x + 1)
+    if need > _PHI_ITER_MAX_BYTES:
+        raise CapacityError(f"x={x} needs {need >> 20} MiB of totient tables, above the {_PHI_ITER_MAX_BYTES >> 20} MiB ceiling")
     phi = np.arange(x + 1, dtype=np.int64)
     gpf = np.ones(x + 1, dtype=np.int64)
     for p in table.primes(2, x).tolist():

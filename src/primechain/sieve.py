@@ -30,7 +30,8 @@ MAX_LIMIT = (1 << 32) - 1
 # as 1 GiB did when every integer had a cell.
 MAX_TABLE_BYTES = 1 << 29
 # Ceiling on the candidates above a table's limit, summed over all moduli, that
-# count_primes_in_aps tests with Miller-Rabin: about 20 s at 64 bits, 2-core Xeon.
+# one primes_in_aps call tests with Miller-Rabin: about 20 s at 64 bits, 2-core
+# Xeon.  count_primes_in_aps makes one call, enumerate_from one per chain length.
 MAX_AP_CANDIDATES = 10**6
 
 # Deterministic Miller-Rabin witness set, exact for n < 3.3*10^24 and in
@@ -345,28 +346,31 @@ def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSIO
         i = j
 
 
-def count_primes_in_aps(x: int, qs: np.ndarray, table: SpfTable) -> np.ndarray:
-    """Number of primes p <= x with p = 1 (mod q) for every q >= 1 of
-    ``qs``, as int64; q = 1 degenerates to pi(x).
-
-    Only the candidates of ``progression_candidates`` are read, and
-    ``table.are_prime`` tests them: the cells up to the table limit,
-    Miller-Rabin above it.  x must lie below 2**64, and at most
-    ``MAX_AP_CANDIDATES`` candidates, summed over all moduli, above the
-    limit; beyond either the counts are refused with a CapacityError before
-    any test.
-    """
+def primes_in_aps(qs: np.ndarray, x: int, table: SpfTable):
+    """Yield (rows, primes): the primes p <= x with p = 1 (mod qs[row]), q >= 1,
+    per chunk of ``progression_candidates`` (rows in order, each row's primes
+    increasing, uint64), as ``table.are_prime`` finds them: the cells up to
+    the limit, Miller-Rabin above it.  Refused with a CapacityError before
+    any test when x reaches 2**64 or more than ``MAX_AP_CANDIDATES``
+    candidates, summed over all moduli, lie above the limit."""
     steps = _strides(qs)
     if x >= 1 << 64:
-        raise CapacityError("witness set only proves primality below 2**64")
+        raise CapacityError(f"x={x} reaches 2**64; the witness set only proves primality below it")
     if x > table.limit:
         above = (x - 1) // steps - (table.limit - 1) // steps
         count = sum(above.tolist())
         if count > MAX_AP_CANDIDATES:
-            raise CapacityError(
-                f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested"
-            )
-    counts = np.zeros(steps.size, dtype=np.int64)
+            raise CapacityError(f"{count} candidates above the table limit {table.limit}; at most {MAX_AP_CANDIDATES} are tested")
     for rows, cands in progression_candidates(qs, x):
-        counts += np.bincount(rows[table.are_prime(cands)], minlength=counts.size)
+        prime = table.are_prime(cands)
+        yield rows[prime], cands[prime]
+
+
+def count_primes_in_aps(x: int, qs: np.ndarray, table: SpfTable) -> np.ndarray:
+    """Number of primes p <= x with p = 1 (mod q) for every q >= 1 of
+    ``qs``, as int64, counted over ``primes_in_aps`` and refused where it
+    refuses; q = 1 degenerates to pi(x)."""
+    counts = np.zeros(np.size(qs), dtype=np.int64)
+    for rows, _ in primes_in_aps(qs, x, table):
+        counts += np.bincount(rows, minlength=counts.size)
     return counts

@@ -137,6 +137,40 @@ class TestEnumerateFrom:
         for start in (p, q):
             assert [c.primes for c in chains.enumerate_from(start, 2.000001, table).chains] == dfs_chains(start, 2.000001, table)
 
+    def test_candidate_budget_is_checked_before_any_test(self, monkeypatch):
+        calls = []
+        are_prime = sieve.SpfTable.are_prime
+
+        def counted(self, ns):
+            calls.append(len(ns))
+            return are_prime(self, ns)
+
+        monkeypatch.setattr(sieve.SpfTable, "are_prime", counted)
+        small = sieve.build_spf(1000)
+        # from 3 up to 9e6, the first length alone has 1,499,833 candidates above 1000
+        with pytest.raises(CapacityError, match="1499833 candidates"):
+            chains.enumerate_from(3, 3e6, small)
+        assert calls == []
+        # from 2 up to 1200, the lengths have 100, 169, 137, 60, 20, 2 and 0
+        # candidates above 1000: the budget holds per length, and a length
+        # over it is refused after the lengths before it, before its own tests:
+        # one call, on the first length's 599 candidates
+        monkeypatch.setattr(sieve, "MAX_AP_CANDIDATES", 168)
+        with pytest.raises(CapacityError, match="169 candidates"):
+            chains.enumerate_from(2, 600, small)
+        assert calls == [599]
+        monkeypatch.setattr(sieve, "MAX_AP_CANDIDATES", 169)
+        assert [c.primes for c in chains.enumerate_from(2, 600, small).chains] == dfs_chains(2, 600, small)
+
+    def test_same_2_64_refusal_as_the_progression_counts(self, table):
+        # p * x = 2**64 exactly; both read primes_in_aps and refuse alike
+        with pytest.raises(CapacityError) as counted:
+            sieve.count_primes_in_aps(2**64, [2], table)
+        with pytest.raises(CapacityError) as enumerated:
+            chains.enumerate_from(2, 2.0**63, table)
+        assert str(enumerated.value) == str(counted.value)
+        assert "2**64" in str(counted.value)
+
     @pytest.mark.parametrize("x", [1, 1.5])
     def test_tips_above_two_to_the_63(self, table, x):
         # 2p overflows 64 bits; a wrapped step would walk candidates below p
@@ -162,6 +196,16 @@ class TestChainsEndingAt:
         for p in table.primes(2, 500).tolist():
             assert chains.f_oracle(p, table) == dag.f_of(p)
             assert chains.g_oracle(p, table) == dag.g_of(p)
+
+    def test_outside_the_table_is_a_domain_error(self):
+        # the limit is checked before primality, so 2**64 + 13 never reaches
+        # the witness set's ceiling
+        small = sieve.build_spf(1000)
+        for p in (1009, 2**63 + 29, 2**64 + 13):
+            with pytest.raises(DomainError, match="beyond factorization limit"):
+                chains.chains_ending_at(p, small)
+        with pytest.raises(DomainError, match="not prime"):
+            chains.chains_ending_at(999, small)
 
     def test_size_cap(self, table):
         # f(23) = 6 recursive visits, above a cap of 4.

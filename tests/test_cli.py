@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -313,6 +314,17 @@ def test_bad_input_is_typed_error(capsys, argv, kind):
     error = json.loads(err)["error"]
     assert error["type"] == kind
     assert len(error["message"]) < 200, error["message"]
+
+
+def test_chain_length_over_the_candidate_budget_is_refused_at_once(capsys):
+    # the first length has 499,999,999 candidates above the 1e6 table,
+    # refused before Miller-Rabin tests any of them
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "chains", "--start", "999983", "--ratio", "1e9")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "CapacityError" and "499999999 candidates" in error["message"]
 
 
 def test_tail_grid_too_large_is_capacity_error(capsys):

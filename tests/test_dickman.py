@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from primechain import dickman
-from primechain.errors import DomainError
+from primechain.errors import CapacityError, DomainError
 
 # Reference values of the smooth-density function, 16 digits.
 RHO3 = 0.0486083882911316
@@ -137,6 +137,28 @@ class TestTableConstruction:
     def test_bad_u_max_is_a_domain_error(self, u_max):
         with pytest.raises(DomainError, match="u_max"):
             dickman.RhoTable(u_max=u_max)
+
+    def test_work_budget_refuses_before_allocating(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(dickman.np, "empty", allocated)
+        # 8.5e11 multiply-adds at step 2**-16 (minutes), 2.2e14 at 2**-20 (days)
+        for step in (2.0**-16, 2.0**-20):
+            with pytest.raises(CapacityError):
+                dickman.RhoTable(step=step, u_max=200)
+        # (n - 2 inv) * inv = 2**17 * 2**16 is the budget itself; one grid point more passes it
+        with pytest.raises(Allocated):
+            dickman.RhoTable(step=2.0**-16, u_max=4)
+        with pytest.raises(CapacityError):
+            dickman.RhoTable(step=2.0**-16, u_max=4 + 2.0**-16)
+        # the default grid and the finest grids in use are admitted
+        for step, u_max in ((dickman.DEFAULT_STEP, dickman.DEFAULT_UMAX), (2.0**-11, 12), (2.0**-12, 20)):
+            with pytest.raises(Allocated):
+                dickman.RhoTable(step=step, u_max=u_max)
 
     def test_range_guards(self, tab):
         with pytest.raises(DomainError):

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from primechain import pratt, sieve
-from primechain.errors import DomainError, IntegrityError
+from primechain.errors import CapacityError, DomainError, IntegrityError
 from primechain.verify import naive_f, naive_h
 
 
@@ -348,6 +349,23 @@ class TestTotientIteration:
             pratt.phi_iterate(0, 1, table)
         with pytest.raises(DomainError):
             pratt.phi_iter_stats(100, 1, 0.0, table)
+
+    def test_phi_iter_stats_memory_ceiling(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(pratt.np, "arange", allocated)
+        # a stand-in for the largest table SpfTable admits, limit 2**29
+        largest = types.SimpleNamespace(limit=sieve.MAX_TABLE_BYTES)
+        x = pratt._PHI_ITER_MAX_BYTES // 24 - 1  # three int64 arrays of x + 1 entries fit
+        with pytest.raises(Allocated):
+            pratt.phi_iter_stats(x, 1, 0.5, largest)
+        for big in (x + 1, largest.limit):
+            with pytest.raises(CapacityError):
+                pratt.phi_iter_stats(big, 1, 0.5, largest)
 
 
 class TestLinnikChain:

@@ -291,6 +291,15 @@ class TestPrimesInProgression:
         with pytest.raises(CapacityError):
             sieve.count_primes_in_aps(2**64, [2**62], small)
 
+    def test_primes_in_aps_lists_each_prime_once(self):
+        small = sieve.build_spf(1000)
+        qs = [1, 2, 3, 7, 499, 500, 1000, 2**63 + 1]
+        got = []
+        for rows, primes in sieve.primes_in_aps(qs, 5000, small):
+            assert rows.size == primes.size and primes.dtype == np.uint64
+            got += zip(rows.tolist(), primes.tolist())
+        assert got == [(i, p) for i, q in enumerate(qs) for p in naive_primes(5000).tolist() if (p - 1) % q == 0]
+
     @pytest.mark.parametrize("x", [2, 3, 100, 10**4 + 1, 2**20 + 3])
     def test_batched_counts_match_scalar(self, x):
         t = sieve.build_spf(max(x, 2))
