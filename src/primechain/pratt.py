@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, IntegrityError
-from .sieve import SpfTable, is_prime_u64, progression_step, table_bytes
+from .sieve import SpfTable, is_prime_u64, prime_count_bound, progression_step, table_bytes
 
 # Widest block of integers factored in one pass; bounds the temporaries.
 _BLOCK_WIDTH = 1 << 20
@@ -59,9 +58,8 @@ _PHI_ITER_MAX_BYTES = 1 << 29
 
 def footprint_bytes(limit: int) -> int:
     """Bytes of a factor table to ``limit`` plus the peak of a PrattDag fill
-    over it, with pi(x) < 1.25506 x / ln x (Rosser-Schoenfeld)."""
-    primes = 1.25506 * limit / math.log(limit) if limit > 1 else 0
-    return table_bytes(limit) + int(primes * _BYTES_PER_PRIME) + _PIECE_BYTES
+    over it, with pi(x) bounded by ``prime_count_bound``."""
+    return table_bytes(limit) + int(prime_count_bound(limit) * _BYTES_PER_PRIME) + _PIECE_BYTES
 
 
 def tree_footprint_bytes(limit: int) -> int:

@@ -73,8 +73,13 @@ def table_bytes(limit: int) -> int:
     return 2 * ((limit + 1) // 2)
 
 
+def prime_count_bound(x: int) -> float:
+    """pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld); 0 below."""
+    return 1.25506 * x / math.log(x) if x > 1 else 0.0
+
+
 def _simple_prime_array(n: int) -> np.ndarray:
-    """Primes <= n by a plain boolean sieve (used for base primes only)."""
+    """Primes <= n by a plain boolean sieve: the base primes of ``SpfTable``."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     flags = np.ones(n + 1, dtype=bool)

@@ -12,8 +12,8 @@ for "n and all f_j(n) simultaneously prime" is
     S = prod over primes p of (1 - xi(p)/p) * (1 - 1/p)^(-k),
 
 where xi(p) counts n in [0, p) with p dividing the product of the forms.
-``xi`` performs the O(p * k) residue scan directly.  For primes not
-dividing the discriminant-like integer
+``xi`` counts the forms' distinct roots mod p.  For primes not dividing
+the discriminant-like integer
 
     N = m_1 ... m_{k-1} * prod over i < j of |a_i b_j - a_j b_i|
 
@@ -25,17 +25,19 @@ rigorously bounded tail interval for p > P.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import _simple_prime_array
+from .sieve import SpfTable, is_prime_u64, prime_count_bound, table_bytes
 
 _COEFF_CAP = 1 << 63
-# Ceiling on the bytes of the prime sieve, one byte per integer up to the cutoff.
-_MAX_SIEVE_BYTES = 1 << 30
+# Ceiling on the bytes of one singular_series call, refused before it allocates;
+# cutoffs to 168,828,132 fit (the peak at 1e8 is 263.7 MiB).
+_MAX_BYTES = 1 << 29
 _DIGIT_MASK = (1 << 31) - 1
 
 
@@ -77,25 +79,24 @@ def forms_from_links(multipliers: tuple[int, ...] | list[int]) -> FormSystem:
 
 
 def xi(p: int, system: FormSystem) -> int:
-    """Number of residues n mod p at which some form vanishes mod p.
-
-    Direct scan of all p residues.  Each nondegenerate form contributes
-    at most one root, so 1 <= xi(p) <= min(k, p) whenever no form is
-    identically zero mod p; a degenerate form (p dividing both its
-    coefficients) forces xi(p) = p instead.
-    """
-    if p < 2:
+    """Number of residues n mod a prime p at which some form vanishes mod p:
+    the distinct roots -b / a of the forms a n + b with p not dividing a, in
+    O(k) steps at any p, or p itself if a form vanishes identically (p | a, b)."""
+    if not is_prime_u64(p):
         raise DomainError("p must be a prime >= 2")
-    return int(_xi_batch(p, np.array([system.multipliers], dtype=np.int64))[0])
+    roots = set()
+    for a, b in zip(system.a, system.b):
+        if a % p:
+            roots.add(-b * pow(a, -1, p) % p)
+        elif b % p == 0:
+            return p
+    return len(roots)
 
 
 def _xi_batch(p: int, multiplier_rows: np.ndarray) -> np.ndarray:
-    """xi(p) for many multiplier vectors at once (nonnegative int64 rows).
-
-    The a/b recursion of ``forms_from_links`` runs on residues mod p, and
-    each form is reduced before it multiplies the running product, so every
-    intermediate stays below p^2 however long the vector.
-    """
+    """xi(p) of many multiplier vectors (nonnegative int64 rows) by a scan of
+    all p residues; the a/b recursion runs mod p and each form is reduced
+    before it multiplies the product, so every step stays below p^2."""
     n = np.arange(p, dtype=np.int64)
     rows = multiplier_rows % p
     a = np.ones(rows.shape[0], dtype=np.int64)
@@ -116,15 +117,15 @@ def discriminant_product(system: FormSystem) -> int:
     """
     if any(m == 0 for m in system.multipliers):
         raise DomainError("discriminant product needs positive multipliers")
-    val = 1
-    for m in system.multipliers:
-        val *= m
-    k = system.k
-    for i in range(k):
-        for j in range(i + 1, k):
-            det = abs(system.a[i] * system.b[j] - system.a[j] * system.b[i])
-            val *= det
-    return val
+    pairs = itertools.combinations(zip(system.a, system.b), 2)
+    return math.prod(system.multipliers) * math.prod(abs(ai * bj - aj * bi) for (ai, bi), (aj, bj) in pairs)
+
+
+def _footprint_bytes(prime_cutoff: int) -> int:
+    """Peak bytes of ``singular_series``: its table and prime list (8 bytes a prime), or,
+    once the table is freed, the product's arrays (48 bytes a prime)."""
+    primes = prime_count_bound(min(prime_cutoff, 1 << 64))  # past 2^64 the table alone is refused
+    return max(table_bytes(prime_cutoff) + int(8 * primes), int(48 * primes))
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def singular_series(
 
     Local factors at primes dividing N (and at nothing else) can deviate
     from the generic (1 - k/p)(1 - 1/p)^(-k) shape, so those primes get
-    the direct residue scan.  The product over the remaining p <= P uses
+    the root count of ``xi``.  The product over the remaining p <= P uses
     the generic factor; the p > P tail is bracketed by
     exp(+-tau) with tau bounding |log prod (1 - k/p)(1 - 1/p)^(-k)|.
 
@@ -162,8 +163,9 @@ def singular_series(
         raise DomainError("singular series needs multipliers >= 1")
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be >= 100")
-    if prime_cutoff + 1 > _MAX_SIEVE_BYTES:
-        raise CapacityError(f"prime cutoff {prime_cutoff} needs a sieve above the {_MAX_SIEVE_BYTES >> 20} MiB ceiling")
+    need = _footprint_bytes(prime_cutoff)
+    if need > _MAX_BYTES:
+        raise CapacityError(f"prime cutoff {prime_cutoff} needs about {need >> 20} MiB, above the {_MAX_BYTES >> 20} MiB ceiling")
     system = forms_from_links(ms)
     k = system.k
     if xi(2, system) == 2:
@@ -171,11 +173,11 @@ def singular_series(
         return SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
     bigN = discriminant_product(system)
 
-    primes = _simple_prime_array(prime_cutoff)
+    primes = SpfTable(prime_cutoff).primes()
 
-    # Primes whose local factor needs the direct scan: divisors of N.  N
+    # Primes whose local factor needs ``xi``: the divisors of N.  N
     # mod p for every p at once by Horner's rule over N's 31-bit digits;
-    # p < 2^30 under the cutoff guard, so every step fits in int64.
+    # p < 2^28 under the footprint guard, so every step fits in int64.
     rem = np.zeros(primes.size, dtype=np.int64)
     for shift in range(31 * (bigN.bit_length() // 31), -1, -31):
         rem = ((rem << 31) + ((bigN >> shift) & _DIGIT_MASK)) % primes
@@ -186,9 +188,7 @@ def singular_series(
             residue //= p
     # residue > 1 now only has prime factors beyond the cutoff; their xi
     # is unknown (1..k), handled by widening the tail interval below.
-    unknown_big_primes = 0
-    if residue > 1:
-        unknown_big_primes = int(math.log(residue) / math.log(prime_cutoff)) + 1
+    unknown_big_primes = int(math.log(residue) / math.log(prime_cutoff)) + 1 if residue > 1 else 0
 
     log_exact = 0.0
     for p in special:
@@ -234,21 +234,18 @@ def rhopm_total(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | N
         raise DomainError("need p >= 2 and k >= 1")
     fixed = dict(fixed or {})
     free = tuple(sorted(set(free)))
-    if any(not 1 <= i <= k - 1 for i in free):
-        raise DomainError("free indices must lie in 1..k-1")
-    if any(not 1 <= i <= k - 1 for i in fixed):
-        raise DomainError("fixed indices must lie in 1..k-1")
+    for name, indices in (("free", free), ("fixed", fixed)):
+        if any(not 1 <= i <= k - 1 for i in indices):
+            raise DomainError(f"{name} indices must lie in 1..k-1")
     if set(free) & set(fixed):
         raise DomainError("an index cannot be both free and fixed")
     f_count = len(free)
-    if p ** f_count > 2_000_000:
+    combos = p ** f_count
+    if combos > 2_000_000:
         raise CapacityError("multiplier box too large to enumerate")
-
     if any(v < 0 for v in fixed.values()):
         raise DomainError("fixed multipliers must be nonnegative")
-
     base = [fixed.get(i, 1) % p for i in range(1, k)]
-    combos = p ** f_count
     rows = np.tile(np.array(base, dtype=np.int64), (combos, 1))
     for pos, idx in enumerate(free):
         period = p ** (f_count - pos - 1)

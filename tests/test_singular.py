@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from primechain import singular
+from primechain import sieve, singular
 from primechain.errors import CapacityError, DomainError
 
 # High-precision value of 2 * prod_{p>2} (1 - 1/(p-1)^2), the density
@@ -95,6 +96,13 @@ class TestXi:
                 else:
                     assert 1 <= x <= min(sys.k, p)
 
+    def test_roots_at_any_prime(self):
+        # O(k) at any prime below 2^64; a composite modulus is refused
+        sys = singular.forms_from_links((2, 4))
+        assert singular.xi(2**61 - 1, sys) == sys.k
+        with pytest.raises(DomainError):
+            singular.xi(9, sys)
+
     def test_obstructed_one_link(self):
         # n and n + 1 cover both residues mod 2
         assert singular.xi(2, singular.forms_from_links((1,))) == 2
@@ -142,8 +150,9 @@ class TestSingularSeries:
         assert singular.singular_series((2, 4), prime_cutoff=1000).value == 0.0
 
     def test_odd_multiplier_is_zero_before_the_discriminant(self, monkeypatch):
-        # an odd m makes xi(2) = 2; the answer comes before N is built
+        # an odd m makes xi(2) = 2; the answer comes before N or the table is built
         monkeypatch.setattr(singular, "discriminant_product", None)
+        monkeypatch.setattr(singular, "SpfTable", None)
         for ms in ((3,), (2, 5), (4, 2, 7)):
             sv = singular.singular_series(ms, prime_cutoff=1000)
             assert sv == singular.SingularValue(0.0, 0.0, 0.0, 1000, len(ms) + 1)
@@ -171,6 +180,49 @@ class TestSingularSeries:
                 assert sv.value == 0.0
             else:
                 assert sv.value == pytest.approx(math.exp(log_total), rel=1e-12), ms
+
+    def test_primes_come_from_one_factor_table(self, monkeypatch):
+        limits = []
+        primes = sieve.SpfTable.primes
+
+        def recorded(table, *args, **kwargs):
+            limits.append(table.limit)
+            return primes(table, *args, **kwargs)
+
+        monkeypatch.setattr(sieve.SpfTable, "primes", recorded)
+        singular.singular_series((2, 4), prime_cutoff=10_000)
+        assert limits == [10_000]
+
+    # 2 * 999983 makes the largest prime below 1e6 divide N, so xi runs there
+    @pytest.mark.parametrize("cutoff, links", [(10**6, (2,)), (10**7, (2,)), (10**6, (2 * 999_983,))])
+    def test_peak_within_footprint(self, cutoff, links):
+        tracemalloc.start()
+        try:
+            singular.singular_series(links, prime_cutoff=cutoff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= singular._footprint_bytes(cutoff)
+
+    def test_cutoff_ceiling(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args, **kwargs):
+            raise Allocated
+
+        edge = 168_828_132  # the largest cutoff whose table or arrays fit
+        assert singular._footprint_bytes(edge) <= singular._MAX_BYTES < singular._footprint_bytes(edge + 1)
+        assert singular._footprint_bytes(10**8) <= singular._MAX_BYTES
+        for name in ("array", "arange", "ones", "zeros", "empty"):
+            monkeypatch.setattr(singular.np, name, allocated)
+        with pytest.raises(Allocated):
+            singular.singular_series((2,), prime_cutoff=edge)
+        # refused before the odd-multiplier shortcut answers
+        for ms in ((2,), (3,)):
+            for cutoff in (edge + 1, 2**40, 10**400):
+                with pytest.raises(CapacityError):
+                    singular.singular_series(ms, prime_cutoff=cutoff)
 
     def test_tail_shrinks_with_cutoff(self):
         small = singular.singular_series((2,), prime_cutoff=1000)
