@@ -74,7 +74,11 @@ def table_bytes(limit: int) -> int:
 
 
 def prime_count_bound(x: int) -> float:
-    """pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld); 0 below."""
+    """pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld); 0 below.
+    It sizes tables and arrays, none of which reaches 2^64, so x from 2^64
+    on is refused here for every footprint that reads it."""
+    if x >= 1 << 64:
+        raise CapacityError(f"no table or array is sized for x >= 2**64 (x has {x.bit_length()} bits)")
     return 1.25506 * x / math.log(x) if x > 1 else 0.0
 
 

@@ -25,7 +25,6 @@ rigorously bounded tail interval for p > P.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,35 +77,27 @@ def forms_from_links(multipliers: tuple[int, ...] | list[int]) -> FormSystem:
     return FormSystem(ms, tuple(a), tuple(b))
 
 
-def xi(p: int, system: FormSystem) -> int:
-    """Number of residues n mod a prime p at which some form vanishes mod p:
-    the distinct roots -b / a of the forms a n + b with p not dividing a, in
-    O(k) steps at any p, or p itself if a form vanishes identically (p | a, b)."""
-    if not is_prime_u64(p):
-        raise DomainError("p must be a prime >= 2")
-    roots = set()
-    for a, b in zip(system.a, system.b):
-        if a % p:
+def _root_count(p: int, multipliers) -> int:
+    """xi at a prime p of a multiplier vector's forms, in O(k) steps at any
+    p: the a/b recursion of ``forms_from_links`` runs mod p, and xi is the
+    number of distinct roots -b / a of the forms with p not dividing a, or p
+    itself if a form vanishes identically (p | a, b)."""
+    a, b = 1, 0
+    roots = {0}
+    for m in multipliers:
+        a, b = a * m % p, (b * m + 1) % p
+        if a:
             roots.add(-b * pow(a, -1, p) % p)
-        elif b % p == 0:
+        elif b == 0:
             return p
     return len(roots)
 
 
-def _xi_batch(p: int, multiplier_rows: np.ndarray) -> np.ndarray:
-    """xi(p) of many multiplier vectors (nonnegative int64 rows) by a scan of
-    all p residues; the a/b recursion runs mod p and each form is reduced
-    before it multiplies the product, so every step stays below p^2."""
-    n = np.arange(p, dtype=np.int64)
-    rows = multiplier_rows % p
-    a = np.ones(rows.shape[0], dtype=np.int64)
-    b = np.zeros(rows.shape[0], dtype=np.int64)
-    prod = np.broadcast_to(n, (rows.shape[0], p))
-    for m in rows.T:
-        a = a * m % p
-        b = (b * m + 1) % p
-        prod = prod * ((a[:, None] * n + b[:, None]) % p) % p
-    return (prod == 0).sum(axis=1)
+def xi(p: int, system: FormSystem) -> int:
+    """Number of residues n mod a prime p at which some form vanishes mod p."""
+    if not is_prime_u64(p):
+        raise DomainError("p must be a prime >= 2")
+    return _root_count(p, system.multipliers)
 
 
 def discriminant_product(system: FormSystem) -> int:
@@ -117,14 +108,21 @@ def discriminant_product(system: FormSystem) -> int:
     """
     if any(m == 0 for m in system.multipliers):
         raise DomainError("discriminant product needs positive multipliers")
-    pairs = itertools.combinations(zip(system.a, system.b), 2)
-    return math.prod(system.multipliers) * math.prod(abs(ai * bj - aj * bi) for (ai, bi), (aj, bj) in pairs)
+    val = 1
+    for m in system.multipliers:
+        val *= m
+    k = system.k
+    for i in range(k):
+        for j in range(i + 1, k):
+            det = abs(system.a[i] * system.b[j] - system.a[j] * system.b[i])
+            val *= det
+    return val
 
 
 def _footprint_bytes(prime_cutoff: int) -> int:
     """Peak bytes of ``singular_series``: its table and prime list (8 bytes a prime), or,
     once the table is freed, the product's arrays (48 bytes a prime)."""
-    primes = prime_count_bound(min(prime_cutoff, 1 << 64))  # past 2^64 the table alone is refused
+    primes = prime_count_bound(prime_cutoff)
     return max(table_bytes(prime_cutoff) + int(8 * primes), int(48 * primes))
 
 
@@ -188,7 +186,9 @@ def singular_series(
             residue //= p
     # residue > 1 now only has prime factors beyond the cutoff; their xi
     # is unknown (1..k), handled by widening the tail interval below.
-    unknown_big_primes = int(math.log(residue) / math.log(prime_cutoff)) + 1 if residue > 1 else 0
+    unknown_big_primes = 0
+    if residue > 1:
+        unknown_big_primes = int(math.log(residue) / math.log(prime_cutoff)) + 1
 
     log_exact = 0.0
     for p in special:
@@ -230,28 +230,29 @@ def rhopm_total(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | N
     taken by direct enumeration and the bound is p^(F+1) - (p-1)^(F+1)
     with F = len(free).
     """
-    if p < 2 or k < 1:
-        raise DomainError("need p >= 2 and k >= 1")
+    if k < 1 or not is_prime_u64(p):
+        raise DomainError("need a prime p and k >= 1")
     fixed = dict(fixed or {})
     free = tuple(sorted(set(free)))
-    for name, indices in (("free", free), ("fixed", fixed)):
-        if any(not 1 <= i <= k - 1 for i in indices):
-            raise DomainError(f"{name} indices must lie in 1..k-1")
+    if any(not 1 <= i <= k - 1 for i in free):
+        raise DomainError("free indices must lie in 1..k-1")
+    if any(not 1 <= i <= k - 1 for i in fixed):
+        raise DomainError("fixed indices must lie in 1..k-1")
     if set(free) & set(fixed):
         raise DomainError("an index cannot be both free and fixed")
     f_count = len(free)
-    combos = p ** f_count
-    if combos > 2_000_000:
+    if p ** f_count > 2_000_000:
         raise CapacityError("multiplier box too large to enumerate")
+
     if any(v < 0 for v in fixed.values()):
         raise DomainError("fixed multipliers must be nonnegative")
-    base = [fixed.get(i, 1) % p for i in range(1, k)]
-    rows = np.tile(np.array(base, dtype=np.int64), (combos, 1))
-    for pos, idx in enumerate(free):
-        period = p ** (f_count - pos - 1)
-        rows[:, idx - 1] = (np.arange(combos) // period) % p
 
-    total = int(_xi_batch(p, rows).sum())
+    row = [fixed.get(i, 1) % p for i in range(1, k)]
+    total = 0
+    for r in range(p ** f_count):
+        for idx in free:
+            r, row[idx - 1] = divmod(r, p)
+        total += _root_count(p, row)
     target = p ** (f_count + 1) - (p - 1) ** (f_count + 1)
     return total, target
 

@@ -296,6 +296,8 @@ def test_non_finite_is_domain_error(capsys, argv):
         (("sift-bound", "--x", "1000", "--y", "3", "--grid", "0"), "DomainError"),
         (("brw", "run", "--n", "3", "--cap", "2", "--replicate", "-1"), "DomainError"),
         (("singular", "--links", "2", "--pcut", "99999999999"), "CapacityError"),
+        (("singular", "--links", "2", "--pcut", "1e400"), "CapacityError"),
+        (("hist", "--limit", "1e400"), "CapacityError"),
         (("brw", "rde", "--pop", "100000000000", "--iters", "2"), "CapacityError"),
         (("brw", "teps", "--eps", "1e-300", "--reps", "3"), "CapacityError"),
         (("brw", "teps", "--eps", "0.5", "--reps", "9223372036854775807"), "CapacityError"),
@@ -304,7 +306,7 @@ def test_non_finite_is_domain_error(capsys, argv):
         (("chains", "--start", "7", "--ratio", "1", "--max-chains", "-1"), "DomainError"),
     ],
     ids=[
-        "sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "rde-pop", "teps-tiny-eps",
+        "sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "singular-huge-pcut", "hist-huge-limit", "rde-pop", "teps-tiny-eps",
         "teps-huge-reps", "rde-huge-iters", "chains-trivial-over-bound", "chains-bound-neg",
     ],
 )

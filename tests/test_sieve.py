@@ -99,6 +99,16 @@ class TestSpfTable:
         with pytest.raises(CapacityError):
             sieve.SpfTable(1 << 32)
 
+    def test_prime_count_bound(self):
+        # pi(x) < bound, and x from 2^64 on (past a float at 2^1024) is refused
+        for x, pi in ((2, 1), (100, 25), (10**6, 78_498)):
+            assert pi < sieve.prime_count_bound(x)
+        assert sieve.prime_count_bound(1) == 0.0
+        assert sieve.prime_count_bound((1 << 64) - 1) > 0
+        for x in (1 << 64, 10**400):
+            with pytest.raises(CapacityError):
+                sieve.prime_count_bound(x)
+
     def test_memory_ceiling_before_allocation(self, monkeypatch):
         def no_sieving(n):
             raise AssertionError("the table started sieving")

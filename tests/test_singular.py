@@ -69,8 +69,8 @@ class TestXi:
             sys = singular.forms_from_links(ms)
             for p in (2, 3, 5, 7, 11, 13):
                 assert singular.xi(p, sys) == xi_by_scan(p, sys), (p, ms)
-        # p above 2^21: a running product times an unreduced factor
-        # a_j n + b_j would pass 2^63, so each factor is reduced first
+        # p above 2^21, where a residue scan would be out of reach: the
+        # three roots 0, -1/2 and -(1 + 1_500_001)/(2 * 1_500_001) are distinct
         sys, p = singular.forms_from_links((2, 1_500_001)), 3_000_017
         roots = {-b * pow(a, -1, p) % p for a, b in zip(sys.a, sys.b)}
         assert singular.xi(p, sys) == len(roots) == 3
@@ -252,6 +252,26 @@ class TestResidueBox:
         fixed[1] += 11 * 2**64
         assert singular.rhopm_total(11, 26, (), fixed)[0] == 10
 
+    def test_box_matches_scan(self):
+        # each row's xi against the residue scan over unbounded ints
+        p, fixed = 13, {2: 7}
+        scans = sum(xi_by_python_ints(p, (m1, 7, m3)) for m1 in range(p) for m3 in range(p))
+        assert singular.rhopm_total(p, 4, (1, 3), fixed) == (scans, p**3 - (p - 1) ** 3)
+
+    def test_box_memory_is_per_row(self):
+        # k = 2: m = 0 leaves the root 0 of n, every other m adds -1/m, so
+        # the total is 1 + 2(p - 1) = p^2 - (p - 1)^2; a scan of all p
+        # residues per row would take about 16 p^2 bytes (1.6 GB here)
+        p = 10_007
+        tracemalloc.start()
+        try:
+            total = singular.rhopm_total(p, 2, (1,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == (2 * p - 1, 2 * p - 1)
+        assert peak < 1 << 16
+
     def test_no_free_indices(self):
         assert singular.rhopm_check(5, 3, ())
 
@@ -293,3 +313,6 @@ class TestResidueBox:
             singular.rhopm_total(1, 2, ())
         with pytest.raises(DomainError):
             singular.rhopm_total(5, 3, (), {1: -1})
+        # xi is a count at primes: a composite modulus is refused
+        with pytest.raises(DomainError):
+            singular.rhopm_total(4, 2, (1,))
