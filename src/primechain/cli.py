@@ -122,19 +122,10 @@ def _table(limit: int = 10**6) -> sieve.SpfTable:
     return sieve.build_spf(limit)
 
 
-# Memory ceiling for a tree command's factor table plus PrattDag fill: pratt
-# admits --prime up to about 5.29e8 and hist --limit up to about 3.1e8, at
-# least what 1 GiB admitted when every integer had a table cell.
-# hist --limit 1e8 peaks at ~204 MiB RSS.
+# Memory ceiling for hist's factor table plus PrattDag fill: it admits --limit
+# up to about 3.1e8, at least what 1 GiB admitted when every integer had a
+# table cell.  hist --limit 1e8 peaks at ~204 MiB RSS.
 _TREE_MAX_BYTES = 520 << 20
-
-
-def _tree_table(limit: int, flag: str, need: int) -> sieve.SpfTable:
-    """``_table(limit)`` for a PrattDag whose table and fill take ``need``
-    bytes, refused before it is built above the ceiling."""
-    if need > _TREE_MAX_BYTES:
-        raise CapacityError(f"{flag} needs about {need >> 20} MiB of tables, above the {_TREE_MAX_BYTES >> 20} MiB ceiling")
-    return _table(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +134,9 @@ def _tree_table(limit: int, flag: str, need: int) -> sieve.SpfTable:
 
 def _cmd_pratt(args):
     p = args.prime
-    limit = max(p, 2) + 1
-    table = _tree_table(limit, f"--prime {p}", pratt.tree_footprint_bytes(limit))
+    if p >= 1 << 32:
+        raise CapacityError(f"--prime {p} is not below 2**32, where a 2**16 table factors every p - 1")
+    table = _table(1 << 16)
     dag = pratt.PrattDag(table, pratt.tree_primes(p, table))
     return _kv({"p": p, "f": dag.f_of(p), "H": dag.h_of(p), "g": dag.g_of(p)})
 
@@ -165,7 +157,10 @@ def _cmd_hist(args):
         raise DomainError("--limit must be at least 2")
     if args.plot_script and (args.out == _STDOUT or args.format != "csv"):
         raise DomainError("--plot-script needs --format csv with --out FILE")
-    table = _tree_table(args.limit, f"--limit {args.limit}", pratt.footprint_bytes(args.limit))
+    need = pratt.footprint_bytes(args.limit)
+    if need > _TREE_MAX_BYTES:
+        raise CapacityError(f"--limit {args.limit} needs about {need >> 20} MiB of tables, above the {_TREE_MAX_BYTES >> 20} MiB ceiling")
+    table = _table(args.limit)
     stats = pratt.range_stats(args.limit, table)
     rows = [list(r) for r in stats.rows(args.stat)]
     payload = {

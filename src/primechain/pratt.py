@@ -18,8 +18,9 @@ fills f, H and g in dense uint8 arrays, :class:`MassProducts` the exact
 mass products in object arrays.  The set is every prime of the table, or
 any set closed under "prime divisor of p - 1": the primes up to x for
 range statistics, the labels of one tree (``tree_primes``) for a single
-prime.  Range histograms and N(x) = sum f(p) are reductions over the
-PrattDag arrays.
+prime anywhere in the table's factor range (a 2**16 table serves every
+prime below 2**32).  Range histograms and N(x) = sum f(p) are reductions
+over the PrattDag arrays.
 
 The module also carries level profiles, the exact product identities on
 the label multiset Q(p) of the tree (every label q contributes
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +64,6 @@ def footprint_bytes(limit: int) -> int:
     return table_bytes(limit) + int(prime_count_bound(limit) * _BYTES_PER_PRIME) + _PIECE_BYTES
 
 
-def tree_footprint_bytes(limit: int) -> int:
-    """Bytes of a factor table to ``limit`` plus the peak of a PrattDag fill
-    over one tree's labels (``tree_primes``): a handful of primes, so the
-    rank table and one small piece, both inside ``_PIECE_BYTES``."""
-    return table_bytes(limit) + _PIECE_BYTES
-
-
 def _rank_table(primes: np.ndarray) -> np.ndarray:
     """Position in ``primes`` of each prime below ``_BLOCK_WIDTH``, indexed
     by the prime; 0 elsewhere, so a lookup is confirmed by reading back."""
@@ -81,20 +76,19 @@ def _rank_table(primes: np.ndarray) -> np.ndarray:
 
 def _links(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
     """Yield (up, kid), positions in ``primes`` of parents and of one child
-    each, over every link "q divides p - 1" of the set.  Per piece of the
-    dyadic blocks [2^k, 2^(k+1)), cut at ``_BLOCK_WIDTH`` integers, come the
-    child 2 of every (odd) parent, then the new factors of each round of
+    each, over every link "q divides p - 1" of the set.  A piece is the
+    primes from the first one not yet done, p0 in [2^(k-1), 2^k), to below
+    min(2^k, p0 + ``_BLOCK_WIDTH``); per piece come the child 2 of every
+    (odd) parent, then the new factors of each round of
     ``table.spf_rounds``: no parent repeats in a yield, and every child lies
-    below its piece, so an update reads finished values.  Children below
+    below p0, so an update reads finished values.  Children below
     ``_BLOCK_WIDTH`` are found in ``rank``, the ``_rank_table`` of
     ``primes``, larger ones by binary search; a child missing from
     ``primes`` raises an IntegrityError."""
-    top = int(primes[-1]) if primes.size else 0
-    lo = 3
-    while lo <= top:
-        hi = min(1 << lo.bit_length(), lo + _BLOCK_WIDTH, top + 1)
-        a, b = np.searchsorted(primes, [lo, hi]).tolist()
-        lo = hi
+    a = int(np.searchsorted(primes, 3))
+    while a < primes.size:
+        lo = int(primes[a])
+        b = int(np.searchsorted(primes, min(1 << lo.bit_length(), lo + _BLOCK_WIDTH)))
         rounds = ((rows[new], s[new]) for rows, s, new in table.spf_rounds(primes[a:b] - 1))
         for rows, s in itertools.chain([(np.arange(b - a), np.full(b - a, 2))], rounds):
             kid = rank.take(s, mode="clip")
@@ -103,18 +97,20 @@ def _links(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
             if not np.array_equal(primes[kid], s):
                 raise IntegrityError(f"a prime divisor of p - 1 for some p in [{primes[a]}, {primes[b - 1]}] is missing from the primes")
             yield rows + a, kid
+        a = b
 
 
 def _require_prime(p: int, table: SpfTable) -> None:
-    if p > table.limit:
-        raise DomainError(f"{p} is beyond factorization limit {table.limit}")
+    if p > table.factor_limit:
+        raise DomainError(f"{p} is beyond factorization limit {table.factor_limit}")
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
 
 
 def tree_primes(p: int, table: SpfTable) -> np.ndarray:
     """The distinct labels of the tree of p, increasing: the least prime
-    set holding p and closed under "prime divisor of q - 1"."""
+    set holding p (up to ``table.factor_limit``) and closed under "prime
+    divisor of q - 1"."""
     _require_prime(p, table)
     found, level = {p}, {p}
     while level:
@@ -126,7 +122,8 @@ def tree_primes(p: int, table: SpfTable) -> np.ndarray:
 
 class PrattDag:
     """f, H and g of every prime of a set closed under "prime divisor of
-    p - 1": by default all primes up to the table's limit.
+    p - 1": by default all primes up to the table's limit, else any up to
+    its ``factor_limit``.
 
     Values live in arrays indexed by a prime's position in ``_primes``,
     filled once, in place, by one update per yield of ``_links`` (g starts
@@ -144,8 +141,8 @@ class PrattDag:
             primes = table.primes()
         else:
             primes = np.asarray(primes, dtype=np.int64)
-            if primes.size and (primes[0] < 2 or primes[-1] > table.limit or np.any(primes[1:] <= primes[:-1])):
-                raise DomainError(f"primes must increase within 2..{table.limit}")
+            if primes.size and (primes[0] < 2 or primes[-1] > table.factor_limit or np.any(primes[1:] <= primes[:-1])):
+                raise DomainError(f"primes must increase within 2..{table.factor_limit}")
             if not table.are_prime(primes).all():
                 raise DomainError("the set holds a composite")
         self._primes = primes
@@ -216,6 +213,7 @@ class PrattDag:
 def is_fermat_prime(p: int) -> bool:
     """True when p = 2^(2^m) + 1 for some m >= 0, i.e. the tree of p has
     height exactly 2 (all of p - 1's prime mass is on 2)."""
+    p = operator.index(p)
     if p < 3:
         return False
     e = (p - 1).bit_length() - 1

@@ -8,14 +8,15 @@ internally those cells store 0 so a freshly zeroed segment needs one
 marking pass only.
 
 Everything downstream (Pratt trees, chain enumeration, totient iterates,
-singular series) factorizes through this table.  Integers above the table
-limit fall back to a deterministic Miller-Rabin test that is exact for all
-64-bit inputs.
+singular series) factorizes through this table, above its limit by trial
+division by its primes.  Primality above the limit falls back to a
+deterministic Miller-Rabin test that is exact for all 64-bit inputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ MAX_AP_CANDIDATES = 10**6
 # Deterministic Miller-Rabin witness set, exact for n < 3.3*10^24 and in
 # particular for every 64-bit integer.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_CEILING = "witness set only proves primality below 2**64"
 
 
 def is_prime_u64(n: int) -> bool:
@@ -44,7 +46,7 @@ def is_prime_u64(n: int) -> bool:
     if n < 0:
         raise DomainError("primality test needs n >= 0")
     if n >= 1 << 64:
-        raise CapacityError("witness set only proves primality below 2**64")
+        raise CapacityError(_MR_CEILING)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -76,9 +78,11 @@ def table_bytes(limit: int) -> int:
 def prime_count_bound(x: int) -> float:
     """pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld); 0 below.
     It sizes tables and arrays, none of which reaches 2^64, so x from 2^64
-    on is refused here for every footprint that reads it."""
+    on is refused here for every footprint that reads it, and so is nan."""
+    if x != x:
+        raise DomainError("x is nan")
     if x >= 1 << 64:
-        raise CapacityError(f"no table or array is sized for x >= 2**64 (x has {x.bit_length()} bits)")
+        raise CapacityError(f"no table or array is sized for x >= 2**64 (log2 x = {math.log2(x):.1f})")
     return 1.25506 * x / math.log(x) if x > 1 else 0.0
 
 
@@ -139,7 +143,9 @@ class SpfTable:
     A composite below 2**32 has its smallest prime factor below 2**16, so
     each cell is a uint16.  ``segments`` are views of ``SEGMENT_WIDTH``
     cells each.  No other module reads the cells; they ask the methods,
-    ``spf_rounds`` for spf division of whole arrays.
+    ``spf_rounds`` for spf division of whole arrays, up to ``factor_limit``
+    = min(limit^2, 2**32 - 1): above the limit by trial division by the
+    table's primes, for a few n, such as one tree's labels.
     """
 
     def __init__(self, limit: int):
@@ -152,6 +158,7 @@ class SpfTable:
                 f"table limit {limit} needs {table_bytes(limit) >> 20} MiB, above the {MAX_TABLE_BYTES >> 20} MiB ceiling"
             )
         self.limit = int(limit)
+        self.factor_limit = min(self.limit**2, MAX_LIMIT)
         self._base = _simple_prime_array(math.isqrt(limit))[1:].tolist()[::-1]  # odd, largest first
         self._cells = np.zeros((limit + 1) // 2, dtype=np.uint16)
         self._cells[0] = 1  # 1 is out of domain; poison its cell
@@ -180,11 +187,14 @@ class SpfTable:
     # -- scalar queries -------------------------------------------------
 
     def spf(self, n: int) -> int:
-        """Smallest prime factor of n (2 <= n <= limit)."""
-        if not 2 <= n <= self.limit:
-            raise DomainError(f"n={n} outside table range 2..{self.limit}")
+        """Smallest prime factor of n (2 <= n <= factor_limit)."""
+        n = operator.index(n)
+        if not 2 <= n <= self.factor_limit:
+            raise DomainError(f"n={n} outside factor range 2..{self.factor_limit}")
         if n % 2 == 0:
             return 2
+        if n > self.limit:
+            return next((p for p in self.primes(3, math.isqrt(n)).tolist() if n % p == 0), n)
         v = int(self._cells[n >> 1])
         return n if v == 0 else v
 
@@ -198,10 +208,12 @@ class SpfTable:
         return is_prime_u64(n)
 
     def are_prime(self, ns: np.ndarray) -> np.ndarray:
-        """``is_prime`` of every entry of an integer array: the cells up to
-        the limit, where the poisoned cell of 1 answers every n < 2, parity
-        for the even n, and Miller-Rabin one entry at a time above it."""
+        """``is_prime`` of every entry of an integer array: the cells up to the
+        limit, where the poisoned cell of 1 answers every n < 2, parity for the
+        even n, Miller-Rabin one entry at a time above it; 2**64 on is refused."""
         ns = np.asarray(ns)
+        if ns.dtype == object and ns.size and ns.max() >= 1 << 64:  # beyond uint64
+            raise CapacityError(_MR_CEILING)
         # one index temporary, shifted and then reused for the parity
         idx = np.clip(ns, 0, 2 * self._cells.size - 1)
         idx >>= 1
@@ -213,9 +225,10 @@ class SpfTable:
         return out
 
     def factorize(self, n: int) -> Factorization:
-        """Factorization of 1 <= n <= limit via repeated spf division."""
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside factorization range 1..{self.limit}")
+        """Factorization of 1 <= n <= factor_limit via repeated spf division."""
+        n = operator.index(n)
+        if not 1 <= n <= self.factor_limit:
+            raise DomainError(f"n={n} outside factorization range 1..{self.factor_limit}")
         e = (n & -n).bit_length() - 1
         pairs = [(2, e)] if e else []
         m = n >> e
@@ -232,27 +245,29 @@ class SpfTable:
 
     def spf_rounds(self, ns: np.ndarray):
         """Yield (rows, s, new) per round of spf division of the odd parts of
-        ``ns``, integers in 1..limit (DomainError otherwise): each round
-        divides every unfinished odd part m[row] by its smallest prime factor
-        s, int64.  ``new`` marks the s that differ from the row's previous
+        ``ns``, integers in 1..factor_limit (DomainError otherwise): each
+        round divides every unfinished odd part m[row] by its smallest prime
+        factor s, int64, read in the cells, or by ``spf`` if an entry passes
+        the limit.  ``new`` marks the s that differ from the row's previous
         round's: the odd prime divisors of ns[row], once each, increasing."""
         m = np.asarray(ns, dtype=np.int64)
-        if m.size and (m.min() < 1 or m.max() > self.limit):
-            raise DomainError(f"array entries outside table range 1..{self.limit}")
+        top = int(m.max(initial=1))
+        if m.size and (m.min() < 1 or top > self.factor_limit):
+            raise DomainError(f"array entries outside factor range 1..{self.factor_limit}")
         m = m // (m & -m)
         rows = np.flatnonzero(m > 1)
         m = m[rows]
         last = np.zeros_like(m)
         while m.size:
-            s = self._cells[m >> 1].astype(np.int64)
-            s = np.where(s == 0, m, s)
+            s = self._cells[m >> 1] if top <= self.limit else np.fromiter(map(self.spf, m.tolist()), np.int64, m.size)
+            s = np.where(s == 0, m, s)  # int64
             yield rows, s, s != last
             m //= s
             more = m > 1
             rows, m, last = rows[more], m[more], s[more]
 
     def unitary_cofactors(self, ns: np.ndarray) -> np.ndarray:
-        """l(n) = n / rad(n) of every entry of ``ns`` (1 <= n <= limit), int64.
+        """l(n) = n / rad(n) of every entry of ``ns`` (1 <= n <= factor_limit), int64.
 
         The power of 2 goes in one step, 2^e giving 2^(e-1); the odd part
         multiplies l by every factor of ``spf_rounds`` that repeats the
@@ -311,11 +326,15 @@ PROGRESSION_CHUNK = 1 << 18
 
 def _strides(qs) -> np.ndarray:
     """``progression_step`` of every modulus of ``qs`` as uint64, any q < 1
-    refused before the conversion wraps it.  Where 2q wraps, the true stride
-    exceeds any ceiling below 2**64, and so does the 2**64 - 1 put there."""
+    refused before the conversion wraps it, any q >= 2**64 where it fails.
+    Where 2q wraps, the true stride exceeds any ceiling below 2**64, and so
+    does the 2**64 - 1 put there."""
     if np.min(qs, initial=1) < 1:
         raise DomainError("modulus q must be >= 1")
-    qs = np.asarray(qs, dtype=np.uint64)
+    try:
+        qs = np.asarray(qs, dtype=np.uint64)
+    except OverflowError as exc:
+        raise CapacityError("modulus q must be below 2**64") from exc
     steps = progression_step(qs)
     steps[steps < qs] = np.iinfo(np.uint64).max
     return steps

@@ -197,11 +197,13 @@ class TestChainsEndingAt:
             assert chains.f_oracle(p, table) == dag.f_of(p)
             assert chains.g_oracle(p, table) == dag.g_of(p)
 
-    def test_outside_the_table_is_a_domain_error(self):
-        # the limit is checked before primality, so 2**64 + 13 never reaches
-        # the witness set's ceiling
+    def test_outside_the_table_is_a_domain_error(self, table):
+        # the factor range (to 1000^2 here) is checked before primality, so
+        # 2**64 + 13 never reaches the witness set's ceiling; inside it, a
+        # prime above the table's limit is factored by trial division
         small = sieve.build_spf(1000)
-        for p in (1009, 2**63 + 29, 2**64 + 13):
+        assert chains.chains_ending_at(1009, small) == chains.chains_ending_at(1009, table)
+        for p in (1_000_003, 2**63 + 29, 2**64 + 13):
             with pytest.raises(DomainError, match="beyond factorization limit"):
                 chains.chains_ending_at(p, small)
         with pytest.raises(DomainError, match="not prime"):

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from primechain import cli, pratt, sieve
-from test_pratt import naive_f, naive_g, naive_h
+from test_pratt import naive_f, naive_g, naive_h, trial_tree
 
 
 def run_cli(capsys, *argv):
@@ -58,16 +58,27 @@ class TestPratt:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "CapacityError"
 
-    def test_budget_is_the_table_and_a_label_fill(self, capsys, monkeypatch):
-        # p = 400000009 needs about 662 MiB for a full fill; its table is
-        # 381 MiB and the fill of its labels a few MiB
-        big = 400_000_010
-        assert pratt.tree_footprint_bytes(big) < cli._TREE_MAX_BYTES < pratt.footprint_bytes(big)
-        p = 1_000_003
-        between = (pratt.tree_footprint_bytes(p + 1) + pratt.footprint_bytes(p + 1)) // 2
-        monkeypatch.setattr(cli, "_TREE_MAX_BYTES", between)
-        assert run_json(capsys, "pratt", "--prime", str(p))["p"] == p
+    def test_pratt_table_is_2_16_and_hist_keeps_its_ceiling(self, capsys, monkeypatch):
+        # hist over the primes up to 400000010 needs about 662 MiB and is
+        # refused before its table; pratt --prime 400000009 builds a 2^16 table
+        p = 400_000_009
+        assert pratt.footprint_bytes(p + 1) > cli._TREE_MAX_BYTES
+        limits = []
+        table = cli._table
+        monkeypatch.setattr(cli, "_table", lambda limit: limits.append(limit) or table(limit))
+        doc = run_json(capsys, "pratt", "--prime", str(p))
+        assert (doc["f"], doc["H"], doc["g"]) == trial_tree(p) and limits == [2**16]
         code, out, err = run_cli(capsys, "hist", "--limit", str(p + 1))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "CapacityError"
+        assert limits == [2**16]
+
+    def test_largest_prime_below_2_32(self, capsys, monkeypatch):
+        p = 2**32 - 5
+        doc = run_json(capsys, "pratt", "--prime", str(p))
+        assert (doc["f"], doc["H"], doc["g"]) == trial_tree(p) == (26, 6, 13)
+        monkeypatch.setattr(cli, "_table", None)  # 2^32 is refused before any table
+        code, out, err = run_cli(capsys, "pratt", "--prime", str(2**32))
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "CapacityError"
 

@@ -5,15 +5,25 @@ import types
 import numpy as np
 import pytest
 
-from primechain import pratt, sieve
+from primechain import chains, pratt, sieve
 from primechain.errors import CapacityError, DomainError, IntegrityError
 from primechain.verify import naive_f, naive_h
+from test_sieve import trial_pairs
 
 
 def naive_g(p, table):
     if p == 2:
         return 1
     return sum(naive_g(q, table) for q in table.factorize(p - 1).distinct_primes())
+
+
+def trial_tree(p):
+    """(f, H, g) of p by recursion over the prime divisors of p - 1 found by
+    plain trial division, with no factor table."""
+    if p == 2:
+        return 1, 1, 1
+    kids = [trial_tree(q) for q, _ in trial_pairs(p - 1)]
+    return 1 + sum(k[0] for k in kids), 1 + max(k[1] for k in kids), sum(k[2] for k in kids)
 
 
 def naive_mass(p, table):
@@ -147,12 +157,12 @@ class TestBlockArrays:
         assert_matches_naive(dag, table, sorted(cases))
 
     def test_pieces_cut_inside_a_dyadic_block(self):
-        # [2^21, 2^22) is filled in pieces of _BLOCK_WIDTH = 2^20 integers,
-        # so 2^21 + 2^20 and the limit cut it.
+        # [2^21, 2^22) is filled in pieces of _BLOCK_WIDTH = 2^20 integers
+        # from its first prime, so that prime + 2^20 and the limit cut it.
         table = sieve.SpfTable(3 * 2**20 + 100)
         dag = pratt.PrattDag(table)
         cases = {int(table.primes(2, table.limit)[-1])}
-        for cut in (2**20, 2**21, 2**21 + 2**20):
+        for cut in (2**20, 2**21, int(table.primes(2**21, table.limit)[0]) + 2**20):
             cases.add(int(table.primes(2, cut - 1)[-1]))
             cases.add(int(table.primes(cut, table.limit)[0]))
         assert_matches_naive(dag, table, sorted(cases))
@@ -205,15 +215,30 @@ class TestBlockArrays:
             tracemalloc.stop()
         assert peak <= pratt.footprint_bytes(limit) - sieve.table_bytes(limit)
 
-    def test_label_fill_peak_within_tree_footprint(self, table):
-        p = 999_983  # the largest prime of the 1e6 table
+    def test_label_fill_peak_is_fixed(self):
+        # one tree from a 2^16 table, even that of the largest prime below
+        # 2^32: the rank table (4 MiB) and a few small pieces
+        table = sieve.SpfTable(2**16)
+        p = 2**32 - 5
         tracemalloc.start()
         try:
             pratt.PrattDag(table, pratt.tree_primes(p, table)).f_of(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= pratt.tree_footprint_bytes(table.limit) - sieve.table_bytes(table.limit)
+        assert peak <= 5 << 20
+
+    def test_range_fills_read_only_cells(self, monkeypatch):
+        # the trial division above a table's limit goes through the scalar
+        # spf; a fill over the table's own primes never calls it
+        def no_spf(self, n):
+            raise AssertionError("a range fill called the scalar spf")
+
+        table = sieve.SpfTable(10**5)
+        monkeypatch.setattr(sieve.SpfTable, "spf", no_spf)
+        dag = pratt.PrattDag(table)
+        pratt.MassProducts(table, dag)
+        pratt.range_stats(table.limit, table, dag)
 
     def test_extremes_are_first_primes_attaining_them(self, table):
         x = 100_000
@@ -236,6 +261,17 @@ class TestPrimeSets:
             assert labels[-1] == p and labels.size <= dag.f_of(p) <= 2 * math.log2(p) - 1 + 1e-9
             sub = pratt.PrattDag(table, labels)
             assert (sub.f_of(p), sub.h_of(p), sub.g_of(p)) == (dag.f_of(p), dag.h_of(p), dag.g_of(p)), p
+
+    def test_small_table_trees_match_a_full_fill(self):
+        # a 2^9 table factors every p - 1 below 2^18 > 2e5, above 512 by
+        # trial division
+        full = sieve.SpfTable(2 * 10**5)
+        dag = pratt.PrattDag(full)
+        small = sieve.SpfTable(2**9)
+        for p in full.primes()[::7].tolist():
+            sub = pratt.PrattDag(small, pratt.tree_primes(p, small))
+            assert (sub.f_of(p), sub.h_of(p), sub.g_of(p)) == (dag.f_of(p), dag.h_of(p), dag.g_of(p)), p
+        assert_matches_naive(sub, small, [p])
 
     def test_primes_up_to_x(self, table, dag):
         for x in (2, 3, 100, 4099, 10**5):
@@ -381,3 +417,23 @@ class TestLinnikChain:
     def test_guard(self, table):
         with pytest.raises(DomainError):
             pratt.linnik_chain(0, table)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table, dag, p: dag.children(p),
+        lambda table, dag, p: dag.level_counts(p),
+        lambda table, dag, p: table.factorize(p),
+        lambda table, dag, p: chains.chains_ending_at(p, table),
+        lambda table, dag, p: chains.f_oracle(p, table),
+        lambda table, dag, p: pratt.phi_iterate(p, 2, table),
+        lambda table, dag, p: pratt.is_fermat_prime(p),
+    ],
+    ids=["children", "level_counts", "factorize", "chains_ending_at", "f_oracle", "phi_iterate", "is_fermat_prime"],
+)
+def test_numpy_integer_primes(table, dag, call):
+    # the int64 primes of table.primes() answer as Python ints do
+    for p in np.concatenate([table.primes(2, 7), table.primes(250, 260)]):
+        assert isinstance(p, np.int64)
+        assert call(table, dag, p) == call(table, dag, int(p)), p

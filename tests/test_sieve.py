@@ -30,6 +30,17 @@ def naive_spf(n):
     return n
 
 
+def trial_pairs(n):
+    """(prime, exponent) pairs of n >= 1 by plain trial division."""
+    pairs = []
+    while n > 1:
+        p, e = naive_spf(n), 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        pairs.append((p, e))
+    return tuple(pairs)
+
+
 class TestMillerRabin:
     def test_matches_sieve_to_1e4(self):
         flags = np.zeros(10_001, dtype=bool)
@@ -105,9 +116,11 @@ class TestSpfTable:
             assert pi < sieve.prime_count_bound(x)
         assert sieve.prime_count_bound(1) == 0.0
         assert sieve.prime_count_bound((1 << 64) - 1) > 0
-        for x in (1 << 64, 10**400):
+        for x in (1 << 64, 10**400, 1e300, math.inf):
             with pytest.raises(CapacityError):
                 sieve.prime_count_bound(x)
+        with pytest.raises(DomainError):
+            sieve.prime_count_bound(math.nan)
 
     def test_memory_ceiling_before_allocation(self, monkeypatch):
         def no_sieving(n):
@@ -185,8 +198,39 @@ class TestSpfRounds:
         assert list(table.spf_rounds(np.array([2**19]))) == []
         with pytest.raises(DomainError):
             next(table.spf_rounds(np.array([0])))
-        with pytest.raises(DomainError):
-            next(table.spf_rounds(np.array([table.limit + 1])))
+        # the factor range ends at min(limit^2, 2^32 - 1)
+        small = sieve.SpfTable(100)
+        for t, top in ((table, 2**32 - 1), (small, 10_000)):
+            assert t.factor_limit == top
+            with pytest.raises(DomainError):
+                next(t.spf_rounds(np.array([3, top + 1])))
+
+
+class TestFactorRange:
+    """Above its limit, up to min(limit^2, 2^32 - 1), a table factors by
+    trial division by its own primes."""
+
+    def test_2_16_table_to_2_32(self):
+        t = sieve.SpfTable(2**16)
+        rng = np.random.default_rng(26)
+        ns = rng.integers(2**16, 2**32, size=100).tolist() + [2**31, 65521**2, 65521 * 65537, 2**32 - 5, 2**32 - 1]
+        want = [trial_pairs(n) for n in ns]
+        assert [t.factorize(n).pairs for n in ns] == want
+        assert [t.spf(n) for n in ns] == [w[0][0] for w in want]
+        got = [[2] if n % 2 == 0 else [] for n in ns]
+        for rows, s, new in t.spf_rounds(np.array(ns)):
+            for r, q in zip(rows[new].tolist(), s[new].tolist()):
+                got[r].append(q)
+        assert got == [[p for p, _ in w] for w in want]
+        assert t.unitary_cofactors(np.array(ns)).tolist() == [math.prod(p ** (e - 1) for p, e in w) for w in want]
+
+    def test_small_table_to_its_square(self):
+        t = sieve.SpfTable(1000)
+        ns = [1001, 991 * 997, 999_983, 10**6] + list(range(10**6 - 300, 10**6))
+        assert [t.factorize(n).pairs for n in ns] == [trial_pairs(n) for n in ns]
+        for query in (t.spf, t.factorize):
+            with pytest.raises(DomainError):
+                query(10**6 + 1)
 
 
 class TestUnitaryCofactors:
@@ -201,7 +245,7 @@ class TestUnitaryCofactors:
         with pytest.raises(DomainError):
             table.unitary_cofactors(np.array([0]))
         with pytest.raises(DomainError):
-            table.unitary_cofactors(np.array([table.limit + 1]))
+            table.unitary_cofactors(np.array([table.factor_limit + 1]))
 
 
 class TestArrayPrimality:
@@ -209,6 +253,16 @@ class TestArrayPrimality:
         small = sieve.build_spf(1000)
         ns = np.array(list(range(0, 3000)) + [2**61 - 1, 2**64 - 59, 2**64 - 57], dtype=np.uint64)
         assert small.are_prime(ns).tolist() == [small.is_prime(n) for n in ns.tolist()]
+
+    def test_refused_from_2_64(self, table):
+        # a Python int past uint64 is refused as is_prime_u64 refuses it, and
+        # so is such a modulus in the progression counts
+        for ns in ([10**30], [7, 2**64], np.array([2**64 + 13], dtype=object)):
+            with pytest.raises(CapacityError, match="below 2\\*\\*64"):
+                table.are_prime(ns)
+        for qs in ([10**30], [3, 2**64]):
+            with pytest.raises(CapacityError):
+                sieve.count_primes_in_aps(1000, qs, table)
 
     def test_negative_zero_one_and_above_limit(self):
         t = sieve.build_spf(10**4)

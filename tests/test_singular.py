@@ -220,9 +220,11 @@ class TestSingularSeries:
             singular.singular_series((2,), prime_cutoff=edge)
         # refused before the odd-multiplier shortcut answers
         for ms in ((2,), (3,)):
-            for cutoff in (edge + 1, 2**40, 10**400):
+            for cutoff in (edge + 1, 2**40, 10**400, 1e300, math.inf):
                 with pytest.raises(CapacityError):
                     singular.singular_series(ms, prime_cutoff=cutoff)
+            with pytest.raises(DomainError):
+                singular.singular_series(ms, prime_cutoff=math.nan)
 
     def test_tail_shrinks_with_cutoff(self):
         small = singular.singular_series((2,), prime_cutoff=1000)
