@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, CensoringError, DomainError, NumericalError
+from .errors import CapacityError, CensoringError, DomainError, NumericalError, as_int, as_real, check_bytes
 from .rng import GOLDEN, RDE_SALT, mix64, mix64_int, replicate_keys, stream_draw, to_unit, uniform_stream
 
 _U64 = np.uint64
@@ -87,7 +87,7 @@ class RunConfig:
     the minima; batch layout has no effect on results.  ``simulate_run``,
     ``t_epsilon`` and ``rde_iterate`` run one replicate or their own
     population, so they read ``seed``, ``threads`` and ``batch_rows`` but
-    not ``replicates``.
+    not ``replicates``.  Fields are stored as Python ints; a seed counts mod 2^64.
     """
 
     seed: int = 1
@@ -96,10 +96,10 @@ class RunConfig:
     batch_rows: int = 4_000_000
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise DomainError("replicates must be >= 1")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        self.seed = as_int(self.seed, "seed")
+        self.replicates = as_int(self.replicates, "replicates", 1, (1 << 63) - 1)
+        self.threads = as_int(self.threads, "threads", 1)
+        self.batch_rows = as_int(self.batch_rows, "batch_rows", 1)
 
 
 def lpd_offsets_from_uniforms(uniforms, cap: float) -> list[float]:
@@ -109,9 +109,11 @@ def lpd_offsets_from_uniforms(uniforms, cap: float) -> list[float]:
     later fragment is smaller than that remainder, so the returned
     multiset is exactly the set of offsets <= cap (nothing missed).
     """
+    cap = as_real(cap, "cap")
     out: list[float] = []
     cum = 0.0
     for u in uniforms:
+        u = as_real(u, "uniform", 0, 1 - 2**-53, lo_open=True)  # the floats in (0, 1)
         v = cum - math.log(u)
         if v <= cap:
             out.append(v)
@@ -122,11 +124,9 @@ def lpd_offsets_from_uniforms(uniforms, cap: float) -> list[float]:
 
 
 def sample_lpd_offsets(key: int, cap: float) -> np.ndarray:
-    """Offsets of the node stream ``key``, in stick order."""
+    """Offsets of the node stream ``key``, in stick order; cap <= 1e6, as it takes about cap sticks."""
     stream = uniform_stream(key)
-    if cap <= 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.array(lpd_offsets_from_uniforms(stream, cap), dtype=np.float64)
+    return np.array(lpd_offsets_from_uniforms(stream, as_real(cap, "cap", hi=1e6)), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +374,6 @@ def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, pru
     generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
     at or (if strict) below ``bound``, a scalar or one bound per replicate.
     """
-    if not 0 <= lo < hi < 1 << 63:
-        raise DomainError("replicate index must be in [0, 2^63)")
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
     batch = _batch_size(cfg, hi - lo, cap, depth, pruned)
@@ -413,35 +411,39 @@ def _map(threads: int, fn, items) -> list:
 def simulate_run(n: int, cap: float, cfg: RunConfig, replicate: int = 0) -> list[np.ndarray]:
     """Sorted positions <= cap of generations 0..n of one replicate; generation 0
     is ``[0.0]`` and a censored generation (minimum above the cap) is empty."""
-    if not 0 < cap < math.inf:
-        raise DomainError("cap must be positive and finite")
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n, cap = as_int(n, "n", 0), as_real(cap, "cap", 0, lo_open=True)
+    replicate = as_int(replicate, "replicate", 0, (1 << 63) - 2)
 
     def record(key, walk, guard):
         return [np.sort(pos) for pos, _ in itertools.islice(walk(), n)]
 
-    (positions,) = _drive(cfg, replicate, replicate + 1, float(cap), n, record)
+    (positions,) = _drive(cfg, replicate, replicate + 1, cap, n, record)
     return [np.zeros(1), *positions]
 
 
 def replicate_z_counts(n: int, t: float, cfg: RunConfig) -> np.ndarray:
     """Z_n(t) for every replicate, simulated exactly with cap = t."""
-    if not 0 < t < math.inf or n < 1:
-        raise DomainError("need finite t > 0 and n >= 1")
+    n, t = as_int(n, "n", 1), as_real(t, "t", 0, lo_open=True)
 
     def count(key, walk, guard):
         _, rep = _nth(walk(), n)
         return np.bincount(rep, minlength=key.size)
 
-    return np.concatenate(_drive(cfg, 0, cfg.replicates, float(t), n, count))
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, t, n, count))
 
 
 def mean_and_se(sample: np.ndarray) -> tuple[float, float]:
-    """(sample mean, standard error); the error is inf for one sample,
-    which shows no spread."""
-    mean = float(sample.mean())
-    se = float(sample.std(ddof=1) / math.sqrt(len(sample))) if len(sample) > 1 else math.inf
+    """(sample mean, standard error) of a nonempty sample of finite values;
+    the error is inf for one sample, which shows no spread."""
+    sample = np.asarray(sample, dtype=np.float64)
+    if not (sample.size and np.isfinite(sample).all()):
+        raise DomainError("the sample must be nonempty and finite")
+    with np.errstate(over="raise"):
+        try:
+            mean = float(sample.mean())
+            se = float(sample.std(ddof=1) / math.sqrt(len(sample))) if len(sample) > 1 else math.inf
+        except FloatingPointError as exc:
+            raise DomainError(f"the sample's moments leave the float range: {exc}") from None
     return mean, se
 
 
@@ -453,24 +455,20 @@ def estimate_mean_z(n: int, t: float, cfg: RunConfig) -> tuple[float, float]:
 def predicted_median_bn(n: int) -> float:
     """Leading-order location of the generation-n minimum:
     n/e + (3/(2e)) log n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = as_int(n, "n", 1, sys.float_info.max)
     return n / _E + 1.5 / _E * math.log(n)
 
 
 def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
     """B_n per replicate; +inf where the whole generation exceeded cap."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not 0 < cap < math.inf:
-        raise DomainError("cap must be positive and finite")
+    n, cap = as_int(n, "n", 1), as_real(cap, "cap", 0, lo_open=True)
 
     def lowest(key, walk, guard):
-        bounds = _minimum_bounds(key, n, float(cap), guard)
+        bounds = _minimum_bounds(key, n, cap, guard)
         pos, rep = _nth(walk(bounds), n)
         return _segment_min(rep, pos, key.size)
 
-    return np.concatenate(_drive(cfg, 0, cfg.replicates, float(cap), n, lowest, pruned=True))
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, lowest, pruned=True))
 
 
 @dataclass
@@ -491,9 +489,8 @@ def _censored_minima(n: int, cfg: RunConfig, margin: float, cap: float | None) -
     replicates are censored; on >= 50% censoring the run is retried once
     with cap + 2 before giving up.
     """
-    if not math.isfinite(margin):
-        raise DomainError("margin must be finite")
-    chosen = float(cap) if cap is not None else predicted_median_bn(n) + margin
+    margin = as_real(margin, "margin")
+    chosen = as_real(cap, "cap") if cap is not None else predicted_median_bn(n) + margin
     for retried in (False, True):
         chosen += 2.0 * retried
         minima = np.sort(replicate_minima(n, cfg, chosen))
@@ -516,8 +513,8 @@ _WILSON_Z = 1.96  # two-sided 95% normal quantile
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion at ``_WILSON_Z``."""
-    if trials <= 0:
-        raise DomainError("trials must be positive")
+    trials = as_int(trials, "trials", 1)
+    successes = as_int(successes, "successes", 0, trials)
     z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -559,8 +556,7 @@ def estimate_tails(
     grid_max: float = 4.0,
 ) -> TailEstimate:
     """Tail profile of B_n around the median, cap and censoring of ``_censored_minima``."""
-    if not (0 < grid_step < math.inf and 0 <= grid_max < math.inf):
-        raise DomainError("grid step must be positive and grid max non-negative, both finite")
+    grid_step, grid_max = as_real(grid_step, "grid_step", 0, lo_open=True), as_real(grid_max, "grid_max", 0)
     if (grid_max + 1e-12) / grid_step >= _MAX_TAIL_OFFSETS:
         raise CapacityError(f"tail grid of more than {_MAX_TAIL_OFFSETS} offsets; raise grid_step or lower grid_max")
     minima, est = _censored_minima(n, cfg, margin, None)
@@ -593,10 +589,8 @@ def estimate_tails(
 
 def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int, max_generation: int) -> np.ndarray:
     """T(eps) of the replicates [lo, hi)."""
-    if max_generation < 0:
-        raise DomainError("max_generation must be >= 0")
-    if not 0 < eps <= 1:
-        raise DomainError("eps must be in (0, 1]")
+    max_generation = as_int(max_generation, "max_generation", 0)
+    eps = as_real(eps, "eps", 0, 1, lo_open=True)
     if eps == 1.0:
         return np.zeros(hi - lo, dtype=np.int64)
     cap = -math.log(eps)
@@ -624,6 +618,7 @@ def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0, max_generation: in
     is max_generation, floored at a level the process essentially never
     survives; hitting it raises a capacity error.
     """
+    replicate = as_int(replicate, "replicate", 0, (1 << 63) - 2)
     return int(_extinction(eps, cfg, replicate, replicate + 1, max_generation)[0])
 
 
@@ -642,9 +637,11 @@ def estimate_mean_t_epsilon(eps: float, cfg: RunConfig) -> tuple[float, float]:
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
+    """Two-sample Kolmogorov-Smirnov statistic of two nonempty samples."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
+    if not (a.size and b.size):
+        raise DomainError("both samples must be nonempty")
     data = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, data, side="right") / len(a)
     cdf_b = np.searchsorted(b, data, side="right") / len(b)
@@ -702,10 +699,9 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
     cfg.threads chunks; a sample's loop reads only its own key and the
     previous population, so the result does not depend on the split.
     """
-    if pop_size < 1000:
-        raise DomainError("population must be >= 1000 for a stable iteration")
-    if iters < 1:
-        raise DomainError("iters must be >= 1")
+    pop_size = as_int(pop_size, "population", 1000)  # smaller ones do not iterate stably
+    iters = as_int(iters, "iters", 1)
+    check_bytes(128 * pop_size, f"a population of {pop_size} (128 bytes a sample)")
     if pop_size > cfg.batch_rows:
         raise CapacityError(f"population {pop_size} exceeds the row budget {cfg.batch_rows}")
     if pop_size * iters > _MAX_WORK_ROWS:

@@ -21,19 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, IntegrityError
+from .errors import CapacityError, DomainError, IntegrityError, as_int, as_real
 from .pratt import PrattDag, _require_prime
 from .sieve import SpfTable, count_primes_in_aps, primes_in_aps
 
 
 @dataclass(frozen=True, slots=True)
 class ChainRecord:
-    """An increasing chain of primes with each element = 1 modulo the one
-    before it.  Slotted: an enumeration holds one per chain."""
+    """An increasing chain of primes, as Python ints, with each element = 1
+    modulo the one before it.  Slotted: an enumeration holds one per chain."""
 
     primes: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "primes", tuple(as_int(p, "chain element", 2) for p in self.primes))
         if not self.primes:
             raise DomainError("a chain has at least one element")
         for a, b in zip(self.primes, self.primes[1:]):
@@ -98,13 +99,12 @@ def enumerate_from(
     refuses one that reaches 2**64 or has more than ``MAX_AP_CANDIDATES``
     candidates above the table limit, before any of them is tested.
     """
+    p = as_int(p, "p")
+    x = as_real(x, "growth ratio x", 1)
+    bound = as_int(bound, "chain bound", 0)
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if not 1 <= x < math.inf:  # also rejects nan
-        raise DomainError(f"growth ratio x must be finite and >= 1, got {x}")
-    if bound < 0:
-        raise DomainError(f"chain bound must be >= 0, got {bound}")
-    ceiling = math.floor(p * x)
+    ceiling = math.floor(min(p * x, 2.0**64))  # from 2**64 on, primes_in_aps refuses it
     found = [(p,)] if include_trivial else []
     total = len(found)
     if total > bound:
@@ -128,8 +128,8 @@ def enumerate_from(
 def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[ChainRecord]:
     """Every chain whose final element is p, by explicit recursion on the
     prime divisors of predecessor candidates (no memoization)."""
-    _require_prime(p, table)
-    budget = [size_cap]
+    p = _require_prime(p, table)
+    budget = [as_int(size_cap, "size cap")]
 
     def walk(q: int) -> list[tuple[int, ...]]:
         budget[0] -= 1
@@ -141,7 +141,7 @@ def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[C
                 out.extend(c + (q,) for c in walk(r))
         return out
 
-    return [ChainRecord(t) for t in sorted(walk(p))]
+    return ChainRecord._trusted(sorted(walk(p)))  # each link is q to a prime divisor of q - 1
 
 
 def f_oracle(p: int, table: SpfTable) -> int:
@@ -159,31 +159,21 @@ def g_oracle(p: int, table: SpfTable) -> int:
 
 
 def link_vector(chain: ChainRecord | tuple[int, ...]) -> LinkVector:
-    """Multiplier encoding of a chain: p_{j+1} = m_j * p_j + 1."""
-    primes = chain.primes if isinstance(chain, ChainRecord) else tuple(chain)
-    if not primes:
-        raise DomainError("empty chain")
-    mults = []
-    for a, b in zip(primes, primes[1:]):
-        m, r = divmod(b - 1, a)
-        if r != 0 or m < 1:
-            raise IntegrityError(f"{b} is not 1 mod {a}")
-        mults.append(m)
-    return LinkVector(primes[0], tuple(mults))
+    """Multiplier encoding of a chain, checked as a ``ChainRecord``: p_{j+1} = m_j * p_j + 1."""
+    primes = (chain if isinstance(chain, ChainRecord) else ChainRecord(tuple(chain))).primes
+    return LinkVector(primes[0], tuple((b - 1) // a for a, b in zip(primes, primes[1:])))
 
 
 def rebuild(vector: LinkVector, table: SpfTable) -> ChainRecord:
     """Inverse of :func:`link_vector`; every reconstructed element must be
     prime or an integrity error is raised."""
-    if not table.is_prime(vector.base):
+    primes = [as_int(vector.base, "base")]
+    if not table.is_prime(primes[0]):
         raise IntegrityError(f"base {vector.base} is not prime")
-    primes = [vector.base]
-    for m in vector.multipliers:
-        if m < 1:
-            raise IntegrityError("multipliers must be positive")
-        nxt = m * primes[-1] + 1
+    for m in vector.multipliers:  # m < 1 gives an element below 2, not prime
+        nxt = as_int(m, "multiplier") * primes[-1] + 1
         if not table.is_prime(nxt):
-            raise IntegrityError(f"rebuilt element {nxt} is composite")
+            raise IntegrityError(f"rebuilt element {nxt} is not prime")
         primes.append(nxt)
     return ChainRecord(tuple(primes))
 
@@ -197,8 +187,7 @@ def n_identity_check(x: int, table: SpfTable, dag: PrattDag | None = None) -> bo
     Both sides are computed in exact integer arithmetic and compared;
     pi(x; q, 1) is counted in the table's cells, never read off the dag.
     """
-    if x < 2:
-        raise DomainError("x must be >= 2")
+    x = as_int(x, "x", 2)
     primes, f, _, _ = (dag or PrattDag.upto(table, x)).values(x)
     f = f.astype(np.int64)
     rhs = table.prime_count(x) + int(f @ count_primes_in_aps(x, primes, table))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import brw, chains, dickman, pratt, sieve, sifted, singular, verify
 from .brw import RunConfig
-from .errors import CapacityError, DomainError, PrimechainError
+from .errors import CapacityError, DomainError, PrimechainError, as_int, check_bytes
 
 _STDOUT = "-"
 
@@ -102,30 +102,20 @@ def _kv(payload: dict, *skip: str) -> tuple[dict, list[str], list[list]]:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        if args.threads < 1:
-            raise DomainError("--threads must be >= 1")
-        return args.threads
+        return as_int(args.threads, "--threads", 1)
     env = os.environ.get("PRIMECHAIN_THREADS")
     if env:
         try:
             n = int(env)
         except ValueError as exc:
             raise DomainError(f"PRIMECHAIN_THREADS={env!r} is not an integer") from exc
-        if n < 1:
-            raise DomainError("PRIMECHAIN_THREADS must be >= 1")
-        return n
+        return as_int(n, "PRIMECHAIN_THREADS", 1)
     return 1
 
 
 def _table(limit: int = 10**6) -> sieve.SpfTable:
     """The factor table a command builds; uncached, as a process runs one command."""
     return sieve.build_spf(limit)
-
-
-# Memory ceiling for hist's factor table plus PrattDag fill: it admits --limit
-# up to about 3.1e8, at least what 1 GiB admitted when every integer had a
-# table cell.  hist --limit 1e8 peaks at ~204 MiB RSS.
-_TREE_MAX_BYTES = 520 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +143,10 @@ plot '{data}' skip 2 using 2:3 with boxes
 
 
 def _cmd_hist(args):
-    if args.limit < 2:
-        raise DomainError("--limit must be at least 2")
     if args.plot_script and (args.out == _STDOUT or args.format != "csv"):
         raise DomainError("--plot-script needs --format csv with --out FILE")
-    need = pratt.footprint_bytes(args.limit)
-    if need > _TREE_MAX_BYTES:
-        raise CapacityError(f"--limit {args.limit} needs about {need >> 20} MiB of tables, above the {_TREE_MAX_BYTES >> 20} MiB ceiling")
+    # the table and PrattDag fill admit --limit up to 305,361,297; 1e8 peaks at ~204 MiB RSS
+    check_bytes(pratt.footprint_bytes(args.limit), f"--limit {args.limit}'s tables")
     table = _table(args.limit)
     stats = pratt.range_stats(args.limit, table)
     rows = [list(r) for r in stats.rows(args.stat)]
@@ -220,13 +207,10 @@ def _cmd_sift_bound(args):
 
 
 def _parse_links(text: str) -> tuple[int, ...]:
-    try:
-        links = tuple(int(part) for part in text.split(","))
+    try:  # singular_series checks that each multiplier is >= 1
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise DomainError(f"--links must be comma-separated integers, got {text!r}") from exc
-    if not links or any(m < 1 for m in links):
-        raise DomainError("--links needs at least one positive multiplier")
-    return links
 
 
 def _cmd_singular(args):

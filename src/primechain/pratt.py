@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, as_int, as_int_array, as_real, check_bytes
 from .sieve import SpfTable, is_prime_u64, prime_count_bound, progression_step, table_bytes
 
 # Widest block of integers factored in one pass; bounds the temporaries.
@@ -53,9 +52,6 @@ _BLOCK_WIDTH = 1 << 20
 # a given set also checks it: one int64 and a few bytes per prime more.
 _BYTES_PER_PRIME = 11
 _PIECE_BYTES = 15 << 20
-# Ceiling on the bytes of phi_iter_stats's three int64 arrays of x + 1 entries
-# (x up to about 2.2e7), refused before they are allocated.
-_PHI_ITER_MAX_BYTES = 1 << 29
 
 
 def footprint_bytes(limit: int) -> int:
@@ -100,18 +96,19 @@ def _links(table: SpfTable, primes: np.ndarray, rank: np.ndarray):
         a = b
 
 
-def _require_prime(p: int, table: SpfTable) -> None:
-    if p > table.factor_limit:
-        raise DomainError(f"{p} is beyond factorization limit {table.factor_limit}")
+def _require_prime(p: int, table: SpfTable) -> int:
+    """p as a Python int, refused unless a prime in the table's factor range."""
+    p = as_int(p, "p", 2, table.factor_limit)
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
+    return p
 
 
 def tree_primes(p: int, table: SpfTable) -> np.ndarray:
     """The distinct labels of the tree of p, increasing: the least prime
     set holding p (up to ``table.factor_limit``) and closed under "prime
     divisor of q - 1"."""
-    _require_prime(p, table)
+    p = _require_prime(p, table)
     found, level = {p}, {p}
     while level:
         rounds = table.spf_rounds(np.fromiter(level, np.int64) - 1)
@@ -140,11 +137,9 @@ class PrattDag:
         if primes is None:
             primes = table.primes()
         else:
-            primes = np.asarray(primes, dtype=np.int64)
-            if primes.size and (primes[0] < 2 or primes[-1] > table.factor_limit or np.any(primes[1:] <= primes[:-1])):
-                raise DomainError(f"primes must increase within 2..{table.factor_limit}")
-            if not table.are_prime(primes).all():
-                raise DomainError("the set holds a composite")
+            primes = as_int_array(primes, "primes", 2, table.factor_limit)
+            if np.any(primes[1:] <= primes[:-1]) or not table.are_prime(primes).all():
+                raise DomainError("the set must hold increasing primes")
         self._primes = primes
         rank = self._rank = _rank_table(primes)
         f, h = self._f, self._h = np.ones((2, primes.size), dtype=np.uint8)
@@ -162,11 +157,16 @@ class PrattDag:
     def upto(cls, table: SpfTable, x: int) -> PrattDag:
         """The dag of the primes up to x; to the table's limit they are the
         table's own, so not re-checked."""
+        x = as_int(x, "x")
         return cls(table, table.primes(2, x) if x < table.limit else None)
 
     def _index(self, p: int) -> int:
-        rank, primes = self._rank_view, self._primes_view
-        i = rank[p] if 0 <= p < len(rank) else bisect.bisect_left(primes, p)
+        primes = self._primes_view
+        try:
+            i = self._rank_view[p]  # an int below the rank table's size, unchecked
+        except (IndexError, TypeError):  # beyond the rank table, or not an int: coerced
+            p = as_int(p, "p")
+            i = bisect.bisect_left(primes, p)
         if i == len(primes) or primes[i] != p:
             _require_prime(p, self.table)
             raise DomainError(f"{p} is not among the dag's primes")
@@ -175,8 +175,8 @@ class PrattDag:
     def values(self, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(primes, f, H, g) for every prime p <= x, as read-only views;
         refused unless the set holds all pi(x) of them."""
+        pi = self.table.prime_count(x)  # a DomainError for a non-integer x or one beyond the limit
         k = int(np.searchsorted(self._primes, x, side="right"))
-        pi = self.table.prime_count(x)  # a DomainError beyond the table's limit
         if k != pi:
             raise DomainError(f"the dag holds {k} of the {pi} primes up to x={x}")
         views = tuple(a[:k] for a in (self._primes, self._f, self._h, self._g))
@@ -213,7 +213,7 @@ class PrattDag:
 def is_fermat_prime(p: int) -> bool:
     """True when p = 2^(2^m) + 1 for some m >= 0, i.e. the tree of p has
     height exactly 2 (all of p - 1's prime mass is on 2)."""
-    p = operator.index(p)
+    p = as_int(p, "p")
     if p < 3:
         return False
     e = (p - 1).bit_length() - 1
@@ -256,8 +256,7 @@ def range_stats(x: int, table: SpfTable, dag: PrattDag | None = None) -> RangeSt
 
     The extreme primes are the first (least) primes attaining the maxima.
     """
-    if x < 2:
-        raise DomainError("x must be >= 2")
+    x = as_int(x, "x", 2)
     primes, f, h, _ = (dag or PrattDag.upto(table, x)).values(x)
     i_h, i_f = int(np.argmax(h)), int(np.argmax(f))
     return RangeStats(
@@ -313,13 +312,12 @@ class MassProducts:
 
     def mass_identity_holds(self, p: int) -> bool:
         i = self.dag._index(p)
-        return self._num[i] == p * self._den[i]
+        return self._num[i] == self.dag._primes_view[i] * self._den[i]
 
 
 def phi_iterate(n: int, k: int, table: SpfTable) -> int:
     """k-fold iterate of Euler's totient; phi_0(n) = n and phi(1) = 1."""
-    if n < 1 or k < 0:
-        raise DomainError("need n >= 1 and k >= 0")
+    n, k = as_int(n, "n", 1), as_int(k, "k", 0)
     for _ in range(k):
         if n == 1:
             return 1
@@ -335,13 +333,9 @@ def phi_iter_stats(x: int, k: int, eps: float, table: SpfTable) -> float:
     largest-prime-factor tables up to x, refused with a CapacityError
     before they are allocated when they pass 512 MiB.
     """
-    if x < 2 or x > table.limit:
-        raise DomainError("x must be in 2..table limit")
-    if k < 0 or not 0 < eps <= 1:
-        raise DomainError("need k >= 0 and 0 < eps <= 1")
-    need = 24 * (x + 1)
-    if need > _PHI_ITER_MAX_BYTES:
-        raise CapacityError(f"x={x} needs {need >> 20} MiB of totient tables, above the {_PHI_ITER_MAX_BYTES >> 20} MiB ceiling")
+    x, k = as_int(x, "x", 2, table.limit), as_int(k, "k", 0)
+    eps = as_real(eps, "eps", 0, 1, lo_open=True)
+    check_bytes(24 * (x + 1), f"x={x}'s three int64 totient tables")
     phi = np.arange(x + 1, dtype=np.int64)
     gpf = np.ones(x + 1, dtype=np.int64)
     for p in table.primes(2, x).tolist():
@@ -359,8 +353,7 @@ def phi_iter_stats(x: int, k: int, eps: float, table: SpfTable) -> float:
 def linnik_chain(length: int, table: SpfTable) -> list[int]:
     """Greedy chain starting at 2 where each next element is the least
     prime congruent to 1 modulo the current one."""
-    if length < 1:
-        raise DomainError("length must be >= 1")
+    length = as_int(length, "length", 1)
     chain = [2]
     while len(chain) < length:
         step = progression_step(chain[-1])

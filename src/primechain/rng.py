@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_int, check_bytes
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 SALT = np.uint64(0x8BB84B93962EACC9)
@@ -64,8 +64,8 @@ def mix64(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def mix64_int(z: int) -> int:
-    """Pure-integer mirror of :func:`mix64` for scalar key derivation."""
-    z = int(z) & _MASK
+    """Pure-integer mirror of :func:`mix64` for scalar key derivation, z mod 2^64."""
+    z = as_int(z, "z") & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -73,8 +73,8 @@ def mix64_int(z: int) -> int:
 
 def stream_draw(keys: np.ndarray, index: int) -> np.ndarray:
     """Raw 64-bit draw number ``index`` (>= 1) of each key's stream, as a
-    new array (``keys`` is only read)."""
-    z = keys + _U64(index * _GOLDEN_INT & _MASK)
+    new array (``keys``, uint64, is only read)."""
+    z = keys + _U64(as_int(index, "index", 1) * _GOLDEN_INT & _MASK)
     return mix64(z, out=z)
 
 
@@ -96,8 +96,10 @@ def to_unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def replicate_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """Keys for replicates ``start..stop-1`` of the run with this seed."""
-    root = mix64_int((seed & _MASK) ^ int(SALT))
+    """Keys for replicates ``start..stop-1`` (0 <= start, stop < 2^63) of the run with this seed (mod 2^64)."""
+    start, stop = as_int(start, "start", 0, (1 << 63) - 1), as_int(stop, "stop", 0, (1 << 63) - 1)
+    check_bytes(24 * (stop - start), f"{stop - start} replicate keys")  # the keys and mix64's two arrays
+    root = mix64_int(as_int(seed, "seed") ^ int(SALT))
     reps = np.arange(start + 1, stop + 1, dtype=np.uint64)
     return mix64(_U64(root) + reps * GOLDEN)
 
@@ -106,8 +108,10 @@ def uniform_stream(key: int):
     """Scalar generator yielding the uniforms of one node stream, in the
     exact order the vectorized engine consumes them (draws 1, 3, 5, ...).
     A key that is not an integer in [0, 2^64) raises a DomainError here,
-    not at the first draw."""
-    if not isinstance(key, (int, np.integer)) or not 0 <= key <= _MASK:
-        raise DomainError(f"stream key {key!r} is not an integer in [0, 2^64)")
+    not at the first draw; a key is a word, so None or a string is one too."""
+    try:
+        key = as_int(key, "stream key", 0, _MASK)
+    except TypeError as exc:
+        raise DomainError(f"stream key {key!r} is not an integer") from exc
     keys = np.array([key], dtype=np.uint64)
     return (float(to_unit(stream_draw(keys, 2 * t + 1))[0]) for t in itertools.count())

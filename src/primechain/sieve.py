@@ -16,20 +16,15 @@ deterministic Miller-Rabin test that is exact for all 64-bit inputs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, as_int, as_int_array, as_real, check_bytes
 
 # Cells sieved per pass; one segment of uint16 cells stays cache resident.
 SEGMENT_WIDTH = 1 << 20
 MAX_LIMIT = (1 << 32) - 1
-# Ceiling on the bytes of one table; SpfTable refuses larger limits before
-# allocating anything.  512 MiB of odd cells admit the limits below 2**29,
-# as 1 GiB did when every integer had a cell.
-MAX_TABLE_BYTES = 1 << 29
 # Ceiling on the candidates above a table's limit, summed over all moduli, that
 # one primes_in_aps call tests with Miller-Rabin: about 20 s at 64 bits, 2-core
 # Xeon.  count_primes_in_aps makes one call, enumerate_from one per chain length.
@@ -38,15 +33,18 @@ MAX_AP_CANDIDATES = 10**6
 # Deterministic Miller-Rabin witness set, exact for n < 3.3*10^24 and in
 # particular for every 64-bit integer.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_CEILING = "witness set only proves primality below 2**64"
 
 
 def is_prime_u64(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64."""
-    if n < 0:
-        raise DomainError("primality test needs n >= 0")
+    n = as_int(n, "n", 0)
     if n >= 1 << 64:
-        raise CapacityError(_MR_CEILING)
+        raise CapacityError("the witness set only proves primality below 2**64")
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """``is_prime_u64`` of a Python int 0 <= n < 2**64, unchecked."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -72,17 +70,16 @@ def is_prime_u64(n: int) -> bool:
 
 def table_bytes(limit: int) -> int:
     """Bytes of the cells of a table for 2..limit (one uint16 per odd integer)."""
-    return 2 * ((limit + 1) // 2)
+    return 2 * ((as_int(limit, "limit") + 1) // 2)
 
 
 def prime_count_bound(x: int) -> float:
     """pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld); 0 below.
     It sizes tables and arrays, none of which reaches 2^64, so x from 2^64
-    on is refused here for every footprint that reads it, and so is nan."""
-    if x != x:
-        raise DomainError("x is nan")
+    on (inf too) is refused here for every footprint that reads it, first."""
     if x >= 1 << 64:
         raise CapacityError(f"no table or array is sized for x >= 2**64 (log2 x = {math.log2(x):.1f})")
+    x = as_real(x, "x")
     return 1.25506 * x / math.log(x) if x > 1 else 0.0
 
 
@@ -149,15 +146,9 @@ class SpfTable:
     """
 
     def __init__(self, limit: int):
-        if limit < 2:
-            raise DomainError("table limit must be at least 2")
-        if limit > MAX_LIMIT:
-            raise CapacityError(f"table limit {limit} exceeds 32-bit ceiling {MAX_LIMIT}")
-        if table_bytes(limit) > MAX_TABLE_BYTES:
-            raise CapacityError(
-                f"table limit {limit} needs {table_bytes(limit) >> 20} MiB, above the {MAX_TABLE_BYTES >> 20} MiB ceiling"
-            )
-        self.limit = int(limit)
+        limit = as_int(limit, "table limit", 2)
+        check_bytes(table_bytes(limit), f"table limit {limit}")  # so limit < MAX_LIMIT
+        self.limit = limit
         self.factor_limit = min(self.limit**2, MAX_LIMIT)
         self._base = _simple_prime_array(math.isqrt(limit))[1:].tolist()[::-1]  # odd, largest first
         self._cells = np.zeros((limit + 1) // 2, dtype=np.uint16)
@@ -188,19 +179,21 @@ class SpfTable:
 
     def spf(self, n: int) -> int:
         """Smallest prime factor of n (2 <= n <= factor_limit)."""
-        n = operator.index(n)
-        if not 2 <= n <= self.factor_limit:
-            raise DomainError(f"n={n} outside factor range 2..{self.factor_limit}")
+        return self._spf(as_int(n, "n", 2, self.factor_limit))
+
+    def _spf(self, n: int) -> int:
+        """``spf`` of a Python int in its range, unchecked."""
         if n % 2 == 0:
             return 2
         if n > self.limit:
-            return next((p for p in self.primes(3, math.isqrt(n)).tolist() if n % p == 0), n)
+            return next((p for p in self._primes(3, math.isqrt(n)).tolist() if n % p == 0), n)
         v = int(self._cells[n >> 1])
         return n if v == 0 else v
 
     def is_prime(self, n: int) -> bool:
         """Primality for any 64-bit n; table lookup below the limit,
         deterministic Miller-Rabin above it."""
+        n = as_int(n, "n")
         if n < 2:
             return False
         if n <= self.limit:
@@ -211,9 +204,7 @@ class SpfTable:
         """``is_prime`` of every entry of an integer array: the cells up to the
         limit, where the poisoned cell of 1 answers every n < 2, parity for the
         even n, Miller-Rabin one entry at a time above it; 2**64 on is refused."""
-        ns = np.asarray(ns)
-        if ns.dtype == object and ns.size and ns.max() >= 1 << 64:  # beyond uint64
-            raise CapacityError(_MR_CEILING)
+        ns = as_int_array(ns, "ns")
         # one index temporary, shifted and then reused for the parity
         idx = np.clip(ns, 0, 2 * self._cells.size - 1)
         idx >>= 1
@@ -221,19 +212,17 @@ class SpfTable:
         out &= np.bitwise_and(ns, 1, out=idx) == 1
         out |= ns == 2
         big = np.flatnonzero(ns > self.limit)
-        out[big] = [is_prime_u64(n) for n in ns[big].tolist()]
+        out[big] = [_miller_rabin(n) for n in ns[big].tolist()]
         return out
 
     def factorize(self, n: int) -> Factorization:
         """Factorization of 1 <= n <= factor_limit via repeated spf division."""
-        n = operator.index(n)
-        if not 1 <= n <= self.factor_limit:
-            raise DomainError(f"n={n} outside factorization range 1..{self.factor_limit}")
+        n = as_int(n, "n", 1, self.factor_limit)
         e = (n & -n).bit_length() - 1
         pairs = [(2, e)] if e else []
         m = n >> e
         while m > 1:
-            p = self.spf(m)
+            p = self._spf(m)
             e = 0
             while m % p == 0:
                 m //= p
@@ -250,16 +239,14 @@ class SpfTable:
         factor s, int64, read in the cells, or by ``spf`` if an entry passes
         the limit.  ``new`` marks the s that differ from the row's previous
         round's: the odd prime divisors of ns[row], once each, increasing."""
-        m = np.asarray(ns, dtype=np.int64)
+        m = as_int_array(ns, "ns", 1, self.factor_limit)
         top = int(m.max(initial=1))
-        if m.size and (m.min() < 1 or top > self.factor_limit):
-            raise DomainError(f"array entries outside factor range 1..{self.factor_limit}")
         m = m // (m & -m)
         rows = np.flatnonzero(m > 1)
         m = m[rows]
         last = np.zeros_like(m)
         while m.size:
-            s = self._cells[m >> 1] if top <= self.limit else np.fromiter(map(self.spf, m.tolist()), np.int64, m.size)
+            s = self._cells[m >> 1] if top <= self.limit else np.fromiter(map(self._spf, m.tolist()), np.int64, m.size)
             s = np.where(s == 0, m, s)  # int64
             yield rows, s, s != last
             m //= s
@@ -273,7 +260,7 @@ class SpfTable:
         multiplies l by every factor of ``spf_rounds`` that repeats the
         round before's.
         """
-        m = np.asarray(ns, dtype=np.int64)
+        m = as_int_array(ns, "ns", 1, self.factor_limit)
         out = np.maximum((m & -m) >> 1, 1)
         for rows, s, new in self.spf_rounds(m):
             again = ~new
@@ -282,8 +269,11 @@ class SpfTable:
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
         """The primes in [lo, hi] (hi defaults to, and is clipped at, the limit) as int64."""
-        lo = max(lo, 0)
-        hi = self.limit if hi is None else min(hi, self.limit)
+        return self._primes(as_int(lo, "lo"), self.limit if hi is None else as_int(hi, "hi"))
+
+    def _primes(self, lo: int, hi: int) -> np.ndarray:
+        """``primes`` of Python ints lo and hi, unchecked."""
+        lo, hi = max(lo, 0), min(hi, self.limit)
         # the cells of the odd n in [lo, hi], counted and then filled a segment
         # at a time, so no mask spans the range; the poisoned cell of 1 never matches
         a = lo >> 1
@@ -299,9 +289,8 @@ class SpfTable:
         return out
 
     def prime_count(self, x: int) -> int:
-        """pi(x) for 0 <= x <= limit."""
-        if x > self.limit:
-            raise DomainError(f"x={x} beyond table limit {self.limit}")
+        """pi(x) for x <= limit."""
+        x = as_int(x, "x", hi=self.limit)
         # counted a segment at a time, so the temporary mask stays small
         return int(x >= 2) + sum(int(np.count_nonzero(zero)) for _, zero in self._zero_runs(0, (x + 1) >> 1))
 
@@ -314,9 +303,13 @@ def build_spf(limit: int) -> SpfTable:
 def progression_step(q):
     """Stride between the candidates 1 + mq that can be prime: q, or 2q for
     odd q > 1, since 1 + qm is then even and at least 4 for every odd m.
-    Takes an int or an integer array, elementwise; a uint64 array wraps
-    2q for odd q >= 2**63."""
-    return q << ((q > 1) & (q % 2 == 1))
+    Takes an int q >= 1, or an array of them (below 2**64) as uint64, where
+    a 2q that wraps becomes 2**64 - 1, above any ceiling below 2**64 too."""
+    q = as_int(q, "q", 1) if np.ndim(q) == 0 else as_int_array(q, "modulus q", 1).astype(np.uint64)
+    step = q << ((q > 1) & (q % 2 == 1))
+    if np.ndim(q):
+        step[step < q] = np.iinfo(np.uint64).max
+    return step
 
 
 # Candidates per array of progression_candidates; bounds the temporaries
@@ -324,29 +317,15 @@ def progression_step(q):
 PROGRESSION_CHUNK = 1 << 18
 
 
-def _strides(qs) -> np.ndarray:
-    """``progression_step`` of every modulus of ``qs`` as uint64, any q < 1
-    refused before the conversion wraps it, any q >= 2**64 where it fails.
-    Where 2q wraps, the true stride exceeds any ceiling below 2**64, and so
-    does the 2**64 - 1 put there."""
-    if np.min(qs, initial=1) < 1:
-        raise DomainError("modulus q must be >= 1")
-    try:
-        qs = np.asarray(qs, dtype=np.uint64)
-    except OverflowError as exc:
-        raise CapacityError("modulus q must be below 2**64") from exc
-    steps = progression_step(qs)
-    steps[steps < qs] = np.iinfo(np.uint64).max
-    return steps
-
-
 def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSION_CHUNK):
     """Yield (rows, candidates): every 1 + k * progression_step(qs[row]) with
     k >= 1 and at most ``ceiling`` (below 2**64), as uint64, in chunks of at
     most ``width``.  Rows come in order and each row's candidates increase; a
-    row with more than ``width`` candidates gets chunks of its own.  Any
-    q < 1 is refused with a DomainError."""
-    steps = _strides(qs)
+    row with more than ``width`` (<= PROGRESSION_CHUNK) candidates gets chunks
+    of its own.  Any q < 1 is refused with a DomainError."""
+    ceiling = as_int(ceiling, "ceiling", hi=(1 << 64) - 1)
+    width = as_int(width, "width", 1, PROGRESSION_CHUNK)
+    steps = progression_step(qs)
     if ceiling < 2 or not steps.size:
         return
     counts = (ceiling - 1) // steps
@@ -381,7 +360,8 @@ def primes_in_aps(qs: np.ndarray, x: int, table: SpfTable):
     the limit, Miller-Rabin above it.  Refused with a CapacityError before
     any test when x reaches 2**64 or more than ``MAX_AP_CANDIDATES``
     candidates, summed over all moduli, lie above the limit."""
-    steps = _strides(qs)
+    x = as_int(x, "x")
+    steps = progression_step(qs)
     if x >= 1 << 64:
         raise CapacityError(f"x={x} reaches 2**64; the witness set only proves primality below it")
     if x > table.limit:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InfeasibleError, NumericalError
+from .errors import CapacityError, DomainError, InfeasibleError, NumericalError, as_int, as_real, check_bytes
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -60,46 +60,49 @@ def hurwitz_zeta(s: float, a: float | np.ndarray):
     Euler-Maclaurin: a partial sum of N leading terms plus the integral
     and derivative corrections at the truncation point.  N grows until
     the first omitted correction term is below ``_ZETA_TOL`` relative to the
-    running value.  Accepts an array of a values (shared s).
+    running value.  Accepts an array of finite a > 0 (shared s); a term
+    beyond the float range is a DomainError.
     """
-    if s <= 1:
-        raise DomainError("hurwitz zeta implemented for s > 1 only")
-    arr = np.asarray(a, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(np.float64)
-    if np.any(arr <= 0):
-        raise DomainError("a must be positive")
-    partial = np.zeros_like(arr)
-    n = 0
-    target = 16
-    while True:
-        for k in range(n, target):
-            partial += (arr + k) ** (-s)
-        n = target
-        edge = arr + n
-        total = partial + edge ** (1.0 - s) / (s - 1.0) + 0.5 * edge ** (-s)
-        poch = s  # rising factorial s (s+1) ... with 2j-1 factors at depth j
-        power = edge ** (-s - 1.0)
-        fact = 2.0
-        last_rel = np.inf
-        for j, b2j in enumerate(_BERNOULLI, start=1):
-            term = b2j / fact * poch * power
-            total += term
-            last_rel = float(np.max(np.abs(term) / np.abs(total)))
-            poch *= (s + 2 * j - 1) * (s + 2 * j)
-            power = power / (edge * edge)
-            fact *= (2 * j + 1) * (2 * j + 2)
-        if last_rel < _ZETA_TOL:
-            break
-        if n >= 1 << 14:
-            raise NumericalError("hurwitz zeta failed to reach tolerance")
-        target = n * 2
+    s = as_real(s, "s", 1, lo_open=True)
+    scalar = np.ndim(a) == 0
+    arr = np.atleast_1d(np.asarray(as_real(a, "a") if scalar else a, dtype=np.float64))
+    if not (arr > 0).all():  # nan too; an infinite a leaves the float range below
+        raise DomainError("every a must be positive")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            partial = np.zeros_like(arr)
+            n = 0
+            target = 16
+            while True:
+                for k in range(n, target):
+                    partial += (arr + k) ** (-s)
+                n = target
+                edge = arr + n
+                total = partial + edge ** (1.0 - s) / (s - 1.0) + 0.5 * edge ** (-s)
+                poch = s  # rising factorial s (s+1) ... with 2j-1 factors at depth j
+                power = edge ** (-s - 1.0)
+                fact = 2.0
+                last_rel = np.inf
+                for j, b2j in enumerate(_BERNOULLI, start=1):
+                    term = b2j / fact * poch * power
+                    total += term
+                    last_rel = float(np.max(np.abs(term) / np.abs(total), initial=0.0))
+                    poch *= (s + 2 * j - 1) * (s + 2 * j)
+                    power = power / (edge * edge)
+                    fact *= (2 * j + 1) * (2 * j + 2)
+                if last_rel < _ZETA_TOL:
+                    break
+                if n >= 1 << 14:
+                    raise NumericalError("hurwitz zeta failed to reach tolerance")
+                target = n * 2
+        except FloatingPointError as exc:
+            raise DomainError(f"zeta({s}, a) leaves the float range: {exc}") from None
     return float(total[0]) if scalar else total
 
 
 def _check_y(y: int) -> tuple[int, ...]:
     """The primes <= y, for an admissible y."""
-    if y not in _ADMISSIBLE_Y:
+    if as_int(y, "y") not in _ADMISSIBLE_Y:
         raise DomainError(f"y must be one of {_ADMISSIBLE_Y}")
     return _ADMISSIBLE_Y[: _ADMISSIBLE_Y.index(y) + 1]
 
@@ -107,6 +110,7 @@ def _check_y(y: int) -> tuple[int, ...]:
 def euler_factor_tail(s: float, y: int) -> float:
     """prod over primes p > y of (1 - p^(-s))^(-1), evaluated exactly as
     zeta(s) divided by the finitely many Euler factors with p <= y."""
+    s = as_real(s, "s", 1, lo_open=True)
     primes = _check_y(y)
     value = hurwitz_zeta(s, 1.0)
     for p in primes:
@@ -133,6 +137,7 @@ class ResidueMatrix:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Dense rows lo..hi-1: rows(lo, hi)[i, j] = S(units[j], units[lo + i])."""
+        lo, hi = as_int(lo, "lo", 0, self.dimension), as_int(hi, "hi", 0, self.dimension)
         # m0 - 1 for m0 in [1, r] solving a * m0 = b - 1 (mod r)
         idx = np.multiply.outer(self.units[lo:hi] - 1, self.inverses)
         idx -= 1
@@ -157,7 +162,7 @@ class ResidueMatrix:
 
     def row_sum_closed_form(self, b: int) -> float:
         """Closed form for the row sum at unit b (see module docstring)."""
-        d = math.gcd(b - 1, self.r)
+        d = math.gcd(as_int(b, "b") - 1, self.r)
         value = self.tail
         for p in _check_y(self.y):
             if d % p == 0:
@@ -173,8 +178,7 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
     them.  y beyond 13 (dimension 5760) exceeds the entry budget and is
     rejected before anything of size r is allocated.
     """
-    if s <= 1:
-        raise DomainError("need s > 1 for convergence")
+    s = as_real(s, "s", 1, lo_open=True)
     primes = _check_y(y)
     r = math.prod(primes)
     dim = math.prod(p - 1 for p in primes)  # phi(r)
@@ -191,13 +195,18 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
     series = float(r) ** (-s) * hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
     inv = np.array([pow(int(a), -1, r) for a in units.tolist()], dtype=np.int64)
     return ResidueMatrix(
-        y=y, s=float(s), r=r, units=units, inverses=inv, entries=series, tail=euler_factor_tail(s, y)
+        y=y, s=s, r=r, units=units, inverses=inv, entries=series, tail=euler_factor_tail(s, y)
     )
 
 
 def link_series_direct(a: int, b: int, y: int, s: float, terms: int = 1_000_000) -> float:
-    """S(a, b) by direct summation of ``terms`` leading terms plus an
-    Euler-Maclaurin tail; an independent check of the closed form."""
+    """S(a, b) by direct summation of ``terms`` >= 1 leading terms (16 bytes
+    each against the memory ceiling) plus an Euler-Maclaurin tail; an
+    independent check of the closed form."""
+    a, b = as_int(a, "a"), as_int(b, "b")
+    s = as_real(s, "s", 1, lo_open=True)
+    terms = as_int(terms, "terms", 1)
+    check_bytes(16 * terms, f"{terms} terms")
     r = math.prod(_check_y(y))
     if math.gcd(a, r) != 1 or math.gcd(b, r) != 1:
         raise DomainError("a and b must be units mod r")
@@ -213,9 +222,8 @@ def link_series_direct(a: int, b: int, y: int, s: float, terms: int = 1_000_000)
 
 
 def max_row_sum_value(y: int, s: float) -> float:
-    """Closed-form R(M) without materializing the matrix."""
-    if s <= 1:
-        raise DomainError("need s > 1")
+    """Closed-form R(M) without materializing the matrix; 2^s is a float."""
+    s = as_real(s, "s", 1, 1023, lo_open=True)
     return euler_factor_tail(s, y) / (2.0 ** s - 1.0)
 
 
@@ -267,12 +275,10 @@ def chain_count_bound(x: float, y: int, grid_size: int = 64) -> ChainCountBound:
     Scans a geometric grid of s in (1, 3], keeps the points where the
     maximum row sum R is below 1, and returns the minimizing record.  The
     asymptotically motivated parameter suggestions are reported alongside
-    but never enforced.
+    but never enforced.  x may be inf, where no bound is finite.
     """
-    if not x >= 1:
-        raise DomainError("x must be >= 1")
-    if grid_size < 1:
-        raise DomainError("grid size must be >= 1")
+    x = as_real(x, "x", 1, math.inf)
+    grid_size = as_int(grid_size, "grid size", 1)
     if grid_size > _MAX_GRID:
         raise CapacityError(f"grid of more than {_MAX_GRID} points; lower the grid size")
     primes = _check_y(y)

@@ -30,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, as_int, check_bytes
 from .sieve import SpfTable, is_prime_u64, prime_count_bound, table_bytes
 
 _COEFF_CAP = 1 << 63
-# Ceiling on the bytes of one singular_series call, refused before it allocates;
-# cutoffs to 168,828,132 fit (the peak at 1e8 is 263.7 MiB).
-_MAX_BYTES = 1 << 29
+# Steps of one rhopm_total call, p^F rows of k multipliers: about 2 s (A06's largest: 8,788).
+_MAX_BOX_STEPS = 2_000_000
 _DIGIT_MASK = (1 << 31) - 1
 
 
@@ -62,9 +61,7 @@ def forms_from_links(multipliers: tuple[int, ...] | list[int]) -> FormSystem:
     at j = 3), in which case that form vanishes identically mod p and the
     attached singular series is exactly zero.
     """
-    ms = tuple(int(m) for m in multipliers)
-    if any(m < 0 for m in ms):
-        raise DomainError("multipliers must be nonnegative")
+    ms = tuple(as_int(m, "multiplier", 0) for m in multipliers)
     a = [1]
     b = [0]
     for m in ms:
@@ -95,6 +92,7 @@ def _root_count(p: int, multipliers) -> int:
 
 def xi(p: int, system: FormSystem) -> int:
     """Number of residues n mod a prime p at which some form vanishes mod p."""
+    p = as_int(p, "p")
     if not is_prime_u64(p):
         raise DomainError("p must be a prime >= 2")
     return _root_count(p, system.multipliers)
@@ -121,7 +119,8 @@ def discriminant_product(system: FormSystem) -> int:
 
 def _footprint_bytes(prime_cutoff: int) -> int:
     """Peak bytes of ``singular_series``: its table and prime list (8 bytes a prime), or,
-    once the table is freed, the product's arrays (48 bytes a prime)."""
+    once the table is freed, the product's arrays (48 bytes a prime).  Cutoffs
+    to 168,828,132 fit the ceiling (the peak at 1e8 is 263.7 MiB)."""
     primes = prime_count_bound(prime_cutoff)
     return max(table_bytes(prime_cutoff) + int(8 * primes), int(48 * primes))
 
@@ -154,16 +153,11 @@ def singular_series(
     exp(+-tau) with tau bounding |log prod (1 - k/p)(1 - 1/p)^(-k)|.
 
     Returns 0 (exactly) when some prime has xi(p) = p, which happens iff
-    some residue class is fully obstructed.
+    some residue class is fully obstructed.  The footprint guard runs first.
     """
-    ms = tuple(int(m) for m in multipliers)
-    if any(m < 1 for m in ms):
-        raise DomainError("singular series needs multipliers >= 1")
-    if prime_cutoff < 100:
-        raise DomainError("prime cutoff must be >= 100")
-    need = _footprint_bytes(prime_cutoff)
-    if need > _MAX_BYTES:
-        raise CapacityError(f"prime cutoff {prime_cutoff} needs about {need >> 20} MiB, above the {_MAX_BYTES >> 20} MiB ceiling")
+    check_bytes(_footprint_bytes(prime_cutoff), f"prime cutoff {prime_cutoff}")
+    prime_cutoff = as_int(prime_cutoff, "prime cutoff", 100)
+    ms = tuple(as_int(m, "multiplier", 1) for m in multipliers)
     system = forms_from_links(ms)
     k = system.k
     if xi(2, system) == 2:
@@ -228,25 +222,19 @@ def rhopm_total(p: int, k: int, free: tuple[int, ...], fixed: dict[int, int] | N
     Multiplier indices in ``free`` (1-based, in 1..k-1) range over all of
     [0, p); the rest are pinned by ``fixed`` (defaulting to 1).  The sum is
     taken by direct enumeration and the bound is p^(F+1) - (p-1)^(F+1)
-    with F = len(free).
+    with F = len(free).  Boxes of more than ``_MAX_BOX_STEPS`` are refused.
     """
-    if k < 1 or not is_prime_u64(p):
-        raise DomainError("need a prime p and k >= 1")
-    fixed = dict(fixed or {})
-    free = tuple(sorted(set(free)))
-    if any(not 1 <= i <= k - 1 for i in free):
-        raise DomainError("free indices must lie in 1..k-1")
-    if any(not 1 <= i <= k - 1 for i in fixed):
-        raise DomainError("fixed indices must lie in 1..k-1")
+    p, k = as_int(p, "p"), as_int(k, "k", 1)
+    if not is_prime_u64(p):
+        raise DomainError(f"{p} is not prime")
+    free = tuple(sorted({as_int(i, "free index", 1, k - 1) for i in free}))
+    fixed = {as_int(i, "fixed index", 1, k - 1): as_int(m, "fixed multiplier", 0) for i, m in (fixed or {}).items()}
     if set(free) & set(fixed):
         raise DomainError("an index cannot be both free and fixed")
     f_count = len(free)
-    if p ** f_count > 2_000_000:
-        raise CapacityError("multiplier box too large to enumerate")
-
-    if any(v < 0 for v in fixed.values()):
-        raise DomainError("fixed multipliers must be nonnegative")
-
+    # p >= 2, so p^64 alone passes the bound: the power needs no more digits
+    if p ** min(f_count, 64) * k > _MAX_BOX_STEPS:
+        raise CapacityError(f"a box of {p}^{f_count} rows of {k} multipliers is too large to enumerate")
     row = [fixed.get(i, 1) % p for i in range(1, k)]
     total = 0
     for r in range(p ** f_count):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from primechain import cli, pratt, sieve
+from primechain import cli, errors, pratt, sieve
 from test_pratt import naive_f, naive_g, naive_h, trial_tree
 
 
@@ -62,7 +62,7 @@ class TestPratt:
         # hist over the primes up to 400000010 needs about 662 MiB and is
         # refused before its table; pratt --prime 400000009 builds a 2^16 table
         p = 400_000_009
-        assert pratt.footprint_bytes(p + 1) > cli._TREE_MAX_BYTES
+        assert pratt.footprint_bytes(p + 1) > errors.MAX_BYTES
         limits = []
         table = cli._table
         monkeypatch.setattr(cli, "_table", lambda limit: limits.append(limit) or table(limit))

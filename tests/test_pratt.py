@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from primechain import chains, pratt, sieve
-from primechain.errors import CapacityError, DomainError, IntegrityError
+from primechain.errors import MAX_BYTES, CapacityError, DomainError, IntegrityError
 from primechain.verify import naive_f, naive_h
 from test_sieve import trial_pairs
 
@@ -395,8 +395,8 @@ class TestTotientIteration:
 
         monkeypatch.setattr(pratt.np, "arange", allocated)
         # a stand-in for the largest table SpfTable admits, limit 2**29
-        largest = types.SimpleNamespace(limit=sieve.MAX_TABLE_BYTES)
-        x = pratt._PHI_ITER_MAX_BYTES // 24 - 1  # three int64 arrays of x + 1 entries fit
+        largest = types.SimpleNamespace(limit=MAX_BYTES)
+        x = MAX_BYTES // 24 - 1  # three int64 arrays of x + 1 entries fit
         with pytest.raises(Allocated):
             pratt.phi_iter_stats(x, 1, 0.5, largest)
         for big in (x + 1, largest.limit):

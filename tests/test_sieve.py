@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from primechain import sieve
-from primechain.errors import CapacityError, DomainError
+from primechain.errors import MAX_BYTES, CapacityError, DomainError
 
 
 def naive_primes(n):
@@ -128,7 +128,7 @@ class TestSpfTable:
 
         monkeypatch.setattr(sieve, "_simple_prime_array", no_sieving)
         limit = 10**9
-        assert sieve.table_bytes(limit) > sieve.MAX_TABLE_BYTES
+        assert sieve.table_bytes(limit) > MAX_BYTES
         with pytest.raises(CapacityError):
             sieve.SpfTable(limit)
 
@@ -341,7 +341,7 @@ class TestPrimesInProgression:
         def tested(n):
             raise Tested(n)
 
-        monkeypatch.setattr(sieve, "is_prime_u64", tested)
+        monkeypatch.setattr(sieve, "_miller_rabin", tested)
         small = sieve.build_spf(1000)
         # one modulus 3 has 333,166 candidates above the limit, so testing starts;
         # four share the MAX_AP_CANDIDATES budget and exceed it

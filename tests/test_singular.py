@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from primechain import sieve, singular
-from primechain.errors import CapacityError, DomainError
+from primechain.errors import MAX_BYTES, CapacityError, DomainError
 
 # High-precision value of 2 * prod_{p>2} (1 - 1/(p-1)^2), the density
 # constant shared by the one-link system (n, 2n+1).
@@ -212,8 +212,8 @@ class TestSingularSeries:
             raise Allocated
 
         edge = 168_828_132  # the largest cutoff whose table or arrays fit
-        assert singular._footprint_bytes(edge) <= singular._MAX_BYTES < singular._footprint_bytes(edge + 1)
-        assert singular._footprint_bytes(10**8) <= singular._MAX_BYTES
+        assert singular._footprint_bytes(edge) <= MAX_BYTES < singular._footprint_bytes(edge + 1)
+        assert singular._footprint_bytes(10**8) <= MAX_BYTES
         for name in ("array", "arange", "ones", "zeros", "empty"):
             monkeypatch.setattr(singular.np, name, allocated)
         with pytest.raises(Allocated):
