@@ -73,6 +73,9 @@ from .rng import GOLDEN, RDE_SALT, mix64, mix64_int, replicate_keys, stream_draw
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
 _E = math.e
+# Ceiling on RunConfig.threads, the OS threads one _map call may start; the
+# walk's numpy kernels gain nothing from more workers than cores.
+MAX_THREADS = 256
 
 
 @dataclass
@@ -87,7 +90,8 @@ class RunConfig:
     the minima; batch layout has no effect on results.  ``simulate_run``,
     ``t_epsilon`` and ``rde_iterate`` run one replicate or their own
     population, so they read ``seed``, ``threads`` and ``batch_rows`` but
-    not ``replicates``.  Fields are stored as Python ints; a seed counts mod 2^64.
+    not ``replicates``.  ``threads`` is at most ``MAX_THREADS``.  Fields are
+    stored as Python ints; a seed counts mod 2^64.
     """
 
     seed: int = 1
@@ -98,7 +102,7 @@ class RunConfig:
     def __post_init__(self):
         self.seed = as_int(self.seed, "seed")
         self.replicates = as_int(self.replicates, "replicates", 1, (1 << 63) - 1)
-        self.threads = as_int(self.threads, "threads", 1)
+        self.threads = as_int(self.threads, "threads", 1, MAX_THREADS)
         self.batch_rows = as_int(self.batch_rows, "batch_rows", 1)
 
 

@@ -102,14 +102,14 @@ def _kv(payload: dict, *skip: str) -> tuple[dict, list[str], list[list]]:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        return as_int(args.threads, "--threads", 1)
+        return as_int(args.threads, "--threads", 1, brw.MAX_THREADS)
     env = os.environ.get("PRIMECHAIN_THREADS")
     if env:
         try:
             n = int(env)
         except ValueError as exc:
             raise DomainError(f"PRIMECHAIN_THREADS={env!r} is not an integer") from exc
-        return as_int(n, "PRIMECHAIN_THREADS", 1)
+        return as_int(n, "PRIMECHAIN_THREADS", 1, brw.MAX_THREADS)
     return 1
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,7 +143,8 @@ class SpfTable:
     cells each.  No other module reads the cells; they ask the methods,
     ``spf_rounds`` for spf division of whole arrays, up to ``factor_limit``
     = min(limit^2, 2**32 - 1): above the limit by trial division by the
-    table's primes, for a few n, such as one tree's labels.
+    table's primes up to isqrt(factor_limit), listed once per table, for a
+    few n, such as one tree's labels.
     """
 
     def __init__(self, limit: int):
@@ -186,9 +188,16 @@ class SpfTable:
         if n % 2 == 0:
             return 2
         if n > self.limit:
-            return next((p for p in self._primes(3, math.isqrt(n)).tolist() if n % p == 0), n)
+            p = next((p for p in self._trial_primes if n % p == 0 or p * p > n), n)
+            return p if p * p <= n else n
         v = int(self._cells[n >> 1])
         return n if v == 0 else v
+
+    @cached_property
+    def _trial_primes(self) -> list[int]:
+        """The odd primes up to isqrt(factor_limit), listed on first use: the
+        trial divisors of every n above the limit."""
+        return self._primes(3, math.isqrt(self.factor_limit)).tolist()
 
     def is_prime(self, n: int) -> bool:
         """Primality for any 64-bit n; table lookup below the limit,

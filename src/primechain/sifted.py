@@ -126,6 +126,8 @@ class ResidueMatrix:
     y: int
     s: float
     r: int
+    # both in the narrowest signed dtype holding (r - 1)^2, int32 from y = 7 on,
+    # so the products and remainders of ``rows`` stay in it
     units: np.ndarray  # the phi(r) units mod r, increasing
     inverses: np.ndarray  # inverses[j] = units[j]^(-1) mod r
     entries: np.ndarray  # entries[k - 1] = r^(-s) zeta(s, k/r), the value of link residue m0 = k
@@ -190,10 +192,11 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
     coprime = np.ones(r + 1, dtype=bool)
     for p in primes:
         coprime[p::p] = False
-    units = np.nonzero(coprime[1 : r + 1])[0].astype(np.int64) + 1
+    dtype = np.min_scalar_type(-((r - 1) ** 2))
+    units = np.nonzero(coprime[1 : r + 1])[0].astype(dtype) + 1
     # series[k - 1] = S for the link residue m0 = k, k = 1..r
     series = float(r) ** (-s) * hurwitz_zeta(s, np.arange(1, r + 1, dtype=np.float64) / r)
-    inv = np.array([pow(int(a), -1, r) for a in units.tolist()], dtype=np.int64)
+    inv = np.array([pow(int(a), -1, r) for a in units.tolist()], dtype=dtype)
     return ResidueMatrix(
         y=y, s=s, r=r, units=units, inverses=inv, entries=series, tail=euler_factor_tail(s, y)
     )

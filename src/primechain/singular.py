@@ -19,8 +19,8 @@ the discriminant-like integer
 
 every form has exactly one root mod p and the roots are pairwise distinct,
 so xi(p) = k; this makes the infinite product computable: exact factors
-for p <= P (scan for divisors of N, the k-form factor otherwise) and a
-rigorously bounded tail interval for p > P.
+for p <= P (scan for divisors of N, the k-form factor otherwise, a chunk of
+the factor table at a time) and a rigorously bounded tail interval for p > P.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ _COEFF_CAP = 1 << 63
 # Steps of one rhopm_total call, p^F rows of k multipliers: about 2 s (A06's largest: 8,788).
 _MAX_BOX_STEPS = 2_000_000
 _DIGIT_MASK = (1 << 31) - 1
+# Integers of the factor table that singular_series reads per chunk.  While
+# one chunk's primes are listed, its arrays and the chunk before's hold at
+# most one entry per odd integer each and 64 bytes an entry between them.
+_CHUNK = 1 << 18
+_CHUNK_BYTES = 64 * (_CHUNK // 2)
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,11 @@ def discriminant_product(system: FormSystem) -> int:
 
 
 def _footprint_bytes(prime_cutoff: int) -> int:
-    """Peak bytes of ``singular_series``: its table and prime list (8 bytes a prime), or,
-    once the table is freed, the product's arrays (48 bytes a prime).  Cutoffs
-    to 168,828,132 fit the ceiling (the peak at 1e8 is 263.7 MiB)."""
+    """Peak bytes of ``singular_series``: its table, one float64 a prime for the
+    generic terms, and one chunk's temporaries.  Cutoffs to 349,903,901 fit the
+    ceiling."""
     primes = prime_count_bound(prime_cutoff)
-    return max(table_bytes(prime_cutoff) + int(8 * primes), int(48 * primes))
+    return table_bytes(prime_cutoff) + int(8 * primes) + _CHUNK_BYTES
 
 
 @dataclass(frozen=True)
@@ -152,28 +157,65 @@ def singular_series(
     the generic factor; the p > P tail is bracketed by
     exp(+-tau) with tau bounding |log prod (1 - k/p)(1 - 1/p)^(-k)|.
 
+    The factor table up to P is read ``_CHUNK`` integers at a time; each
+    chunk's generic terms go into one float64 array of pi(P) entries, whose
+    single pairwise sum ends the walk, so no other array spans the range.
+
     Returns 0 (exactly) when some prime has xi(p) = p, which happens iff
-    some residue class is fully obstructed.  The footprint guard runs first.
+    some residue class is fully obstructed, before that prime's log1p(-1).
+    The footprint guard runs first.
     """
     check_bytes(_footprint_bytes(prime_cutoff), f"prime cutoff {prime_cutoff}")
     prime_cutoff = as_int(prime_cutoff, "prime cutoff", 100)
     ms = tuple(as_int(m, "multiplier", 1) for m in multipliers)
     system = forms_from_links(ms)
     k = system.k
+    zero = SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
     if xi(2, system) == 2:
         # exactly when some multiplier is odd; known before N's O(k^2) factors
-        return SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
+        return zero
     bigN = discriminant_product(system)
 
-    primes = SpfTable(prime_cutoff).primes()
+    table = SpfTable(prime_cutoff)
+    terms = np.empty(table.prime_count(prime_cutoff))
+    used = 0
+    digits = [(bigN >> shift) & _DIGIT_MASK for shift in range(31 * (bigN.bit_length() // 31), -1, -31)]
+    special = []
+    log_exact = 0.0
+    for lo in range(0, prime_cutoff + 1, _CHUNK):
+        primes = table.primes(lo, lo + _CHUNK - 1)
+        # Primes whose local factor needs ``xi``: the divisors of N.  N mod p
+        # for every p of the chunk by Horner's rule over N's 31-bit digits;
+        # p < 2^32, so rem << 31 plus a digit stays below 2^63.
+        rem = np.zeros_like(primes)
+        for d in digits:
+            rem <<= 31
+            rem += d
+            rem %= primes
+        divides = rem == 0
+        for p in primes[divides].tolist():
+            x = _root_count(p, ms)
+            if x == p:
+                return zero
+            log_exact += math.log1p(-x / p) - k * math.log1p(-1.0 / p)
+            special.append(p)
+        generic = primes[~divides].astype(np.float64)
+        # A generic prime carries k distinct roots, so p <= k forces xi(p) = p
+        # (possible only when p = k) and the whole product vanishes.
+        if generic.size and generic[0] <= k:
+            return zero
+        # log1p(-k/p) - k log1p(-1/p), into the chunk's slice of ``terms``
+        out = terms[used : used + generic.size]
+        np.divide(-k, generic, out=out)
+        np.log1p(out, out=out)
+        np.divide(-1.0, generic, out=generic)
+        np.log1p(generic, out=generic)
+        generic *= k
+        out -= generic
+        used += generic.size
+    # one contiguous pairwise sum over the generic primes in order
+    log_exact += float(np.sum(terms[:used]))
 
-    # Primes whose local factor needs ``xi``: the divisors of N.  N
-    # mod p for every p at once by Horner's rule over N's 31-bit digits;
-    # p < 2^28 under the footprint guard, so every step fits in int64.
-    rem = np.zeros(primes.size, dtype=np.int64)
-    for shift in range(31 * (bigN.bit_length() // 31), -1, -31):
-        rem = ((rem << 31) + ((bigN >> shift) & _DIGIT_MASK)) % primes
-    special = primes[rem == 0].tolist()
     residue = bigN
     for p in special:
         while residue % p == 0:
@@ -184,19 +226,6 @@ def singular_series(
     if residue > 1:
         unknown_big_primes = int(math.log(residue) / math.log(prime_cutoff)) + 1
 
-    log_exact = 0.0
-    for p in special:
-        x = xi(p, system)
-        if x == p:
-            return SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
-        log_exact += math.log1p(-x / p) - k * math.log1p(-1.0 / p)
-
-    generic = primes[rem != 0].astype(np.float64)
-    # A generic prime carries k distinct roots, so p <= k forces xi(p) = p
-    # (possible only when p = k) and the whole product vanishes.
-    if generic.size and float(generic.min()) <= k:
-        return SingularValue(0.0, 0.0, 0.0, prime_cutoff, k)
-    log_exact += float(np.sum(np.log1p(-k / generic) - k * np.log1p(-1.0 / generic)))
     value = math.exp(log_exact)
 
     # |log((1 - k/p)(1 - 1/p)^(-k))| <= k^2 / (2 p^2) * 1 / (1 - (k+1)/p)

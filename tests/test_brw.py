@@ -86,6 +86,13 @@ class TestRunConfig:
         with pytest.raises(CapacityError):
             brw.estimate_tails(4, cfg(), grid_step=grid_step, grid_max=grid_max)
 
+    def test_thread_ceiling(self):
+        # built only: no operation runs, so no thread starts
+        assert brw.RunConfig(threads=brw.MAX_THREADS).threads == brw.MAX_THREADS
+        for threads in (brw.MAX_THREADS + 1, 10**6):
+            with pytest.raises(DomainError, match="threads"):
+                brw.RunConfig(threads=threads)
+
     def test_defaults(self):
         c = brw.RunConfig(seed=7)
         assert c.replicates == 10_000 and c.threads == 1 and c.batch_rows == 4_000_000

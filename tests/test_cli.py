@@ -537,6 +537,14 @@ class TestSeedAndThreadsPlumbing:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    def test_threads_above_the_ceiling(self, capsys, monkeypatch):
+        # refused while the arguments are read; pratt starts no thread even if accepted
+        code, _, err = run_cli(capsys, "pratt", "--prime", "7", "--threads", "1000000")
+        assert code == 1 and "--threads=1000000" in json.loads(err)["error"]["message"]
+        monkeypatch.setenv("PRIMECHAIN_THREADS", "1000000")
+        code, _, err = run_cli(capsys, "pratt", "--prime", "7")
+        assert code == 1 and "PRIMECHAIN_THREADS=1000000" in json.loads(err)["error"]["message"]
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "dickman", "--u", "2.0", "--out", str(path))

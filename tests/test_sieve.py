@@ -233,6 +233,24 @@ class TestFactorRange:
                 query(10**6 + 1)
 
 
+    def test_trial_primes_listed_once_per_table(self, monkeypatch):
+        calls = []
+        listed = sieve.SpfTable._primes
+
+        def recorded(table, lo, hi):
+            calls.append((lo, hi))
+            return listed(table, lo, hi)
+
+        small, whole = sieve.SpfTable(1000), sieve.SpfTable(10**6)
+        ns = np.arange(10**6 - 1999, 10**6, 2)
+        monkeypatch.setattr(sieve.SpfTable, "_primes", recorded)
+        for _ in range(2):
+            got = [tuple(a.tolist() for a in r) for r in small.spf_rounds(ns)]
+            assert calls == [(3, 1000)]
+        # the same rounds as the cells of a table that covers every n
+        assert got == [tuple(a.tolist() for a in r) for r in whole.spf_rounds(ns)]
+
+
 class TestUnitaryCofactors:
     def test_matches_factorize_to_2_17(self):
         t = sieve.build_spf(1 << 17)

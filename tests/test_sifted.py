@@ -120,6 +120,15 @@ class TestResidueMatrix:
             assert dense[i].tobytes() == want.tobytes(), b
             assert m.rows(i, i + 1).tobytes() == want.tobytes(), b
 
+    @pytest.mark.parametrize("y", [11, 13])
+    def test_narrow_residues_gather_the_int64_rows(self, y):
+        m = sifted.build_matrix(y, 2.0)
+        assert m.units.dtype == m.inverses.dtype == np.int32 and (m.r - 1) ** 2 < 2**31
+        units, inv = m.units.astype(np.int64), m.inverses.astype(np.int64)
+        for lo in (0, m.dimension // 2, m.dimension - 3):
+            idx = (np.multiply.outer(units[lo : lo + 3] - 1, inv) - 1) % m.r
+            assert m.rows(lo, lo + 3).tobytes() == m.entries[idx].tobytes()
+
     def test_one_hurwitz_tail_per_matrix(self, monkeypatch):
         calls = []
         real = sifted.hurwitz_zeta

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,6 +182,61 @@ class TestSingularSeries:
             else:
                 assert sv.value == pytest.approx(math.exp(log_total), rel=1e-12), ms
 
+    @staticmethod
+    def whole_array_series(ms, cutoff):
+        """(value, lower, upper) with every prime up to the cutoff in one array:
+        the remainders of N and the generic terms taken at once."""
+        system = singular.forms_from_links(ms)
+        k, big_n = system.k, singular.discriminant_product(system)
+        primes = sieve.SpfTable(cutoff).primes()
+        rem = np.array([big_n % p for p in primes.tolist()])
+        special = primes[rem == 0].tolist()
+        log_exact = 0.0
+        for p in special:
+            x = singular.xi(p, system)
+            if x == p:
+                return 0.0, 0.0, 0.0
+            log_exact += math.log1p(-x / p) - k * math.log1p(-1.0 / p)
+        generic = primes[rem != 0].astype(np.float64)
+        if generic.size and generic.min() <= k:
+            return 0.0, 0.0, 0.0
+        log_exact += float(np.sum(np.log1p(-k / generic) - k * np.log1p(-1.0 / generic)))
+        residue = big_n
+        for p in special:
+            while residue % p == 0:
+                residue //= p
+        unknown = int(math.log(residue) / math.log(cutoff)) + 1 if residue > 1 else 0
+        value, P = math.exp(log_exact), float(cutoff)
+        tau = k * k / (2.0 * P) / (1.0 - (k + 1) / P)
+        lower = value * math.exp(-tau) * (1.0 - k / P) ** unknown
+        upper = value * math.exp(tau) * (1.0 - 1.0 / P) ** (-k * unknown)
+        return value, lower, upper
+
+    # cutoffs on both sides of the 2^18 chunk edges; the primes 524341 and
+    # 999983 divide N in the third and fourth chunk, and (2, 2 * 1000003,
+    # 1000002) vanishes first at 1000003, in the fourth: its fourth form is
+    # 0 n + 0 mod 1000003
+    @pytest.mark.parametrize(
+        "links, cutoff, vanishes",
+        [
+            ((2,), 262_143, False),
+            ((2,), 262_144, False),
+            ((2, 6, 10), 524_289, False),
+            ((2, 6, 6, 10), 1_000_000, False),
+            ((2, 2 * 524_341), 600_000, False),
+            ((2 * 999_983,), 1_000_000, False),
+            ((2, 2 * 1_000_003, 1_000_002), 1_100_000, True),
+            ((2, 4), 1000, True),
+        ],
+    )
+    def test_chunks_match_one_whole_array(self, links, cutoff, vanishes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero returns come before any log1p(-1)
+            sv = singular.singular_series(links, prime_cutoff=cutoff)
+        want = self.whole_array_series(links, cutoff)
+        assert (sv.value, sv.lower, sv.upper) == want
+        assert (sv.value == 0.0) == vanishes
+
     def test_primes_come_from_one_factor_table(self, monkeypatch):
         limits = []
         primes = sieve.SpfTable.primes
@@ -211,7 +267,7 @@ class TestSingularSeries:
         def allocated(*args, **kwargs):
             raise Allocated
 
-        edge = 168_828_132  # the largest cutoff whose table or arrays fit
+        edge = 349_903_901  # the largest cutoff whose table, terms and one chunk fit
         assert singular._footprint_bytes(edge) <= MAX_BYTES < singular._footprint_bytes(edge + 1)
         assert singular._footprint_bytes(10**8) <= MAX_BYTES
         for name in ("array", "arange", "ones", "zeros", "empty"):
