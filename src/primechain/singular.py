@@ -180,7 +180,7 @@ def singular_series(
     terms = np.empty(table.prime_count(prime_cutoff))
     used = 0
     digits = [(bigN >> shift) & _DIGIT_MASK for shift in range(31 * (bigN.bit_length() // 31), -1, -31)]
-    special = []
+    residue = bigN
     log_exact = 0.0
     for lo in range(0, prime_cutoff + 1, _CHUNK):
         primes = table.primes(lo, lo + _CHUNK - 1)
@@ -198,7 +198,8 @@ def singular_series(
             if x == p:
                 return zero
             log_exact += math.log1p(-x / p) - k * math.log1p(-1.0 / p)
-            special.append(p)
+            while residue % p == 0:
+                residue //= p
         generic = primes[~divides].astype(np.float64)
         # A generic prime carries k distinct roots, so p <= k forces xi(p) = p
         # (possible only when p = k) and the whole product vanishes.
@@ -216,10 +217,6 @@ def singular_series(
     # one contiguous pairwise sum over the generic primes in order
     log_exact += float(np.sum(terms[:used]))
 
-    residue = bigN
-    for p in special:
-        while residue % p == 0:
-            residue //= p
     # residue > 1 now only has prime factors beyond the cutoff; their xi
     # is unknown (1..k), handled by widening the tail interval below.
     unknown_big_primes = 0
