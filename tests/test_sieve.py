@@ -232,7 +232,6 @@ class TestFactorRange:
             with pytest.raises(DomainError):
                 query(10**6 + 1)
 
-
     def test_trial_primes_listed_once_per_table(self, monkeypatch):
         calls = []
         listed = sieve.SpfTable._primes
