@@ -4,7 +4,7 @@ the fragmentation / branching-random-walk model behind them.
 
 Submodules:
 
-* sieve     segmented smallest-prime-factor table and progression counts
+* sieve     segmented smallest-prime-factor table, prime stream, progression counts
 * pratt     tree statistics f, H, g over shifted-prime factorizations
 * chains    explicit chain enumeration and counting identities
 * sifted    residue-matrix upper bounds via Hurwitz zeta row sums

@@ -70,13 +70,17 @@ def as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int
 
 def as_real(value, name: str, lo: float = -sys.float_info.max, hi: float = sys.float_info.max, *, lo_open: bool = False) -> float:
     """``value`` as a Python float in [lo, hi], or (lo, hi] if ``lo_open``; by default
-    the finite floats, so nan and inf are a DomainError, a non-number a TypeError."""
+    the finite floats, so nan and inf are a DomainError, a non-number a TypeError.
+    An int past the floats that an infinite bound admits is +-inf."""
     if not isinstance(value, (int, float)) and not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     x = value if isinstance(value, int) else float(value)  # an int compares exactly, a float32 at its value
     if not (lo < x if lo_open else lo <= x) or not x <= hi:
         raise DomainError(f"{name}={x} outside {'(' if lo_open else '['}{lo}, {hi}]")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int past the floats, inside an infinite bound
+        return math.inf if x > 0 else -math.inf
 
 
 def as_int_array(values, name: str, lo: int | None = None, hi: int | None = None) -> np.ndarray:

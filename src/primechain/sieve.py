@@ -1,15 +1,17 @@
 """Segmented smallest-prime-factor sieve and factorization helpers.
 
-The central object is :class:`SpfTable`: smallest-prime-factor values for
-every odd integer in ``2..limit``, materialized segment by segment so each
-working block stays cache resident; an even integer's is 2.  Primes are
-the cells whose smallest prime factor equals the integer itself;
-internally those cells store 0 so a freshly zeroed segment needs one
-marking pass only.
+One segment walk marks the smallest-prime-factor values of every odd
+integer in ``2..limit``, segment by segment so each working block stays
+cache resident; an even integer's is 2.  Primes are the cells whose
+smallest prime factor equals the integer itself; internally those cells
+store 0 so a freshly zeroed segment needs one marking pass only.  The
+walk has two consumers: :class:`SpfTable` keeps its segments, and
+:func:`prime_chunks` streams each segment's primes out of one reused
+buffer and keeps no cells.
 
-Everything downstream (Pratt trees, chain enumeration, totient iterates,
-singular series) factorizes through this table, above its limit by trial
-division by its primes.  Primality above the limit falls back to a
+Pratt trees, chain enumeration and totient iterates factorize through the
+table, above its limit by trial division by its primes; the singular
+series reads the stream.  Primality above the limit falls back to a
 deterministic Miller-Rabin test that is exact for all 64-bit inputs.
 """
 
@@ -25,6 +27,13 @@ from .errors import CapacityError, as_int, as_int_array, as_real, check_bytes
 
 # Cells sieved per pass; one segment of uint16 cells stays cache resident.
 SEGMENT_WIDTH = 1 << 20
+# Cells per array of prime_chunks.  The stream sieves whole segments, so its
+# base-prime loop runs once a segment as the table's does, and lists each
+# segment's primes a quarter at a time, so one array, and the arrays a consumer
+# builds from it, stay small.  Sieving 2^18 cells a pass as well held the same
+# memory, but singular_series at 349,903,901 took 1.6 s that way, against 1.4 s
+# on a whole factor table and 1.25 s this way (three runs each, 2-core Xeon).
+PRIME_CHUNK = 1 << 18
 MAX_LIMIT = (1 << 32) - 1
 # Ceiling on the candidates above a table's limit, summed over all moduli, that
 # one primes_in_aps call tests with Miller-Rabin: about 20 s at 64 bits, 2-core
@@ -85,7 +94,7 @@ def prime_count_bound(x: int) -> float:
 
 
 def _simple_prime_array(n: int) -> np.ndarray:
-    """Primes <= n by a plain boolean sieve: the base primes of ``SpfTable``."""
+    """Primes <= n by a plain boolean sieve: the base primes of the segment walk."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     flags = np.ones(n + 1, dtype=bool)
@@ -94,6 +103,63 @@ def _simple_prime_array(n: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.nonzero(flags)[0].astype(np.int64)
+
+
+def _sieve_segment(seg: np.ndarray, lo: int, base: list[int]) -> None:
+    """Mark the zeroed cells lo.. of ``seg``: the odd multiples of an odd
+    prime p are the cells = (p - 1) / 2 (mod p), and each p of ``base``
+    marks those from p^2 on.  ``base`` lists the largest p first, so the
+    smallest factor's mark is the one that stays."""
+    hi = lo + seg.size
+    for p in base:
+        start = max(p * p >> 1, lo + ((p >> 1) - lo) % p)
+        if start < hi:
+            seg[start - lo :: p] = p
+
+
+def _segments(limit: int, cells: np.ndarray | None = None):
+    """The one segment walk: yield (lo, seg), the cells lo.. of 2..limit
+    marked by ``_sieve_segment``, ``SEGMENT_WIDTH`` at a time, the cell of 1
+    poisoned.  Each seg is a view of ``cells`` (zeroed, one per odd integer)
+    when given, else of one buffer zeroed again for every segment, so the
+    walk itself keeps one segment."""
+    size = (limit + 1) // 2
+    base = _simple_prime_array(math.isqrt(limit))[1:].tolist()[::-1]  # odd, largest first
+    buffer = np.empty(min(size, SEGMENT_WIDTH), dtype=np.uint16) if cells is None else None
+    for lo in range(0, size, SEGMENT_WIDTH):
+        if cells is None:
+            seg = buffer[: size - lo]
+            seg.fill(0)
+        else:
+            seg = cells[lo : lo + SEGMENT_WIDTH]
+        if lo == 0:
+            seg[0] = 1  # 1 is out of domain; poison its cell
+        _sieve_segment(seg, lo, base)
+        yield lo, seg
+
+
+def _cell_primes(zero: np.ndarray, j: int) -> np.ndarray:
+    """The primes 2 (j + i) + 1 of the cells j + i marked in ``zero``, as
+    int64, increasing."""
+    out = np.flatnonzero(zero).astype(np.int64, copy=False)
+    out += j
+    out <<= 1
+    out += 1
+    return out
+
+
+def prime_chunks(limit: int):
+    """Yield the primes up to ``limit`` (2..MAX_LIMIT), increasing, as int64
+    arrays: the i-th holds those in [2i PRIME_CHUNK, 2(i + 1) PRIME_CHUNK),
+    maybe none.  The segment walk of ``SpfTable`` marks one reused buffer, so
+    the stream keeps no cells and holds one segment and one array at a time
+    whatever the limit.  A limit outside 2..MAX_LIMIT is refused before
+    anything is sieved."""
+    limit = as_int(limit, "prime limit", 2, MAX_LIMIT)
+    for lo, seg in _segments(limit):
+        for a in range(0, seg.size, PRIME_CHUNK):
+            primes = _cell_primes(seg[a : a + PRIME_CHUNK] == 0, lo + a)
+            yield np.concatenate(([2], primes)) if lo + a == 0 else primes
 
 
 @dataclass(frozen=True)
@@ -132,8 +198,8 @@ class Factorization:
 
 
 class SpfTable:
-    """Smallest-prime-factor values for 2..limit, sieved per segment and
-    stored for the odd integers only.
+    """Smallest-prime-factor values for 2..limit, sieved by the segment walk
+    and stored for the odd integers only.
 
     Cell j holds spf(2j + 1), 0 marking a prime (its smallest prime factor
     is the number itself); the cell of 1 is poisoned.  Every even n has
@@ -152,25 +218,8 @@ class SpfTable:
         check_bytes(table_bytes(limit), f"table limit {limit}")  # so limit < MAX_LIMIT
         self.limit = limit
         self.factor_limit = min(self.limit**2, MAX_LIMIT)
-        self._base = _simple_prime_array(math.isqrt(limit))[1:].tolist()[::-1]  # odd, largest first
         self._cells = np.zeros((limit + 1) // 2, dtype=np.uint16)
-        self._cells[0] = 1  # 1 is out of domain; poison its cell
-        self.segments: list[np.ndarray] = []
-        for lo in range(0, self._cells.size, SEGMENT_WIDTH):
-            seg = self._cells[lo : lo + SEGMENT_WIDTH]
-            self._sieve_segment(seg, lo)
-            self.segments.append(seg)
-
-    def _sieve_segment(self, seg: np.ndarray, lo: int) -> None:
-        """Mark cells lo.. of ``seg``: the odd multiples of an odd prime p
-        are the cells = (p - 1) / 2 (mod p), and each p marks those from
-        p^2 on.  The largest p goes first, so the smallest factor's mark is
-        the one that stays."""
-        hi = lo + seg.size
-        for p in self._base:
-            start = max(p * p >> 1, lo + ((p >> 1) - lo) % p)
-            if start < hi:
-                seg[start - lo :: p] = p
+        self.segments: list[np.ndarray] = [seg for _, seg in _segments(limit, self._cells)]
 
     def _zero_runs(self, a: int, b: int):
         """(j, cells[j:k] == 0) for the cells a..b-1, a segment at a time."""
@@ -293,7 +342,7 @@ class SpfTable:
         out[:two] = 2
         k = two
         for (j, zero), c in zip(self._zero_runs(a, b), counts):
-            out[k : k + c] = 2 * (np.flatnonzero(zero) + j) + 1
+            out[k : k + c] = _cell_primes(zero, j)
             k += c
         return out
 

@@ -20,7 +20,8 @@ the discriminant-like integer
 every form has exactly one root mod p and the roots are pairwise distinct,
 so xi(p) = k; this makes the infinite product computable: exact factors
 for p <= P (scan for divisors of N, the k-form factor otherwise, a chunk of
-the factor table at a time) and a rigorously bounded tail interval for p > P.
+``sieve.prime_chunks`` at a time: the sieve's segment walk, streamed, with no
+factor table kept) and a rigorously bounded tail interval for p > P.
 """
 
 from __future__ import annotations
@@ -30,18 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, as_int, check_bytes
-from .sieve import SpfTable, is_prime_u64, prime_count_bound, table_bytes
+from .errors import CapacityError, DomainError, as_int, as_real, check_bytes
+from .sieve import PRIME_CHUNK, SEGMENT_WIDTH, is_prime_u64, prime_chunks, prime_count_bound
 
 _COEFF_CAP = 1 << 63
 # Steps of one rhopm_total call, p^F rows of k multipliers: about 2 s (A06's largest: 8,788).
 _MAX_BOX_STEPS = 2_000_000
 _DIGIT_MASK = (1 << 31) - 1
-# Integers of the factor table that singular_series reads per chunk.  While
-# one chunk's primes are listed, its arrays and the chunk before's hold at
-# most one entry per odd integer each and 64 bytes an entry between them.
-_CHUNK = 1 << 18
-_CHUNK_BYTES = 64 * (_CHUNK // 2)
+# Bytes of the prime stream under singular_series: its reused segment of
+# uint16 cells and, while one chunk's primes are listed, that chunk's arrays
+# and the chunk before's, at most one entry per cell each and 64 bytes a cell
+# between them.
+_CHUNK_BYTES = 2 * SEGMENT_WIDTH + 64 * PRIME_CHUNK
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,10 @@ def discriminant_product(system: FormSystem) -> int:
 
 
 def _footprint_bytes(prime_cutoff: int) -> int:
-    """Peak bytes of ``singular_series``: its table, one float64 a prime for the
-    generic terms, and one chunk's temporaries.  Cutoffs to 349,903,901 fit the
-    ceiling."""
-    primes = prime_count_bound(prime_cutoff)
-    return table_bytes(prime_cutoff) + int(8 * primes) + _CHUNK_BYTES
+    """Peak bytes of ``singular_series``: one float64 a prime for the generic
+    terms, and the prime stream's segment and chunks.  Cutoffs to
+    1,072,753,319 fit the ceiling."""
+    return int(8 * prime_count_bound(prime_cutoff)) + _CHUNK_BYTES
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,16 @@ def singular_series(
     the generic factor; the p > P tail is bracketed by
     exp(+-tau) with tau bounding |log prod (1 - k/p)(1 - 1/p)^(-k)|.
 
-    The factor table up to P is read ``_CHUNK`` integers at a time; each
-    chunk's generic terms go into one float64 array of pi(P) entries, whose
-    single pairwise sum ends the walk, so no other array spans the range.
+    The primes up to P come from ``prime_chunks`` a chunk at a time; each
+    chunk's generic terms go into one float64 array sized by the bound on
+    pi(P), whose single pairwise sum ends the walk, so no other array spans
+    the range and no factor table is built.
 
     Returns 0 (exactly) when some prime has xi(p) = p, which happens iff
     some residue class is fully obstructed, before that prime's log1p(-1).
     The footprint guard runs first.
     """
+    as_real(prime_cutoff, "prime cutoff", hi=math.inf)
     check_bytes(_footprint_bytes(prime_cutoff), f"prime cutoff {prime_cutoff}")
     prime_cutoff = as_int(prime_cutoff, "prime cutoff", 100)
     ms = tuple(as_int(m, "multiplier", 1) for m in multipliers)
@@ -176,14 +178,13 @@ def singular_series(
         return zero
     bigN = discriminant_product(system)
 
-    table = SpfTable(prime_cutoff)
-    terms = np.empty(table.prime_count(prime_cutoff))
+    # never-written pages of the bound's slack are never resident
+    terms = np.empty(int(prime_count_bound(prime_cutoff)) + 1)
     used = 0
     digits = [(bigN >> shift) & _DIGIT_MASK for shift in range(31 * (bigN.bit_length() // 31), -1, -31)]
     residue = bigN
     log_exact = 0.0
-    for lo in range(0, prime_cutoff + 1, _CHUNK):
-        primes = table.primes(lo, lo + _CHUNK - 1)
+    for primes in prime_chunks(prime_cutoff):
         # Primes whose local factor needs ``xi``: the divisors of N.  N mod p
         # for every p of the chunk by Horner's rule over N's 31-bit digits;
         # p < 2^32, so rem << 31 plus a digit stays below 2^63.

@@ -121,6 +121,7 @@ CASES = {
     "sieve.Factorization.totient": (FACTORS.totient,),
     "sieve.Factorization.radical": (FACTORS.radical,),
     "sieve.Factorization.unitary_cofactor": (FACTORS.unitary_cofactor,),
+    "sieve.prime_chunks": (sieve.prime_chunks, work(5000)),
     "sieve.SpfTable": (sieve.SpfTable, work(5000)),
     "sieve.SpfTable.spf": (TABLE.spf, NUM),
     "sieve.SpfTable.is_prime": (TABLE.is_prime, NUM),
@@ -275,7 +276,8 @@ def _same(value):
     return lambda result: result == value
 
 
-# name -> (call, DomainError/CapacityError, or a check of the result)
+# name -> (call, DomainError/CapacityError, such an error and a pattern its
+# message must match, or a check of the result)
 NAMED = {
     "xi-numpy-prime": (lambda: singular.xi(np.int64(5), TWIN), _same(singular.xi(5, TWIN))),
     "rhopm-numpy-prime": (lambda: singular.rhopm_total(np.int64(5), 3, (1,)), _same(singular.rhopm_total(5, 3, (1,)))),
@@ -305,14 +307,20 @@ NAMED = {
     "singular-series-truncate": (lambda: singular.singular_series((2.5,)), DomainError),
     "runconfig-threads-truncate": (lambda: brw.RunConfig(threads=1.5), DomainError),
     "enumerate-bound-truncate": (lambda: chains.enumerate_from(7, 10.0, TABLE, bound=1.5), DomainError),
+    # a bad cutoff's refusal named a helper's parameter ("limit", "x")
+    "singular-series-float-cutoff": (lambda: singular.singular_series((2,), 7.5), (DomainError, "prime cutoff")),
+    "singular-series-nan-cutoff": (lambda: singular.singular_series((2,), math.nan), (DomainError, "prime cutoff")),
+    # an int past the floats under an infinite bound: a raw OverflowError
+    "chain-count-bound-int-past-floats": (lambda: sifted.chain_count_bound(10**400, 7).bound, _same(math.inf)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_case(name):
     call, expected = NAMED[name]
-    if isinstance(expected, type):
-        with pytest.raises(expected):
+    error, match = expected if isinstance(expected, tuple) else (expected, None)
+    if isinstance(error, type):
+        with pytest.raises(error, match=match):
             call()
     else:
         assert expected(call())

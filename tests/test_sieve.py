@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,48 @@ class TestOddCells:
             self.check_range(t, join - 300, join + 300)
             assert t.prime_count(join) == naive_primes(join).size
         assert t.primes().tolist() == naive_primes(limit).tolist()
+
+
+class TestPrimeChunks:
+    """The segment walk streamed: each segment's primes, a chunk at a time."""
+
+    C, W = sieve.PRIME_CHUNK, sieve.SEGMENT_WIDTH
+    # around the edges of chunks (2C integers) and of segments (2W integers);
+    # 2W + 1 ends in a last segment of a single cell
+    EDGES = [2 * k * w + d for k, w in ((1, C), (3, C), (1, W), (2, W)) for d in (-1, 0, 1, 2)]
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 99, 10**6, *EDGES])
+    def test_matches_the_table(self, limit):
+        chunks = list(sieve.prime_chunks(limit))
+        assert len(chunks) == -(-((limit + 1) // 2) // self.C)  # one array per chunk of cells
+        for i, primes in enumerate(chunks):
+            assert primes.dtype == np.int64
+            assert np.all(np.diff(primes) > 0)
+            assert np.all((2 * i * self.C <= primes) & (primes < 2 * (i + 1) * self.C))
+        assert np.concatenate(chunks).tolist() == sieve.SpfTable(limit).primes().tolist()
+
+    def test_keeps_no_cells(self):
+        limit = 2 * 10**7  # a table of 19 MiB
+        count = 0
+        tracemalloc.start()
+        try:
+            for primes in sieve.prime_chunks(limit):
+                count += primes.size
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1_270_607
+        assert peak < 2 * self.W + 8 * self.C < sieve.table_bytes(limit) / 4
+
+    @pytest.mark.parametrize("limit", [1, 0, -5, 2**32, 10**30, 1.5, 100.0, math.nan, math.inf])
+    def test_bad_limit_refused_before_sieving(self, monkeypatch, limit):
+        def no_sieving(*args):
+            raise AssertionError("the stream started sieving")
+
+        monkeypatch.setattr(sieve, "_simple_prime_array", no_sieving)
+        monkeypatch.setattr(sieve, "_sieve_segment", no_sieving)
+        with pytest.raises((DomainError, CapacityError)):
+            next(sieve.prime_chunks(limit))
 
 
 class TestSpfRounds:

@@ -151,9 +151,9 @@ class TestSingularSeries:
         assert singular.singular_series((2, 4), prime_cutoff=1000).value == 0.0
 
     def test_odd_multiplier_is_zero_before_the_discriminant(self, monkeypatch):
-        # an odd m makes xi(2) = 2; the answer comes before N or the table is built
+        # an odd m makes xi(2) = 2; the answer comes before N or any prime is sieved
         monkeypatch.setattr(singular, "discriminant_product", None)
-        monkeypatch.setattr(singular, "SpfTable", None)
+        monkeypatch.setattr(singular, "prime_chunks", None)
         for ms in ((3,), (2, 5), (4, 2, 7)):
             sv = singular.singular_series(ms, prime_cutoff=1000)
             assert sv == singular.SingularValue(0.0, 0.0, 0.0, 1000, len(ms) + 1)
@@ -212,10 +212,11 @@ class TestSingularSeries:
         upper = value * math.exp(tau) * (1.0 - 1.0 / P) ** (-k * unknown)
         return value, lower, upper
 
-    # cutoffs on both sides of the 2^18 chunk edges; the primes 524341 and
-    # 999983 divide N in the third and fourth chunk, and (2, 2 * 1000003,
-    # 1000002) vanishes first at 1000003, in the fourth: its fourth form is
-    # 0 n + 0 mod 1000003
+    # cutoffs inside the first chunk of the prime stream (2^18 cells, the
+    # integers below 2^19), on both sides of its edge and of the first
+    # segment's (2^20 cells, 2^21 integers); the primes 524341 and 999983
+    # divide N in the second chunk, and (2, 2 * 1000003, 1000002) vanishes
+    # first at 1000003, in the second: its fourth form is 0 n + 0 mod 1000003
     @pytest.mark.parametrize(
         "links, cutoff, vanishes",
         [
@@ -227,6 +228,10 @@ class TestSingularSeries:
             ((2 * 999_983,), 1_000_000, False),
             ((2, 2 * 1_000_003, 1_000_002), 1_100_000, True),
             ((2, 4), 1000, True),
+            ((2,), 524_287, False),
+            ((2, 6, 10), 524_288, False),
+            ((2,), 2_097_151, False),
+            ((2, 6, 6, 10), 2_097_153, False),
         ],
     )
     def test_chunks_match_one_whole_array(self, links, cutoff, vanishes):
@@ -237,17 +242,28 @@ class TestSingularSeries:
         assert (sv.value, sv.lower, sv.upper) == want
         assert (sv.value == 0.0) == vanishes
 
-    def test_primes_come_from_one_factor_table(self, monkeypatch):
-        limits = []
-        primes = sieve.SpfTable.primes
+    def test_primes_come_from_the_shared_marking_loop(self, monkeypatch):
+        # no factor table: the stream's segments pass through the one
+        # marking loop that the table's do, into one reused buffer
+        def no_table(*args, **kwargs):
+            raise AssertionError("a factor table was built")
 
-        def recorded(table, *args, **kwargs):
-            limits.append(table.limit)
-            return primes(table, *args, **kwargs)
+        marked = []
+        mark = sieve._sieve_segment
 
-        monkeypatch.setattr(sieve.SpfTable, "primes", recorded)
-        singular.singular_series((2, 4), prime_cutoff=10_000)
-        assert limits == [10_000]
+        def recorded(seg, lo, base):
+            marked.append((lo, seg.size, seg.base))
+            mark(seg, lo, base)
+
+        monkeypatch.setattr(sieve.SpfTable, "__init__", no_table)
+        monkeypatch.setattr(sieve, "_sieve_segment", recorded)
+        w = sieve.SEGMENT_WIDTH
+        cutoff = 2 * w + 2001  # two segments, the second of 1001 cells
+        sv = singular.singular_series((2,), prime_cutoff=cutoff)
+        assert [(lo, size) for lo, size, _ in marked] == [(0, w), (w, 1001)]
+        buffer = marked[0][2]
+        assert marked[1][2] is buffer and buffer.size == w  # one segment's cells, reused
+        assert sv.lower <= TWIN_CONSTANT <= sv.upper
 
     # 2 * 999983 makes the largest prime below 1e6 divide N, so xi runs there
     @pytest.mark.parametrize("cutoff, links", [(10**6, (2,)), (10**7, (2,)), (10**6, (2 * 999_983,))])
@@ -267,8 +283,9 @@ class TestSingularSeries:
         def allocated(*args, **kwargs):
             raise Allocated
 
-        edge = 349_903_901  # the largest cutoff whose table, terms and one chunk fit
+        edge = 1_072_753_319  # the largest cutoff whose terms and the stream's segment and chunks fit
         assert singular._footprint_bytes(edge) <= MAX_BYTES < singular._footprint_bytes(edge + 1)
+        assert edge < 2**32  # the stream's limit, and the Horner step's p < 2^32
         assert singular._footprint_bytes(10**8) <= MAX_BYTES
         for name in ("array", "arange", "ones", "zeros", "empty"):
             monkeypatch.setattr(singular.np, name, allocated)
