@@ -139,13 +139,9 @@ def _segments(limit: int, cells: np.ndarray | None = None):
 
 
 def _cell_primes(zero: np.ndarray, j: int) -> np.ndarray:
-    """The primes 2 (j + i) + 1 of the cells j + i marked in ``zero``, as
-    int64, increasing."""
-    out = np.flatnonzero(zero).astype(np.int64, copy=False)
-    out += j
-    out <<= 1
-    out += 1
-    return out
+    """The primes 2 (j + i) + 1 of the cells j + i marked in ``zero``,
+    increasing, as intp: int64 on 64-bit platforms."""
+    return 2 * (np.flatnonzero(zero) + j) + 1
 
 
 def prime_chunks(limit: int):
