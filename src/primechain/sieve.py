@@ -31,8 +31,9 @@ SEGMENT_WIDTH = 1 << 20
 # base-prime loop runs once a segment as the table's does, and lists each
 # segment's primes a quarter at a time, so one array, and the arrays a consumer
 # builds from it, stay small.  Sieving 2^18 cells a pass as well held the same
-# memory, but singular_series at 349,903,901 took 1.6 s that way, against 1.4 s
-# on a whole factor table and 1.25 s this way (three runs each, 2-core Xeon).
+# memory, but singular_series at 349,903,901 took 1.7-1.8 s that way, against
+# 1.35-1.5 s on a whole factor table and 1.2-1.35 s this way (best of two
+# calls in each of three processes, 2-core Xeon).
 PRIME_CHUNK = 1 << 18
 MAX_LIMIT = (1 << 32) - 1
 # Ceiling on the candidates above a table's limit, summed over all moduli, that
