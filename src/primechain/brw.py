@@ -45,14 +45,18 @@ sets the row guard, derives the replicate keys and maps the batches over
 the threads.  The row budget, RunConfig.batch_rows, bounds memory and sets
 the refusals and the guard; it does not size the batches by itself.  The
 full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
-about _CACHE_ROWS rows per generation, so their columns fit the cache; the
-minima, which draw far fewer rows than expected, get batches sized to the
-budget.  Every walk keeps the memory it frees (_keep_freed_memory), so
-small batches do not fault their heap back in each generation.  Each
-operation passes its own reduction of a batch's generations: the minimum
-below the beam bounds (B_n), a bincount of the last generation (Z_n(t)),
-the last non-empty generation (T(eps)), or the sorted positions of every
-generation (a single run, the range [r, r+1)).
+about _CACHE_ROWS rows per generation, so their columns fit the cache.
+The minima run in two phases, each one _drive call: the beam bounds of
+every replicate, in batches sized to the beam's own rows (a few widths per
+replicate, so a whole call usually fits one batch), then the exact pass,
+whose batches are sized to the budget, since it draws far fewer rows than
+expected, and each read their own slice of the bounds.  Every walk keeps
+the memory it frees (_keep_freed_memory), so small batches do not fault
+their heap back in each generation.  Each operation passes its own
+reduction of a batch's generations: the beam bounds or the minimum below
+them (B_n), a bincount of the last generation (Z_n(t)), the last non-empty
+generation (T(eps)), or the sorted positions of every generation (a single
+run, the range [r, r+1)).
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ class RunConfig:
     expected to exceed it is refused before anything is drawn, one
     generation of a batch may hold at most 4x it, and a batch expects at
     most half of it per generation.  Within that, ``_drive`` sizes the
-    batches to the cache for the full-cap reductions and to the budget for
-    the minima; batch layout has no effect on results.  ``simulate_run``,
+    batches to the cache for the full-cap reductions, to the beam for the
+    minima's beam pass and to the budget for their exact pass; batch layout
+    has no effect on results.  ``simulate_run``,
     ``t_epsilon`` and ``rde_iterate`` run one replicate or their own
     population, so they read ``seed``, ``threads`` and ``batch_rows`` but
     not ``replicates``.  ``threads`` is at most ``MAX_THREADS``.  Fields are
@@ -203,6 +208,11 @@ _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 _MAX_WORK_ROWS = 1 << 40
 # Expected rows a full-cap batch holds in one generation: 2 MiB per float64 column.
 _CACHE_ROWS = 1 << 18
+# Rows a replicate's beam is taken to draw in one generation, in beam widths.
+# Measured (seed 1 at n=16, A08's b20 and b40), the most in any generation,
+# the second or third while the beam fills, was 3.4/4.4/5.9 widths; the mean
+# over all generations 2.1/2.1/2.6.
+_BEAM_ROWS_PER_WIDTH = 8
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -278,16 +288,19 @@ def _beam_width(cap: float, n: int) -> int:
 
     The width trades beam rows against the pruned pass's rows, and the
     pruned pass costs about e^(U_r - cap) of the unpruned one.  Measured on
-    one core of a 2-core Xeon at seed 1 (2000 replicates, n=16, cap 10.42,
-    ~4.1e3 expected rows, unpruned 64.3M rows in 6.6 s), widths 8/16/32
-    draw 3.2M/3.6M/4.7M rows (0.49M/1.07M/2.32M of them in the beam) in
-    0.43/0.49/0.60 s, beam and pruned pass together; A08's generation-20
-    run (seed 802, 10,000 replicates, cap 12.01, ~1.9e4) took
-    10.6/9.8/10.4/12.3 s at widths 8/16/32/64.  On A08's generation-40 run
-    (seed 803, 61 replicates, cap 17.52, ~3.9e6), the mean of
-    e^(U_r - cap) is 0.467/0.429/0.388/0.345/0.339 at widths
+    one core of a 2-core Xeon, with the beam pass in one batch ahead of the
+    exact pass, both passes timed together: at seed 1 (2000 replicates,
+    n=16, cap 10.42, ~4.1e3 expected rows, unpruned 64.3M rows in 3.4 s),
+    widths 8/16/32 draw 3.19M/3.55M/4.71M rows (0.49M/1.07M/2.32M of them in
+    the beam) in 0.19-0.20/0.22-0.24/0.31-0.35 s (five runs each); A08's
+    generation-20 run (seed 802, 10,000 replicates, cap 12.01, ~1.9e4)
+    drew 76.3M/69.9M/73.9M/90.1M rows in 4.29-4.31/4.05-4.08/4.74-4.75/
+    6.23-6.72 s at widths 8/16/32/64 (two runs each), so 16 serves both,
+    the faster where most of A08's minima time goes.  On A08's
+    generation-40 run (seed 803, 61 replicates, cap 17.52, ~3.9e6), the
+    mean of e^(U_r - cap) is 0.467/0.429/0.388/0.345/0.339 at widths
     16/32/64/128/256, with 4/3/2/1/1 beams ending at the cap, and the call
-    took 134-136 s at width 16 and 95-101 s at width 128 (two alternating
+    took 83-91 s at width 16 and 62.6-62.8 s at width 128 (two alternating
     runs each, bit-equal minima).  The step between the two, at
     _WIDE_BEAM_ROWS, sits far from both sides.  B_n is exact at any
     width, and the width reads only (cap, n), so no minimum moves with it.
@@ -302,40 +315,49 @@ def _expected_peak_rows(cap: float, n: int) -> float:
     return math.exp(log_peak) if log_peak < 700.0 else math.inf
 
 
-def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, pruned: bool) -> int:
+def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, layout: str) -> int:
     """Replicates per batch of ``count`` for ``n`` generations below ``cap``.
 
     Refuses, before anything is drawn, a replicate expected to exceed the
     row budget and a call expected to exceed the work bound.  A batch
     expects at most half the budget in one generation, so sampling
     fluctuations stay inside the 4x guard, and a full-cap batch also at
-    most _CACHE_ROWS.  A ``pruned`` batch (the minima) draws far fewer
-    rows than the estimate and is sized to the budget alone.
+    most _CACHE_ROWS ("cache", the full-cap reductions).  The minima's
+    exact pass draws far fewer rows than the estimate and is sized to the
+    budget alone ("budget").  Their beam pass ("beam") takes a replicate at
+    _BEAM_ROWS_PER_WIDTH beam widths of rows where that is the smaller, so
+    a whole call of up to 15,625 replicates at width 16 (1,953 at width
+    128) runs as one beam batch at the default budget.
 
     _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
     of L2, where the budget fit alone (2e6 rows at the default budget) made
     it 16 MiB.  Measured on one core of a 2-core Xeon, each run a fresh
     process, Z_8(6) over 100,000 replicates and T(1e-4) over 2,000 at
     seed 101, with _keep_freed_memory in place: their summed wall time in
-    units of perfbench's speed probe was 14.3k-15.2k at 2^16 rows,
-    13.1k-13.9k at 2^17, 12.2k-12.95k at 2^18 (six runs) and 12.8k-13.5k
-    at 2^19, against 15.3k-16.0k with the budget fit alone; in seconds,
-    2.1-2.6 s and 1.3-1.7 s at 2^18 against 3.2-3.5 s and 1.9-2.1 s.
-    Every output was bit-equal.  The n=16 minima of
-    2,000 replicates (cap 10.42) split into 65 batches at 2^17 and took
-    1.9-2.5 s, against 0.46-0.68 s in the 5 batches of the budget fit.
+    units of perfbench's speed probe was 12.1k-12.5k at 2^16 rows,
+    11.4k-11.8k at 2^17, 11.9k-12.4k at 2^18 and 11.8k-12.7k at 2^19
+    (three runs each), against 13.9k-14.0k with the budget fit alone; in
+    seconds, 1.8-2.4 s and 1.1-1.25 s at 2^18 against 2.5-3.2 s and
+    1.4-1.7 s.  Every output was bit-equal.  The minima of 2,000
+    replicates at n=16 (cap 10.42) took 0.31-0.34 s with their exact pass
+    in the 32 batches of 2^18 rows, against 0.21-0.22 s in the 5 batches
+    of the budget fit, and A08's generation-20 call 7.2-7.4 s in 770
+    batches against 3.9 s in 95.  Run in the exact pass's own batches,
+    their beam pass made the two calls 0.23-0.24 s and 4.4-4.7 s.
     """
     per_rep = _expected_peak_rows(cap, n) + 1.0
     if per_rep > cfg.batch_rows:
         raise CapacityError(
-            f"a single replicate at cap {cap:.2f} expects ~{per_rep:.3g} points, "
+            f"a single replicate at cap {cap:.6g} expects ~{per_rep:.3g} points, "
             f"above the row budget {cfg.batch_rows}"
         )
     if count * per_rep > _MAX_WORK_ROWS:
         raise CapacityError(
             f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}"
         )
-    rows = cfg.batch_rows / 2.0 if pruned else min(cfg.batch_rows / 2.0, _CACHE_ROWS)
+    if layout == "beam":
+        per_rep = min(per_rep, _BEAM_ROWS_PER_WIDTH * _beam_width(cap, n))
+    rows = min(cfg.batch_rows / 2.0, _CACHE_ROWS) if layout == "cache" else cfg.batch_rows / 2.0
     return max(1, min(count, int(rows / per_rep)))
 
 
@@ -366,28 +388,35 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _drive(cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, pruned: bool = False) -> list:
+def _drive(
+    cfg: RunConfig, lo: int, hi: int, cap: float, depth: int, reduce, layout: str = "cache", bounds=None
+) -> list:
     """Reduce the replicates [lo, hi) batch by batch; returns the batch results in order.
 
     Batches are sized for ``depth`` generations below ``cap`` by
-    ``_batch_size``: to the cache for a full-cap reduction, to the row
-    budget for a ``pruned`` one.  cfg.batch_rows sets the refusals and the
-    row guard, 4x the budget per generation.
+    ``_batch_size`` with ``layout``: "cache" for a full-cap reduction,
+    "beam" for the minima's beam pass, "budget" for their exact pass.
+    cfg.batch_rows sets the refusals and the row guard, 4x the budget per
+    generation.  ``bounds``, if given, holds one bound at most ``cap`` per
+    replicate of [lo, hi).
     ``reduce(key, walk, guard)`` gets the batch's replicate keys, the row
-    guard and ``walk(bound=cap, strict=False)``: an endless iterator over
+    guard and ``walk(bound, strict=False)``: an endless iterator over
     generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
-    at or (if strict) below ``bound``, a scalar or one bound per replicate.
+    at or (if strict) below ``bound``, a scalar or one bound per replicate;
+    ``bound`` defaults to the batch's slice of ``bounds``, else ``cap``.
     """
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
-    batch = _batch_size(cfg, hi - lo, cap, depth, pruned)
+    batch = _batch_size(cfg, hi - lo, cap, depth, layout)
     _keep_freed_memory()
     guard = 4 * cfg.batch_rows
 
     def work(start: int):
-        key = replicate_keys(cfg.seed, start, min(start + batch, hi))
+        stop = min(start + batch, hi)
+        key = replicate_keys(cfg.seed, start, stop)
+        own = cap if bounds is None else bounds[start - lo : stop - lo]
 
-        def walk(bound=cap, strict=False):
+        def walk(bound=own, strict=False):
             pos, k, rep = np.zeros(key.size), key, np.arange(key.size, dtype=np.int64)
             while True:
                 row_cap = bound[rep] if np.ndim(bound) else bound
@@ -464,15 +493,22 @@ def predicted_median_bn(n: int) -> float:
 
 
 def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
-    """B_n per replicate; +inf where the whole generation exceeded cap."""
+    """B_n per replicate; +inf where the whole generation exceeded cap.
+
+    Two passes over all replicates: the beam bounds U_r first, then the
+    exact pass below min(cap, U_r).
+    """
     n, cap = as_int(n, "n", 1), as_real(cap, "cap", 0, lo_open=True)
 
+    def beam(key, walk, guard):
+        return _minimum_bounds(key, n, cap, guard)
+
     def lowest(key, walk, guard):
-        bounds = _minimum_bounds(key, n, cap, guard)
-        pos, rep = _nth(walk(bounds), n)
+        pos, rep = _nth(walk(), n)
         return _segment_min(rep, pos, key.size)
 
-    return np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, lowest, pruned=True))
+    bounds = np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, beam, "beam"))
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, lowest, "budget", bounds))
 
 
 @dataclass

@@ -166,6 +166,10 @@ class TestCounting:
         with pytest.raises(CapacityError):
             brw.replicate_z_counts(20, 25.0, big)
 
+    def test_refusal_prints_a_huge_cap_in_short(self):
+        with pytest.raises(CapacityError, match=r"^a single replicate at cap 1e\+308 expects ~inf points"):
+            brw.median_bn_detail(3, cfg(replicates=5), margin=1e308)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -553,22 +557,32 @@ class TestThreadInvariance:
 
 
 class TestBatchLayout:
-    """The full-cap reductions run in cache-sized batches and the minima in
-    batches sized to the row budget; batches are concatenated in replicate
+    """The full-cap reductions run in cache-sized batches; the minima run
+    their beam pass in batches sized to the beam, then their exact pass in
+    batches sized to the row budget.  Batches are concatenated in replicate
     order and each node keeps its own key, so no layout moves a bit."""
 
     def test_batch_size(self, monkeypatch):
         full, small = brw.RunConfig(), brw.RunConfig(batch_rows=2000)
         # Z_8(6) expects 65.8 rows per replicate: 2^18 / 65.8 against the
         # budget fit, 4e6 / (2 * 65.8)
-        assert brw._batch_size(full, 100_000, 6.0, 8, pruned=False) == 3983
-        assert brw._batch_size(full, 100_000, 6.0, 8, pruned=True) == 30_395
+        assert brw._batch_size(full, 100_000, 6.0, 8, "cache") == 3983
+        assert brw._batch_size(full, 100_000, 6.0, 8, "budget") == 30_395
         # T(1e-4): cap 9.21 over 115 generations, ~1.3e3 rows per replicate
-        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=False) == 199
-        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, pruned=True) == 1520
-        # a small budget bounds both
-        for pruned in (False, True):
-            assert brw._batch_size(small, 600, 6.0, 6, pruned) == 15
+        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, "cache") == 199
+        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, "budget") == 1520
+        # the beam takes 8 widths of rows per replicate, where that is fewer:
+        # n=16 at cap 10.42 expects ~4.1e3 rows per replicate, A08's b20
+        # ~1.9e4, and both fit one beam batch of at most 4e6 / (2 * 8 * 16)
+        cap16 = brw.predicted_median_bn(16) + 3.0
+        assert brw._batch_size(full, 2000, cap16, 16, "budget") == 482
+        assert brw._batch_size(full, 2000, cap16, 16, "beam") == 2000
+        assert brw._batch_size(full, 10_000, 12.01, 20, "budget") == 106
+        assert brw._batch_size(full, 100_000, 12.01, 20, "beam") == 15_625
+        assert brw._batch_size(full, 100_000, 6.0, 8, "beam") == 30_395
+        # a small budget bounds all three
+        for layout in ("cache", "budget", "beam"):
+            assert brw._batch_size(small, 600, 6.0, 6, layout) == 15
         sized = []
         size = brw._batch_size
         monkeypatch.setattr(brw, "_batch_size", lambda *a: sized.append(a[-1]) or size(*a))
@@ -576,7 +590,7 @@ class TestBatchLayout:
         brw.replicate_t_epsilon(0.5, cfg())
         brw.simulate_run(2, 1.0, cfg())
         brw.replicate_minima(2, cfg(), cap=2.0)
-        assert sized == [False, False, False, True]
+        assert sized == ["cache", "cache", "cache", "beam", "budget"]
 
     @staticmethod
     def batches(monkeypatch, call):
@@ -607,10 +621,35 @@ class TestBatchLayout:
         def minima(**kw):
             return lambda: brw.replicate_minima(6, cfg(seed=43, replicates=600, **kw), cap=6.0)
 
+        # each of the two passes, the beam's and the exact one, runs 40
+        # batches at the small budget and one at the default
         split, many = self.batches(monkeypatch, minima(batch_rows=2000))
         whole, one = self.batches(monkeypatch, minima())
-        assert (many, one) == (40, 1)
+        assert (many, one) == (2 * 40, 2 * 1)
         assert split.tobytes() == whole.tobytes()
+
+    def test_one_beam_batch_then_the_budget_batches(self, monkeypatch):
+        # 2,000 replicates at n=16 expect ~4.1e3 rows each: one beam batch
+        # for all of them, then the exact pass's five budget batches of 482
+        beams, spans = [], []
+        bounds, keys = brw._minimum_bounds, brw.replicate_keys
+        monkeypatch.setattr(brw, "_minimum_bounds", lambda key, *a: beams.append(key.size) or bounds(key, *a))
+        monkeypatch.setattr(brw, "replicate_keys", lambda seed, lo, hi: spans.append((lo, hi)) or keys(seed, lo, hi))
+        est = brw.median_bn_detail(16, cfg(replicates=2000), margin=3.0)
+        assert beams == [2000]
+        assert spans == [(0, 2000), (0, 482), (482, 964), (964, 1446), (1446, 1928), (1928, 2000)]
+        assert not est.retried and est.censor_rate < 0.5
+
+    def test_two_passes_match_across_threads_and_budgets(self):
+        # n=10 at cap 5 expects 27 rows per replicate: each pass runs one
+        # batch at the default budget and 28 at 2,000 rows
+        def minima(**kw):
+            return brw.replicate_minima(10, cfg(seed=44, replicates=1000, **kw), cap=5.0)
+
+        one = minima()
+        assert np.isinf(one).any() and np.isfinite(one).any()
+        for kw in (dict(threads=4), dict(batch_rows=2000), dict(batch_rows=2000, threads=4)):
+            assert minima(**kw).tobytes() == one.tobytes(), kw
 
     def test_z_counts_digest(self):
         # SHA-256 recorded with budget-sized batches, one batch of 20,000

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from primechain import cli, errors, pratt, sieve
+from primechain import cli, errors, pratt, sieve, sifted
 from test_pratt import naive_f, naive_g, naive_h, trial_tree
 
 
@@ -181,6 +181,14 @@ class TestSiftBound:
             assert key in doc, key
         assert doc["lambda"] <= doc["R"] + 1e-9
         assert doc["r"] == 30 and doc["phi_r"] == 8
+
+    def test_y13_lambda_inside_the_row_sum_bracket(self, capsys):
+        # a positive matrix's Perron root lies between its least and largest
+        # row sums; y = 13 is the largest y whose matrix the command builds
+        doc = run_json(capsys, "sift-bound", "--x", "1e6", "--y", "13")
+        sums = sifted.build_matrix(13, doc["s_star"]).row_sums()
+        assert doc["phi_r"] == sums.size == 5760
+        assert sums.min() <= doc["lambda"] <= sums.max()
 
     def test_infeasible_is_clean_error(self, capsys):
         code, _, err = run_cli(
