@@ -46,13 +46,16 @@ the threads.  The row budget, RunConfig.batch_rows, bounds memory and sets
 the refusals and the guard; it does not size the batches by itself.  The
 full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
 about _CACHE_ROWS rows per generation, so their columns fit the cache.
-The minima run in two phases, each one _drive call: the beam bounds of
-every replicate, in batches sized to the beam's own rows (a few widths per
-replicate, so a whole call usually fits one batch), then the exact pass,
-whose batches are sized to the budget, since it draws far fewer rows than
-expected, and each read their own slice of the bounds.  Every walk keeps
-the memory it frees (_keep_freed_memory), so small batches do not fault
-their heap back in each generation.  Each operation passes its own
+The minima run in two phases, each one _drive call: first the beam bounds
+of every replicate, in batches sized to the beam's own rows (a few beam
+widths per replicate) and to the cache, then the exact pass below them, in
+batches sized to the budget, since it draws far fewer rows than expected,
+each batch reading its own slice of the bounds.  A
+larger beam batch may order two near-equal points of one replicate the
+other way (_minimum_bounds), but each bound is still a real node's
+position, so no minimum depends on the layout.  Every walk keeps the
+memory it frees (_keep_freed_memory), so small batches do not fault their
+heap back in each generation.  Each operation passes its own
 reduction of a batch's generations: the beam bounds or the minimum below
 them (B_n), a bincount of the last generation (Z_n(t)), the last non-empty
 generation (T(eps)), or the sorted positions of every generation (a single
@@ -92,10 +95,9 @@ class RunConfig:
     most half of it per generation.  Within that, ``_drive`` sizes the
     batches to the cache for the full-cap reductions, to the beam for the
     minima's beam pass and to the budget for their exact pass; batch layout
-    has no effect on results.  ``simulate_run``,
-    ``t_epsilon`` and ``rde_iterate`` run one replicate or their own
-    population, so they read ``seed``, ``threads`` and ``batch_rows`` but
-    not ``replicates``.  ``threads`` is at most ``MAX_THREADS``.  Fields are
+    has no effect on results.  ``simulate_run``, ``t_epsilon`` and
+    ``rde_iterate`` run one replicate or their own population, so they read
+    ``seed``, ``threads`` and ``batch_rows`` but not ``replicates``.  ``threads`` is at most ``MAX_THREADS``.  Fields are
     stored as Python ints; a seed counts mod 2^64.
     """
 
@@ -209,9 +211,10 @@ _MAX_WORK_ROWS = 1 << 40
 # Expected rows a full-cap batch holds in one generation: 2 MiB per float64 column.
 _CACHE_ROWS = 1 << 18
 # Rows a replicate's beam is taken to draw in one generation, in beam widths.
-# Measured (seed 1 at n=16, A08's b20 and b40), the most in any generation,
-# the second or third while the beam fills, was 3.4/4.4/5.9 widths; the mean
-# over all generations 2.1/2.1/2.6.
+# It is above the most any generation drew, so even a beam batch's largest
+# generation keeps within _CACHE_ROWS: 3.4/4.4/5.9 widths at n=16 (seed 1)
+# and A08's b20 and b40, in the second or third generation while the beam
+# fills, and 2.1/2.1/2.6 on average over all generations.
 _BEAM_ROWS_PER_WIDTH = 8
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -261,10 +264,11 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     selected with one argsort of rep * scale + pos, scale a power of two at
     least 2 * cap + 1, in place of a lexsort on (rep, pos): replicates stay
     in order, and within one only positions closer than ulp(b * scale) can
-    round to one value and so swap.  The beam gathers pos by that order and
-    never reads the rounded value, so every survivor is still a real node,
-    and B_n below the bound is exact whichever of two such children the
-    beam keeps.
+    round to one value and so swap.  The beam gathers only its own rows of
+    that order, so a batch's generation costs one sorted index beside its
+    children, and it reads pos, never the rounded value, so every survivor
+    is still a real node, and B_n below the bound is exact whichever of two
+    such children the beam keeps.
     """
     b = key.size
     width = _beam_width(cap, n)
@@ -274,12 +278,18 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     for _ in range(n):
         row_cap = _beam_caps(pos, key, rep, b, cap, width)[rep]
         pos, key, rep = _next_generation(pos, key, rep, row_cap, False, row_guard)
-        order = np.argsort(rep * scale + pos)
-        pos, key, rep = pos[order], key[order], rep[order]
+        sort_key = rep * scale
+        sort_key += pos
+        order = sort_key.argsort()
+        del sort_key  # one float column fewer through the gathers below
+        # each replicate's children are one run of the order and the beam
+        # keeps the first min(count, width) of each: its row j is the order's
+        # row j plus the rows skipped in the replicates before
         count = np.bincount(rep, minlength=b)
-        rank = np.arange(rep.size) - (np.cumsum(count) - count)[rep]
-        beam = rank < width
-        pos, key, rep = pos[beam], key[beam], rep[beam]
+        kept = np.minimum(count, width)
+        skip = count - kept
+        order = order[np.arange(kept.sum()) + np.repeat(np.cumsum(skip) - skip, kept)]
+        pos, key, rep = pos[order], key[order], rep[order]
     return np.minimum(cap, np.nextafter(_segment_min(rep, pos, b), np.inf))
 
 
@@ -288,22 +298,24 @@ def _beam_width(cap: float, n: int) -> int:
 
     The width trades beam rows against the pruned pass's rows, and the
     pruned pass costs about e^(U_r - cap) of the unpruned one.  Measured on
-    one core of a 2-core Xeon, with the beam pass in one batch ahead of the
-    exact pass, both passes timed together: at seed 1 (2000 replicates,
-    n=16, cap 10.42, ~4.1e3 expected rows, unpruned 64.3M rows in 3.4 s),
-    widths 8/16/32 draw 3.19M/3.55M/4.71M rows (0.49M/1.07M/2.32M of them in
-    the beam) in 0.19-0.20/0.22-0.24/0.31-0.35 s (five runs each); A08's
-    generation-20 run (seed 802, 10,000 replicates, cap 12.01, ~1.9e4)
-    drew 76.3M/69.9M/73.9M/90.1M rows in 4.29-4.31/4.05-4.08/4.74-4.75/
-    6.23-6.72 s at widths 8/16/32/64 (two runs each), so 16 serves both,
-    the faster where most of A08's minima time goes.  On A08's
-    generation-40 run (seed 803, 61 replicates, cap 17.52, ~3.9e6), the
-    mean of e^(U_r - cap) is 0.467/0.429/0.388/0.345/0.339 at widths
-    16/32/64/128/256, with 4/3/2/1/1 beams ending at the cap, and the call
-    took 83-91 s at width 16 and 62.6-62.8 s at width 128 (two alternating
-    runs each, bit-equal minima).  The step between the two, at
-    _WIDE_BEAM_ROWS, sits far from both sides.  B_n is exact at any
-    width, and the width reads only (cap, n), so no minimum moves with it.
+    one core of a shared 2-core Xeon, with the beam pass ahead of the exact
+    pass in its own batches, both passes timed together in units of
+    perfbench's speed probe (five runs at n=16, three at n=20): at seed 1
+    (2000 replicates, n=16, cap 10.42, ~4.1e3 expected rows, unpruned 64.3M
+    rows in 3.4 s), widths 8/16/32 draw 3.19M/3.55M/4.71M rows
+    (0.49M/1.07M/2.32M of them in the beam) in 0.83k-0.89k/1.02k-1.03k/
+    1.39k-1.42k probes; A08's generation-20 run (seed 802, 10,000
+    replicates, cap 12.01, ~1.9e4) drew 76.3M/69.9M/73.9M/90.1M rows in
+    18.5k-19.2k/16.6k-18.2k/18.5k-19.9k/23.5k-25.3k probes at widths
+    8/16/32/64.  Width 8 is the faster at n=16, 16 at n=20, where most of
+    A08's minima time goes.  On A08's generation-40 run (seed 803, 61
+    replicates, cap 17.52, ~3.9e6), the mean of e^(U_r - cap) is
+    0.467/0.429/0.388/0.345/0.339 at widths 16/32/64/128/256, with
+    4/3/2/1/1 beams ending at the cap, and the call took 83-91 s at width
+    16 and 62.6-62.8 s at width 128 (two alternating runs each, bit-equal
+    minima).  The step between the two, at _WIDE_BEAM_ROWS, sits far from
+    both sides.  B_n is exact at any width, and the width reads only
+    (cap, n), so no minimum moves with it.
     """
     return 16 if _expected_peak_rows(cap, n) < _WIDE_BEAM_ROWS else 128
 
@@ -324,10 +336,10 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, layout: str) -> 
     fluctuations stay inside the 4x guard, and a full-cap batch also at
     most _CACHE_ROWS ("cache", the full-cap reductions).  The minima's
     exact pass draws far fewer rows than the estimate and is sized to the
-    budget alone ("budget").  Their beam pass ("beam") takes a replicate at
-    _BEAM_ROWS_PER_WIDTH beam widths of rows where that is the smaller, so
-    a whole call of up to 15,625 replicates at width 16 (1,953 at width
-    128) runs as one beam batch at the default budget.
+    budget alone ("budget").  Their beam pass ("beam") is sized like a
+    full-cap batch, but takes a replicate at _BEAM_ROWS_PER_WIDTH beam
+    widths of rows where that is the smaller: 2,048 replicates a batch at
+    width 16, 256 at width 128.
 
     _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
     of L2, where the budget fit alone (2e6 rows at the default budget) made
@@ -338,12 +350,16 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, layout: str) -> 
     11.4k-11.8k at 2^17, 11.9k-12.4k at 2^18 and 11.8k-12.7k at 2^19
     (three runs each), against 13.9k-14.0k with the budget fit alone; in
     seconds, 1.8-2.4 s and 1.1-1.25 s at 2^18 against 2.5-3.2 s and
-    1.4-1.7 s.  Every output was bit-equal.  The minima of 2,000
-    replicates at n=16 (cap 10.42) took 0.31-0.34 s with their exact pass
-    in the 32 batches of 2^18 rows, against 0.21-0.22 s in the 5 batches
-    of the budget fit, and A08's generation-20 call 7.2-7.4 s in 770
-    batches against 3.9 s in 95.  Run in the exact pass's own batches,
-    their beam pass made the two calls 0.23-0.24 s and 4.4-4.7 s.
+    1.4-1.7 s.  Every output was bit-equal.  In the same units (five runs
+    at n=16, three at n=20), the minima of 2,000 replicates at n=16 (cap
+    10.42) took 0.98k-1.01k with their exact pass in the 5 batches of the
+    budget fit, against 1.60k-1.67k in the 32 batches of 2^18 rows, and
+    A08's generation-20 call 16.4k-17.8k in 95 batches against 33.8k-38.6k
+    in 770.  With their beam pass in the exact pass's own batches (5 and
+    95) the two calls took 1.12k-1.18k and 19.8k-21.9k; with it sized to
+    the budget alone, one batch each, 1.00k-1.04k and 16.8k-17.7k, but the
+    generation-20 call's peak RSS rose from 46 to 77 MiB (its tracemalloc
+    peak from 9.4 to 36.9 MiB), so a beam batch is sized to the cache.
     """
     per_rep = _expected_peak_rows(cap, n) + 1.0
     if per_rep > cfg.batch_rows:
@@ -357,7 +373,7 @@ def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, layout: str) -> 
         )
     if layout == "beam":
         per_rep = min(per_rep, _BEAM_ROWS_PER_WIDTH * _beam_width(cap, n))
-    rows = min(cfg.batch_rows / 2.0, _CACHE_ROWS) if layout == "cache" else cfg.batch_rows / 2.0
+    rows = cfg.batch_rows / 2.0 if layout == "budget" else min(cfg.batch_rows / 2.0, _CACHE_ROWS)
     return max(1, min(count, int(rows / per_rep)))
 
 

@@ -571,15 +571,16 @@ class TestBatchLayout:
         # T(1e-4): cap 9.21 over 115 generations, ~1.3e3 rows per replicate
         assert brw._batch_size(full, 2000, -math.log(1e-4), 115, "cache") == 199
         assert brw._batch_size(full, 2000, -math.log(1e-4), 115, "budget") == 1520
-        # the beam takes 8 widths of rows per replicate, where that is fewer:
-        # n=16 at cap 10.42 expects ~4.1e3 rows per replicate, A08's b20
-        # ~1.9e4, and both fit one beam batch of at most 4e6 / (2 * 8 * 16)
+        # the beam is sized to the cache at 8 widths of rows per replicate,
+        # where that is fewer: n=16 at cap 10.42 expects ~4.1e3 rows per
+        # replicate and A08's b20 ~1.9e4, so each takes 2^18 / (8 * 16)
+        # replicates a beam batch; Z_8(6)'s 65.8 rows are below 8 widths
         cap16 = brw.predicted_median_bn(16) + 3.0
         assert brw._batch_size(full, 2000, cap16, 16, "budget") == 482
         assert brw._batch_size(full, 2000, cap16, 16, "beam") == 2000
         assert brw._batch_size(full, 10_000, 12.01, 20, "budget") == 106
-        assert brw._batch_size(full, 100_000, 12.01, 20, "beam") == 15_625
-        assert brw._batch_size(full, 100_000, 6.0, 8, "beam") == 30_395
+        assert brw._batch_size(full, 10_000, 12.01, 20, "beam") == 2048
+        assert brw._batch_size(full, 100_000, 6.0, 8, "beam") == 3983
         # a small budget bounds all three
         for layout in ("cache", "budget", "beam"):
             assert brw._batch_size(small, 600, 6.0, 6, layout) == 15
@@ -630,7 +631,8 @@ class TestBatchLayout:
 
     def test_one_beam_batch_then_the_budget_batches(self, monkeypatch):
         # 2,000 replicates at n=16 expect ~4.1e3 rows each: one beam batch
-        # for all of them, then the exact pass's five budget batches of 482
+        # of up to 2,048 for all of them, then the exact pass's five budget
+        # batches of 482
         beams, spans = [], []
         bounds, keys = brw._minimum_bounds, brw.replicate_keys
         monkeypatch.setattr(brw, "_minimum_bounds", lambda key, *a: beams.append(key.size) or bounds(key, *a))
