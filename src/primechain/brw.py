@@ -48,18 +48,18 @@ full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
 about _CACHE_ROWS rows per generation, so their columns fit the cache.
 The minima run in two phases, each one _drive call: first the beam bounds
 of every replicate, in batches sized to the beam's own rows (a few beam
-widths per replicate) and to the cache, then the exact pass below them, in
-batches sized to the budget, since it draws far fewer rows than expected,
-each batch reading its own slice of the bounds.  A
-larger beam batch may order two near-equal points of one replicate the
-other way (_minimum_bounds), but each bound is still a real node's
-position, so no minimum depends on the layout.  Every walk keeps the
-memory it frees (_keep_freed_memory), so small batches do not fault their
-heap back in each generation.  Each operation passes its own
-reduction of a batch's generations: the beam bounds or the minimum below
-them (B_n), a bincount of the last generation (Z_n(t)), the last non-empty
-generation (T(eps)), or the sorted positions of every generation (a single
-run, the range [r, r+1)).
+widths per replicate) and to the cache, then the exact pass below them,
+in batches sized to the budget, since it draws far fewer rows than
+expected, each batch reading its own slice of the bounds.  A larger beam
+batch may order two near-equal points of one replicate the other way
+(_minimum_bounds), but each bound is still a real node's position, so no
+minimum depends on the layout.  Every walk keeps the memory it frees
+(_keep_freed_memory), so small batches do not fault their heap back in
+each generation.  Each operation passes its own reduction of a batch's
+generations: the beam bounds or the minimum below them (B_n), a bincount
+of the last generation (Z_n(t)), the last non-empty generation (T(eps)),
+or the sorted positions of every generation (a single run, the range
+[r, r+1)).
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ class RunConfig:
     minima's beam pass and to the budget for their exact pass; batch layout
     has no effect on results.  ``simulate_run``, ``t_epsilon`` and
     ``rde_iterate`` run one replicate or their own population, so they read
-    ``seed``, ``threads`` and ``batch_rows`` but not ``replicates``.  ``threads`` is at most ``MAX_THREADS``.  Fields are
-    stored as Python ints; a seed counts mod 2^64.
+    ``seed``, ``threads`` and ``batch_rows`` but not ``replicates``.
+    ``threads`` is at most ``MAX_THREADS``.  Fields are stored as Python
+    ints; a seed counts mod 2^64.
     """
 
     seed: int = 1
