@@ -39,27 +39,26 @@ only up to that bound and the beam does not change.
 Replicates are independent and parallelize freely: replicate i draws its
 randomness from the substream keyed by (seed, i), so results do not
 depend on batch or thread layout.  One driver, ``_drive``, runs every
-operation on a replicate range [lo, hi): it sizes the batches and refuses
-a replicate expected to exceed the row budget before drawing anything,
-sets the row guard, derives the replicate keys and maps the batches over
-the threads.  The row budget, RunConfig.batch_rows, bounds memory and sets
-the refusals and the guard; it does not size the batches by itself.  The
-full-cap reductions (Z_n(t), T(eps), single runs) get batches that expect
-about _CACHE_ROWS rows per generation, so their columns fit the cache.
-The minima run in two phases, each one _drive call: first the beam bounds
-of every replicate, in batches sized to the beam's own rows (a few beam
-widths per replicate) and to the cache, then the exact pass below them,
-in batches sized to the budget, since it draws far fewer rows than
-expected, each batch reading its own slice of the bounds.  A larger beam
-batch may order two near-equal points of one replicate the other way
-(_minimum_bounds), but each bound is still a real node's position, so no
-minimum depends on the layout.  Every walk keeps the memory it frees
-(_keep_freed_memory), so small batches do not fault their heap back in
-each generation.  Each operation passes its own reduction of a batch's
-generations: the beam bounds or the minimum below them (B_n), a bincount
-of the last generation (Z_n(t)), the last non-empty generation (T(eps)),
-or the sorted positions of every generation (a single run, the range
-[r, r+1)).
+operation on a replicate range [lo, hi): it sizes the batches and refuses,
+before drawing anything, a replicate whose walk would pass the memory
+ceiling errors.MAX_BYTES at _ROW_BYTES a row, sets the row guard, derives
+the replicate keys and maps the batches over as many threads as fit that
+ceiling side by side.  The full-cap reductions (Z_n(t), T(eps), single
+runs) get batches that expect about _CACHE_ROWS rows per generation, so
+their columns fit the cache.  The minima run in two phases, each one
+_drive call: first the beam bounds of every replicate, in batches sized to
+the beam's own rows (a few beam widths per replicate) and to the cache,
+then the exact pass below them, in batches that expect _EXACT_ROWS rows at
+the full cap, since it draws far fewer, each batch reading its own slice
+of the bounds.  A larger beam batch may order two near-equal points of one
+replicate the other way (_minimum_bounds), but each bound is still a real
+node's position, so no minimum depends on the layout.  Every walk keeps
+the memory it frees (_keep_freed_memory), so small batches do not fault
+their heap back in each generation.  Each operation passes its own
+reduction of a batch's generations: the beam bounds or the minimum below
+them (B_n), a bincount of the last generation (Z_n(t)), the last
+non-empty generation (T(eps)), or the sorted positions of every
+generation (a single run, the range [r, r+1)).
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, CensoringError, DomainError, NumericalError, as_int, as_real, check_bytes
+from .errors import MAX_BYTES, CapacityError, CensoringError, DomainError, NumericalError, as_int, as_real, check_bytes
 from .rng import GOLDEN, RDE_SALT, mix64, mix64_int, replicate_keys, stream_draw, to_unit, uniform_stream
 
 _U64 = np.uint64
@@ -89,29 +88,22 @@ MAX_THREADS = 256
 class RunConfig:
     """Monte Carlo settings of the walk operations.
 
-    ``batch_rows`` is the row budget: a replicate (or an rde population)
-    expected to exceed it is refused before anything is drawn, one
-    generation of a batch may hold at most 4x it, and a batch expects at
-    most half of it per generation.  Within that, ``_drive`` sizes the
-    batches to the cache for the full-cap reductions, to the beam for the
-    minima's beam pass and to the budget for their exact pass; batch layout
-    has no effect on results.  ``simulate_run``, ``t_epsilon`` and
-    ``rde_iterate`` run one replicate or their own population, so they read
-    ``seed``, ``threads`` and ``batch_rows`` but not ``replicates``.
-    ``threads`` is at most ``MAX_THREADS``.  Fields are stored as Python
+    ``simulate_run``, ``t_epsilon`` and ``rde_iterate`` run one replicate
+    or their own population, so they read ``seed`` and ``threads`` but not
+    ``replicates``.  ``threads`` is at most ``MAX_THREADS``; a walk runs on
+    fewer where fewer of its batches fit the memory ceiling side by side
+    (``_drive``), and no layout moves a bit.  Fields are stored as Python
     ints; a seed counts mod 2^64.
     """
 
     seed: int = 1
     replicates: int = 10_000
     threads: int = 1
-    batch_rows: int = 4_000_000
 
     def __post_init__(self):
         self.seed = as_int(self.seed, "seed")
         self.replicates = as_int(self.replicates, "replicates", 1, (1 << 63) - 1)
         self.threads = as_int(self.threads, "threads", 1, MAX_THREADS)
-        self.batch_rows = as_int(self.batch_rows, "batch_rows", 1)
 
 
 def lpd_offsets_from_uniforms(uniforms, cap: float) -> list[float]:
@@ -175,9 +167,7 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
         if kept.size:
             total += kept.size
             if total > row_guard:
-                raise CapacityError(
-                    "generation exceeds the row budget; lower the cap or batch size"
-                )
+                raise CapacityError(f"a generation passes {row_guard} rows, its share of the memory ceiling; lower the cap")
             out_pos.append(child[kept])
             out_key.append(stream_draw(key[kept], 2 * t + 2))
             out_rep.append(rep[kept])
@@ -207,10 +197,22 @@ def _segment_min(rep, values, size):
 _WIDE_BEAM_ROWS = 1e5  # expected rows per replicate above which the beam is wide
 _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 # Rows a call may expect to draw: replicates times the expected peak of one
-# (or, for rde, population times iterations).  A08's b40 run expects ~5e8.
+# (or, for rde, population times iterations); each pass of A08's b40 expects 61 x 3.87e6 ~ 2.4e8.
 _MAX_WORK_ROWS = 1 << 40
 # Expected rows a full-cap batch holds in one generation: 2 MiB per float64 column.
 _CACHE_ROWS = 1 << 18
+# Rows an exact-pass batch expects in one generation at the full cap; below
+# its beam bounds it draws far fewer (_batch_size).
+_EXACT_ROWS = 2_000_000
+# Bytes a walk holds per row of a batch's largest generation, the unit of its
+# memory checks.  A call's tracemalloc peak per row of that generation, at one
+# thread on a shared 2-core Xeon: 76.2-77.9 at the full cap (Z_16(16), Z_17(17)
+# of one replicate; Z_8(6), Z_12(10) in a cache batch; T(1e-6), T(1e-7)), 55.1
+# in a beam batch, 75.7 and 88.9 in the minima at n=16 and of 106 replicates of
+# A08's b20, and 87.7-88.7 in each of the 61 exact-pass batches of its b40 (up
+# to 4.16M rows, 347.5 MiB).  A single run also keeps every generation it
+# returns, which this does not count (114 bytes a row at cap 16).
+_ROW_BYTES = 96
 # Rows a replicate's beam is taken to draw in one generation, in beam widths.
 # It is above the most any generation drew, so even a beam batch's largest
 # generation keeps within _CACHE_ROWS: 3.4/4.4/5.9 widths at n=16 (seed 1)
@@ -328,54 +330,53 @@ def _expected_peak_rows(cap: float, n: int) -> float:
     return math.exp(log_peak) if log_peak < 700.0 else math.inf
 
 
-def _batch_size(cfg: RunConfig, count: int, cap: float, n: int, layout: str) -> int:
+def _replicate_rows(cap: float, n: int, layout: str) -> float:
+    """Rows one replicate of a ``layout`` batch expects in its largest generation."""
+    rows = _expected_peak_rows(cap, n) + 1.0
+    return min(rows, _BEAM_ROWS_PER_WIDTH * _beam_width(cap, n)) if layout == "beam" else rows
+
+
+def _batch_size(count: int, cap: float, n: int, layout: str) -> int:
     """Replicates per batch of ``count`` for ``n`` generations below ``cap``.
 
-    Refuses, before anything is drawn, a replicate expected to exceed the
-    row budget and a call expected to exceed the work bound.  A batch
-    expects at most half the budget in one generation, so sampling
-    fluctuations stay inside the 4x guard, and a full-cap batch also at
-    most _CACHE_ROWS ("cache", the full-cap reductions).  The minima's
-    exact pass draws far fewer rows than the estimate and is sized to the
-    budget alone ("budget").  Their beam pass ("beam") is sized like a
-    full-cap batch, but takes a replicate at _BEAM_ROWS_PER_WIDTH beam
-    widths of rows where that is the smaller: 2,048 replicates a batch at
-    width 16, 256 at width 128.
+    Refuses, before anything is drawn, a replicate whose walk would pass
+    the memory ceiling at _ROW_BYTES a row of its expected largest
+    generation, and a call expected to exceed the work bound.  A full-cap
+    batch expects at most _CACHE_ROWS rows in one generation ("cache", the
+    full-cap reductions).  The minima's exact pass draws far fewer rows
+    than the estimate and is sized to _EXACT_ROWS ("exact").  Their beam
+    pass ("beam") is sized like a full-cap batch, but takes a replicate at
+    _BEAM_ROWS_PER_WIDTH beam widths of rows where that is the smaller:
+    2,048 replicates a batch at width 16, 256 at width 128.
 
     _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
-    of L2, where the budget fit alone (2e6 rows at the default budget) made
-    it 16 MiB.  Measured on one core of a 2-core Xeon, each run a fresh
-    process, Z_8(6) over 100,000 replicates and T(1e-4) over 2,000 at
-    seed 101, with _keep_freed_memory in place: their summed wall time in
-    units of perfbench's speed probe was 12.1k-12.5k at 2^16 rows,
-    11.4k-11.8k at 2^17, 11.9k-12.4k at 2^18 and 11.8k-12.7k at 2^19
-    (three runs each), against 13.9k-14.0k with the budget fit alone; in
-    seconds, 1.8-2.4 s and 1.1-1.25 s at 2^18 against 2.5-3.2 s and
-    1.4-1.7 s.  Every output was bit-equal.  In the same units (five runs
-    at n=16, three at n=20), the minima of 2,000 replicates at n=16 (cap
-    10.42) took 0.98k-1.01k with their exact pass in the 5 batches of the
-    budget fit, against 1.60k-1.67k in the 32 batches of 2^18 rows, and
-    A08's generation-20 call 16.4k-17.8k in 95 batches against 33.8k-38.6k
-    in 770.  With their beam pass in the exact pass's own batches (5 and
-    95) the two calls took 1.12k-1.18k and 19.8k-21.9k; with it sized to
-    the budget alone, one batch each, 1.00k-1.04k and 16.8k-17.7k, but the
-    generation-20 call's peak RSS rose from 46 to 77 MiB (its tracemalloc
-    peak from 9.4 to 36.9 MiB), so a beam batch is sized to the cache.
+    of L2, where a fit to _EXACT_ROWS alone made it 16 MiB.  Measured on
+    one core of a 2-core Xeon, each run a fresh process, Z_8(6) over
+    100,000 replicates and T(1e-4) over 2,000 at seed 101, with
+    _keep_freed_memory in place: their summed wall time in units of
+    perfbench's speed probe was 12.1k-12.5k at 2^16 rows, 11.4k-11.8k at
+    2^17, 11.9k-12.4k at 2^18 and 11.8k-12.7k at 2^19 (three runs each),
+    against 13.9k-14.0k at _EXACT_ROWS; in seconds, 1.8-2.4 s and
+    1.1-1.25 s at 2^18 against 2.5-3.2 s and 1.4-1.7 s.  Every output was
+    bit-equal.  In the same units (five runs at n=16, three at n=20), the
+    minima of 2,000 replicates at n=16 (cap 10.42) took 0.98k-1.01k with
+    their exact pass in the 5 batches of _EXACT_ROWS, against 1.60k-1.67k
+    in the 32 batches of 2^18 rows, and A08's generation-20 call
+    16.4k-17.8k in 95 batches against 33.8k-38.6k in 770.  With their beam
+    pass in the exact pass's own batches (5 and 95) the two calls took
+    1.12k-1.18k and 19.8k-21.9k; with it sized to _EXACT_ROWS, one batch
+    each, 1.00k-1.04k and 16.8k-17.7k, but the generation-20 call's peak
+    RSS rose from 46 to 77 MiB (its tracemalloc peak from 9.4 to 36.9 MiB),
+    so a beam batch is sized to the cache.
     """
     per_rep = _expected_peak_rows(cap, n) + 1.0
-    if per_rep > cfg.batch_rows:
-        raise CapacityError(
-            f"a single replicate at cap {cap:.6g} expects ~{per_rep:.3g} points, "
-            f"above the row budget {cfg.batch_rows}"
-        )
+    check_bytes(_ROW_BYTES * per_rep, f"a single replicate at cap {cap:.6g} expects ~{per_rep:.3g} points, so its walk")
     if count * per_rep > _MAX_WORK_ROWS:
         raise CapacityError(
             f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}"
         )
-    if layout == "beam":
-        per_rep = min(per_rep, _BEAM_ROWS_PER_WIDTH * _beam_width(cap, n))
-    rows = cfg.batch_rows / 2.0 if layout == "budget" else min(cfg.batch_rows / 2.0, _CACHE_ROWS)
-    return max(1, min(count, int(rows / per_rep)))
+    rows = _EXACT_ROWS if layout == "exact" else _CACHE_ROWS
+    return max(1, min(count, int(rows / _replicate_rows(cap, n, layout))))
 
 
 def _nth(generations, n: int):
@@ -412,28 +413,32 @@ def _drive(
 
     Batches are sized for ``depth`` generations below ``cap`` by
     ``_batch_size`` with ``layout``: "cache" for a full-cap reduction,
-    "beam" for the minima's beam pass, "budget" for their exact pass.
-    cfg.batch_rows sets the refusals and the row guard, 4x the budget per
-    generation.  ``bounds``, if given, holds one bound at most ``cap`` per
-    replicate of [lo, hi).
-    ``reduce(key, walk, guard)`` gets the batch's replicate keys, the row
-    guard and ``walk(bound, strict=False)``: an endless iterator over
-    generations 1, 2, ... of the batch as (pos, rep) arrays, keeping points
-    at or (if strict) below ``bound``, a scalar or one bound per replicate;
-    ``bound`` defaults to the batch's slice of ``bounds``, else ``cap``.
+    "beam" for the minima's beam pass, "exact" for their exact pass.  They
+    run on the fewest of cfg.threads, the batches and the batches whose
+    expected rows fit MAX_BYTES side by side at _ROW_BYTES a row; each
+    worker's generations are guarded at its share, MAX_BYTES // (_ROW_BYTES
+    * workers) rows.  ``bounds``, if given, holds one bound at most ``cap``
+    per replicate of [lo, hi).  ``reduce(key, walk, guard)`` gets the
+    batch's keys, the row guard and ``walk(strict=False)``: an endless
+    iterator over generations 1, 2, ... of the batch as (pos, rep) arrays,
+    keeping points at or (if strict) below its slice of ``bounds``, else
+    ``cap``.
     """
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
-    batch = _batch_size(cfg, hi - lo, cap, depth, layout)
+    batch = _batch_size(hi - lo, cap, depth, layout)
+    starts = range(lo, hi, batch)
+    fit = MAX_BYTES // (_ROW_BYTES * batch * _replicate_rows(cap, depth, layout))
+    workers = min(cfg.threads, len(starts), int(fit))
+    guard = MAX_BYTES // (_ROW_BYTES * workers)
     _keep_freed_memory()
-    guard = 4 * cfg.batch_rows
 
     def work(start: int):
         stop = min(start + batch, hi)
         key = replicate_keys(cfg.seed, start, stop)
-        own = cap if bounds is None else bounds[start - lo : stop - lo]
+        bound = cap if bounds is None else bounds[start - lo : stop - lo]
 
-        def walk(bound=own, strict=False):
+        def walk(strict=False):
             pos, k, rep = np.zeros(key.size), key, np.arange(key.size, dtype=np.int64)
             while True:
                 row_cap = bound[rep] if np.ndim(bound) else bound
@@ -442,13 +447,13 @@ def _drive(
 
         return reduce(key, walk, guard)
 
-    return _map(cfg.threads, work, range(lo, hi, batch))
+    return _map(workers, work, starts)
 
 
 def _map(threads: int, fn, items) -> list:
     """``[fn(item) for item in items]``, on a pool of ``threads`` workers
-    when there is more than one of each."""
-    if threads == 1 or len(items) == 1:
+    when there is more than one; ``threads`` is at most ``len(items)``."""
+    if threads == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
@@ -525,7 +530,7 @@ def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
         return _segment_min(rep, pos, key.size)
 
     bounds = np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, beam, "beam"))
-    return np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, lowest, "budget", bounds))
+    return np.concatenate(_drive(cfg, 0, cfg.replicates, cap, n, lowest, "exact", bounds))
 
 
 @dataclass
@@ -751,16 +756,14 @@ def rde_iterate(pop_size: int, iters: int, cfg: RunConfig) -> RdeResult:
     population.  Each sample stops peeling sticks once the remaining mass
     cannot beat its current best (cum + min X >= best), which is exact.
     Starting population is identically 0, so one step reproduces
-    -1/e + B_1.  The population is held whole, so it must fit the row
-    budget cfg.batch_rows.  Each iteration splits the population into
+    -1/e + B_1.  The population is held whole, at 128 bytes a sample
+    under the memory ceiling.  Each iteration splits the population into
     cfg.threads chunks; a sample's loop reads only its own key and the
     previous population, so the result does not depend on the split.
     """
     pop_size = as_int(pop_size, "population", 1000)  # smaller ones do not iterate stably
     iters = as_int(iters, "iters", 1)
     check_bytes(128 * pop_size, f"a population of {pop_size} (128 bytes a sample)")
-    if pop_size > cfg.batch_rows:
-        raise CapacityError(f"population {pop_size} exceeds the row budget {cfg.batch_rows}")
     if pop_size * iters > _MAX_WORK_ROWS:
         raise CapacityError(f"{pop_size} samples x {iters} iterations is above the work bound {_MAX_WORK_ROWS:.3g}")
     _keep_freed_memory()

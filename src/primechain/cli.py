@@ -115,7 +115,7 @@ def _resolve_threads(args) -> int:
 
 def _table(limit: int = 10**6) -> sieve.SpfTable:
     """The factor table a command builds; uncached, as a process runs one command."""
-    return sieve.build_spf(limit)
+    return sieve.SpfTable(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -46,14 +46,16 @@ class CensoringError(PrimechainError):
 
 
 # Ceiling on the bytes one call allocates: the factor table (limits below 2**29),
-# singular_series, phi_iter_stats, hist's table and tree fill, link_series_direct, rde_iterate.
+# singular_series, phi_iter_stats, hist's table and tree fill, link_series_direct,
+# the walk's batches in flight and rde_iterate.
 MAX_BYTES = 1 << 29
 
 
-def check_bytes(need: int, what: str) -> None:
-    """Refuse, with a CapacityError, ``what`` needing more than MAX_BYTES."""
+def check_bytes(need: float, what: str) -> None:
+    """Refuse, with a CapacityError, ``what`` needing more than MAX_BYTES; ``need`` may be a float, inf included."""
     if need > MAX_BYTES:
-        raise CapacityError(f"{what} needs about {need >> 20} MiB, above the {MAX_BYTES >> 20} MiB ceiling")
+        mib = f"{need / (1 << 20):.4g}" if isinstance(need, float) else need >> 20
+        raise CapacityError(f"{what} needs about {mib} MiB, above the {MAX_BYTES >> 20} MiB ceiling")
 
 
 def as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:

@@ -37,7 +37,7 @@ class VerifyContext:
 
     @functools.cached_property
     def table(self) -> sieve.SpfTable:
-        return sieve.build_spf(10**6)
+        return sieve.SpfTable(10**6)
 
     @functools.cached_property
     def dag(self) -> pratt.PrattDag:
@@ -237,13 +237,7 @@ def _a08_minimum_displacement(ctx: VerifyContext):
     pred40 = brw.predicted_median_bn(40)
     cap40 = pred40 + delta + 1.25
     reps40 = int(max(33, min(129, 2.5e9 / math.exp(cap40)))) | 1
-    rows = int(2.5 * math.exp(cap40) / math.sqrt(2 * math.pi * cap40)) + 1_000_000
-    cfg40 = RunConfig(
-        seed=803,
-        replicates=reps40,
-        threads=ctx.threads,
-        batch_rows=max(4_000_000, rows),
-    )
+    cfg40 = RunConfig(seed=803, replicates=reps40, threads=ctx.threads)
     b40 = brw.median_bn_detail(40, cfg40, cap=cap40).median
     growth = b40 - b20
     if not 6.9 <= growth <= 8.6:

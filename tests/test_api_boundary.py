@@ -105,8 +105,10 @@ CFG = st.builds(
     seed=mixed(as_numpy(st.integers(-(2**70), 2**70)), HOSTILE),
     replicates=mixed(st.integers(1, 20), st.sampled_from([0, -1, 2.5, math.nan, np.int64(5), 2**63])),
     threads=mixed(st.sampled_from([1, 2, np.int64(1)]), st.sampled_from([0, -1, 1.5, math.nan])),
-    batch_rows=mixed(st.sampled_from([4_000_000, 10_000, np.int64(100)]), st.sampled_from([1, 0, 2.5, math.nan, 10**30])),
 )
+# Expected rows a walk batch holds in a generation, for every layout: the
+# defaults (None), or so few that a call runs many batches
+WALK_ROWS = st.sampled_from([None, 5_000, 50])
 
 
 # name -> (callable, strategies of its positional arguments)
@@ -195,7 +197,7 @@ CASES = {
     "singular.rhopm_total": (singular.rhopm_total, PRIME, work(5), seqs(ints(-1, 5)), st.dictionaries(ints(-1, 5), NUM, max_size=3)),
     "singular.rhopm_check": (singular.rhopm_check, PRIME, work(5), seqs(ints(-1, 5))),
     # brw
-    "brw.RunConfig": (brw.RunConfig, NUM, work(20), ints(1, 2), work(10**6)),
+    "brw.RunConfig": (brw.RunConfig, NUM, work(20), ints(1, 2)),
     "brw.lpd_offsets_from_uniforms": (brw.lpd_offsets_from_uniforms, st.lists(reals(0, 1), max_size=6), CAP),
     "brw.sample_lpd_offsets": (brw.sample_lpd_offsets, NUM, CAP),
     "brw.simulate_run": (brw.simulate_run, work(6), CAP, CFG, work(100)),
@@ -265,11 +267,16 @@ def test_every_public_callable_has_a_strategy():
 @given(data=st.data())
 def test_every_call_ends_in_a_result_or_a_typed_error(name, data):
     fn, *strategies = CASES[name]
-    try:
-        args = [data.draw(s) for s in strategies]
-        settle(fn(*args))
-    except PrimechainError:
-        pass
+    rows = data.draw(WALK_ROWS) if name.startswith("brw.") else None
+    with pytest.MonkeyPatch.context() as m:
+        if rows:
+            m.setattr(brw, "_CACHE_ROWS", rows)
+            m.setattr(brw, "_EXACT_ROWS", rows)
+        try:
+            args = [data.draw(s) for s in strategies]
+            settle(fn(*args))
+        except PrimechainError:
+            pass
 
 
 def _same(value):

@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from primechain import brw
-from primechain.errors import CapacityError, CensoringError, DomainError
+from primechain.errors import MAX_BYTES, CapacityError, CensoringError, DomainError
 from primechain.rng import replicate_keys, stream_draw, to_unit
 
 
@@ -13,6 +15,12 @@ def cfg(**kw):
     base = dict(seed=1, replicates=100)
     base.update(kw)
     return brw.RunConfig(**base)
+
+
+def small_batches(monkeypatch):
+    """Size every batch layout to 1,000 expected rows a generation."""
+    monkeypatch.setattr(brw, "_CACHE_ROWS", 1000)
+    monkeypatch.setattr(brw, "_EXACT_ROWS", 1000)
 
 
 class TestStickBreaking:
@@ -95,7 +103,8 @@ class TestRunConfig:
 
     def test_defaults(self):
         c = brw.RunConfig(seed=7)
-        assert c.replicates == 10_000 and c.threads == 1 and c.batch_rows == 4_000_000
+        assert c.replicates == 10_000 and c.threads == 1
+        assert [f.name for f in dataclasses.fields(c)] == ["seed", "replicates", "threads"]
 
 
 class TestSingleRun:
@@ -162,9 +171,8 @@ class TestCounting:
             assert abs(mean - want) <= 4 * se + 1e-12, (n, t)
 
     def test_batch_capacity_guard(self):
-        big = cfg(replicates=1, batch_rows=1000)
         with pytest.raises(CapacityError):
-            brw.replicate_z_counts(20, 25.0, big)
+            brw.replicate_z_counts(20, 25.0, cfg(replicates=1))
 
     def test_refusal_prints_a_huge_cap_in_short(self):
         with pytest.raises(CapacityError, match=r"^a single replicate at cap 1e\+308 expects ~inf points"):
@@ -341,7 +349,7 @@ class TestPrunedMinima:
     def test_matches_simulation_with_censored_and_dead_beams(self):
         c = cfg(seed=1, replicates=320)
         mins = brw.replicate_minima(10, c, cap=5.0)
-        bounds = brw._minimum_bounds(replicate_keys(1, 0, 320), 10, 5.0, c.batch_rows)
+        bounds = brw._minimum_bounds(replicate_keys(1, 0, 320), 10, 5.0, 1 << 24)
         assert np.isinf(mins).any(), "grid should include censored replicates"
         assert np.any((bounds == 5.0) & np.isfinite(mins)), "grid should include replicates whose beam dies"
         for r in range(c.replicates):
@@ -356,11 +364,12 @@ class TestPrunedMinima:
         assert 0 < finite.sum() < finite.size
         assert lo[finite].tobytes() == hi[finite].tobytes()
 
-    def test_many_batches_independent_of_threads(self):
-        # batch_rows 2000 splits 600 replicates into 40 batches
-        one = brw.replicate_minima(6, cfg(seed=29, replicates=600, batch_rows=2000), cap=6.0)
-        four = brw.replicate_minima(6, cfg(seed=29, replicates=600, batch_rows=2000, threads=4), cap=6.0)
+    def test_many_batches_independent_of_threads(self, monkeypatch):
         whole = brw.replicate_minima(6, cfg(seed=29, replicates=600), cap=6.0)
+        # 1,000 rows a batch splits 600 replicates into 40 batches
+        small_batches(monkeypatch)
+        one = brw.replicate_minima(6, cfg(seed=29, replicates=600), cap=6.0)
+        four = brw.replicate_minima(6, cfg(seed=29, replicates=600, threads=4), cap=6.0)
         assert one.tobytes() == four.tobytes() == whole.tobytes()
 
     def test_bound_admits_a_child_on_its_parents_mass(self, monkeypatch):
@@ -555,35 +564,53 @@ class TestThreadInvariance:
         four = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000, threads=4))
         assert one.tobytes() == four.tobytes()
 
+    def test_exact_pass_starts_no_more_workers_than_fit(self, monkeypatch):
+        pools = []
+
+        class CountingPool(brw.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(brw, "ThreadPoolExecutor", CountingPool)
+        cap = brw.predicted_median_bn(16) + 3.0
+        one = brw.replicate_minima(16, cfg(replicates=2000), cap)
+        assert pools == []
+        four = brw.replicate_minima(16, cfg(replicates=2000, threads=4), cap)
+        # the beam pass is one batch, on no pool; the exact pass's five
+        # batches of 482 expect ~2e6 rows each, and two fit the ceiling
+        fit = MAX_BYTES // (brw._ROW_BYTES * 482 * brw._replicate_rows(cap, 16, "exact"))
+        assert fit == 2 and pools == [2]
+        assert one.tobytes() == four.tobytes()
+
 
 class TestBatchLayout:
     """The full-cap reductions run in cache-sized batches; the minima run
     their beam pass in batches sized to the beam, then their exact pass in
-    batches sized to the row budget.  Batches are concatenated in replicate
+    batches sized to _EXACT_ROWS.  Batches are concatenated in replicate
     order and each node keeps its own key, so no layout moves a bit."""
 
     def test_batch_size(self, monkeypatch):
-        full, small = brw.RunConfig(), brw.RunConfig(batch_rows=2000)
         # Z_8(6) expects 65.8 rows per replicate: 2^18 / 65.8 against the
-        # budget fit, 4e6 / (2 * 65.8)
-        assert brw._batch_size(full, 100_000, 6.0, 8, "cache") == 3983
-        assert brw._batch_size(full, 100_000, 6.0, 8, "budget") == 30_395
+        # exact pass's 2e6 / 65.8
+        assert brw._batch_size(100_000, 6.0, 8, "cache") == 3983
+        assert brw._batch_size(100_000, 6.0, 8, "exact") == 30_395
         # T(1e-4): cap 9.21 over 115 generations, ~1.3e3 rows per replicate
-        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, "cache") == 199
-        assert brw._batch_size(full, 2000, -math.log(1e-4), 115, "budget") == 1520
+        assert brw._batch_size(2000, -math.log(1e-4), 115, "cache") == 199
+        assert brw._batch_size(2000, -math.log(1e-4), 115, "exact") == 1520
         # the beam is sized to the cache at 8 widths of rows per replicate,
         # where that is fewer: n=16 at cap 10.42 expects ~4.1e3 rows per
         # replicate and A08's b20 ~1.9e4, so each takes 2^18 / (8 * 16)
         # replicates a beam batch; Z_8(6)'s 65.8 rows are below 8 widths
         cap16 = brw.predicted_median_bn(16) + 3.0
-        assert brw._batch_size(full, 2000, cap16, 16, "budget") == 482
-        assert brw._batch_size(full, 2000, cap16, 16, "beam") == 2000
-        assert brw._batch_size(full, 10_000, 12.01, 20, "budget") == 106
-        assert brw._batch_size(full, 10_000, 12.01, 20, "beam") == 2048
-        assert brw._batch_size(full, 100_000, 6.0, 8, "beam") == 3983
-        # a small budget bounds all three
-        for layout in ("cache", "budget", "beam"):
-            assert brw._batch_size(small, 600, 6.0, 6, layout) == 15
+        assert brw._batch_size(2000, cap16, 16, "exact") == 482
+        assert brw._batch_size(2000, cap16, 16, "beam") == 2000
+        assert brw._batch_size(10_000, 12.01, 20, "exact") == 106
+        assert brw._batch_size(10_000, 12.01, 20, "beam") == 2048
+        assert brw._batch_size(100_000, 6.0, 8, "beam") == 3983
+        # A08's b40 (cap 17.518) takes all 61 replicates a beam batch and one an exact-pass batch
+        assert brw._batch_size(61, 17.518, 40, "beam") == 61
+        assert brw._batch_size(61, 17.518, 40, "exact") == 1
         sized = []
         size = brw._batch_size
         monkeypatch.setattr(brw, "_batch_size", lambda *a: sized.append(a[-1]) or size(*a))
@@ -591,7 +618,11 @@ class TestBatchLayout:
         brw.replicate_t_epsilon(0.5, cfg())
         brw.simulate_run(2, 1.0, cfg())
         brw.replicate_minima(2, cfg(), cap=2.0)
-        assert sized == ["cache", "cache", "cache", "beam", "budget"]
+        assert sized == ["cache", "cache", "cache", "beam", "exact"]
+        # smaller targets bound all three
+        small_batches(monkeypatch)
+        for layout in ("cache", "exact", "beam"):
+            assert size(600, 6.0, 6, layout) == 15
 
     @staticmethod
     def batches(monkeypatch, call):
@@ -602,7 +633,7 @@ class TestBatchLayout:
             m.setattr(brw, "replicate_keys", lambda seed, lo, hi: starts.append(lo) or keys(seed, lo, hi))
             return call(), len(starts)
 
-    # the default budget fits each call in one batch; the cache target alone splits it
+    # _EXACT_ROWS would fit each call in one batch; the cache target splits it
     @pytest.mark.parametrize(
         "call, count",
         [
@@ -613,7 +644,7 @@ class TestBatchLayout:
     )
     def test_cache_batches_match_one_batch(self, monkeypatch, call, count):
         split, many = self.batches(monkeypatch, call)
-        monkeypatch.setattr(brw, "_CACHE_ROWS", math.inf)
+        monkeypatch.setattr(brw, "_CACHE_ROWS", brw._EXACT_ROWS)
         whole, one = self.batches(monkeypatch, call)
         assert (many, one) == (count, 1)
         assert split.tobytes() == whole.tobytes()
@@ -622,17 +653,18 @@ class TestBatchLayout:
         def minima(**kw):
             return lambda: brw.replicate_minima(6, cfg(seed=43, replicates=600, **kw), cap=6.0)
 
-        # each of the two passes, the beam's and the exact one, runs 40
-        # batches at the small budget and one at the default
-        split, many = self.batches(monkeypatch, minima(batch_rows=2000))
+        # each of the two passes, the beam's and the exact one, runs one
+        # batch at the default targets and 40 at 1,000 rows
         whole, one = self.batches(monkeypatch, minima())
+        small_batches(monkeypatch)
+        split, many = self.batches(monkeypatch, minima())
         assert (many, one) == (2 * 40, 2 * 1)
         assert split.tobytes() == whole.tobytes()
 
     def test_one_beam_batch_then_the_budget_batches(self, monkeypatch):
         # 2,000 replicates at n=16 expect ~4.1e3 rows each: one beam batch
-        # of up to 2,048 for all of them, then the exact pass's five budget
-        # batches of 482
+        # of up to 2,048 for all of them, then the exact pass's five batches
+        # of 482
         beams, spans = [], []
         bounds, keys = brw._minimum_bounds, brw.replicate_keys
         monkeypatch.setattr(brw, "_minimum_bounds", lambda key, *a: beams.append(key.size) or bounds(key, *a))
@@ -642,23 +674,101 @@ class TestBatchLayout:
         assert spans == [(0, 2000), (0, 482), (482, 964), (964, 1446), (1446, 1928), (1928, 2000)]
         assert not est.retried and est.censor_rate < 0.5
 
-    def test_two_passes_match_across_threads_and_budgets(self):
+    def test_two_passes_match_across_threads_and_budgets(self, monkeypatch):
         # n=10 at cap 5 expects 27 rows per replicate: each pass runs one
-        # batch at the default budget and 28 at 2,000 rows
-        def minima(**kw):
-            return brw.replicate_minima(10, cfg(seed=44, replicates=1000, **kw), cap=5.0)
+        # batch at the default targets and 28 at 1,000 rows
+        def minima(threads=1):
+            return brw.replicate_minima(10, cfg(seed=44, replicates=1000, threads=threads), cap=5.0)
 
         one = minima()
         assert np.isinf(one).any() and np.isfinite(one).any()
-        for kw in (dict(threads=4), dict(batch_rows=2000), dict(batch_rows=2000, threads=4)):
-            assert minima(**kw).tobytes() == one.tobytes(), kw
+        assert minima(threads=4).tobytes() == one.tobytes()
+        small_batches(monkeypatch)
+        for threads in (1, 4):
+            assert minima(threads).tobytes() == one.tobytes(), threads
 
     def test_z_counts_digest(self):
-        # SHA-256 recorded with budget-sized batches, one batch of 20,000
+        # SHA-256 recorded with one batch of 20,000, as _EXACT_ROWS sizes them
         z = brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000))
         assert hashlib.sha256(z.astype(np.int64).tobytes()).hexdigest() == (
             "a80090685d212b5feb04c4804c834dc945a929ca8db68e6c0fa520c51d823d67"
         )
+
+
+class TestMemoryCeiling:
+    """The walk's one memory check: _ROW_BYTES a row of a batch's largest
+    generation, under errors.MAX_BYTES."""
+
+    @staticmethod
+    def edge_cap(n: int) -> float:
+        """The largest cap whose one replicate fits the ceiling over n generations."""
+        def fits(cap):
+            return brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0) <= MAX_BYTES
+
+        lo, hi = 1.0, 40.0
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return lo
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, cap: brw.replicate_z_counts(n, cap, cfg(replicates=1)),
+            lambda n, cap: brw.replicate_minima(n, cfg(replicates=1), cap),
+            lambda n, cap: brw.simulate_run(n, cap, cfg()),
+        ],
+        ids=["z_counts", "minima", "simulate_run"],
+    )
+    def test_replicate_ceiling(self, monkeypatch, call):
+        class Drawn(Exception):
+            pass
+
+        drawn = []
+
+        def drawing(keys, index):
+            drawn.append(keys.size)
+            raise Drawn
+
+        n = 40
+        edge = self.edge_cap(n)
+        # A08's b40 expects 3.87e6 rows a replicate and its largest generation held 4,156,485
+        assert brw._expected_peak_rows(17.518, n) < MAX_BYTES // brw._ROW_BYTES
+        assert 4_156_485 < MAX_BYTES // brw._ROW_BYTES
+        monkeypatch.setattr(brw, "stream_draw", drawing)
+        with pytest.raises(CapacityError, match="ceiling"):
+            call(n, math.nextafter(edge, math.inf))
+        assert drawn == []
+        with pytest.raises(Drawn):
+            call(n, edge)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: brw.replicate_z_counts(14, 14.0, cfg(replicates=1)),
+            lambda: brw.replicate_t_epsilon(1e-5, cfg(seed=3, replicates=20)),
+            lambda: brw.replicate_minima(20, cfg(seed=802, replicates=106), 12.01),
+        ],
+        ids=["z_counts", "t_epsilon", "minima"],
+    )
+    def test_peak_within_row_bytes(self, monkeypatch, call):
+        largest = [0]
+        kernel = brw._next_generation
+
+        def watching(*args):
+            out = kernel(*args)
+            largest[0] = max(largest[0], out[0].size)
+            return out
+
+        monkeypatch.setattr(brw, "_next_generation", watching)
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert largest[0] > 50_000
+        assert peak <= brw._ROW_BYTES * largest[0]
 
 
 class TestKsDistance:
@@ -711,11 +821,23 @@ class TestRdeIteration:
         # Later iterates should move less than the first one did.
         assert min(res.ks_trace[-3:]) <= res.ks_trace[0]
 
-    def test_population_guard(self):
+    def test_population_guard(self, monkeypatch):
         with pytest.raises(DomainError):
             brw.rde_iterate(100, 2, cfg())
         with pytest.raises(DomainError):
             brw.rde_iterate(2000, 0, cfg())
-        # the whole population must fit the walk's row budget
-        with pytest.raises(CapacityError):
-            brw.rde_iterate(2001, 1, cfg(batch_rows=2000))
+        # the whole population, 128 bytes a sample, must fit the memory
+        # ceiling: refused above the edge, admitted at it
+        edge = MAX_BYTES // 128
+        with pytest.raises(CapacityError, match="ceiling"):
+            brw.rde_iterate(edge + 1, 1, cfg())
+
+        class Admitted(Exception):
+            pass
+
+        def admitted():
+            raise Admitted
+
+        monkeypatch.setattr(brw, "_keep_freed_memory", admitted)
+        with pytest.raises(Admitted):
+            brw.rde_iterate(edge, 1, cfg())

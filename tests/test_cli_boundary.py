@@ -82,7 +82,7 @@ ARGV = st.one_of(
     command(["dickman"], req("--u", FLOATS)),
     # A walk's cost grows like e^cap, so caps, margins and eps are drawn
     # where a run takes milliseconds; larger ones are either refused by the
-    # row budget or are long but legitimate jobs.
+    # memory ceiling or are long but legitimate jobs.
     command(["brw", "run"], req("--n", small(30, 10**30)), req("--cap", floats(-2, 10)), opt("--replicate", INTS)),
     command(
         ["brw", "median-bn"],
