@@ -37,28 +37,28 @@ child the beam keeps lies below, so each generation of the beam is drawn
 only up to that bound and the beam does not change.
 
 Replicates are independent and parallelize freely: replicate i draws its
-randomness from the substream keyed by (seed, i), so results do not
-depend on batch or thread layout.  One driver, ``_drive``, runs every
-operation on a replicate range [lo, hi): it sizes the batches and refuses,
-before drawing anything, a replicate whose walk would pass the memory
-ceiling errors.MAX_BYTES at _ROW_BYTES a row, sets the row guard, derives
-the replicate keys and maps the batches over as many threads as fit that
-ceiling side by side.  The full-cap reductions (Z_n(t), T(eps), single
-runs) get batches that expect about _CACHE_ROWS rows per generation, so
-their columns fit the cache.  The minima run in two phases, each one
-_drive call: first the beam bounds of every replicate, in batches sized to
-the beam's own rows (a few beam widths per replicate) and to the cache,
-then the exact pass below them, in batches that expect _EXACT_ROWS rows at
-the full cap, since it draws far fewer, each batch reading its own slice
-of the bounds.  A larger beam batch may order two near-equal points of one
-replicate the other way (_minimum_bounds), but each bound is still a real
-node's position, so no minimum depends on the layout.  Every walk keeps
-the memory it frees (_keep_freed_memory), so small batches do not fault
-their heap back in each generation.  Each operation passes its own
+randomness from the substream keyed by (seed, i), so results do not depend
+on batch or thread layout.  One driver, ``_drive``, runs every operation
+on a replicate range [lo, hi): it sizes the batches, refuses before any
+draw a replicate whose walk would pass the memory ceiling errors.MAX_BYTES
+(_ROW_BYTES a row, _HEADROOM to spare), guards every batch's generations
+at that ceiling, derives the replicate keys and maps the batches over as
+many threads as fit it side by side.  The full-cap reductions (Z_n(t),
+T(eps), single runs) get batches that expect about _CACHE_ROWS rows per
+generation, so their columns fit the cache.  The minima run in two phases,
+each one _drive call: first the beam bounds of every replicate, in batches
+sized to the beam's own rows (a few beam widths per replicate) and to the
+cache, then the exact pass below them, in batches that expect _EXACT_ROWS
+rows at the full cap, since it draws far fewer, each batch reading its own
+slice of the bounds.  A larger beam batch may order two near-equal points
+of one replicate the other way (_minimum_bounds), but each bound is still
+a real node's position, so no minimum depends on the layout.  Every walk
+keeps the memory it frees (_keep_freed_memory), so small batches do not
+fault their heap back in each generation.  Each operation passes its own
 reduction of a batch's generations: the beam bounds or the minimum below
-them (B_n), a bincount of the last generation (Z_n(t)), the last
-non-empty generation (T(eps)), or the sorted positions of every
-generation (a single run, the range [r, r+1)).
+them (B_n), a bincount of the last generation (Z_n(t)), the last non-empty
+generation (T(eps)), or the sorted positions of every generation (a single
+run, the range [r, r+1)).
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
         if kept.size:
             total += kept.size
             if total > row_guard:
-                raise CapacityError(f"a generation passes {row_guard} rows, its share of the memory ceiling; lower the cap")
+                raise CapacityError(f"a generation passes {row_guard} rows, the memory ceiling of one batch; lower the cap")
             out_pos.append(child[kept])
             out_key.append(stream_draw(key[kept], 2 * t + 2))
             out_rep.append(rep[kept])
@@ -201,18 +201,22 @@ _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 _MAX_WORK_ROWS = 1 << 40
 # Expected rows a full-cap batch holds in one generation: 2 MiB per float64 column.
 _CACHE_ROWS = 1 << 18
-# Rows an exact-pass batch expects in one generation at the full cap; below
-# its beam bounds it draws far fewer (_batch_size).
-_EXACT_ROWS = 2_000_000
+_EXACT_ROWS = 2_000_000  # rows an exact-pass batch expects a generation at the full cap; it draws fewer
 # Bytes a walk holds per row of a batch's largest generation, the unit of its
 # memory checks.  A call's tracemalloc peak per row of that generation, at one
-# thread on a shared 2-core Xeon: 76.2-77.9 at the full cap (Z_16(16), Z_17(17)
-# of one replicate; Z_8(6), Z_12(10) in a cache batch; T(1e-6), T(1e-7)), 55.1
-# in a beam batch, 75.7 and 88.9 in the minima at n=16 and of 106 replicates of
-# A08's b20, and 87.7-88.7 in each of the 61 exact-pass batches of its b40 (up
-# to 4.16M rows, 347.5 MiB).  A single run also keeps every generation it
-# returns, which this does not count (114 bytes a row at cap 16).
+# thread: 76.2-77.9 at the full cap (Z_16(16), Z_17(17), Z_8(6), Z_12(10),
+# T(1e-6), T(1e-7)), 55.1 in a beam batch, 75.7 and 88.9 in the minima at
+# n=16 and of 106 replicates of A08's b20, and 87.7-88.7 in each exact-pass
+# batch of its b40 (up to 4.16M rows, 347.5 MiB).  A single run also keeps
+# every generation it returns, uncounted here (114 bytes a row at cap 16).
 _ROW_BYTES = 96
+# Times its expected rows that the refusal and the worker fit count a batch
+# at, so a walk admitted at the edge keeps headroom under its row guard.  A
+# replicate's largest generation over its expectation (seed 1) was at most
+# 1.37 of 20,000 at n = 40, cap 8, 1.14 of 1,000 at cap 13 and 1.08 of 12 at
+# n = 17, cap 17.5 (A08's b40 size, admitted to 4.47M rows); shallow walks
+# spread wider, 9.2% of 1,000 above 1.25 at n = 10, cap 15.
+_HEADROOM = 1.25
 # Rows a replicate's beam is taken to draw in one generation, in beam widths.
 # It is above the most any generation drew, so even a beam batch's largest
 # generation keeps within _CACHE_ROWS: 3.4/4.4/5.9 widths at n=16 (seed 1)
@@ -339,42 +343,33 @@ def _replicate_rows(cap: float, n: int, layout: str) -> float:
 def _batch_size(count: int, cap: float, n: int, layout: str) -> int:
     """Replicates per batch of ``count`` for ``n`` generations below ``cap``.
 
-    Refuses, before anything is drawn, a replicate whose walk would pass
-    the memory ceiling at _ROW_BYTES a row of its expected largest
-    generation, and a call expected to exceed the work bound.  A full-cap
-    batch expects at most _CACHE_ROWS rows in one generation ("cache", the
-    full-cap reductions).  The minima's exact pass draws far fewer rows
-    than the estimate and is sized to _EXACT_ROWS ("exact").  Their beam
-    pass ("beam") is sized like a full-cap batch, but takes a replicate at
-    _BEAM_ROWS_PER_WIDTH beam widths of rows where that is the smaller:
-    2,048 replicates a batch at width 16, 256 at width 128.
+    Refuses, before anything is drawn, a replicate whose walk would pass the
+    memory ceiling at _ROW_BYTES a row of _HEADROOM times its expected
+    largest generation, and a call expected to exceed the work bound.  A
+    full-cap batch expects at most _CACHE_ROWS rows in one generation
+    ("cache", the full-cap reductions).  The minima's exact pass draws far
+    fewer rows than the estimate and is sized to _EXACT_ROWS ("exact").
+    Their beam pass ("beam") is sized like a full-cap batch, but takes a
+    replicate at _BEAM_ROWS_PER_WIDTH beam widths of rows where that is the
+    smaller: 2,048 replicates a batch at width 16, 256 at width 128.
 
     _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
-    of L2, where a fit to _EXACT_ROWS alone made it 16 MiB.  Measured on
-    one core of a 2-core Xeon, each run a fresh process, Z_8(6) over
-    100,000 replicates and T(1e-4) over 2,000 at seed 101, with
-    _keep_freed_memory in place: their summed wall time in units of
-    perfbench's speed probe was 12.1k-12.5k at 2^16 rows, 11.4k-11.8k at
-    2^17, 11.9k-12.4k at 2^18 and 11.8k-12.7k at 2^19 (three runs each),
-    against 13.9k-14.0k at _EXACT_ROWS; in seconds, 1.8-2.4 s and
-    1.1-1.25 s at 2^18 against 2.5-3.2 s and 1.4-1.7 s.  Every output was
-    bit-equal.  In the same units (five runs at n=16, three at n=20), the
-    minima of 2,000 replicates at n=16 (cap 10.42) took 0.98k-1.01k with
-    their exact pass in the 5 batches of _EXACT_ROWS, against 1.60k-1.67k
-    in the 32 batches of 2^18 rows, and A08's generation-20 call
-    16.4k-17.8k in 95 batches against 33.8k-38.6k in 770.  With their beam
-    pass in the exact pass's own batches (5 and 95) the two calls took
-    1.12k-1.18k and 19.8k-21.9k; with it sized to _EXACT_ROWS, one batch
-    each, 1.00k-1.04k and 16.8k-17.7k, but the generation-20 call's peak
-    RSS rose from 46 to 77 MiB (its tracemalloc peak from 9.4 to 36.9 MiB),
-    so a beam batch is sized to the cache.
+    of L2.  Measured on one core of a 2-core Xeon, each run a fresh
+    process, Z_8(6) over 100,000 replicates and T(1e-4) over 2,000 (seed
+    101) summed 12.1k-12.5k/11.4k-11.8k/11.9k-12.4k/11.8k-12.7k units of
+    perfbench's speed probe at 2^16/2^17/2^18/2^19 rows, against
+    13.9k-14.0k at _EXACT_ROWS, bit-equal.  The minima's exact pass keeps
+    _EXACT_ROWS: at n=16 (2,000 replicates, cap 10.42) it took 0.98k-1.01k
+    in 5 batches against 1.60k-1.67k in 32 of 2^18 rows, and A08's
+    generation-20 call 16.4k-17.8k in 95 against 33.8k-38.6k in 770.  Beam
+    batches of _EXACT_ROWS (one each) were no faster, 1.00k-1.04k and
+    16.8k-17.7k, but raised the generation-20 call's peak RSS from 46 to
+    77 MiB, so a beam batch is sized to the cache.
     """
     per_rep = _expected_peak_rows(cap, n) + 1.0
-    check_bytes(_ROW_BYTES * per_rep, f"a single replicate at cap {cap:.6g} expects ~{per_rep:.3g} points, so its walk")
+    check_bytes(_HEADROOM * _ROW_BYTES * per_rep, f"a single replicate at cap {cap:.6g} expects ~{per_rep:.3g} points, so its walk")
     if count * per_rep > _MAX_WORK_ROWS:
-        raise CapacityError(
-            f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}"
-        )
+        raise CapacityError(f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}")
     rows = _EXACT_ROWS if layout == "exact" else _CACHE_ROWS
     return max(1, min(count, int(rows / _replicate_rows(cap, n, layout))))
 
@@ -413,24 +408,28 @@ def _drive(
 
     Batches are sized for ``depth`` generations below ``cap`` by
     ``_batch_size`` with ``layout``: "cache" for a full-cap reduction,
-    "beam" for the minima's beam pass, "exact" for their exact pass.  They
-    run on the fewest of cfg.threads, the batches and the batches whose
-    expected rows fit MAX_BYTES side by side at _ROW_BYTES a row; each
-    worker's generations are guarded at its share, MAX_BYTES // (_ROW_BYTES
-    * workers) rows.  ``bounds``, if given, holds one bound at most ``cap``
-    per replicate of [lo, hi).  ``reduce(key, walk, guard)`` gets the
-    batch's keys, the row guard and ``walk(strict=False)``: an endless
-    iterator over generations 1, 2, ... of the batch as (pos, rep) arrays,
-    keeping points at or (if strict) below its slice of ``bounds``, else
-    ``cap``.
+    "beam" for the minima's beam pass, "exact" for their exact pass.  They run
+    on the fewest of cfg.threads, the batches and the batches whose
+    expected rows (below their bounds in the exact pass), _HEADROOM times
+    over, fit MAX_BYTES side by side at _ROW_BYTES a row.  Every batch's
+    generations are guarded at the whole ceiling, MAX_BYTES // _ROW_BYTES
+    rows, so the thread count moves no outcome.  ``bounds``, if given,
+    holds one bound at most ``cap`` per replicate of [lo, hi).
+    ``reduce(key, walk, guard)`` gets the batch's keys, the row guard and
+    ``walk(strict=False)``: an endless iterator over generations 1, 2, ...
+    of the batch as (pos, rep) arrays, keeping points at or (if strict)
+    below its slice of ``bounds``, else ``cap``.
     """
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
     batch = _batch_size(hi - lo, cap, depth, layout)
     starts = range(lo, hi, batch)
-    fit = MAX_BYTES // (_ROW_BYTES * batch * _replicate_rows(cap, depth, layout))
-    workers = min(cfg.threads, len(starts), int(fit))
-    guard = MAX_BYTES // (_ROW_BYTES * workers)
+    rows = batch * _replicate_rows(cap, depth, layout)
+    if bounds is not None:
+        each = [_expected_peak_rows(b, depth) + 1.0 for b in bounds.tolist()]
+        rows = max(math.fsum(each[i : i + batch]) for i in range(0, hi - lo, batch))
+    workers = min(cfg.threads, len(starts), int(MAX_BYTES // (_HEADROOM * _ROW_BYTES * rows)))
+    guard = MAX_BYTES // _ROW_BYTES
     _keep_freed_memory()
 
     def work(start: int):

@@ -10,6 +10,7 @@ import math
 import numbers
 import operator
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -52,10 +53,10 @@ MAX_BYTES = 1 << 29
 
 
 def check_bytes(need: float, what: str) -> None:
-    """Refuse, with a CapacityError, ``what`` needing more than MAX_BYTES; ``need`` may be a float, inf included."""
+    """Refuse, with a CapacityError, ``what`` needing more than MAX_BYTES."""
     if need > MAX_BYTES:
-        mib = f"{need / (1 << 20):.4g}" if isinstance(need, float) else need >> 20
-        raise CapacityError(f"{what} needs about {mib} MiB, above the {MAX_BYTES >> 20} MiB ceiling")
+        mib = Decimal(need) / (1 << 20)  # exact for an int of any size and a float, inf included
+        raise CapacityError(f"{what} needs about {mib:.4g} MiB, above the {MAX_BYTES >> 20} MiB ceiling")
 
 
 def as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:

@@ -576,12 +576,32 @@ class TestThreadInvariance:
         cap = brw.predicted_median_bn(16) + 3.0
         one = brw.replicate_minima(16, cfg(replicates=2000), cap)
         assert pools == []
-        four = brw.replicate_minima(16, cfg(replicates=2000, threads=4), cap)
         # the beam pass is one batch, on no pool; the exact pass's five
-        # batches of 482 expect ~2e6 rows each, and two fit the ceiling
-        fit = MAX_BYTES // (brw._ROW_BYTES * 482 * brw._replicate_rows(cap, 16, "exact"))
-        assert fit == 2 and pools == [2]
-        assert one.tobytes() == four.tobytes()
+        # batches of 482 expect ~2e6 rows each at the cap but at most 90,884
+        # below their bounds, so all four workers asked fit the ceiling
+        four = brw.replicate_minima(16, cfg(replicates=2000, threads=4), cap)
+        assert pools == [4]
+        # at 1,600 bytes a row, 1.25 x 1,600 x 90,884 bytes fit twice
+        monkeypatch.setattr(brw, "_ROW_BYTES", 1600)
+        fitted = brw.replicate_minima(16, cfg(replicates=2000, threads=4), cap)
+        assert pools == [4, 2]
+        assert one.tobytes() == four.tobytes() == fitted.tobytes()
+
+    def test_row_guard_independent_of_threads(self, monkeypatch):
+        # Z_14(14) expects ~1.27e5 rows a replicate, so its cache batches
+        # hold two; at 21 threads its three batches run on three workers
+        guards = []
+        kernel = brw._next_generation
+
+        def watching(pos, key, rep, cap, strict, row_guard):
+            guards.append(row_guard)
+            return kernel(pos, key, rep, cap, strict, row_guard)
+
+        monkeypatch.setattr(brw, "_next_generation", watching)
+        one = brw.replicate_z_counts(14, 14.0, cfg(seed=4, replicates=6))
+        many = brw.replicate_z_counts(14, 14.0, cfg(seed=4, replicates=6, threads=21))
+        assert set(guards) == {MAX_BYTES // brw._ROW_BYTES}
+        assert one.tobytes() == many.tobytes()
 
 
 class TestBatchLayout:
@@ -697,13 +717,14 @@ class TestBatchLayout:
 
 class TestMemoryCeiling:
     """The walk's one memory check: _ROW_BYTES a row of a batch's largest
-    generation, under errors.MAX_BYTES."""
+    generation, under errors.MAX_BYTES; a walk is admitted with _HEADROOM
+    times its expected rows to spare."""
 
     @staticmethod
     def edge_cap(n: int) -> float:
         """The largest cap whose one replicate fits the ceiling over n generations."""
         def fits(cap):
-            return brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0) <= MAX_BYTES
+            return brw._HEADROOM * brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0) <= MAX_BYTES
 
         lo, hi = 1.0, 40.0
         while math.nextafter(lo, hi) < hi:
@@ -733,14 +754,26 @@ class TestMemoryCeiling:
         n = 40
         edge = self.edge_cap(n)
         # A08's b40 expects 3.87e6 rows a replicate and its largest generation held 4,156,485
-        assert brw._expected_peak_rows(17.518, n) < MAX_BYTES // brw._ROW_BYTES
-        assert 4_156_485 < MAX_BYTES // brw._ROW_BYTES
+        assert 17.518 < edge and 4_156_485 < MAX_BYTES // brw._ROW_BYTES
         monkeypatch.setattr(brw, "stream_draw", drawing)
         with pytest.raises(CapacityError, match="ceiling"):
             call(n, math.nextafter(edge, math.inf))
         assert drawn == []
         with pytest.raises(Drawn):
             call(n, edge)
+
+    def test_walks_admitted_at_the_edge_finish(self, monkeypatch):
+        # At 1/60,000 of the ceiling a row, the edge cap over 40 generations
+        # is about 13 (48,000 rows a replicate, one a batch).  Forty such
+        # walks all stay under the guard of 60,005 rows; counted at their
+        # expectation alone, admitted at the guard, the call is refused midway.
+        monkeypatch.setattr(brw, "_ROW_BYTES", MAX_BYTES // 60_000)
+        monkeypatch.setattr(brw, "_CACHE_ROWS", 1)
+        z = brw.replicate_z_counts(40, self.edge_cap(40), cfg(replicates=40))
+        assert z.size == 40
+        monkeypatch.setattr(brw, "_HEADROOM", 1.0)
+        with pytest.raises(CapacityError, match=f"a generation passes {MAX_BYTES // brw._ROW_BYTES} rows"):
+            brw.replicate_z_counts(40, self.edge_cap(40), cfg(replicates=40))
 
     @pytest.mark.parametrize(
         "call",
