@@ -25,6 +25,8 @@ from .errors import CapacityError, DomainError, IntegrityError, as_int, as_real
 from .pratt import PrattDag, _require_prime
 from .sieve import SpfTable, count_primes_in_aps, primes_in_aps
 
+_ENDING_CAP = 500_000  # chains one chains_ending_at call may list
+
 
 @dataclass(frozen=True, slots=True)
 class ChainRecord:
@@ -125,11 +127,12 @@ def enumerate_from(
     return ChainEnumeration(start=p, ratio=float(x), chains=ChainRecord._trusted(found))
 
 
-def chains_ending_at(p: int, table: SpfTable, size_cap: int = 500_000) -> list[ChainRecord]:
+def chains_ending_at(p: int, table: SpfTable) -> list[ChainRecord]:
     """Every chain whose final element is p, by explicit recursion on the
-    prime divisors of predecessor candidates (no memoization)."""
+    prime divisors of predecessor candidates (no memoization); more than
+    ``_ENDING_CAP`` chains is a CapacityError."""
     p = _require_prime(p, table)
-    budget = [as_int(size_cap, "size cap")]
+    budget = [_ENDING_CAP]
 
     def walk(q: int) -> list[tuple[int, ...]]:
         budget[0] -= 1

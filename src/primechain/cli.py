@@ -15,7 +15,6 @@ import dataclasses
 import decimal
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -98,19 +97,6 @@ def _emit(args, payload: dict, header: list[str], rows: list[list]) -> None:
 def _kv(payload: dict, *skip: str) -> tuple[dict, list[str], list[list]]:
     """A payload with its key,value rows in key order, leaving out ``skip``."""
     return payload, ["key", "value"], [[k, payload[k]] for k in sorted(payload) if k not in skip]
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return as_int(args.threads, "--threads", 1, brw.MAX_THREADS)
-    env = os.environ.get("PRIMECHAIN_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise DomainError(f"PRIMECHAIN_THREADS={env!r} is not an integer") from exc
-        return as_int(n, "PRIMECHAIN_THREADS", 1, brw.MAX_THREADS)
-    return 1
 
 
 def _table(limit: int = 10**6) -> sieve.SpfTable:
@@ -344,7 +330,7 @@ def _command(sub, name: str, func, help: str, formats=("json", "csv")) -> argpar
     sp.add_argument("--format", choices=formats, default=formats[0], help="output format")
     sp.add_argument("--out", default=_STDOUT, help="output path ('-' for stdout)")
     sp.add_argument("--seed", type=_integer, default=1, help="RNG seed (never time-derived)")
-    sp.add_argument("--threads", type=_integer, default=None, help="worker threads (default: PRIMECHAIN_THREADS or 1)")
+    sp.add_argument("--threads", type=_integer, default=1, help="worker threads (default 1)")
     sp.set_defaults(func=func)
     return sp
 
@@ -427,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _resolve_threads(args)
+        args.threads = as_int(args.threads, "--threads", 1, brw.MAX_THREADS)
         if args.func is _cmd_verify:
             return _cmd_verify(args)
         _emit(args, *args.func(args))

@@ -98,9 +98,9 @@ def default_table() -> RhoTable:
     return RhoTable()
 
 
-def rho(u: float, table: RhoTable | None = None) -> float:
-    """Dickman rho at u (table built lazily with the default grid)."""
-    return (table or default_table()).rho(u)
+def rho(u: float) -> float:
+    """Dickman rho at u, read in ``default_table()``."""
+    return default_table().rho(u)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:

@@ -47,8 +47,8 @@ class CensoringError(PrimechainError):
 
 
 # Ceiling on the bytes one call allocates: the factor table (limits below 2**29),
-# singular_series, phi_iter_stats, hist's table and tree fill, link_series_direct,
-# the walk's batches in flight and rde_iterate.
+# singular_series, phi_iter_stats, hist's table and tree fill, the residue
+# matrix's dense Perron copy, the walk's batches in flight and rde_iterate.
 MAX_BYTES = 1 << 29
 
 

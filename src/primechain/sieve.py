@@ -291,12 +291,13 @@ class SpfTable:
         """Yield (rows, s, new) per round of spf division of the odd parts of
         ``ns``, integers in 1..factor_limit (DomainError otherwise): each
         round divides every unfinished odd part m[row] by its smallest prime
-        factor s, int64, read in the cells, or by ``spf`` if an entry passes
-        the limit.  ``new`` marks the s that differ from the row's previous
-        round's: the odd prime divisors of ns[row], once each, increasing."""
+        factor s, int64, read in the cells, or by ``spf`` if an odd part
+        passes the limit.  ``new`` marks the s that differ from the row's
+        previous round's: the odd prime divisors of ns[row], once each,
+        increasing."""
         m = as_int_array(ns, "ns", 1, self.factor_limit)
-        top = int(m.max(initial=1))
         m = m // (m & -m)
+        top = int(m.max(initial=1))
         rows = np.flatnonzero(m > 1)
         m = m[rows]
         last = np.zeros_like(m)
@@ -372,14 +373,14 @@ def progression_step(q):
 PROGRESSION_CHUNK = 1 << 18
 
 
-def progression_candidates(qs: np.ndarray, ceiling: int, width: int = PROGRESSION_CHUNK):
+def progression_candidates(qs: np.ndarray, ceiling: int):
     """Yield (rows, candidates): every 1 + k * progression_step(qs[row]) with
     k >= 1 and at most ``ceiling`` (below 2**64), as uint64, in chunks of at
-    most ``width``.  Rows come in order and each row's candidates increase; a
-    row with more than ``width`` (<= PROGRESSION_CHUNK) candidates gets chunks
+    most PROGRESSION_CHUNK.  Rows come in order and each row's candidates
+    increase; a row with more than PROGRESSION_CHUNK candidates gets chunks
     of its own.  Any q < 1 is refused with a DomainError."""
     ceiling = as_int(ceiling, "ceiling", hi=(1 << 64) - 1)
-    width = as_int(width, "width", 1, PROGRESSION_CHUNK)
+    width = PROGRESSION_CHUNK
     steps = progression_step(qs)
     if ceiling < 2 or not steps.size:
         return

@@ -43,9 +43,7 @@ _BERNOULLI = (
     7.0 / 6,
 )
 
-# Bound on dim**2: the gathers of one row-sum pass, and the dense float64
-# copy (~320 MB) that perron_eigenvalue fills; y = 13 fits, y = 17 does not.
-_MAX_MATRIX_ENTRIES = 40_000_000
+_DIRECT_TERMS = 1_000_000  # leading terms link_series_direct sums (16 MB)
 _BLOCK_ENTRIES = 1 << 17  # entries gathered per row block (1 MiB of float64)
 _ADMISSIBLE_Y = (2, 3, 5, 7, 11, 13, 17, 19, 23)  # the primes to 23
 _MAX_GRID = 10_000  # each s point costs one row-sum evaluation
@@ -177,18 +175,16 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
 
     Entries share only r distinct values (the Hurwitz zetas at k/r for
     k = 1..r), which are computed once; ``ResidueMatrix.rows`` gathers
-    them.  y beyond 13 (dimension 5760) exceeds the entry budget and is
-    rejected before anything of size r is allocated.
+    them.  The dense float64 copy that ``perron_eigenvalue`` fills, 8 dim^2
+    bytes, counts against the memory ceiling: y = 13 (dimension 5760,
+    265 MB) fits, and y from 17 on is refused before anything of size r is
+    allocated.
     """
     s = as_real(s, "s", 1, lo_open=True)
     primes = _check_y(y)
     r = math.prod(primes)
     dim = math.prod(p - 1 for p in primes)  # phi(r)
-    if dim * dim > _MAX_MATRIX_ENTRIES:
-        raise CapacityError(
-            f"residue matrix for y={y} has {dim}x{dim} entries, above the {_MAX_MATRIX_ENTRIES:,} "
-            "that one row-sum pass gathers or a dense Perron copy holds"
-        )
+    check_bytes(8 * dim * dim, f"the dense {dim}x{dim} residue matrix for y={y}")
     coprime = np.ones(r + 1, dtype=bool)
     for p in primes:
         coprime[p::p] = False
@@ -202,23 +198,20 @@ def build_matrix(y: int, s: float) -> ResidueMatrix:
     )
 
 
-def link_series_direct(a: int, b: int, y: int, s: float, terms: int = 1_000_000) -> float:
-    """S(a, b) by direct summation of ``terms`` >= 1 leading terms (16 bytes
-    each against the memory ceiling) plus an Euler-Maclaurin tail; an
-    independent check of the closed form."""
+def link_series_direct(a: int, b: int, y: int, s: float) -> float:
+    """S(a, b) by direct summation of ``_DIRECT_TERMS`` leading terms plus
+    an Euler-Maclaurin tail; an independent check of the closed form."""
     a, b = as_int(a, "a"), as_int(b, "b")
     s = as_real(s, "s", 1, lo_open=True)
-    terms = as_int(terms, "terms", 1)
-    check_bytes(16 * terms, f"{terms} terms")
     r = math.prod(_check_y(y))
     if math.gcd(a, r) != 1 or math.gcd(b, r) != 1:
         raise DomainError("a and b must be units mod r")
     m0 = (b - 1) * pow(a, -1, r) % r
     if m0 == 0:
         m0 = r
-    m = np.arange(terms, dtype=np.float64) * r + m0
+    m = np.arange(_DIRECT_TERMS, dtype=np.float64) * r + m0
     partial = float(np.sum(m ** (-s)))
-    edge = m0 + terms * r
+    edge = m0 + _DIRECT_TERMS * r
     tail = edge ** (1.0 - s) / (r * (s - 1.0)) + 0.5 * edge ** (-s)
     tail += s * r * edge ** (-s - 1.0) / 12.0  # first derivative correction
     return partial + tail

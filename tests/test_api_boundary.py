@@ -6,8 +6,9 @@ floats, nan, +-inf, 10**30, 2**64 and numpy scalars, and for array
 arguments lists and arrays of them.  Each call must end in a result or a
 ``PrimechainError``; a generator counts as ended after its first chunks.
 The arguments that set the amount of work (table limits, replicates,
-populations, cutoffs, terms, walk caps) are drawn small, or huge enough to
-be refused before any work, so the whole test runs in seconds.  A value
+populations, cutoffs, walk caps) are drawn small, or huge enough to be
+refused before any work, and the module constants that set it are drawn at
+their defaults or small, so the whole test runs in seconds.  A value
 that is not a number (None, a string) is a TypeError by design and is not
 drawn, and neither is a thread count above 2, which would start threads.
 ``mix64`` and ``to_unit`` hash uint64 words, not numbers, so they are
@@ -106,9 +107,16 @@ CFG = st.builds(
     replicates=mixed(st.integers(1, 20), st.sampled_from([0, -1, 2.5, math.nan, np.int64(5), 2**63])),
     threads=mixed(st.sampled_from([1, 2, np.int64(1)]), st.sampled_from([0, -1, 1.5, math.nan])),
 )
-# Expected rows a walk batch holds in a generation, for every layout: the
-# defaults (None), or so few that a call runs many batches
-WALK_ROWS = st.sampled_from([None, 5_000, 50])
+# case-name prefix -> (drawn values, the module constants set to one): None
+# keeps the defaults; small values make a walk run many batches (in every
+# layout) and a progression many chunks, and cap chains_ending_at's chains
+# and link_series_direct's terms.
+CONSTANTS = {
+    "brw.": (st.sampled_from([None, 5_000, 50]), [(brw, "_CACHE_ROWS"), (brw, "_EXACT_ROWS")]),
+    "sieve.progression_candidates": (st.sampled_from([None, 1, 7, 1000]), [(sieve, "PROGRESSION_CHUNK")]),
+    "chains.chains_ending_at": (st.sampled_from([None, 0, 1, 50]), [(chains, "_ENDING_CAP")]),
+    "sifted.link_series_direct": (st.sampled_from([None, 1, 1000]), [(sifted, "_DIRECT_TERMS")]),
+}
 
 
 # name -> (callable, strategies of its positional arguments)
@@ -135,7 +143,7 @@ CASES = {
     "sieve.SpfTable.prime_count": (TABLE.prime_count, NUM),
     "sieve.build_spf": (sieve.build_spf, work(5000)),
     "sieve.progression_step": (sieve.progression_step, st.one_of(NUM, seqs(NUM))),
-    "sieve.progression_candidates": (sieve.progression_candidates, seqs(NUM), work(10**6), work(1000)),
+    "sieve.progression_candidates": (sieve.progression_candidates, seqs(NUM), work(10**6)),
     "sieve.primes_in_aps": (sieve.primes_in_aps, seqs(NUM), work(5000), st.just(TABLE)),
     "sieve.count_primes_in_aps": (sieve.count_primes_in_aps, work(5000), seqs(NUM), st.just(TABLE)),
     # pratt
@@ -167,7 +175,7 @@ CASES = {
     "chains.ChainEnumeration": (chains.ChainEnumeration, NUM, reals(0, 10)),
     "chains.ChainEnumeration.counts_by_length": (ENUM.counts_by_length,),
     "chains.enumerate_from": (chains.enumerate_from, PRIME, reals(-1, 300), st.just(TABLE), work(50), st.booleans()),
-    "chains.chains_ending_at": (chains.chains_ending_at, PRIME, st.just(TABLE), work(50)),
+    "chains.chains_ending_at": (chains.chains_ending_at, PRIME, st.just(TABLE)),
     "chains.f_oracle": (chains.f_oracle, PRIME, st.just(TABLE)),
     "chains.g_oracle": (chains.g_oracle, PRIME, st.just(TABLE)),
     "chains.link_vector": (chains.link_vector, seqs(PRIME).map(tuple)),
@@ -182,7 +190,7 @@ CASES = {
     "sifted.ResidueMatrix.row_sums": (MATRIX.row_sums,),
     "sifted.ResidueMatrix.row_sum_closed_form": (MATRIX.row_sum_closed_form, NUM),
     "sifted.build_matrix": (sifted.build_matrix, ints(0, 20), reals(0.5, 6)),
-    "sifted.link_series_direct": (sifted.link_series_direct, NUM, NUM, ints(0, 8), reals(0.5, 6), work(1000)),
+    "sifted.link_series_direct": (sifted.link_series_direct, NUM, NUM, ints(0, 8), reals(0.5, 6)),
     "sifted.max_row_sum_value": (sifted.max_row_sum_value, ints(0, 20), reals(0.5, 6)),
     "sifted.perron_eigenvalue": (sifted.perron_eigenvalue, st.sampled_from([MATRIX, sifted.build_matrix(2, 1.5)])),
     "sifted.ChainCountBound": (sifted.ChainCountBound, *[NUM] * 9),
@@ -221,7 +229,7 @@ CASES = {
     "dickman.RhoTable": (dickman.RhoTable, st.one_of(st.sampled_from([2.0**-3, 2.0**-5, 0.1, 2.0**-20]), HOSTILE), reals(-1, 10)),
     "dickman.RhoTable.rho": (RHO.rho, reals(-1, 8)),
     "dickman.default_table": (dickman.default_table,),
-    "dickman.rho": (dickman.rho, reals(-1, 25), st.one_of(st.none(), st.just(RHO))),
+    "dickman.rho": (dickman.rho, reals(-1, 25)),
     "dickman.rho_independent": (dickman.rho_independent, reals(-1, 6), st.one_of(st.sampled_from([1e-6, 1e-8]), HOSTILE)),
     "dickman.rho_n_asymptotic": (dickman.rho_n_asymptotic, work(6), st.one_of(reals(-5, 1e7), st.just(3814279.1047602205))),
     # rng
@@ -267,11 +275,11 @@ def test_every_public_callable_has_a_strategy():
 @given(data=st.data())
 def test_every_call_ends_in_a_result_or_a_typed_error(name, data):
     fn, *strategies = CASES[name]
-    rows = data.draw(WALK_ROWS) if name.startswith("brw.") else None
     with pytest.MonkeyPatch.context() as m:
-        if rows:
-            m.setattr(brw, "_CACHE_ROWS", rows)
-            m.setattr(brw, "_EXACT_ROWS", rows)
+        for prefix, (values, targets) in CONSTANTS.items():
+            if name.startswith(prefix) and (value := data.draw(values)) is not None:
+                for module, attr in targets:
+                    m.setattr(module, attr, value)
         try:
             args = [data.draw(s) for s in strategies]
             settle(fn(*args))
@@ -302,7 +310,6 @@ NAMED = {
     "simulate-run-float-n": (lambda: brw.simulate_run(2.5, 3.0, brw.RunConfig()), DomainError),
     "rde-float-population": (lambda: brw.rde_iterate(1000.5, 1, brw.RunConfig()), DomainError),
     "link-series-s-1": (lambda: sifted.link_series_direct(1, 1, 3, 1.0), DomainError),
-    "link-series-negative-terms": (lambda: sifted.link_series_direct(1, 1, 3, 2.0, terms=-1), DomainError),
     "max-row-sum-huge-s": (lambda: sifted.max_row_sum_value(5, 1e4), DomainError),
     "wilson-negative-successes": (lambda: brw.wilson_interval(-1, 10), DomainError),
     "hurwitz-tiny-a": (lambda: sifted.hurwitz_zeta(2, 1e-320), DomainError),
@@ -344,7 +351,3 @@ def test_work_guards_count_the_loop_before_any_work(monkeypatch):
     with pytest.raises(CapacityError):
         singular.rhopm_total(5, 2**63 - 1, (1,))
     assert time.perf_counter() - start < 1.0
-    # 10^12 terms are 16 TB of float64 arrays
-    monkeypatch.setattr(sifted.np, "arange", _no_work)
-    with pytest.raises(CapacityError):
-        sifted.link_series_direct(1, 1, 3, 2.0, terms=10**12)

@@ -209,10 +209,13 @@ class TestChainsEndingAt:
         with pytest.raises(DomainError, match="not prime"):
             chains.chains_ending_at(999, small)
 
-    def test_size_cap(self, table):
-        # f(23) = 6 recursive visits, above a cap of 4.
+    def test_size_cap(self, table, monkeypatch):
+        # f(23) = 6 recursive visits: admitted at a cap of 6, refused at 5
+        monkeypatch.setattr(chains, "_ENDING_CAP", 6)
+        assert len(chains.chains_ending_at(23, table)) == 6
+        monkeypatch.setattr(chains, "_ENDING_CAP", 5)
         with pytest.raises(CapacityError):
-            chains.chains_ending_at(23, table, size_cap=4)
+            chains.chains_ending_at(23, table)
 
 
 class TestLinkVectorDuality:

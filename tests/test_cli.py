@@ -359,8 +359,7 @@ def _golden_bytes_test(table, ids):
     SHA-256 of its stdout is ``digest``."""
 
     @pytest.mark.parametrize("argv, digest", table, ids=ids)
-    def test(capsys, monkeypatch, argv, digest):
-        monkeypatch.delenv("PRIMECHAIN_THREADS", raising=False)
+    def test(capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -529,29 +528,10 @@ def test_non_finite_values_are_json_null(capsys, argv, null_keys):
 
 
 class TestSeedAndThreadsPlumbing:
-    def test_env_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRIMECHAIN_THREADS", "3")
-        doc = run_json(capsys, "pratt", "--prime", "7")
-        assert doc["config"]["threads"] == 3
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRIMECHAIN_THREADS", "3")
-        doc = run_json(capsys, "pratt", "--prime", "7", "--threads", "2")
-        assert doc["config"]["threads"] == 2
-
-    def test_bad_env_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRIMECHAIN_THREADS", "zero")
-        code, _, err = run_cli(capsys, "pratt", "--prime", "7")
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "DomainError"
-
-    def test_threads_above_the_ceiling(self, capsys, monkeypatch):
+    def test_threads_above_the_ceiling(self, capsys):
         # refused while the arguments are read; pratt starts no thread even if accepted
         code, _, err = run_cli(capsys, "pratt", "--prime", "7", "--threads", "1000000")
         assert code == 1 and "--threads=1000000" in json.loads(err)["error"]["message"]
-        monkeypatch.setenv("PRIMECHAIN_THREADS", "1000000")
-        code, _, err = run_cli(capsys, "pratt", "--prime", "7")
-        assert code == 1 and "PRIMECHAIN_THREADS=1000000" in json.loads(err)["error"]["message"]
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

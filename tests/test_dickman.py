@@ -20,37 +20,37 @@ def tab():
 class TestClosedForms:
     def test_flat_start(self, tab):
         for u in (0.0, 0.25, 0.5, 1.0):
-            assert dickman.rho(u, tab) == 1.0
+            assert tab.rho(u) == 1.0
 
     def test_log_band_exact_at_two(self, tab):
         # rho(2) = 1 - log 2 falls out of the quadrature exactly because
         # the band [1, 2] is resolved in closed form.
-        assert dickman.rho(2.0, tab) == 1.0 - math.log(2.0)
+        assert tab.rho(2.0) == 1.0 - math.log(2.0)
 
     def test_log_band_values(self, tab):
         for u in (1.25, 1.5, 1.75):
-            assert dickman.rho(u, tab) == pytest.approx(1.0 - math.log(u), abs=1e-12)
+            assert tab.rho(u) == pytest.approx(1.0 - math.log(u), abs=1e-12)
 
 
 class TestTableValues:
     def test_published_checkpoints(self, tab):
-        assert dickman.rho(3.0, tab) == pytest.approx(RHO3, abs=1e-9)
-        assert dickman.rho(4.0, tab) == pytest.approx(RHO4, abs=1e-9)
-        assert dickman.rho(5.0, tab) == pytest.approx(RHO5, abs=1e-9)
+        assert tab.rho(3.0) == pytest.approx(RHO3, abs=1e-9)
+        assert tab.rho(4.0) == pytest.approx(RHO4, abs=1e-9)
+        assert tab.rho(5.0) == pytest.approx(RHO5, abs=1e-9)
 
     def test_against_independent_integrator(self, tab):
         for u in (2.5, 3.0, 3.5, 3.7, 4.25, 5.0):
             want = dickman.rho_independent(u, tol=1e-12)
-            assert dickman.rho(u, tab) == pytest.approx(want, rel=1e-8), u
+            assert tab.rho(u) == pytest.approx(want, rel=1e-8), u
 
     def test_deep_tail_magnitude(self, tab):
         # rho(10) ~ 2.77e-11; check order of magnitude and positivity.
-        v = dickman.rho(10.0, tab)
+        v = tab.rho(10.0)
         assert 2.5e-11 < v < 3.0e-11
 
     def test_positive_and_decreasing(self, tab):
         grid = np.linspace(1.0, float(tab.u_max), 1500)
-        vals = np.array([dickman.rho(float(u), tab) for u in grid])
+        vals = np.array([tab.rho(float(u)) for u in grid])
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) <= 0)
 
@@ -60,12 +60,12 @@ class TestTableValues:
         for u in (2.2, 3.0, 4.5, 6.0, 8.0):
             n = 400
             ts = np.linspace(u - 1.0, u, 2 * n + 1)
-            vals = np.array([dickman.rho(float(t), tab) for t in ts])
+            vals = np.array([tab.rho(float(t)) for t in ts])
             w = np.ones(2 * n + 1)
             w[1:-1:2] = 4.0
             w[2:-1:2] = 2.0
             integral = float(np.dot(w, vals)) * (1.0 / (2 * n)) / 3.0
-            assert u * dickman.rho(float(u), tab) == pytest.approx(integral, rel=1e-6), u
+            assert u * tab.rho(float(u)) == pytest.approx(integral, rel=1e-6), u
 
 
 class TestGridRefinement:
@@ -82,9 +82,9 @@ class TestGridRefinement:
     def test_interpolation_consistency(self, tab):
         # Off-node queries stay within the bracketing node values.
         u = 3.0 + 0.37 * tab.step
-        lo = dickman.rho(3.0 + tab.step, tab)
-        hi = dickman.rho(3.0, tab)
-        assert lo <= dickman.rho(u, tab) <= hi
+        lo = tab.rho(3.0 + tab.step)
+        hi = tab.rho(3.0)
+        assert lo <= tab.rho(u) <= hi
 
 
 class TestIndependentIntegrator:
@@ -162,9 +162,9 @@ class TestTableConstruction:
 
     def test_range_guards(self, tab):
         with pytest.raises(DomainError):
-            dickman.rho(-1.0, tab)
+            tab.rho(-1.0)
         with pytest.raises(DomainError):
-            dickman.rho(tab.u_max + 1.0, tab)
+            tab.rho(tab.u_max + 1.0)
 
     def test_module_level_default(self):
         assert dickman.rho(2.0) == 1.0 - math.log(2.0)

@@ -225,6 +225,10 @@ class TestPrimeChunks:
             next(sieve.prime_chunks(limit))
 
 
+def _no_scalar_spf(self, n):
+    raise AssertionError(f"scalar spf of {n}")
+
+
 class TestSpfRounds:
     def test_matches_factorize(self, table):
         ns = np.array(list(range(1, 3000)) + [2**19, 3**12, 720_720, 999_983, 1_000_000], dtype=np.int64)
@@ -235,6 +239,19 @@ class TestSpfRounds:
                 got[r].append(q)
         for n, ps in zip(ns.tolist(), got):
             assert tuple(ps) == table.factorize(n).distinct_primes(), n
+
+    def test_odd_parts_in_the_cells_read_only_cells(self, monkeypatch):
+        # n up to the limit, and the even n above it up to 2 limit + 1: every
+        # odd part lies in the cells, so no entry takes the scalar path
+        t = sieve.SpfTable(1 << 10)
+        ns = np.concatenate((np.arange(1, t.limit + 1), np.arange(t.limit + 2, 2 * t.limit + 2, 2)))
+        want = [t.factorize(n).distinct_primes() for n in ns.tolist()]
+        monkeypatch.setattr(sieve.SpfTable, "_spf", _no_scalar_spf)
+        got = [[2] if n % 2 == 0 else [] for n in ns.tolist()]
+        for rows, s, new in t.spf_rounds(ns):
+            for r, q in zip(rows[new].tolist(), s[new].tolist()):
+                got[r].append(q)
+        assert list(map(tuple, got)) == want
 
     def test_empty_and_guard(self, table):
         assert list(table.spf_rounds(np.ones(3, dtype=np.int64))) == []
@@ -448,12 +465,13 @@ class TestProgressionCandidates:
         assert sieve.progression_step(qs).tolist() == [sieve.progression_step(q) for q in qs.tolist()]
 
     @pytest.mark.parametrize("width", [1, 7, 64, sieve.PROGRESSION_CHUNK])
-    def test_chunks_list_every_candidate_once(self, width):
+    def test_chunks_list_every_candidate_once(self, width, monkeypatch):
+        monkeypatch.setattr(sieve, "PROGRESSION_CHUNK", width)
         qs = np.array([1, 2, 3, 5, 97, 499, 500, 10**4], dtype=np.uint64)
         ceiling = 2000
         want = [(i, n) for i, q in enumerate(qs.tolist()) for n in range(1 + sieve.progression_step(q), ceiling + 1, sieve.progression_step(q))]
         got = []
-        for rows, cands in sieve.progression_candidates(qs, ceiling, width):
+        for rows, cands in sieve.progression_candidates(qs, ceiling):
             assert rows.size == cands.size <= width
             assert cands.dtype == np.uint64
             got += zip(rows.tolist(), cands.tolist())

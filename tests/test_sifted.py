@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from primechain import chains, sifted
-from primechain.errors import CapacityError, DomainError, InfeasibleError, NumericalError
+from primechain.errors import MAX_BYTES, CapacityError, DomainError, InfeasibleError, NumericalError
 
 
 def two_matvec_perron(m, tol=1e-12, max_iter=10_000):
@@ -169,6 +169,9 @@ class TestResidueMatrix:
         assert peak < 8 << 20
 
     def test_capacity_guard(self):
+        # the dense Perron copy is 8 dim^2 bytes: 265 MB at y = 13 fits the
+        # ceiling, 68 GB at y = 17 does not
+        assert 8 * sifted.build_matrix(13, 2.0).dimension ** 2 == 265_420_800 <= MAX_BYTES
         # refused before the r-sized unit mask (223 MB at y = 23) is made
         for y in (17, 19, 23):
             tracemalloc.start()
