@@ -39,26 +39,21 @@ only up to that bound and the beam does not change.
 Replicates are independent and parallelize freely: replicate i draws its
 randomness from the substream keyed by (seed, i), so results do not depend
 on batch or thread layout.  One driver, ``_drive``, runs every operation
-on a replicate range [lo, hi): it sizes the batches, refuses before any
-draw a replicate whose walk would pass the memory ceiling errors.MAX_BYTES
-(_ROW_BYTES a row, _HEADROOM to spare), guards every batch's generations
-at that ceiling, derives the replicate keys and maps the batches over as
-many threads as fit it side by side.  The full-cap reductions (Z_n(t),
-T(eps), single runs) get batches that expect about _CACHE_ROWS rows per
-generation, so their columns fit the cache.  The minima run in two phases,
-each one _drive call: first the beam bounds of every replicate, in batches
-sized to the beam's own rows (a few beam widths per replicate) and to the
-cache, then the exact pass below them, in batches that expect _EXACT_ROWS
-rows at the full cap, since it draws far fewer, each batch reading its own
-slice of the bounds.  A larger beam batch may order two near-equal points
-of one replicate the other way (_minimum_bounds), but each bound is still
-a real node's position, so no minimum depends on the layout.  Every walk
-keeps the memory it frees (_keep_freed_memory), so small batches do not
-fault their heap back in each generation.  Each operation passes its own
-reduction of a batch's generations: the beam bounds or the minimum below
-them (B_n), a bincount of the last generation (Z_n(t)), the last non-empty
-generation (T(eps)), or the sorted positions of every generation (a single
-run, the range [r, r+1)).
+as one reduction ``reduce(key, walk)`` of each batch of a replicate range
+[lo, hi): it sizes the batches (_batch_size), refuses before any draw a
+replicate whose walk would pass the memory ceiling errors.MAX_BYTES
+(_ROW_BYTES a row, _HEADROOM to spare), derives the replicate keys and maps
+the batches over as many threads as fit it side by side; the kernel
+refuses a generation past that ceiling.  The reductions are the beam
+bounds and then the minimum below them (B_n, two _drive calls), a bincount
+of the last generation (Z_n(t)), the last non-empty generation (T(eps)), or
+the sorted positions of every generation (a single run, the range [r, r+1),
+which counts what it keeps, _KEPT_BYTES a point, beside its walk before any
+draw).  A larger beam batch may order two near-equal points of one
+replicate the other way (_minimum_bounds), but each bound is still a real
+node's position, so no minimum depends on the layout.  Every walk keeps
+the memory it frees (_keep_freed_memory), so small batches do not fault
+their heap back in each generation.
 """
 
 from __future__ import annotations
@@ -88,12 +83,11 @@ MAX_THREADS = 256
 class RunConfig:
     """Monte Carlo settings of the walk operations.
 
-    ``simulate_run``, ``t_epsilon`` and ``rde_iterate`` run one replicate
-    or their own population, so they read ``seed`` and ``threads`` but not
-    ``replicates``.  ``threads`` is at most ``MAX_THREADS``; a walk runs on
-    fewer where fewer of its batches fit the memory ceiling side by side
-    (``_drive``), and no layout moves a bit.  Fields are stored as Python
-    ints; a seed counts mod 2^64.
+    ``simulate_run`` and ``rde_iterate`` run one replicate or their own
+    population and read ``seed`` and ``threads`` alone.  ``threads`` is at
+    most ``MAX_THREADS``; a walk runs on fewer where fewer of its batches
+    fit the memory ceiling side by side (``_drive``), and no layout moves a
+    bit.  Fields are stored as Python ints; a seed counts mod 2^64.
     """
 
     seed: int = 1
@@ -137,7 +131,7 @@ def sample_lpd_offsets(key: int, cap: float) -> np.ndarray:
 # vectorized generation engine
 
 
-def _next_generation(pos, key, rep, cap, strict, row_guard):
+def _next_generation(pos, key, rep, cap, strict):
     """Children of all points in (pos, key, rep), truncated at cap.
 
     ``cap`` is a scalar or an array holding each row's own bound.  Round t
@@ -148,8 +142,9 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
     spent, -log1p(-u).  It takes one index array for its kept children and
     one for its surviving parents and gathers every column with them, and
     it does its arithmetic in place on arrays it allocated, so the inputs
-    are never written.
+    are never written.  It refuses a generation past the memory ceiling.
     """
+    ceiling_rows = MAX_BYTES // _ROW_BYTES
     per_row = np.ndim(cap) > 0
     below = np.less if strict else np.less_equal
     out_pos, out_key, out_rep = [], [], []
@@ -166,8 +161,8 @@ def _next_generation(pos, key, rep, cap, strict, row_guard):
         kept = below(child, cap).nonzero()[0]
         if kept.size:
             total += kept.size
-            if total > row_guard:
-                raise CapacityError(f"a generation passes {row_guard} rows, the memory ceiling of one batch; lower the cap")
+            if total > ceiling_rows:
+                raise CapacityError(f"a generation passes {ceiling_rows} rows, the memory ceiling of one batch; lower the cap")
             out_pos.append(child[kept])
             out_key.append(stream_draw(key[kept], 2 * t + 2))
             out_rep.append(rep[kept])
@@ -207,9 +202,11 @@ _EXACT_ROWS = 2_000_000  # rows an exact-pass batch expects a generation at the 
 # thread: 76.2-77.9 at the full cap (Z_16(16), Z_17(17), Z_8(6), Z_12(10),
 # T(1e-6), T(1e-7)), 55.1 in a beam batch, 75.7 and 88.9 in the minima at
 # n=16 and of 106 replicates of A08's b20, and 87.7-88.7 in each exact-pass
-# batch of its b40 (up to 4.16M rows, 347.5 MiB).  A single run also keeps
-# every generation it returns, uncounted here (114 bytes a row at cap 16).
+# batch of its b40 (up to 4.16M rows, 347.5 MiB).
 _ROW_BYTES = 96
+# Bytes a single run keeps per point it returns, a float64: its tracemalloc peak over
+# the same walk's counting Z_n(cap) was 2.7-6.6 a point kept at n = 6-40, caps 12-16.
+_KEPT_BYTES = 8
 # Times its expected rows that the refusal and the worker fit count a batch
 # at, so a walk admitted at the edge keeps headroom under its row guard.  A
 # replicate's largest generation over its expectation (seed 1) was at most
@@ -255,7 +252,7 @@ def _beam_caps(pos, key, rep, b: int, cap: float, width: int) -> np.ndarray:
     return bound
 
 
-def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
+def _minimum_bounds(key, n: int, cap: float) -> np.ndarray:
     """Per-replicate bounds U_r >= B_n from a beam pass, capped at cap.
 
     Each generation keeps the _beam_width(cap, n) smallest children of each
@@ -284,7 +281,7 @@ def _minimum_bounds(key, n: int, cap: float, row_guard: int) -> np.ndarray:
     rep = np.arange(b, dtype=np.int64)
     for _ in range(n):
         row_cap = _beam_caps(pos, key, rep, b, cap, width)[rep]
-        pos, key, rep = _next_generation(pos, key, rep, row_cap, False, row_guard)
+        pos, key, rep = _next_generation(pos, key, rep, row_cap, False)
         sort_key = rep * scale
         sort_key += pos
         order = sort_key.argsort()
@@ -332,6 +329,13 @@ def _expected_peak_rows(cap: float, n: int) -> float:
     m = min(n, math.floor(cap))
     log_peak = m * math.log(cap) - math.lgamma(m + 1)
     return math.exp(log_peak) if log_peak < 700.0 else math.inf
+
+
+def _expected_rows_through(cap: float, n: int) -> float:
+    """Sum of cap^m / m! over 0 <= m <= n; the terms past m = 3 ceil(cap) + 40 are below its rounding."""
+    if math.isinf(_expected_peak_rows(cap, n)):
+        return math.inf
+    return 1.0 + float(np.cumprod(cap / np.arange(1, min(n, 3 * math.ceil(cap) + 40) + 1)).sum())
 
 
 def _replicate_rows(cap: float, n: int, layout: str) -> float:
@@ -411,14 +415,13 @@ def _drive(
     "beam" for the minima's beam pass, "exact" for their exact pass.  They run
     on the fewest of cfg.threads, the batches and the batches whose
     expected rows (below their bounds in the exact pass), _HEADROOM times
-    over, fit MAX_BYTES side by side at _ROW_BYTES a row.  Every batch's
-    generations are guarded at the whole ceiling, MAX_BYTES // _ROW_BYTES
-    rows, so the thread count moves no outcome.  ``bounds``, if given,
-    holds one bound at most ``cap`` per replicate of [lo, hi).
-    ``reduce(key, walk, guard)`` gets the batch's keys, the row guard and
-    ``walk(strict=False)``: an endless iterator over generations 1, 2, ...
-    of the batch as (pos, rep) arrays, keeping points at or (if strict)
-    below its slice of ``bounds``, else ``cap``.
+    over, fit MAX_BYTES side by side at _ROW_BYTES a row; the thread count
+    moves no outcome.  ``bounds``, if given, holds one bound at most ``cap``
+    per replicate of [lo, hi).
+    ``reduce(key, walk)`` gets the batch's keys and ``walk(strict=False)``:
+    an endless iterator over generations 1, 2, ... of the batch as (pos,
+    rep) arrays, keeping points at or (if strict) below its slice of
+    ``bounds``, else ``cap``.
     """
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
@@ -429,7 +432,6 @@ def _drive(
         each = [_expected_peak_rows(b, depth) + 1.0 for b in bounds.tolist()]
         rows = max(math.fsum(each[i : i + batch]) for i in range(0, hi - lo, batch))
     workers = min(cfg.threads, len(starts), int(MAX_BYTES // (_HEADROOM * _ROW_BYTES * rows)))
-    guard = MAX_BYTES // _ROW_BYTES
     _keep_freed_memory()
 
     def work(start: int):
@@ -441,10 +443,10 @@ def _drive(
             pos, k, rep = np.zeros(key.size), key, np.arange(key.size, dtype=np.int64)
             while True:
                 row_cap = bound[rep] if np.ndim(bound) else bound
-                pos, k, rep = _next_generation(pos, k, rep, row_cap, strict, guard)
+                pos, k, rep = _next_generation(pos, k, rep, row_cap, strict)
                 yield pos, rep
 
-        return reduce(key, walk, guard)
+        return reduce(key, walk)
 
     return _map(workers, work, starts)
 
@@ -464,11 +466,16 @@ def _map(threads: int, fn, items) -> list:
 
 def simulate_run(n: int, cap: float, cfg: RunConfig, replicate: int = 0) -> list[np.ndarray]:
     """Sorted positions <= cap of generations 0..n of one replicate; generation 0
-    is ``[0.0]`` and a censored generation (minimum above the cap) is empty."""
+    is ``[0.0]`` and a censored generation (minimum above the cap) is empty.
+    Refused before any draw if its walk and the points it keeps, _HEADROOM
+    times their expectations, would pass the memory ceiling."""
     n, cap = as_int(n, "n", 0), as_real(cap, "cap", 0, lo_open=True)
     replicate = as_int(replicate, "replicate", 0, (1 << 63) - 2)
+    kept = _expected_rows_through(cap, n)
+    walk_bytes = _ROW_BYTES * (_expected_peak_rows(cap, n) + 1.0)
+    check_bytes(_HEADROOM * (walk_bytes + _KEPT_BYTES * kept), f"a single run at cap {cap:.6g} keeps ~{kept:.3g} points, so it")
 
-    def record(key, walk, guard):
+    def record(key, walk):
         return [np.sort(pos) for pos, _ in itertools.islice(walk(), n)]
 
     (positions,) = _drive(cfg, replicate, replicate + 1, cap, n, record)
@@ -479,7 +486,7 @@ def replicate_z_counts(n: int, t: float, cfg: RunConfig) -> np.ndarray:
     """Z_n(t) for every replicate, simulated exactly with cap = t."""
     n, t = as_int(n, "n", 1), as_real(t, "t", 0, lo_open=True)
 
-    def count(key, walk, guard):
+    def count(key, walk):
         _, rep = _nth(walk(), n)
         return np.bincount(rep, minlength=key.size)
 
@@ -521,10 +528,10 @@ def replicate_minima(n: int, cfg: RunConfig, cap: float) -> np.ndarray:
     """
     n, cap = as_int(n, "n", 1), as_real(cap, "cap", 0, lo_open=True)
 
-    def beam(key, walk, guard):
-        return _minimum_bounds(key, n, cap, guard)
+    def beam(key, walk):
+        return _minimum_bounds(key, n, cap)
 
-    def lowest(key, walk, guard):
+    def lowest(key, walk):
         pos, rep = _nth(walk(), n)
         return _segment_min(rep, pos, key.size)
 
@@ -648,16 +655,22 @@ def estimate_tails(
     )
 
 
-def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int, max_generation: int) -> np.ndarray:
-    """T(eps) of the replicates [lo, hi)."""
+def replicate_t_epsilon(eps: float, cfg: RunConfig, max_generation: int = 20) -> np.ndarray:
+    """T(eps) of every replicate: the first generation whose largest fragment is <= eps, exactly.
+
+    Fragments <= eps are discarded at birth (their descendants are smaller
+    still), so each replicate's process dies exactly at T(eps); T(1) = 0.
+    The generation budget is max_generation, floored at a level the process
+    essentially never survives; hitting it raises a capacity error.
+    """
     max_generation = as_int(max_generation, "max_generation", 0)
     eps = as_real(eps, "eps", 0, 1, lo_open=True)
     if eps == 1.0:
-        return np.zeros(hi - lo, dtype=np.int64)
+        return np.zeros(cfg.replicates, dtype=np.int64)
     cap = -math.log(eps)
     limit = max(max_generation, int(6 * cap) + 60)
 
-    def last_nonempty(key, walk, guard):
+    def last_nonempty(key, walk):
         last = np.zeros(key.size, dtype=np.int64)
         for gen, (pos, rep) in enumerate(itertools.islice(walk(strict=True), limit), 1):
             if not pos.size:
@@ -665,27 +678,10 @@ def _extinction(eps: float, cfg: RunConfig, lo: int, hi: int, max_generation: in
             last[rep] = gen
         return last
 
-    last = np.concatenate(_drive(cfg, lo, hi, cap, limit, last_nonempty))
+    last = np.concatenate(_drive(cfg, 0, cfg.replicates, cap, limit, last_nonempty))
     if np.any(last >= limit):
         raise CapacityError("generation budget hit before the population died")
     return last + 1
-
-
-def t_epsilon(eps: float, cfg: RunConfig, replicate: int = 0, max_generation: int = 20) -> int:
-    """First generation whose largest fragment is <= eps, exactly.
-
-    Fragments <= eps are discarded at birth (their descendants are smaller
-    still), so the process dies exactly at T(eps).  The generation budget
-    is max_generation, floored at a level the process essentially never
-    survives; hitting it raises a capacity error.
-    """
-    replicate = as_int(replicate, "replicate", 0, (1 << 63) - 2)
-    return int(_extinction(eps, cfg, replicate, replicate + 1, max_generation)[0])
-
-
-def replicate_t_epsilon(eps: float, cfg: RunConfig, max_generation: int = 20) -> np.ndarray:
-    """T(eps) for every replicate (vectorized across replicates)."""
-    return _extinction(eps, cfg, 0, cfg.replicates, max_generation)
 
 
 def estimate_mean_t_epsilon(eps: float, cfg: RunConfig) -> tuple[float, float]:

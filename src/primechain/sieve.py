@@ -291,19 +291,22 @@ class SpfTable:
         """Yield (rows, s, new) per round of spf division of the odd parts of
         ``ns``, integers in 1..factor_limit (DomainError otherwise): each
         round divides every unfinished odd part m[row] by its smallest prime
-        factor s, int64, read in the cells, or by ``spf`` if an odd part
-        passes the limit.  ``new`` marks the s that differ from the row's
-        previous round's: the odd prime divisors of ns[row], once each,
+        factor s, int64, read in the cells, or by ``spf`` for the odd parts
+        above the limit alone.  ``new`` marks the s that differ from the
+        row's previous round's: the odd prime divisors of ns[row], once each,
         increasing."""
         m = as_int_array(ns, "ns", 1, self.factor_limit)
         m = m // (m & -m)
-        top = int(m.max(initial=1))
+        above = int(m.max(initial=1)) > self.limit
         rows = np.flatnonzero(m > 1)
         m = m[rows]
         last = np.zeros_like(m)
         while m.size:
-            s = self._cells[m >> 1] if top <= self.limit else np.fromiter(map(self._spf, m.tolist()), np.int64, m.size)
+            s = self._cells[np.minimum(m >> 1, self._cells.size - 1) if above else m >> 1]
             s = np.where(s == 0, m, s)  # int64
+            if above:
+                big = np.flatnonzero(m > self.limit)
+                s[big] = [self._spf(n) for n in m[big].tolist()]
             yield rows, s, s != last
             m //= s
             more = m > 1

@@ -219,7 +219,6 @@ CASES = {
     "brw.wilson_interval": (brw.wilson_interval, ints(-2, 30), ints(-2, 30)),
     "brw.TailEstimate": (brw.TailEstimate, *[NUM] * 11),
     "brw.estimate_tails": (brw.estimate_tails, work(6), CFG, reals(-30, 2), reals(-1, 2), reals(-1, 5)),
-    "brw.t_epsilon": (brw.t_epsilon, reals(1e-3, 1.5), CFG, work(100), work(60)),
     "brw.replicate_t_epsilon": (brw.replicate_t_epsilon, reals(1e-3, 1.5), CFG, work(60)),
     "brw.estimate_mean_t_epsilon": (brw.estimate_mean_t_epsilon, reals(1e-3, 1.5), CFG),
     "brw.ks_distance": (brw.ks_distance, seqs(reals(-1e30, 1e30)), seqs(reals(-1e30, 1e30))),

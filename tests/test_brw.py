@@ -17,6 +17,12 @@ def cfg(**kw):
     return brw.RunConfig(**base)
 
 
+def guard_rows(monkeypatch, rows):
+    """Set _ROW_BYTES so that the kernel guards a generation at ``rows`` rows."""
+    monkeypatch.setattr(brw, "_ROW_BYTES", MAX_BYTES // rows)
+    assert MAX_BYTES // brw._ROW_BYTES == rows
+
+
 def small_batches(monkeypatch):
     """Size every batch layout to 1,000 expected rows a generation."""
     monkeypatch.setattr(brw, "_CACHE_ROWS", 1000)
@@ -70,7 +76,7 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             brw.simulate_run(-1, 8.0, cfg())
         with pytest.raises(DomainError):
-            brw.t_epsilon(0.5, cfg(), max_generation=-1)
+            brw.replicate_t_epsilon(0.5, cfg(), max_generation=-1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -140,8 +146,6 @@ class TestSingleRun:
     def test_negative_replicate_rejected(self):
         with pytest.raises(DomainError):
             brw.simulate_run(10, 8.0, cfg(), replicate=-1)
-        with pytest.raises(DomainError):
-            brw.t_epsilon(0.5, cfg(), replicate=-1)
 
     def test_censored_flag_after_death(self):
         gens = brw.simulate_run(6, 0.05, cfg(seed=2))
@@ -181,8 +185,9 @@ class TestCounting:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: brw.simulate_run(40, 20, brw.RunConfig(replicates=1)),
-            lambda: brw.t_epsilon(1e-9, brw.RunConfig()),
+            # its walk alone fits the ceiling; with the points it keeps it does not
+            lambda: brw.simulate_run(40, 17.5, brw.RunConfig(replicates=1)),
+            lambda: brw.replicate_t_epsilon(1e-9, brw.RunConfig()),
         ],
         ids=["simulate_run", "t_epsilon"],
     )
@@ -318,7 +323,8 @@ class TestRoundKernel:
             return draw(keys, index)
 
         monkeypatch.setattr(brw, "stream_draw", counting)
-        got = brw._next_generation(pos.copy(), key.copy(), rep.copy(), np.copy(cap), strict, 10_000)
+        guard_rows(monkeypatch, 10_000)
+        got = brw._next_generation(pos.copy(), key.copy(), rep.copy(), np.copy(cap), strict)
         _, _, want_pos, want_key, want_rep = zip(*rows)
         assert got[0].tobytes() == np.array(want_pos).tobytes()
         assert got[1].tobytes() == np.array(want_key, dtype=np.uint64).tobytes()
@@ -327,18 +333,20 @@ class TestRoundKernel:
 
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
-    def test_inputs_are_not_written(self, per_row):
+    def test_inputs_are_not_written(self, monkeypatch, per_row):
         # every round writes into arrays of its own; a per-row cap is gathered, not compacted in place
         pos, key, rep, cap = self.parents(per_row)
         cols = (pos, key, rep, np.asarray(cap))
         before = [c.tobytes() for c in cols]
-        got = brw._next_generation(pos, key, rep, cap, False, 10_000)
+        guard_rows(monkeypatch, 10_000)
+        got = brw._next_generation(pos, key, rep, cap, False)
         assert got[0].size > 20
         assert [c.tobytes() for c in cols] == before
 
-    def test_no_child_gives_empty_columns(self):
+    def test_no_child_gives_empty_columns(self, monkeypatch):
         key = replicate_keys(7, 0, 3)
-        got = brw._next_generation(np.full(3, 6.0), key, np.arange(3, dtype=np.int64), 5.0, False, 10)
+        guard_rows(monkeypatch, 10)
+        got = brw._next_generation(np.full(3, 6.0), key, np.arange(3, dtype=np.int64), 5.0, False)
         assert [(g.size, g.dtype) for g in got] == [(0, np.float64), (0, np.uint64), (0, np.int64)]
 
 
@@ -346,10 +354,11 @@ class TestPrunedMinima:
     """The minima path prunes each replicate to a beam bound on its own B_n;
     these pin that the pruning is exact and that it actually prunes."""
 
-    def test_matches_simulation_with_censored_and_dead_beams(self):
+    def test_matches_simulation_with_censored_and_dead_beams(self, monkeypatch):
         c = cfg(seed=1, replicates=320)
         mins = brw.replicate_minima(10, c, cap=5.0)
-        bounds = brw._minimum_bounds(replicate_keys(1, 0, 320), 10, 5.0, 1 << 24)
+        guard_rows(monkeypatch, 1 << 24)
+        bounds = brw._minimum_bounds(replicate_keys(1, 0, 320), 10, 5.0)
         assert np.isinf(mins).any(), "grid should include censored replicates"
         assert np.any((bounds == 5.0) & np.isfinite(mins)), "grid should include replicates whose beam dies"
         for r in range(c.replicates):
@@ -410,12 +419,12 @@ class TestPrunedMinima:
         assert 0 < pruned < full / 3, (pruned, full)
 
     @staticmethod
-    def unbounded_beam(key, n, cap, row_guard, width):
+    def unbounded_beam(key, n, cap, width):
         """The beam drawn below the cap alone and selected with a lexsort."""
         b = key.size
         pos, rep = np.zeros(b), np.arange(b, dtype=np.int64)
         for _ in range(n):
-            pos, key, rep = brw._next_generation(pos, key, rep, cap, False, row_guard)
+            pos, key, rep = brw._next_generation(pos, key, rep, cap, False)
             order = np.lexsort((pos, rep))
             pos, key, rep = pos[order], key[order], rep[order]
             beam = np.arange(rep.size) - np.searchsorted(rep, rep) < width
@@ -438,9 +447,10 @@ class TestPrunedMinima:
 
         monkeypatch.setattr(brw, "stream_draw", counting)
         key = replicate_keys(seed, 0, reps)
-        got = brw._minimum_bounds(key, n, cap, 1 << 24)
+        guard_rows(monkeypatch, 1 << 24)
+        got = brw._minimum_bounds(key, n, cap)
         rows.append(0)
-        want = self.unbounded_beam(key, n, cap, 1 << 24, brw._beam_width(cap, n))
+        want = self.unbounded_beam(key, n, cap, brw._beam_width(cap, n))
         assert got.tobytes() == want.tobytes()
         assert np.any(got < cap)
         bounded, unbounded = rows
@@ -452,8 +462,8 @@ class TestPrunedMinima:
         tight = []
         kernel = brw._next_generation
 
-        def checking(pos, key, rep, row_cap, strict, row_guard):
-            out_pos, out_key, out_rep = kernel(pos, key, rep, row_cap, strict, row_guard)
+        def checking(pos, key, rep, row_cap, strict):
+            out_pos, out_key, out_rep = kernel(pos, key, rep, row_cap, strict)
             bound = np.full(reps, cap)
             bound[rep] = row_cap
             child = np.nextafter(bound, -np.inf)
@@ -464,7 +474,8 @@ class TestPrunedMinima:
             return out_pos, out_key, out_rep
 
         monkeypatch.setattr(brw, "_next_generation", checking)
-        brw._minimum_bounds(replicate_keys(5, 0, reps), 12, cap, 1 << 24)
+        guard_rows(monkeypatch, 1 << 24)
+        brw._minimum_bounds(replicate_keys(5, 0, reps), 12, cap)
         assert len(tight) == 12 and tight[0] == 0 and sum(tight) > 5 * reps, tight
 
     def test_width_steps_with_expected_rows(self):
@@ -497,15 +508,15 @@ class TestTails:
 
 class TestExtinction:
     def test_eps_one(self):
-        assert brw.t_epsilon(1.0, cfg()) == 0
+        assert brw.replicate_t_epsilon(1.0, cfg(replicates=1)).tolist() == [0]
         assert np.all(brw.replicate_t_epsilon(1.0, cfg(replicates=16)) == 0)
 
     def test_monotone_in_eps(self):
         # Same lineage randomness: shrinking eps can only delay death.
         c = cfg(seed=17)
-        ts = [brw.t_epsilon(e, c) for e in (0.5, 0.1, 0.01, 1e-4)]
-        assert all(a <= b for a, b in zip(ts, ts[1:]))
-        assert ts[0] >= 1
+        ts = np.array([brw.replicate_t_epsilon(e, c) for e in (0.5, 0.1, 0.01, 1e-4)])
+        assert np.all(np.diff(ts, axis=0) >= 0)
+        assert np.all(ts[0] >= 1)
 
     def test_generation_budget_error(self, monkeypatch):
         # u = 1 - 2^-53 on every stick: each node's first child lands on its
@@ -529,11 +540,17 @@ class TestExtinction:
                 brw.replicate_t_epsilon(0.5, brw.RunConfig(replicates=4), max_generation=budget)
             assert rounds == [1] * want
 
-    def test_vector_agrees_with_scalar(self):
+    def test_one_replicate_batches_agree(self, monkeypatch):
+        # eps = 0.05 (cap 3) expects ~5.5 rows a replicate in its largest
+        # generation, so all 50 replicates take one batch; at one row, one each
         c = cfg(seed=18, replicates=50)
-        vec = brw.replicate_t_epsilon(0.05, c)
-        for r in (0, 7, 23):
-            assert vec[r] == brw.t_epsilon(0.05, c, replicate=r)
+        whole = brw.replicate_t_epsilon(0.05, c)
+        starts = []
+        keys = brw.replicate_keys
+        monkeypatch.setattr(brw, "replicate_keys", lambda seed, lo, hi: starts.append((lo, hi)) or keys(seed, lo, hi))
+        monkeypatch.setattr(brw, "_CACHE_ROWS", 1)
+        assert brw.replicate_t_epsilon(0.05, c).tobytes() == whole.tobytes()
+        assert starts == [(r, r + 1) for r in range(50)]
 
     def test_mean_estimate(self):
         mean, se = brw.estimate_mean_t_epsilon(0.05, cfg(seed=19, replicates=2000))
@@ -541,9 +558,9 @@ class TestExtinction:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            brw.t_epsilon(0.0, cfg())
+            brw.replicate_t_epsilon(0.0, cfg())
         with pytest.raises(DomainError):
-            brw.t_epsilon(1.5, cfg())
+            brw.replicate_t_epsilon(1.5, cfg())
 
 
 class TestThreadInvariance:
@@ -587,20 +604,12 @@ class TestThreadInvariance:
         assert pools == [4, 2]
         assert one.tobytes() == four.tobytes() == fitted.tobytes()
 
-    def test_row_guard_independent_of_threads(self, monkeypatch):
+    def test_row_guard_independent_of_threads(self):
         # Z_14(14) expects ~1.27e5 rows a replicate, so its cache batches
-        # hold two; at 21 threads its three batches run on three workers
-        guards = []
-        kernel = brw._next_generation
-
-        def watching(pos, key, rep, cap, strict, row_guard):
-            guards.append(row_guard)
-            return kernel(pos, key, rep, cap, strict, row_guard)
-
-        monkeypatch.setattr(brw, "_next_generation", watching)
+        # hold two; at 21 threads its three batches run on three workers,
+        # each guarded at the whole ceiling by the kernel itself
         one = brw.replicate_z_counts(14, 14.0, cfg(seed=4, replicates=6))
         many = brw.replicate_z_counts(14, 14.0, cfg(seed=4, replicates=6, threads=21))
-        assert set(guards) == {MAX_BYTES // brw._ROW_BYTES}
         assert one.tobytes() == many.tobytes()
 
 
@@ -721,10 +730,14 @@ class TestMemoryCeiling:
     times its expected rows to spare."""
 
     @staticmethod
-    def edge_cap(n: int) -> float:
-        """The largest cap whose one replicate fits the ceiling over n generations."""
+    def edge_cap(n: int, kept: bool = False) -> float:
+        """The largest cap whose one replicate fits the ceiling over n
+        generations, beside the points a single run keeps if ``kept``."""
         def fits(cap):
-            return brw._HEADROOM * brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0) <= MAX_BYTES
+            need = brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0)
+            if kept:
+                need += brw._KEPT_BYTES * brw._expected_rows_through(cap, n)
+            return brw._HEADROOM * need <= MAX_BYTES
 
         lo, hi = 1.0, 40.0
         while math.nextafter(lo, hi) < hi:
@@ -733,15 +746,15 @@ class TestMemoryCeiling:
         return lo
 
     @pytest.mark.parametrize(
-        "call",
+        "call, kept",
         [
-            lambda n, cap: brw.replicate_z_counts(n, cap, cfg(replicates=1)),
-            lambda n, cap: brw.replicate_minima(n, cfg(replicates=1), cap),
-            lambda n, cap: brw.simulate_run(n, cap, cfg()),
+            (lambda n, cap: brw.replicate_z_counts(n, cap, cfg(replicates=1)), False),
+            (lambda n, cap: brw.replicate_minima(n, cfg(replicates=1), cap), False),
+            (lambda n, cap: brw.simulate_run(n, cap, cfg()), True),
         ],
         ids=["z_counts", "minima", "simulate_run"],
     )
-    def test_replicate_ceiling(self, monkeypatch, call):
+    def test_replicate_ceiling(self, monkeypatch, call, kept):
         class Drawn(Exception):
             pass
 
@@ -752,9 +765,16 @@ class TestMemoryCeiling:
             raise Drawn
 
         n = 40
-        edge = self.edge_cap(n)
-        # A08's b40 expects 3.87e6 rows a replicate and its largest generation held 4,156,485
-        assert 17.518 < edge and 4_156_485 < MAX_BYTES // brw._ROW_BYTES
+        edge = self.edge_cap(n, kept)
+        if kept:
+            # a single run keeps ~2.49e7 points at its edge, 190 MiB at 8 bytes
+            # each, where the walk alone would be admitted to a cap of 17.667
+            assert 17.03 < edge < 17.031 and 17.666 < self.edge_cap(n) < 17.667
+            want = math.fsum(edge**m / math.factorial(m) for m in range(n + 1))
+            assert brw._expected_rows_through(edge, n) == pytest.approx(want, rel=1e-12)
+        else:
+            # A08's b40 expects 3.87e6 rows a replicate and its largest generation held 4,156,485
+            assert 17.518 < edge and 4_156_485 < MAX_BYTES // brw._ROW_BYTES
         monkeypatch.setattr(brw, "stream_draw", drawing)
         with pytest.raises(CapacityError, match="ceiling"):
             call(n, math.nextafter(edge, math.inf))
@@ -802,6 +822,20 @@ class TestMemoryCeiling:
             tracemalloc.stop()
         assert largest[0] > 50_000
         assert peak <= brw._ROW_BYTES * largest[0]
+
+
+    def test_single_run_peak_within_its_count(self):
+        # the walk at _ROW_BYTES a row of its largest generation, and every
+        # point it returns at _KEPT_BYTES
+        tracemalloc.start()
+        try:
+            gens = brw.simulate_run(16, 14.0, cfg(seed=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest, kept = max(g.size for g in gens), sum(g.size for g in gens)
+        assert largest > 50_000
+        assert peak <= brw._ROW_BYTES * largest + brw._KEPT_BYTES * kept
 
 
 class TestKsDistance:

@@ -253,6 +253,20 @@ class TestSpfRounds:
                 got[r].append(q)
         assert list(map(tuple, got)) == want
 
+    def test_only_odd_parts_above_the_limit_take_the_scalar_path(self, monkeypatch):
+        # the even n in (2^16, 2^17] have odd parts in the cells; 2^16 + 1 is
+        # prime and above the limit, the one entry that needs trial division
+        t = sieve.SpfTable(1 << 16)
+        ns = np.append(np.arange(t.limit + 2, 2 * t.limit + 1, 2), t.limit + 1)
+        calls = []
+        scalar = sieve.SpfTable._spf
+        monkeypatch.setattr(sieve.SpfTable, "_spf", lambda self, n: calls.append(n) or scalar(self, n))
+        got = [tuple(a.tolist() for a in r) for r in t.spf_rounds(ns)]
+        assert calls == [t.limit + 1]
+        monkeypatch.undo()
+        # the same rounds as the cells of a table that covers every n
+        assert got == [tuple(a.tolist() for a in r) for r in sieve.SpfTable(2 * t.limit + 1).spf_rounds(ns)]
+
     def test_empty_and_guard(self, table):
         assert list(table.spf_rounds(np.ones(3, dtype=np.int64))) == []
         assert list(table.spf_rounds(np.array([2**19]))) == []
