@@ -47,13 +47,13 @@ the batches over as many threads as fit it side by side; the kernel
 refuses a generation past that ceiling.  The reductions are the beam
 bounds and then the minimum below them (B_n, two _drive calls), a bincount
 of the last generation (Z_n(t)), the last non-empty generation (T(eps)), or
-the sorted positions of every generation (a single run, the range [r, r+1),
-which counts what it keeps, _KEPT_BYTES a point, beside its walk before any
-draw).  A larger beam batch may order two near-equal points of one
-replicate the other way (_minimum_bounds), but each bound is still a real
-node's position, so no minimum depends on the layout.  Every walk keeps
-the memory it frees (_keep_freed_memory), so small batches do not fault
-their heap back in each generation.
+a lazy stream of the sorted positions of every generation (a single run,
+the range [r, r+1), which holds no generation its consumer has passed).  A
+larger beam batch may order two near-equal points of one replicate the
+other way (_minimum_bounds), but each bound is still a real node's
+position, so no minimum depends on the layout.  Every walk keeps the
+memory it frees (_keep_freed_memory), so small batches do not fault their
+heap back in each generation.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ import functools
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -83,8 +84,9 @@ MAX_THREADS = 256
 class RunConfig:
     """Monte Carlo settings of the walk operations.
 
-    ``simulate_run`` and ``rde_iterate`` run one replicate or their own
-    population and read ``seed`` and ``threads`` alone.  ``threads`` is at
+    ``simulate_run`` runs one replicate, on its caller's thread, and reads
+    ``seed`` alone; ``rde_iterate`` runs its own population and reads
+    ``seed`` and ``threads``.  ``threads`` is at
     most ``MAX_THREADS``; a walk runs on fewer where fewer of its batches
     fit the memory ceiling side by side (``_drive``), and no layout moves a
     bit.  Fields are stored as Python ints; a seed counts mod 2^64.
@@ -201,12 +203,10 @@ _EXACT_ROWS = 2_000_000  # rows an exact-pass batch expects a generation at the 
 # memory checks.  A call's tracemalloc peak per row of that generation, at one
 # thread: 76.2-77.9 at the full cap (Z_16(16), Z_17(17), Z_8(6), Z_12(10),
 # T(1e-6), T(1e-7)), 55.1 in a beam batch, 75.7 and 88.9 in the minima at
-# n=16 and of 106 replicates of A08's b20, and 87.7-88.7 in each exact-pass
-# batch of its b40 (up to 4.16M rows, 347.5 MiB).
+# n=16 and of 106 replicates of A08's b20, 87.7-88.7 in each exact-pass
+# batch of its b40 (up to 4.16M rows, 347.5 MiB), and 84.1-84.8 in a single
+# run read a generation at a time (n = 16-40, caps 12-16).
 _ROW_BYTES = 96
-# Bytes a single run keeps per point it returns, a float64: its tracemalloc peak over
-# the same walk's counting Z_n(cap) was 2.7-6.6 a point kept at n = 6-40, caps 12-16.
-_KEPT_BYTES = 8
 # Times its expected rows that the refusal and the worker fit count a batch
 # at, so a walk admitted at the edge keeps headroom under its row guard.  A
 # replicate's largest generation over its expectation (seed 1) was at most
@@ -331,13 +331,6 @@ def _expected_peak_rows(cap: float, n: int) -> float:
     return math.exp(log_peak) if log_peak < 700.0 else math.inf
 
 
-def _expected_rows_through(cap: float, n: int) -> float:
-    """Sum of cap^m / m! over 0 <= m <= n; the terms past m = 3 ceil(cap) + 40 are below its rounding."""
-    if math.isinf(_expected_peak_rows(cap, n)):
-        return math.inf
-    return 1.0 + float(np.cumprod(cap / np.arange(1, min(n, 3 * math.ceil(cap) + 40) + 1)).sum())
-
-
 def _replicate_rows(cap: float, n: int, layout: str) -> float:
     """Rows one replicate of a ``layout`` batch expects in its largest generation."""
     rows = _expected_peak_rows(cap, n) + 1.0
@@ -421,7 +414,10 @@ def _drive(
     ``reduce(key, walk)`` gets the batch's keys and ``walk(strict=False)``:
     an endless iterator over generations 1, 2, ... of the batch as (pos,
     rep) arrays, keeping points at or (if strict) below its slice of
-    ``bounds``, else ``cap``.
+    ``bounds``, else ``cap``.  A reduction may return a lazy iterator over
+    ``walk``; its draws then run as its consumer asks, after the refusal
+    above.  A single run's does: as one batch of one replicate it gets one
+    worker, which ``_map`` runs inline, so it draws on its consumer's thread.
     """
     if depth > _MAX_GENERATIONS:
         raise CapacityError(f"{depth} generations is above the budget of {_MAX_GENERATIONS}")
@@ -464,22 +460,21 @@ def _map(threads: int, fn, items) -> list:
 # public operations
 
 
-def simulate_run(n: int, cap: float, cfg: RunConfig, replicate: int = 0) -> list[np.ndarray]:
-    """Sorted positions <= cap of generations 0..n of one replicate; generation 0
-    is ``[0.0]`` and a censored generation (minimum above the cap) is empty.
-    Refused before any draw if its walk and the points it keeps, _HEADROOM
-    times their expectations, would pass the memory ceiling."""
+def simulate_run(n: int, cap: float, cfg: RunConfig, replicate: int = 0) -> Iterator[np.ndarray]:
+    """Iterator over the sorted positions <= cap of generations 0..n of one
+    replicate; generation 0 is ``[0.0]`` and a censored generation (minimum
+    above the cap) is empty.  The call checks its arguments and refuses,
+    before any draw, a walk past the memory ceiling (``_drive``); each
+    generation is then drawn and sorted only when the consumer asks for it,
+    and the iterator holds none it has yielded."""
     n, cap = as_int(n, "n", 0), as_real(cap, "cap", 0, lo_open=True)
     replicate = as_int(replicate, "replicate", 0, (1 << 63) - 2)
-    kept = _expected_rows_through(cap, n)
-    walk_bytes = _ROW_BYTES * (_expected_peak_rows(cap, n) + 1.0)
-    check_bytes(_HEADROOM * (walk_bytes + _KEPT_BYTES * kept), f"a single run at cap {cap:.6g} keeps ~{kept:.3g} points, so it")
 
     def record(key, walk):
-        return [np.sort(pos) for pos, _ in itertools.islice(walk(), n)]
+        return (np.sort(pos) for pos, _ in itertools.islice(walk(), n))
 
     (positions,) = _drive(cfg, replicate, replicate + 1, cap, n, record)
-    return [np.zeros(1), *positions]
+    return itertools.chain([np.zeros(1)], positions)
 
 
 def replicate_z_counts(n: int, t: float, cfg: RunConfig) -> np.ndarray:
@@ -694,11 +689,12 @@ def estimate_mean_t_epsilon(eps: float, cfg: RunConfig) -> tuple[float, float]:
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic of two nonempty samples."""
+    """Two-sample Kolmogorov-Smirnov statistic of two nonempty samples without nan."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
-    if not (a.size and b.size):
-        raise DomainError("both samples must be nonempty")
+    # np.sort puts any nan last
+    if not (a.size and b.size) or np.isnan(a[-1]) or np.isnan(b[-1]):
+        raise DomainError("both samples must be nonempty and hold no nan")
     data = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, data, side="right") / len(a)
     cdf_b = np.searchsorted(b, data, side="right") / len(b)

@@ -465,11 +465,11 @@ def _p_dickman_shape(ctx):
 
 def _p_rng_oracle(ctx):
     for seed in (1, 9):
-        run = brw.simulate_run(1, 4.0, RunConfig(seed=seed))
+        _, first = brw.simulate_run(1, 4.0, RunConfig(seed=seed))
         key = int(rng.replicate_keys(seed, 0, 1)[0])
         direct = np.sort(brw.sample_lpd_offsets(key, 4.0))
         # scalar math.log and the vector kernel may differ in the last bit
-        if len(direct) != len(run[1]) or not np.allclose(run[1], direct, rtol=0.0, atol=1e-12):
+        if len(direct) != len(first) or not np.allclose(first, direct, rtol=0.0, atol=1e-12):
             return False, f"engine and scalar sampler disagree for seed {seed}"
     return True, "vector engine reproduces the scalar stick sampler"
 

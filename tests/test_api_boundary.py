@@ -4,7 +4,7 @@ Every public callable of the eight library modules (functions, classes and
 the public methods of those classes) is called with drawn arguments: ints,
 floats, nan, +-inf, 10**30, 2**64 and numpy scalars, and for array
 arguments lists and arrays of them.  Each call must end in a result or a
-``PrimechainError``; a generator counts as ended after its first chunks.
+``PrimechainError``; an iterator counts as ended after its first chunks.
 The arguments that set the amount of work (table limits, replicates,
 populations, cutoffs, walk caps) are drawn small, or huge enough to be
 refused before any work, and the module constants that set it are drawn at
@@ -19,6 +19,7 @@ The named cases below each failed at the commit before the shared checks
 of ``primechain.errors``: an untyped error, a spin, or a silent answer.
 """
 
+import collections.abc
 import inspect
 import itertools
 import math
@@ -260,8 +261,8 @@ def public_callables() -> set[str]:
 
 
 def settle(result):
-    """Run a generator's first chunks, where a lazy call does its work."""
-    if isinstance(result, types.GeneratorType):
+    """Run an iterator's first chunks, where a lazy call does its work."""
+    if isinstance(result, collections.abc.Iterator):
         list(itertools.islice(result, 3))
 
 
@@ -314,6 +315,7 @@ NAMED = {
     "hurwitz-tiny-a": (lambda: sifted.hurwitz_zeta(2, 1e-320), DomainError),
     "hurwitz-infinite-s": (lambda: sifted.hurwitz_zeta(math.inf, 1), DomainError),
     "ks-empty-sample": (lambda: brw.ks_distance([], [1.0]), DomainError),
+    "ks-nan-sample": (lambda: brw.ks_distance([math.nan], [1.0]), DomainError),
     "mean-empty-sample": (lambda: brw.mean_and_se(np.array([])), DomainError),
     # silent truncation: 2.5 used to give the twin-prime system of (2,)
     "forms-truncate": (lambda: singular.forms_from_links((2.5,)), DomainError),

@@ -115,7 +115,7 @@ class TestRunConfig:
 
 class TestSingleRun:
     def test_generation_zero(self):
-        gens = brw.simulate_run(10, 8.0, cfg())
+        gens = list(brw.simulate_run(10, 8.0, cfg()))
         assert len(gens) == 11
         assert gens[0].tolist() == [0.0]
 
@@ -132,8 +132,8 @@ class TestSingleRun:
             assert np.array_equal(ga, gb)
 
     def test_replicates_differ(self):
-        a = brw.simulate_run(10, 8.0, cfg(seed=11), replicate=0)
-        b = brw.simulate_run(10, 8.0, cfg(seed=11), replicate=1)
+        a = list(brw.simulate_run(10, 8.0, cfg(seed=11), replicate=0))
+        b = list(brw.simulate_run(10, 8.0, cfg(seed=11), replicate=1))
         assert not np.array_equal(a[1], b[1])
 
     def test_truncation_exactness(self):
@@ -147,8 +147,18 @@ class TestSingleRun:
         with pytest.raises(DomainError):
             brw.simulate_run(10, 8.0, cfg(), replicate=-1)
 
+    def test_generations_drawn_as_asked(self, monkeypatch):
+        calls = []
+        kernel = brw._next_generation
+        monkeypatch.setattr(brw, "_next_generation", lambda *a: calls.append(1) or kernel(*a))
+        gens = brw.simulate_run(10, 8.0, cfg())
+        assert next(gens).tolist() == [0.0] and calls == []
+        next(gens)
+        assert len(calls) == 1
+        assert len(list(gens)) == 9 and len(calls) == 10
+
     def test_censored_flag_after_death(self):
-        gens = brw.simulate_run(6, 0.05, cfg(seed=2))
+        gens = list(brw.simulate_run(6, 0.05, cfg(seed=2)))
         died = [gen for gen, g in enumerate(gens) if not g.size]
         assert died, "population should die almost immediately at cap 0.05"
         first = died[0]
@@ -185,8 +195,9 @@ class TestCounting:
     @pytest.mark.parametrize(
         "call",
         [
-            # its walk alone fits the ceiling; with the points it keeps it does not
-            lambda: brw.simulate_run(40, 17.5, brw.RunConfig(replicates=1)),
+            # above the walk's edge of about 17.667: the call itself refuses,
+            # before its iterator is asked for a generation
+            lambda: brw.simulate_run(40, 17.7, brw.RunConfig(replicates=1)),
             lambda: brw.replicate_t_epsilon(1e-9, brw.RunConfig()),
         ],
         ids=["simulate_run", "t_epsilon"],
@@ -227,7 +238,7 @@ class TestMinima:
         c = cfg(seed=9, replicates=4)
         mins = brw.replicate_minima(4, c, cap=6.0)
         for r in range(4):
-            gens = brw.simulate_run(4, 6.0, c, replicate=r)
+            gens = list(brw.simulate_run(4, 6.0, c, replicate=r))
             want = float(gens[4].min()) if gens[4].size else np.inf
             assert mins[r] == want, r
 
@@ -362,7 +373,7 @@ class TestPrunedMinima:
         assert np.isinf(mins).any(), "grid should include censored replicates"
         assert np.any((bounds == 5.0) & np.isfinite(mins)), "grid should include replicates whose beam dies"
         for r in range(c.replicates):
-            last = brw.simulate_run(10, 5.0, c, replicate=r)[10]
+            last = list(brw.simulate_run(10, 5.0, c, replicate=r))[10]
             want = last.min() if last.size else np.inf
             assert mins[r] == want, r
 
@@ -396,7 +407,8 @@ class TestPrunedMinima:
 
         monkeypatch.setattr(brw, "stream_draw", forced)
         c = cfg(seed=1, replicates=1)
-        want = brw.simulate_run(1, 6.0, c)[1].min()
+        _, first = brw.simulate_run(1, 6.0, c)
+        want = first.min()
         assert 2.0 < want < 2.1
         assert brw.replicate_minima(1, c, cap=6.0)[0] == want
 
@@ -730,14 +742,10 @@ class TestMemoryCeiling:
     times its expected rows to spare."""
 
     @staticmethod
-    def edge_cap(n: int, kept: bool = False) -> float:
-        """The largest cap whose one replicate fits the ceiling over n
-        generations, beside the points a single run keeps if ``kept``."""
+    def edge_cap(n: int) -> float:
+        """The largest cap whose one replicate fits the ceiling over n generations."""
         def fits(cap):
-            need = brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0)
-            if kept:
-                need += brw._KEPT_BYTES * brw._expected_rows_through(cap, n)
-            return brw._HEADROOM * need <= MAX_BYTES
+            return brw._HEADROOM * brw._ROW_BYTES * (brw._expected_peak_rows(cap, n) + 1.0) <= MAX_BYTES
 
         lo, hi = 1.0, 40.0
         while math.nextafter(lo, hi) < hi:
@@ -746,15 +754,15 @@ class TestMemoryCeiling:
         return lo
 
     @pytest.mark.parametrize(
-        "call, kept",
+        "call",
         [
-            (lambda n, cap: brw.replicate_z_counts(n, cap, cfg(replicates=1)), False),
-            (lambda n, cap: brw.replicate_minima(n, cfg(replicates=1), cap), False),
-            (lambda n, cap: brw.simulate_run(n, cap, cfg()), True),
+            lambda n, cap: brw.replicate_z_counts(n, cap, cfg(replicates=1)),
+            lambda n, cap: brw.replicate_minima(n, cfg(replicates=1), cap),
+            lambda n, cap: list(brw.simulate_run(n, cap, cfg())),
         ],
         ids=["z_counts", "minima", "simulate_run"],
     )
-    def test_replicate_ceiling(self, monkeypatch, call, kept):
+    def test_replicate_ceiling(self, monkeypatch, call):
         class Drawn(Exception):
             pass
 
@@ -765,16 +773,9 @@ class TestMemoryCeiling:
             raise Drawn
 
         n = 40
-        edge = self.edge_cap(n, kept)
-        if kept:
-            # a single run keeps ~2.49e7 points at its edge, 190 MiB at 8 bytes
-            # each, where the walk alone would be admitted to a cap of 17.667
-            assert 17.03 < edge < 17.031 and 17.666 < self.edge_cap(n) < 17.667
-            want = math.fsum(edge**m / math.factorial(m) for m in range(n + 1))
-            assert brw._expected_rows_through(edge, n) == pytest.approx(want, rel=1e-12)
-        else:
-            # A08's b40 expects 3.87e6 rows a replicate and its largest generation held 4,156,485
-            assert 17.518 < edge and 4_156_485 < MAX_BYTES // brw._ROW_BYTES
+        edge = self.edge_cap(n)
+        # A08's b40 expects 3.87e6 rows a replicate and its largest generation held 4,156,485
+        assert 17.666 < edge < 17.667 and 4_156_485 < MAX_BYTES // brw._ROW_BYTES
         monkeypatch.setattr(brw, "stream_draw", drawing)
         with pytest.raises(CapacityError, match="ceiling"):
             call(n, math.nextafter(edge, math.inf))
@@ -801,8 +802,10 @@ class TestMemoryCeiling:
             lambda: brw.replicate_z_counts(14, 14.0, cfg(replicates=1)),
             lambda: brw.replicate_t_epsilon(1e-5, cfg(seed=3, replicates=20)),
             lambda: brw.replicate_minima(20, cfg(seed=802, replicates=106), 12.01),
+            # one generation at a time, each held while the next is drawn, as `brw run` reads it
+            lambda: [pos.size for pos in brw.simulate_run(16, 14.0, cfg(seed=5))],
         ],
-        ids=["z_counts", "t_epsilon", "minima"],
+        ids=["z_counts", "t_epsilon", "minima", "simulate_run"],
     )
     def test_peak_within_row_bytes(self, monkeypatch, call):
         largest = [0]
@@ -824,20 +827,6 @@ class TestMemoryCeiling:
         assert peak <= brw._ROW_BYTES * largest[0]
 
 
-    def test_single_run_peak_within_its_count(self):
-        # the walk at _ROW_BYTES a row of its largest generation, and every
-        # point it returns at _KEPT_BYTES
-        tracemalloc.start()
-        try:
-            gens = brw.simulate_run(16, 14.0, cfg(seed=5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        largest, kept = max(g.size for g in gens), sum(g.size for g in gens)
-        assert largest > 50_000
-        assert peak <= brw._ROW_BYTES * largest + brw._KEPT_BYTES * kept
-
-
 class TestKsDistance:
     def test_identical_samples(self):
         a = np.array([0.1, 0.5, 0.9])
@@ -850,6 +839,13 @@ class TestKsDistance:
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=100), rng.normal(0.3, size=80)
         assert brw.ks_distance(a, b) == brw.ks_distance(b, a)
+
+    # a lone nan against a number is the named case ks-nan-sample of test_api_boundary
+    @pytest.mark.parametrize("a, b", [([math.nan, math.nan], [math.nan]), ([0.5, math.nan], [1.0])])
+    def test_nan_refused(self, a, b):
+        # it answered 0.0 and 0.5
+        with pytest.raises(DomainError, match="nan"):
+            brw.ks_distance(a, b)
 
 
 class TestRdeIteration:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from primechain import cli, errors, pratt, sieve, sifted
+from primechain import brw, cli, errors, pratt, sieve, sifted
 from test_pratt import naive_f, naive_g, naive_h, trial_tree
 
 
@@ -239,6 +239,23 @@ class TestBrwCommands:
         assert "seed=3" in lines[0]
         assert lines[1] == "generation,count,min,censored"
         assert len(lines) == 2 + 5  # generations 0..4
+
+    def test_run_refused_midway_writes_nothing(self, capsys, monkeypatch):
+        # the run draws its generations as the command reads them, so a
+        # refusal can come after the first ones have been summarized
+        calls = []
+        kernel = brw._next_generation
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise errors.CapacityError("a generation passes the ceiling")
+            return kernel(*args)
+
+        monkeypatch.setattr(brw, "_next_generation", failing)
+        code, out, err = run_cli(capsys, "brw", "run", "--n", "5", "--cap", "4.0")
+        assert (code, out, len(calls)) == (1, "", 3)
+        assert json.loads(err)["error"]["type"] == "CapacityError"
 
     def test_run_deterministic(self, capsys):
         _, a, _ = run_cli(capsys, "brw", "run", "--n", "3", "--cap", "3.0")
