@@ -132,6 +132,11 @@ def sample_lpd_offsets(key: int, cap: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # vectorized generation engine
 
+# Rounds a stick loop takes before it is a NumericalError.  A node stops once
+# its Exp(1) increments pass its cap, after about cap +- sqrt(cap) rounds, so
+# _batch_size refuses a cap above half of this.
+_MAX_STICK_ROUNDS = 200_000
+
 
 def _next_generation(pos, key, rep, cap, strict):
     """Children of all points in (pos, key, rep), truncated at cap.
@@ -174,7 +179,7 @@ def _next_generation(pos, key, rep, cap, strict):
             if per_row:
                 cap = cap[alive]
         t += 1
-        if t > 100_000:
+        if t > _MAX_STICK_ROUNDS:
             raise NumericalError("stick loop failed to terminate")
     if not out_pos:
         return pos, key, rep
@@ -342,13 +347,14 @@ def _batch_size(count: int, cap: float, n: int, layout: str) -> int:
 
     Refuses, before anything is drawn, a replicate whose walk would pass the
     memory ceiling at _ROW_BYTES a row of _HEADROOM times its expected
-    largest generation, and a call expected to exceed the work bound.  A
-    full-cap batch expects at most _CACHE_ROWS rows in one generation
-    ("cache", the full-cap reductions).  The minima's exact pass draws far
-    fewer rows than the estimate and is sized to _EXACT_ROWS ("exact").
-    Their beam pass ("beam") is sized like a full-cap batch, but takes a
-    replicate at _BEAM_ROWS_PER_WIDTH beam widths of rows where that is the
-    smaller: 2,048 replicates a batch at width 16, 256 at width 128.
+    largest generation, a cap above half _MAX_STICK_ROUNDS, and a call
+    expected to exceed the work bound.  A full-cap batch expects at most
+    _CACHE_ROWS rows in one generation ("cache", the full-cap reductions).
+    The minima's exact pass draws far fewer rows than the estimate and is
+    sized to _EXACT_ROWS ("exact").  Their beam pass ("beam") is sized like
+    a full-cap batch, but takes a replicate at _BEAM_ROWS_PER_WIDTH beam
+    widths of rows where that is the smaller: 2,048 replicates a batch at
+    width 16, 256 at width 128.
 
     _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
     of L2.  Measured on one core of a 2-core Xeon, each run a fresh
@@ -365,6 +371,8 @@ def _batch_size(count: int, cap: float, n: int, layout: str) -> int:
     """
     per_rep = _expected_peak_rows(cap, n) + 1.0
     check_bytes(_HEADROOM * _ROW_BYTES * per_rep, f"a single replicate at cap {cap:.6g} expects ~{per_rep:.3g} points, so its walk")
+    if cap > _MAX_STICK_ROUNDS / 2:
+        raise CapacityError(f"cap {cap:.6g} is above {_MAX_STICK_ROUNDS // 2}; a node draws about cap of the {_MAX_STICK_ROUNDS} stick rounds a loop may take")
     if count * per_rep > _MAX_WORK_ROWS:
         raise CapacityError(f"{count} replicates expect ~{count * per_rep:.3g} points, above the work bound {_MAX_WORK_ROWS:.3g}")
     rows = _EXACT_ROWS if layout == "exact" else _CACHE_ROWS
@@ -734,7 +742,7 @@ def _rde_minima(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
             res[act[done]] = best[done]
             act, kact, cum, best = act[alive], kact[alive], cum[alive], best[alive]
         t += 1
-        if t > 100_000:
+        if t > _MAX_STICK_ROUNDS:
             raise NumericalError("rde stick loop failed to terminate")
     return res
 

@@ -16,7 +16,6 @@ is an enumeration oracle for the tree node count f(p).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +105,8 @@ def enumerate_from(
     bound = as_int(bound, "chain bound", 0)
     if not table.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    ceiling = math.floor(min(p * x, 2.0**64))  # from 2**64 on, primes_in_aps refuses it
+    num, den = x.as_integer_ratio()  # p * x in integers: as a float it rounds p past 2**53
+    ceiling = min(p * num // den, 1 << 64)  # from 2**64 on, primes_in_aps refuses it
     found = [(p,)] if include_trivial else []
     total = len(found)
     if total > bound:

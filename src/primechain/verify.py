@@ -2,8 +2,8 @@
 
 Every check returns (ok, detail); `run_suite` and `run_one` wrap them with
 timing and exception capture so one failing check never hides the others.
-Both read the one registry, `SUITES`, which also gives `primechain verify`
-its --suite choices, keeping the command-line gate and pytest in lockstep.
+Both read the one registry, `CHECKS`; its names give the suites and so
+`primechain verify` its --suite choices, keeping the gate and pytest in lockstep.
 
 Naming: A01..A11 are the release acceptance checks; "module/..." names
 are the per-module invariant suites, each asserting a claim that no
@@ -481,55 +481,43 @@ def _p_rng_distinct(ctx):
     return True, "100000 replicate keys are pairwise distinct"
 
 
-# Check names are unique across suites; "all" and "properties" are unions.
-SUITES: dict[str, tuple[tuple[str, object], ...]] = {
-    "acceptance": (
-        ("A01-recursion-oracle", _a01_recursion_oracle),
-        ("A02-bounds-sweep-1e6", _a02_bounds_sweep),
-        ("A03-fermat-heights", _a03_fermat_heights),
-        ("A04-counting-identities", _a04_counting_identities),
-        ("A05-sifted-matrix", _a05_sifted_matrix),
-        ("A06-singular-series", _a06_singular_series),
-        ("A07-brw-expectations", _a07_brw_expectations),
-        ("A08-minimum-displacement", _a08_minimum_displacement),
-        ("A09-z1-tail-bound", _a09_z1_tail),
-        ("A10-dickman-rho", _a10_dickman),
-        ("A11-determinism", _a11_determinism),
-    ),
-    "sieve": (
-        ("sieve/l-value-structure", _p_sieve_l_structure),
-        ("sieve/progression-count-bound", _p_sieve_bt),
-        ("sieve/prime-count-crosscheck", _p_sieve_pi),
-    ),
-    "pratt": (
-        ("pratt/iterated-totient", _p_pratt_phi_iter),
-    ),
-    "chains": (
-        ("chains/monotone-in-x", _p_chains_monotone),
-        ("chains/length-partition", _p_chains_partition),
-        ("chains/ratio-telescoping", _p_chains_ratio),
-    ),
-    "sifted": (
-        ("sifted/even-gcd-structure", _p_sifted_gcd),
-    ),
-    "singular": (
-        ("singular/normalized-size-report", _p_singular_size_report),
-    ),
-    "brw": (
-        ("brw/largest-fragment-law", _p_brw_m1),
-    ),
-    "dickman": (
-        ("dickman/positive-log-concave", _p_dickman_shape),
-    ),
-    "rng": (
-        ("rng/scalar-oracle", _p_rng_oracle),
-        ("rng/distinct-keys", _p_rng_distinct),
-    ),
-}
+# Every check in run order, each name unique and saying its suites (_suites):
+# "module/..." is in "module" and "properties", A01..A11 in "acceptance".
+CHECKS = (
+    ("A01-recursion-oracle", _a01_recursion_oracle),
+    ("A02-bounds-sweep-1e6", _a02_bounds_sweep),
+    ("A03-fermat-heights", _a03_fermat_heights),
+    ("A04-counting-identities", _a04_counting_identities),
+    ("A05-sifted-matrix", _a05_sifted_matrix),
+    ("A06-singular-series", _a06_singular_series),
+    ("A07-brw-expectations", _a07_brw_expectations),
+    ("A08-minimum-displacement", _a08_minimum_displacement),
+    ("A09-z1-tail-bound", _a09_z1_tail),
+    ("A10-dickman-rho", _a10_dickman),
+    ("A11-determinism", _a11_determinism),
+    ("sieve/l-value-structure", _p_sieve_l_structure),
+    ("sieve/progression-count-bound", _p_sieve_bt),
+    ("sieve/prime-count-crosscheck", _p_sieve_pi),
+    ("pratt/iterated-totient", _p_pratt_phi_iter),
+    ("chains/monotone-in-x", _p_chains_monotone),
+    ("chains/length-partition", _p_chains_partition),
+    ("chains/ratio-telescoping", _p_chains_ratio),
+    ("sifted/even-gcd-structure", _p_sifted_gcd),
+    ("singular/normalized-size-report", _p_singular_size_report),
+    ("brw/largest-fragment-law", _p_brw_m1),
+    ("dickman/positive-log-concave", _p_dickman_shape),
+    ("rng/scalar-oracle", _p_rng_oracle),
+    ("rng/distinct-keys", _p_rng_distinct),
+)
 
-PROPERTY_SUITES = tuple(name for name in SUITES if name != "acceptance")
-_GROUPS = {"all": tuple(SUITES), "properties": PROPERTY_SUITES}
-SUITE_CHOICES = (*_GROUPS, *SUITES)
+
+def _suites(name: str) -> tuple[str, ...]:
+    module, slash, _ = name.partition("/")
+    return ("all", "properties", module) if slash else ("all", "acceptance")
+
+
+PROPERTY_SUITES = tuple(dict.fromkeys(name.partition("/")[0] for name, _ in CHECKS if "/" in name))
+SUITE_CHOICES = ("all", "properties", "acceptance", *PROPERTY_SUITES)
 
 
 def _run_check(name: str, fn, ctx: VerifyContext) -> CheckResult:
@@ -544,15 +532,15 @@ def _run_check(name: str, fn, ctx: VerifyContext) -> CheckResult:
 def _checks(suite: str):
     if suite not in SUITE_CHOICES:
         raise KeyError(f"unknown suite {suite!r}")
-    return [check for name in _GROUPS.get(suite, (suite,)) for check in SUITES[name]]
+    return [(name, fn) for name, fn in CHECKS if suite in _suites(name)]
 
 
 def acceptance_names() -> list[str]:
-    return [name for name, _ in SUITES["acceptance"]]
+    return [name for name, _ in _checks("acceptance")]
 
 
 def run_one(name: str, ctx: VerifyContext | None = None) -> CheckResult:
-    for cand, fn in _checks("all"):
+    for cand, fn in CHECKS:
         if cand == name:
             return _run_check(cand, fn, ctx or VerifyContext())
     raise KeyError(f"unknown check {name!r}")

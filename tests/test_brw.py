@@ -215,6 +215,19 @@ class TestCounting:
             call()
         assert drawn == []
 
+    def test_cap_past_the_stick_rounds_refused_before_drawing(self, monkeypatch):
+        # a node draws about cap stick rounds, so a cap above half the loop's
+        # limit is refused before any draw, and one at half runs to its end
+        drawn = []
+        draw = brw.stream_draw
+        monkeypatch.setattr(brw, "stream_draw", lambda keys, index: drawn.append(keys.size) or draw(keys, index))
+        monkeypatch.setattr(brw, "_MAX_STICK_ROUNDS", 40)
+        with pytest.raises(CapacityError, match="stick rounds"):
+            brw.simulate_run(1, 21.0, cfg())
+        assert drawn == []
+        run = list(brw.simulate_run(1, 20.0, cfg()))
+        assert len(run) == 2 and run[1].size and drawn
+
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             brw.replicate_z_counts(0, 1.0, cfg())

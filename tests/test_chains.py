@@ -171,6 +171,17 @@ class TestEnumerateFrom:
         assert str(enumerated.value) == str(counted.value)
         assert "2**64" in str(counted.value)
 
+    def test_ceiling_is_exact_past_two_to_the_53(self, table):
+        # float(p) = p + 1, so a float p * 2 would admit the prime 2p + 1 above it
+        p = 9007199254741931
+        assert sieve.is_prime_u64(2 * p + 1) and float(p) == p + 1
+        assert [c.primes for c in chains.enumerate_from(p, 2.0, table).chains] == [(p,)]
+
+    def test_ceiling_of_the_largest_prime_below_two_to_the_64(self, table):
+        # a float p * 1 rounds up to 2**64, which primes_in_aps refuses
+        p = 18446744073709551557
+        assert [c.primes for c in chains.enumerate_from(p, 1.0, table).chains] == [(p,)]
+
     @pytest.mark.parametrize("x", [1, 1.5])
     def test_tips_above_two_to_the_63(self, table, x):
         # 2p overflows 64 bits; a wrapped step would walk candidates below p

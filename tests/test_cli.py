@@ -340,10 +340,11 @@ def test_non_finite_is_domain_error(capsys, argv):
         (("brw", "rde", "--pop", "1000", "--iters", "100000000000000"), "CapacityError"),
         (("chains", "--start", "7", "--ratio", "1", "--max-chains", "0"), "CapacityError"),
         (("chains", "--start", "7", "--ratio", "1", "--max-chains", "-1"), "DomainError"),
+        (("brw", "run", "--n", "1", "--cap", "110000"), "CapacityError"),
     ],
     ids=[
         "sift-grid-neg", "sift-grid-0", "run-replicate-neg", "singular-pcut", "singular-huge-pcut", "hist-huge-limit", "rde-pop", "teps-tiny-eps",
-        "teps-huge-reps", "rde-huge-iters", "chains-trivial-over-bound", "chains-bound-neg",
+        "teps-huge-reps", "rde-huge-iters", "chains-trivial-over-bound", "chains-bound-neg", "run-stick-cap",
     ],
 )
 def test_bad_input_is_typed_error(capsys, argv, kind):

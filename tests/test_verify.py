@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from primechain import verify
@@ -28,9 +30,8 @@ class TestRunners:
         assert res.seconds >= 0
 
     def test_check_names_unique_across_suites(self):
-        names = [name for checks in verify.SUITES.values() for name, _ in checks]
+        names = [name for name, _ in verify.CHECKS]
         assert len(names) == len(set(names))
-        assert all(verify.SUITES.values())
 
     def test_run_one_resolves_property_check(self, vctx):
         res = verify.run_one("rng/distinct-keys", vctx)
@@ -43,6 +44,42 @@ class TestRunners:
         for r in results:
             assert r.name.startswith("rng/")
             assert r.ok, f"{r.name}: {r.detail}"
+
+
+_ACCEPTANCE = [
+    "A01-recursion-oracle",
+    "A02-bounds-sweep-1e6",
+    "A03-fermat-heights",
+    "A04-counting-identities",
+    "A05-sifted-matrix",
+    "A06-singular-series",
+    "A07-brw-expectations",
+    "A08-minimum-displacement",
+    "A09-z1-tail-bound",
+    "A10-dickman-rho",
+    "A11-determinism",
+]
+_MODULE_SUITES = {
+    "sieve": ["sieve/l-value-structure", "sieve/progression-count-bound", "sieve/prime-count-crosscheck"],
+    "pratt": ["pratt/iterated-totient"],
+    "chains": ["chains/monotone-in-x", "chains/length-partition", "chains/ratio-telescoping"],
+    "sifted": ["sifted/even-gcd-structure"],
+    "singular": ["singular/normalized-size-report"],
+    "brw": ["brw/largest-fragment-law"],
+    "dickman": ["dickman/positive-log-concave"],
+    "rng": ["rng/scalar-oracle", "rng/distinct-keys"],
+}
+_PROPERTIES = [name for names in _MODULE_SUITES.values() for name in names]
+
+
+def test_suite_members_are_pinned():
+    want = {"all": _ACCEPTANCE + _PROPERTIES, "properties": _PROPERTIES, "acceptance": _ACCEPTANCE, **_MODULE_SUITES}
+    assert verify.SUITE_CHOICES == tuple(want)
+    for suite, names in want.items():
+        assert [name for name, _ in verify._checks(suite)] == names, suite
+    # each name says its suite: A01..A11 are the acceptance checks, "module/..." the rest
+    assert all(re.fullmatch(r"A\d\d-[a-z0-9-]+", name) for name in _ACCEPTANCE)
+    assert all(name.startswith(f"{suite}/") for suite, names in _MODULE_SUITES.items() for name in names)
 
 
 @pytest.mark.parametrize("suite", sorted(verify.PROPERTY_SUITES))
