@@ -201,8 +201,8 @@ _MAX_GENERATIONS = 10_000  # each generation costs numpy passes even when empty
 # Rows a call may expect to draw: replicates times the expected peak of one
 # (or, for rde, population times iterations); each pass of A08's b40 expects 61 x 3.87e6 ~ 2.4e8.
 _MAX_WORK_ROWS = 1 << 40
-# Expected rows a full-cap batch holds in one generation: 2 MiB per float64 column.
-_CACHE_ROWS = 1 << 18
+# Expected rows a full-cap batch holds in one generation: 1 MiB per float64 column.
+_CACHE_ROWS = 1 << 17
 _EXACT_ROWS = 2_000_000  # rows an exact-pass batch expects a generation at the full cap; it draws fewer
 # Bytes a walk holds per row of a batch's largest generation, the unit of its
 # memory checks.  A call's tracemalloc peak per row of that generation, at one
@@ -353,19 +353,22 @@ def _batch_size(count: int, cap: float, n: int, layout: str) -> int:
     The minima's exact pass draws far fewer rows than the estimate and is
     sized to _EXACT_ROWS ("exact").  Their beam pass ("beam") is sized like
     a full-cap batch, but takes a replicate at _BEAM_ROWS_PER_WIDTH beam
-    widths of rows where that is the smaller: 2,048 replicates a batch at
-    width 16, 256 at width 128.
+    widths of rows where that is the smaller: 1,024 replicates a batch at
+    width 16, 128 at width 128.
 
-    _CACHE_ROWS keeps a float64 column of a round at most 2 MiB, the size
-    of L2.  Measured on one core of a 2-core Xeon, each run a fresh
-    process, Z_8(6) over 100,000 replicates and T(1e-4) over 2,000 (seed
-    101) summed 12.1k-12.5k/11.4k-11.8k/11.9k-12.4k/11.8k-12.7k units of
+    _CACHE_ROWS keeps a float64 column of a round at most 1 MiB, half of
+    L2.  Measured on one core of a 2-core Xeon, each run a fresh process,
+    Z_8(6) over 100,000 replicates and T(1e-4) over 2,000 (seed 101)
+    summed 12.1k-12.4k/10.8k-11.7k/11.1k-11.6k/11.7k-12.2k units of
     perfbench's speed probe at 2^16/2^17/2^18/2^19 rows, against
-    13.9k-14.0k at _EXACT_ROWS, bit-equal.  The minima's exact pass keeps
-    _EXACT_ROWS: at n=16 (2,000 replicates, cap 10.42) it took 0.98k-1.01k
-    in 5 batches against 1.60k-1.67k in 32 of 2^18 rows, and A08's
-    generation-20 call 16.4k-17.8k in 95 against 33.8k-38.6k in 770.  Beam
-    batches of _EXACT_ROWS (one each) were no faster, 1.00k-1.04k and
+    13.3k-13.4k at _EXACT_ROWS, bit-equal, and peaked at 43-44/49-51/63-65/
+    88-90 MiB RSS (207-213 at _EXACT_ROWS).  At 2^16 rows they peak below
+    rde_iterate over 100,000 samples (45 MiB), which then sets the peak of
+    perfbench's walk-full, and they are the slower.  The minima's exact
+    pass keeps _EXACT_ROWS: at n=16 (2,000 replicates, cap 10.42) it took
+    0.98k-1.01k in 5 batches against 1.60k-1.67k in 32 of 2^18 rows, and
+    A08's generation-20 call 16.4k-17.8k in 95 against 33.8k-38.6k in 770.
+    Beam batches of _EXACT_ROWS (one each) were no faster, 1.00k-1.04k and
     16.8k-17.7k, but raised the generation-20 call's peak RSS from 46 to
     77 MiB, so a beam batch is sized to the cache.
     """
@@ -388,14 +391,14 @@ def _nth(generations, n: int):
 def _keep_freed_memory() -> None:
     """Pin glibc's mmap and trim thresholds at their dynamic maxima.
 
-    Every stick round allocates and frees arrays of 0.1-2 MiB.  glibc
+    Every stick round allocates and frees arrays of 0.1-1 MiB.  glibc
     raises its mmap threshold only to the largest block freed so far and
     trims the heap top beyond twice that, so once no batch frees a 16 MiB
     column, each generation hands its heap back to the OS and faults it in
-    again: Z_8(6) over 100,000 replicates in cache-sized batches took 257k
-    minor page faults and 0.6-0.7 s of system time in 3.0-3.4 s.  With the
+    again: Z_8(6) over 100,000 replicates in cache-sized batches took 182k
+    minor page faults and 0.3-0.45 s of system time in 2.2-2.4 s.  With the
     thresholds pinned at 32 and 64 MiB, the most the dynamic rule reaches
-    on 64-bit glibc, it took 6.6k faults and 0.02 s in 2.5-2.65 s, and
+    on 64-bit glibc, it took 3.3k faults and 0.01 s in 1.7-2.1 s, and
     peak RSS did not move.  Other platforms are left as they are.
     """
     if not sys.platform.startswith("linux"):
@@ -703,10 +706,28 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     # np.sort puts any nan last
     if not (a.size and b.size) or np.isnan(a[-1]) or np.isnan(b[-1]):
         raise DomainError("both samples must be nonempty and hold no nan")
+    n, m = a.size, b.size
+    # A stable argsort of two sorted runs merges them.  The rows up to the
+    # last of each run of equal values hold every point of a and of b at
+    # most that value, so the statistic is read there, at the values of
+    # both samples, as a search for each of them would read it.  Each
+    # array is dropped once read, so rde_iterate keeps its peak.
     data = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, data, side="right") / len(a)
-    cdf_b = np.searchsorted(b, data, side="right") / len(b)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    del a, b
+    order = data.argsort(kind="stable")
+    data = data[order]
+    ends = np.flatnonzero(data[1:] != data[:-1])
+    del data
+    ends = np.append(ends, n + m - 1)
+    count_a = np.cumsum(order < n)[ends]
+    del order
+    diff = count_a / n
+    count_b = ends  # the rows up to each end, less those of a
+    count_b += 1
+    count_b -= count_a
+    del count_a
+    diff -= count_b / m
+    return float(np.max(np.abs(diff)))
 
 
 @dataclass

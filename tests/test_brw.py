@@ -601,7 +601,7 @@ class TestThreadInvariance:
         assert np.array_equal(one, two)
 
     def test_t_epsilon_independent_of_threads(self):
-        # eps = 1e-3 fits 1725 replicates in a cache-sized batch: 2 batches
+        # eps = 1e-3 fits 862 replicates in a cache-sized batch: 3 batches
         one = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000))
         four = brw.replicate_t_epsilon(1e-3, cfg(seed=25, replicates=2000, threads=4))
         assert one.tobytes() == four.tobytes()
@@ -618,20 +618,21 @@ class TestThreadInvariance:
         cap = brw.predicted_median_bn(16) + 3.0
         one = brw.replicate_minima(16, cfg(replicates=2000), cap)
         assert pools == []
-        # the beam pass is one batch, on no pool; the exact pass's five
-        # batches of 482 expect ~2e6 rows each at the cap but at most 90,884
-        # below their bounds, so all four workers asked fit the ceiling
+        # the beam pass's two batches run on two workers; the exact pass's
+        # five batches of 482 expect ~2e6 rows each at the cap but at most
+        # 90,884 below their bounds, so all four workers asked fit the ceiling
         four = brw.replicate_minima(16, cfg(replicates=2000, threads=4), cap)
-        assert pools == [4]
-        # at 1,600 bytes a row, 1.25 x 1,600 x 90,884 bytes fit twice
+        assert pools == [2, 4]
+        # at 1,600 bytes a row, 1.25 x 1,600 x 90,884 bytes fit twice, and
+        # so do the beam batches' 2^17 rows
         monkeypatch.setattr(brw, "_ROW_BYTES", 1600)
         fitted = brw.replicate_minima(16, cfg(replicates=2000, threads=4), cap)
-        assert pools == [4, 2]
+        assert pools == [2, 4, 2, 2]
         assert one.tobytes() == four.tobytes() == fitted.tobytes()
 
     def test_row_guard_independent_of_threads(self):
         # Z_14(14) expects ~1.27e5 rows a replicate, so its cache batches
-        # hold two; at 21 threads its three batches run on three workers,
+        # hold one; at 21 threads its six batches run on six workers,
         # each guarded at the whole ceiling by the kernel itself
         one = brw.replicate_z_counts(14, 14.0, cfg(seed=4, replicates=6))
         many = brw.replicate_z_counts(14, 14.0, cfg(seed=4, replicates=6, threads=21))
@@ -645,23 +646,23 @@ class TestBatchLayout:
     order and each node keeps its own key, so no layout moves a bit."""
 
     def test_batch_size(self, monkeypatch):
-        # Z_8(6) expects 65.8 rows per replicate: 2^18 / 65.8 against the
+        # Z_8(6) expects 65.8 rows per replicate: 2^17 / 65.8 against the
         # exact pass's 2e6 / 65.8
-        assert brw._batch_size(100_000, 6.0, 8, "cache") == 3983
+        assert brw._batch_size(100_000, 6.0, 8, "cache") == 1991
         assert brw._batch_size(100_000, 6.0, 8, "exact") == 30_395
         # T(1e-4): cap 9.21 over 115 generations, ~1.3e3 rows per replicate
-        assert brw._batch_size(2000, -math.log(1e-4), 115, "cache") == 199
+        assert brw._batch_size(2000, -math.log(1e-4), 115, "cache") == 99
         assert brw._batch_size(2000, -math.log(1e-4), 115, "exact") == 1520
         # the beam is sized to the cache at 8 widths of rows per replicate,
         # where that is fewer: n=16 at cap 10.42 expects ~4.1e3 rows per
-        # replicate and A08's b20 ~1.9e4, so each takes 2^18 / (8 * 16)
+        # replicate and A08's b20 ~1.9e4, so each takes 2^17 / (8 * 16)
         # replicates a beam batch; Z_8(6)'s 65.8 rows are below 8 widths
         cap16 = brw.predicted_median_bn(16) + 3.0
         assert brw._batch_size(2000, cap16, 16, "exact") == 482
-        assert brw._batch_size(2000, cap16, 16, "beam") == 2000
+        assert brw._batch_size(2000, cap16, 16, "beam") == 1024
         assert brw._batch_size(10_000, 12.01, 20, "exact") == 106
-        assert brw._batch_size(10_000, 12.01, 20, "beam") == 2048
-        assert brw._batch_size(100_000, 6.0, 8, "beam") == 3983
+        assert brw._batch_size(10_000, 12.01, 20, "beam") == 1024
+        assert brw._batch_size(100_000, 6.0, 8, "beam") == 1991
         # A08's b40 (cap 17.518) takes all 61 replicates a beam batch and one an exact-pass batch
         assert brw._batch_size(61, 17.518, 40, "beam") == 61
         assert brw._batch_size(61, 17.518, 40, "exact") == 1
@@ -691,8 +692,8 @@ class TestBatchLayout:
     @pytest.mark.parametrize(
         "call, count",
         [
-            (lambda: brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000)), 3),
-            (lambda: brw.replicate_t_epsilon(1e-3, cfg(seed=42, replicates=2000)), 2),
+            (lambda: brw.replicate_z_counts(6, 5.0, cfg(seed=41, replicates=20_000)), 5),
+            (lambda: brw.replicate_t_epsilon(1e-3, cfg(seed=42, replicates=2000)), 3),
         ],
         ids=["z_counts", "t_epsilon"],
     )
@@ -716,16 +717,15 @@ class TestBatchLayout:
         assert split.tobytes() == whole.tobytes()
 
     def test_one_beam_batch_then_the_budget_batches(self, monkeypatch):
-        # 2,000 replicates at n=16 expect ~4.1e3 rows each: one beam batch
-        # of up to 2,048 for all of them, then the exact pass's five batches
-        # of 482
+        # 2,000 replicates at n=16 expect ~4.1e3 rows each: two beam batches
+        # of up to 1,024, then the exact pass's five batches of 482
         beams, spans = [], []
         bounds, keys = brw._minimum_bounds, brw.replicate_keys
         monkeypatch.setattr(brw, "_minimum_bounds", lambda key, *a: beams.append(key.size) or bounds(key, *a))
         monkeypatch.setattr(brw, "replicate_keys", lambda seed, lo, hi: spans.append((lo, hi)) or keys(seed, lo, hi))
         est = brw.median_bn_detail(16, cfg(replicates=2000), margin=3.0)
-        assert beams == [2000]
-        assert spans == [(0, 2000), (0, 482), (482, 964), (964, 1446), (1446, 1928), (1928, 2000)]
+        assert beams == [1024, 976]
+        assert spans == [(0, 1024), (1024, 2000), (0, 482), (482, 964), (964, 1446), (1446, 1928), (1928, 2000)]
         assert not est.retried and est.censor_rate < 0.5
 
     def test_two_passes_match_across_threads_and_budgets(self, monkeypatch):
@@ -840,7 +840,60 @@ class TestMemoryCeiling:
         assert peak <= brw._ROW_BYTES * largest[0]
 
 
+def searched_ks(a, b):
+    """The KS statistic by two searches of the sorted samples, the reference
+    the merge in ``brw.ks_distance`` must equal to the bit."""
+    a, b = np.sort(np.asarray(a, dtype=np.float64)), np.sort(np.asarray(b, dtype=np.float64))
+    data = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, data, side="right") / len(a)
+    cdf_b = np.searchsorted(b, data, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
 class TestKsDistance:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0.0, 1.0, 1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 2.0, 3.0]),
+            ([-math.inf, 0.0, math.inf, math.inf], [math.inf, -math.inf, -math.inf]),
+            ([-math.inf, -math.inf], [math.inf]),
+            (np.arange(7.0), np.arange(3.0) * 2.5),
+            ([0.5], [0.25]),
+            ([0.5], [0.5]),
+            ([0.3, 0.1, 0.2], [0.2, 0.3, 0.1]),
+            (np.zeros(4), np.ones(5)),
+            (np.ones(5), np.zeros(4)),
+        ],
+        ids=[
+            "ties", "infinities", "infinities-apart", "unequal-sizes", "one-each",
+            "one-each-equal", "identical", "disjoint", "disjoint-reversed",
+        ],
+    )
+    def test_merge_equals_searches(self, a, b):
+        assert brw.ks_distance(a, b) == searched_ks(a, b)
+
+    def test_merge_equals_searches_on_drawn_samples(self):
+        rng = np.random.default_rng(5)
+        for n, m in ((1000, 1000), (999, 17), (1, 400)):
+            a, b = rng.normal(size=n), rng.normal(0.05, size=m)
+            assert brw.ks_distance(a, b) == searched_ks(a, b)
+            # a coarse grid ties most values within and across the samples
+            a, b = np.round(a, 1), np.round(b, 1)
+            assert brw.ks_distance(a, b) == searched_ks(a, b)
+
+    def test_peak_memory(self):
+        # two samples of 100,000: the searches peaked at 9.16 MiB, the merge
+        # at 6.3 MiB
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=100_000), rng.normal(size=100_000)
+        tracemalloc.start()
+        try:
+            brw.ks_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 << 20
+
     def test_identical_samples(self):
         a = np.array([0.1, 0.5, 0.9])
         assert brw.ks_distance(a, a) == 0.0
